@@ -24,7 +24,6 @@ from .data import (
     write_series_csv,
 )
 from .dependence import (
-    DependenceReport,
     PairedDailySeries,
     chi_chibar,
     daily_max_pairs,
@@ -75,8 +74,8 @@ __all__ = [
     "GmtSeries", "MonthlyThresholds", "SiteSeries", "attach_covariates",
     "detrend_msl", "load_gmt", "load_series", "monthly_thresholds",
     "standardize_year", "write_series_csv",
-    "DependenceReport", "PairedDailySeries", "chi_chibar",
-    "daily_max_pairs", "kendall_tau", "pairwise_reports", "pit_transform",
+    "PairedDailySeries", "chi_chibar", "daily_max_pairs", "kendall_tau",
+    "pairwise_reports", "pit_transform",
     "ExiModel", "eval_exi", "fit_exi_curve", "runs_estimate",
     "FitConfig", "FitResult", "PooledFitResult", "PooledSpec", "ShapePrior",
     "fit_pooled", "fit_tail", "hessian_ci", "model_scores", "neg_loglik",

@@ -29,13 +29,9 @@ Config schema (all sections optional unless a subcommand needs them)::
     select:
       rate_families: [R0, R1, R2, R3, R4]
       scale_families: [S0, S1, S2, S3, S4]
-    fit:
-      multi_start: 5
-      max_iter: 10000
-      grad_tol: 1.0e-6
-      step_tol: 1.0e-8
+    fit:                             # other keys are ignored with a warning
       shape_prior: false             # or {mean: 0.0119, variance: 0.0343}
-      frozen: {beta_day: 0.0}
+      frozen: {beta_day: 0.0, phi_day: 0.0}   # amplitude and phase together
     run_length: 4
     exi:
       v_quantile: 0.99
@@ -108,7 +104,6 @@ from .fitting import (
     ShapePrior,
     fit_pooled,
     fit_tail,
-    param_names,
 )
 from .returns import Scenario, TideSampleCalendar, return_curve
 from .simulate import SimSpec, simulate_series
@@ -126,6 +121,7 @@ from .tail import (
 log = logging.getLogger("skewsurge")
 
 SUBCOMMANDS = ("ingest", "fit", "select", "exi", "rl", "dep", "pool", "simulate")
+_FIT_OPTIONS = ("shape_prior", "frozen")
 
 
 @dataclass
@@ -192,6 +188,8 @@ class RunConfig:
             out_dir=str(doc.get("out_dir", "out")),
             seed=int(doc.get("seed", 0)),
         )
+        for key in sorted(set(cfg.fit_options) - set(_FIT_OPTIONS)):
+            log.warning("ignoring unknown fit option %r", key)
         cfg.validate()
         return cfg
 
@@ -276,14 +274,9 @@ def _fit_config(cfg, **overrides):
     kw = {
         "rate_family": cfg.rate_family,
         "scale_family": cfg.scale_family,
-        "grad_tol": float(opts.get("grad_tol", 1e-6)),
-        "step_tol": float(opts.get("step_tol", 1e-8)),
-        "max_iter": int(opts.get("max_iter", 10000)),
-        "multi_start": int(opts.get("multi_start", 5)),
         "shape_prior": prior,
         "run_length": cfg.run_length,
         "frozen": {k: float(v) for k, v in (opts.get("frozen") or {}).items()},
-        "seed": cfg.seed,
     }
     kw.update(overrides)
     return FitConfig(**kw)
@@ -390,32 +383,15 @@ def _cmd_fit(cfg, out):
     return 0
 
 
-_WARM_PARENT = {
-    "R1": "R0", "R2": "R1", "R3": "R0", "R4": "R3",
-    "S1": "S0", "S2": "S1", "S3": "S0", "S4": "S3",
-}
-
-
 def _cmd_select(cfg, out):
     series_map, _ = _load_sites(cfg)
     for site, series in series_map.items():
         thresholds = monthly_thresholds(series, cfg.threshold_percentile)
-        fits = {}
         rows = []
         for sf in cfg.select_scale_families:
             for rf in cfg.select_rate_families:
-                warm = None
-                for parent in (( _WARM_PARENT.get(rf), sf),
-                               (rf, _WARM_PARENT.get(sf))):
-                    if parent in fits:
-                        shared = set(param_names(rf, sf))
-                        warm = {k: v for k, v in fits[parent].estimates.items()
-                                if k in shared}
-                        break
                 fit_cfg = _fit_config(cfg, rate_family=rf, scale_family=sf)
-                fit = fit_tail(series, fit_cfg, thresholds=thresholds,
-                               init_overrides=warm)
-                fits[(rf, sf)] = fit
+                fit = fit_tail(series, fit_cfg, thresholds=thresholds)
                 rows.append([rf, sf, fit.n_params, fit.loglik, fit.aic,
                              fit.bic, fit.converged])
                 log.info("site %s %s/%s: aic %.2f bic %.2f", site, rf, sf,

@@ -40,17 +40,6 @@ class PairedDailySeries:
         return len(self.a)
 
 
-@dataclass
-class DependenceReport:
-    """Summary statistics for one site pair, lag and margin type."""
-
-    tau: float
-    chi: float
-    chibar: float | None
-    p: float
-    n: int
-
-
 def _daily_max(series):
     days = series.timestamps.astype("datetime64[D]")
     change = np.flatnonzero(days[1:] != days[:-1]) + 1

@@ -7,10 +7,15 @@ shared shape). An optional Normal penalty on the shape enters as an
 additive log-density term; with it enabled the reported log-likelihood is
 the penalized objective value.
 
-Fitting is multi-start Nelder-Mead within box bounds followed by an
-L-BFGS-B polish using central-difference gradients; standard errors come
-from the numerical Hessian at the optimum. Phases are rescaled by 1/365
-inside the optimizer so all coordinates move on comparable scales.
+The two terms share no parameters. Written as b1*sin(wd) + b2*cos(wd),
+each harmonic beta*sin(w(d - phi)) is linear in its coefficients, and so
+are the rate logit and the scale. A fit is therefore two exact solves:
+Newton/IRLS on the logistic GLM for the rate (McCullagh & Nelder 1989),
+then Newton with the analytic gradient and Hessian on the GPD regression
+for the scale coefficients and the shape (Davison & Smith 1990). Frozen
+parameters enter as offsets. Amplitudes and phases are reported as derived
+values, with delta-method standard errors from the analytic information
+matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .data import SEASON_INDEX_OF_MONTH, SEASONS, monthly_thresholds
 from .tail import (
@@ -32,6 +36,7 @@ from .tail import (
     ScaleParams,
     TailParams,
     YEAR_FAMILIES,
+    inv_logit,
 )
 
 _TWO_PI_OVER_F = 2.0 * np.pi / 365.0
@@ -39,68 +44,16 @@ _TWO_PI_OVER_F = 2.0 * np.pi / 365.0
 RATE_BASE_NAMES = ("lam", "beta_day", "phi_day", "alpha_tide", "beta_tide", "phi_tide")
 SCALE_BASE_NAMES = ("alpha_sigma", "beta_sigma", "phi_sigma", "gamma_sigma")
 
-_BOUNDS = {
-    "lam": (1e-6, 1.0 - 1e-6),
-    "beta_day": (0.0, 10.0),
-    "phi_day": (0.0, 365.0),
-    "alpha_tide": (-20.0, 20.0),
-    "beta_tide": (0.0, 20.0),
-    "phi_tide": (0.0, 365.0),
-    "delta_rate": (-20.0, 20.0),
-    "alpha_sigma": (1e-6, 10.0),
-    "beta_sigma": (0.0, 10.0),
-    "phi_sigma": (0.0, 365.0),
-    "gamma_sigma": (-5.0, 5.0),
-    "delta_sigma": (-5.0, 5.0),
-    "xi": (-0.49, 0.999),
-}
-
-# Optimizer coordinate divisor: phases move in days and the cycle rate on
-# the order of its typical value; everything else is order 1 already.
-_PHASE_NAMES = ("phi_day", "phi_tide", "phi_sigma")
-_OPT_SCALE = {"phi_day": 365.0, "phi_tide": 365.0, "phi_sigma": 365.0,
-              "lam": 0.05}
-_SIMPLEX_STEP = {
-    "lam": 0.01,
-    "beta_day": 0.02,
-    "phi_day": 30.0,
-    "alpha_tide": 0.05,
-    "beta_tide": 0.05,
-    "phi_tide": 30.0,
-    "delta_rate": 0.05,
-    "alpha_sigma": 0.02,
-    "beta_sigma": 0.01,
-    "phi_sigma": 30.0,
-    "gamma_sigma": 0.01,
-    "delta_sigma": 0.02,
-    "xi": 0.05,
-}
-_PERTURB_FLOOR = {
-    "lam": 0.02,
-    "beta_day": 0.05,
-    "phi_day": 91.0,
-    "alpha_tide": 0.1,
-    "beta_tide": 0.05,
-    "phi_tide": 91.0,
-    "delta_rate": 0.1,
-    "alpha_sigma": 0.01,
-    "beta_sigma": 0.02,
-    "phi_sigma": 91.0,
-    "gamma_sigma": 0.02,
-    "delta_sigma": 0.02,
-    "xi": 0.1,
-}
-
-PHASE_INIT_GRID = (0.0, 91.0, 182.0, 273.0)
-
-
-def _base_key(name):
-    """Bounds/step table key for a parameter name (seasonal deltas share one)."""
-    if name.startswith("delta_rate"):
-        return "delta_rate"
-    if name.startswith("delta_sigma"):
-        return "delta_sigma"
-    return name
+_XI_BOX = (-0.49, 0.999)
+# Amplitude -> phase of each harmonic; a pair is fitted through (b1, b2).
+_PHASE_OF = {"beta_day": "phi_day", "beta_tide": "phi_tide",
+             "beta_sigma": "phi_sigma"}
+_MAX_NEWTON = 100
+# A fitted logit beyond this puts a cycle's exceedance probability within
+# 2e-9 of 0 or 1. No rate covariate supports that on a real record; Newton
+# gets there only when the covariates separate exceedances from the other
+# cycles, and the logistic likelihood then has no finite maximum.
+_SEPARATION_LOGIT = 20.0
 
 
 def rate_param_names(family):
@@ -146,48 +99,56 @@ class ShapePrior:
                       + math.log(2.0 * math.pi * self.variance))
 
 
+def _check_pairs(names, what):
+    """Reject an amplitude without its phase, or a phase without its amplitude."""
+    for amplitude, phase in _PHASE_OF.items():
+        if (amplitude in names) != (phase in names):
+            have, missing = ((amplitude, phase) if amplitude in names
+                             else (phase, amplitude))
+            raise ValueError(
+                f"{what} names {have!r} without its partner {missing!r}; "
+                "a harmonic's amplitude and phase go together"
+            )
+
+
 @dataclass
 class FitConfig:
-    """Fitting options: families, optimizer tolerances, starts, prior, context.
+    """Fitting options: families, shape prior, frozen values, run length.
 
-    ``frozen`` maps parameter names to fixed values excluded from
-    optimization. ``run_length`` is carried along for reporting only.
+    ``frozen`` maps parameter names to fixed values that enter the fit as
+    offsets; a harmonic's amplitude and phase are frozen together.
+    ``run_length`` is carried along for reporting only.
     """
 
     rate_family: str = "R0"
     scale_family: str = "S0"
-    grad_tol: float = 1e-6
-    step_tol: float = 1e-8
-    max_iter: int = 10000
-    multi_start: int = 5
     shape_prior: ShapePrior | None = None
     run_length: int = 4
     frozen: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         if self.rate_family not in RATE_FAMILIES:
             raise ValueError(f"unknown rate family {self.rate_family!r}")
         if self.scale_family not in SCALE_FAMILIES:
             raise ValueError(f"unknown scale family {self.scale_family!r}")
-        if self.grad_tol <= 0 or self.step_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1 or self.multi_start < 1:
-            raise ValueError("max_iter and multi_start must be >= 1")
         valid = set(param_names(self.rate_family, self.scale_family))
         bad = set(self.frozen) - valid
         if bad:
             raise ValueError(f"frozen names not in family: {sorted(bad)}")
+        _check_pairs(self.frozen, "frozen")
 
 
 @dataclass
 class FitResult:
     """Maximum-likelihood fit of one family pair on one site.
 
-    ``max_scaled_gradient`` is the largest projected-gradient component
-    at the optimum, measured in se-standardized coordinates when the
-    Hessian is usable (optimizer-scaled coordinates otherwise); the
-    ``converged`` flag is that value against a 1e-3 cutoff.
+    ``n_iter`` counts Newton iterations: those of the rate solve plus
+    those of the GPD solve. ``max_scaled_gradient`` is the largest
+    gradient component of the objective at the estimate, measured in
+    se-standardized coordinates when the information matrix is usable
+    (raw otherwise). ``converged`` is that value against a 1e-3 cutoff,
+    and False when the estimate sits on a feasibility edge (the shape's
+    box, sigma > 0, beta_sigma <= alpha_sigma), which ``message`` names.
     """
 
     site_id: str
@@ -206,8 +167,6 @@ class FitResult:
     converged: bool
     hessian_ok: bool
     n_iter: int
-    n_starts: int
-    best_start: int
     max_scaled_gradient: float
     frozen: dict
     run_length: int
@@ -232,8 +191,6 @@ class FitResult:
             "converged": self.converged,
             "hessian_ok": self.hessian_ok,
             "n_iter": self.n_iter,
-            "n_starts": self.n_starts,
-            "best_start": self.best_start,
             "max_scaled_gradient": self.max_scaled_gradient,
             "frozen": self.frozen,
             "run_length": self.run_length,
@@ -456,134 +413,6 @@ def neg_loglik(params, series, thresholds, shape_prior=None):
     )
 
 
-@dataclass
-class _Layout:
-    names: list
-    lo: np.ndarray
-    hi: np.ndarray
-    scale: np.ndarray
-    steps: np.ndarray
-    frozen: dict
-
-
-def _build_layout(rate_family, scale_family, frozen):
-    names = [n for n in param_names(rate_family, scale_family) if n not in frozen]
-    lo = np.array([_BOUNDS[_base_key(n)][0] for n in names])
-    hi = np.array([_BOUNDS[_base_key(n)][1] for n in names])
-    scale = np.array([_OPT_SCALE.get(_base_key(n), 1.0) for n in names])
-    steps = np.array([_SIMPLEX_STEP[_base_key(n)] for n in names])
-    return _Layout(names=names, lo=lo, hi=hi, scale=scale, steps=steps,
-                   frozen=dict(frozen))
-
-
-def _vector_to_values(x, layout):
-    values = dict(layout.frozen)
-    values.update(zip(layout.names, x))
-    return values
-
-
-def _initial_values(data, rate_family, scale_family):
-    """Moments-based stationary initial values; trends start at zero."""
-    frac = data.n_exceed / data.n
-    init = {
-        "lam": min(max(frac, 1e-4), 0.5),
-        "beta_day": 0.01,
-        "phi_day": 0.0,
-        "alpha_tide": 0.0,
-        "beta_tide": 0.01,
-        "phi_tide": 0.0,
-        "alpha_sigma": 0.1,
-        "beta_sigma": 0.01,
-        "phi_sigma": 0.0,
-        "gamma_sigma": 0.0,
-        "xi": 0.0,
-    }
-    if data.n_exceed >= 2:
-        m = float(data.excess.mean())
-        s2 = float(data.excess.var())
-        if m > 0 and s2 > 0:
-            ratio = m * m / s2
-            xi0 = 0.5 * (1.0 - ratio)
-            sigma0 = 0.5 * m * (ratio + 1.0)
-            init["xi"] = float(np.clip(xi0, -0.45, 0.9))
-            init["alpha_sigma"] = float(np.clip(sigma0, 1e-4, 5.0))
-    init["beta_sigma"] = min(0.01, 0.5 * init["alpha_sigma"])
-    for name in param_names(rate_family, scale_family):
-        if name.startswith("delta_"):
-            init[name] = 0.0
-    return init
-
-
-def _clip_into(x, layout):
-    return np.minimum(np.maximum(x, layout.lo), layout.hi)
-
-
-def _phase_grid_start(x0, layout, objective):
-    """Pick the best common value for all free phases from a coarse grid."""
-    phase_idx = [i for i, n in enumerate(layout.names) if _base_key(n) in _PHASE_NAMES]
-    if not phase_idx:
-        return x0
-    best_x, best_f = x0, objective(x0)
-    for phi in PHASE_INIT_GRID:
-        cand = x0.copy()
-        cand[phase_idx] = phi
-        f = objective(cand)
-        if f < best_f:
-            best_x, best_f = cand, f
-    return best_x
-
-
-def _projected_gradient(grad, x, lo, hi, tol=1e-12):
-    pg = grad.copy()
-    pg[(x <= lo + tol) & (grad > 0)] = 0.0
-    pg[(x >= hi - tol) & (grad < 0)] = 0.0
-    return pg
-
-
-def _central_gradient(f, x, lo, hi, f0=None):
-    """Central differences with one-sided fallback at the box boundary."""
-    g = np.empty_like(x)
-    if f0 is None:
-        f0 = f(x)
-    for i in range(x.size):
-        h = 6e-5 * max(abs(x[i]), 0.1)
-        up, dn = x[i] + h, x[i] - h
-        if up <= hi[i] and dn >= lo[i]:
-            xp = x.copy(); xp[i] = up
-            xm = x.copy(); xm[i] = dn
-            g[i] = (f(xp) - f(xm)) / (2.0 * h)
-        elif up <= hi[i]:
-            xp = x.copy(); xp[i] = up
-            g[i] = (f(xp) - f0) / h
-        else:
-            xm = x.copy(); xm[i] = dn
-            g[i] = (f0 - f(xm)) / h
-    return g
-
-
-def numeric_hessian(f, x, steps):
-    """Symmetric central-difference Hessian of f at x with per-axis steps."""
-    x = np.asarray(x, dtype=float)
-    k = x.size
-    h = np.asarray(steps, dtype=float)
-    hess = np.empty((k, k))
-    f0 = f(x)
-    for i in range(k):
-        xp = x.copy(); xp[i] += h[i]
-        xm = x.copy(); xm[i] -= h[i]
-        hess[i, i] = (f(xp) - 2.0 * f0 + f(xm)) / h[i] ** 2
-    for i in range(k):
-        for j in range(i + 1, k):
-            xpp = x.copy(); xpp[i] += h[i]; xpp[j] += h[j]
-            xpm = x.copy(); xpm[i] += h[i]; xpm[j] -= h[j]
-            xmp = x.copy(); xmp[i] -= h[i]; xmp[j] += h[j]
-            xmm = x.copy(); xmm[i] -= h[i]; xmm[j] -= h[j]
-            hess[i, j] = hess[j, i] = (
-                f(xpp) - f(xpm) - f(xmp) + f(xmm)
-            ) / (4.0 * h[i] * h[j])
-    return hess
-
-
 def wald_intervals(hessian, x):
     """Standard errors and 95% intervals from a curvature matrix.
 
@@ -606,266 +435,510 @@ def wald_intervals(hessian, x):
     return se, ci, True
 
 
-def _hessian_steps(x, layout):
-    rel = 1.22e-4
-    return rel * np.maximum(np.abs(x), layout.scale)
+def _terms(data, rate_family, scale_family):
+    """Rate and scale predictor terms as (parameter names, columns) pairs.
 
-
-def _newton_polish(objective, layout, x, f, max_grad):
-    """Damped Newton steps using the CI Hessian to finish the optimization.
-
-    Quasi-Newton polishing can stop (on relative f-improvement) while a
-    stiff coordinate still carries a visible gradient; a Newton step
-    resolves that without re-running the optimizer. Returns the possibly
-    moved (x, f), the scaled projected gradient vector at the final
-    point, and the Hessian there.
+    A scalar parameter has one column; the coefficient of the rate
+    intercept is logit(lam). A harmonic (amplitude, phase) has two columns,
+    its covariate times sin(wd) and times cos(wd), with coefficients
+    b1 = beta*cos(w*phi) and b2 = -beta*sin(w*phi). Terms come in
+    param_names order.
     """
-    s = layout.scale
-    zlo, zhi = layout.lo / s, layout.hi / s
-
-    def fz(z):
-        return objective(z * s)
-
-    def pgrad(xc):
-        g = _central_gradient(fz, xc / s, zlo, zhi)
-        return _projected_gradient(g, xc / s, zlo, zhi)
-
-    hess = numeric_hessian(objective, x, _hessian_steps(x, layout))
-    gz = pgrad(x)
-    moved_any = False
-    if np.all(np.isfinite(hess)):
-        for _ in range(3):
-            if max_grad < 5e-4:
-                break
-            try:
-                dx = np.linalg.solve(hess, -(gz / s))
-            except np.linalg.LinAlgError:
-                break
-            moved = False
-            for t in (1.0, 0.5, 0.25):
-                cand = np.minimum(np.maximum(x + t * dx, layout.lo), layout.hi)
-                fc = objective(cand)
-                if np.isfinite(fc) and fc < f:
-                    x, f, moved = cand, fc, True
-                    break
-            if not moved:
-                break
-            moved_any = True
-            gz = pgrad(x)
-            max_grad = float(np.max(np.abs(gz))) if gz.size else 0.0
-        if moved_any:
-            hess = numeric_hessian(objective, x, _hessian_steps(x, layout))
-    return x, f, gz, hess
+    ones = np.ones(data.n)
+    rate = [
+        (("lam",), [ones]),
+        (("beta_day", "phi_day"),
+         [data.day_dev * data.sin_d, data.day_dev * data.cos_d]),
+        (("alpha_tide",), [data.tide_std]),
+        (("beta_tide", "phi_tide"),
+         [data.tide_std * data.sin_d, data.tide_std * data.cos_d]),
+    ]
+    scale = [
+        (("alpha_sigma",), [ones]),
+        (("beta_sigma", "phi_sigma"), [data.sin_d, data.cos_d]),
+        (("gamma_sigma",), [data.tide]),
+    ]
+    return (rate + _trend_terms(rate_family, "delta_rate", data),
+            scale + _trend_terms(scale_family, "delta_sigma", data))
 
 
-def _optimize_start(x0, objective, layout, config):
-    """Nelder-Mead within bounds, then an L-BFGS-B polish; scaled coords."""
-    s = layout.scale
-    zlo, zhi = layout.lo / s, layout.hi / s
+def _trend_terms(family, prefix, data):
+    if family.endswith("0"):
+        return []
+    cov = data.year_std if family in YEAR_FAMILIES else data.gmt
+    if family in SEASONAL_FAMILIES:
+        return [((f"{prefix}_{s}",), [cov * (data.season == k)])
+                for k, s in enumerate(SEASONS)]
+    return [((prefix,), [cov])]
 
-    def fz(z):
-        return objective(z * s)
 
-    z0 = x0 / s
-    simplex = [z0]
-    for i in range(z0.size):
-        step = layout.steps[i] / s[i]
-        zi = z0.copy()
-        zi[i] = min(zi[i] + step, zhi[i])
-        if zi[i] - z0[i] < 0.5 * step:
-            zi[i] = max(z0[i] - step, zlo[i])
-        simplex.append(zi)
-    res = minimize(
-        fz, z0, method="Nelder-Mead",
-        bounds=Bounds(zlo, zhi),
-        options={
-            "maxiter": config.max_iter,
-            "maxfev": config.max_iter,
-            "xatol": max(config.step_tol, 1e-7),
-            "fatol": 1e-9,
-            "adaptive": True,
-            "initial_simplex": np.array(simplex),
-        },
-    )
-    nfev = res.nfev
-    z_best, f_best = res.x, res.fun
-    if not np.isfinite(f_best):
-        return z_best * s, np.inf, nfev, np.inf
+def _to_linear(names, values):
+    """Linear coefficients of one term from its parameter values."""
+    if names[0] == "lam":
+        return [math.log(values["lam"] / (1.0 - values["lam"]))]
+    if len(names) == 2:
+        beta, w = values[names[0]], _TWO_PI_OVER_F * values[names[1]]
+        return [beta * math.cos(w), -beta * math.sin(w)]
+    return [values[names[0]]]
 
-    def grad_z(z):
-        return _central_gradient(fz, z, zlo, zhi)
 
-    # Restarting L-BFGS-B clears its curvature memory; a second round often
-    # pushes the gradient below the convergence cutoff when ftol stops the
-    # first one early.
-    max_grad = np.inf
-    for _ in range(3):
-        try:
-            pol = minimize(
-                fz, z_best, method="L-BFGS-B", jac=grad_z,
-                bounds=Bounds(zlo, zhi),
-                options={"maxiter": 200, "ftol": 1e-13,
-                         "gtol": config.grad_tol},
+def _term_values(names, coefs):
+    """Parameter values of one term from its linear coefficients."""
+    if names[0] == "lam":
+        return {"lam": float(inv_logit(coefs[0]))}
+    if len(names) == 2:
+        w = math.atan2(-coefs[1], coefs[0])
+        return {names[0]: math.hypot(coefs[0], coefs[1]),
+                names[1]: (w / _TWO_PI_OVER_F) % 365.0}
+    return {names[0]: float(coefs[0])}
+
+
+def _term_jacobian(names, values):
+    """d(linear coefficients)/d(parameter values) of one term."""
+    if names[0] == "lam":
+        return np.array([[1.0 / (values["lam"] * (1.0 - values["lam"]))]])
+    if len(names) == 2:
+        beta, w = values[names[0]], _TWO_PI_OVER_F * values[names[1]]
+        c, s = math.cos(w), math.sin(w)
+        return np.array([[c, -beta * _TWO_PI_OVER_F * s],
+                         [-s, -beta * _TWO_PI_OVER_F * c]])
+    return np.eye(1)
+
+
+def _columns(terms, frozen, n):
+    """Free columns of a predictor and the offset of its frozen terms."""
+    free = [c for names, cols in terms if names[0] not in frozen for c in cols]
+    offset = np.zeros(n)
+    for names, cols in terms:
+        if names[0] in frozen:
+            for col, coef in zip(cols, _to_linear(names, frozen)):
+                offset = offset + coef * col
+    return (np.column_stack(free) if free else np.zeros((n, 0))), offset
+
+
+def _size(slots):
+    return sum(len(names) for _, names, _ in slots)
+
+
+def _layout(terms, shared, n_sites):
+    """Global coefficient layout of a block design over sites.
+
+    A shared term (every term when ``shared`` is None) takes one slot,
+    labelled with its parameter names; any other term takes one slot per
+    site, labelled "<name>@<site index>". Returns the slots as (start,
+    names, labels) and, per site, the global index of each local
+    coefficient.
+    """
+    slots, where = [], [[] for _ in range(n_sites)]
+
+    def add(names, labels):
+        start = _size(slots)
+        slots.append((start, names, labels))
+        return start
+
+    starts = {names: add(names, list(names)) for names in terms
+              if shared is None or names[0] in shared}
+    for i in range(n_sites):
+        for names in terms:
+            start = starts.get(names)
+            if start is None:
+                start = add(names, [f"{n}@{i}" for n in names])
+            where[i].extend(range(start, start + len(names)))
+    return slots, [np.array(w, dtype=int) for w in where]
+
+
+@dataclass
+class _Site:
+    """One site of a block design: free columns, frozen offsets, and the
+    global index of each local rate and GPD coefficient."""
+
+    site_id: str
+    data: _Prepared
+    X: np.ndarray  # rate columns
+    x_offset: np.ndarray
+    Z: np.ndarray  # scale columns, every cycle
+    z_offset: np.ndarray
+    rate_at: np.ndarray
+    gpd_at: np.ndarray  # scale coefficients, then the shape when free
+    prior: ShapePrior | None  # the shape penalty charged on this site
+
+
+@dataclass
+class _Joint:
+    """Sites fitted together. The rate coefficients and the GPD ones (scale
+    coefficients and shape) are separate vectors: the likelihood is a sum
+    of one term in each."""
+
+    rate_family: str
+    scale_family: str
+    frozen: dict
+    rate_terms: list  # free terms, local order
+    gpd_terms: list
+    rate_slots: list
+    gpd_slots: list
+    sites: list
+
+
+def _joint(pairs, config, shared=None):
+    """Block design of (series, thresholds) pairs under one configuration.
+
+    ``shared`` names the parameters tied across sites; None ties every
+    parameter (a single-site fit). The shape prior is charged once per
+    distinct shape parameter.
+    """
+    rf, sf, frozen = config.rate_family, config.scale_family, config.frozen
+    built = []
+    for series, thresholds in pairs:
+        data = _prepare(series, thresholds, rf, sf)
+        if data.n_exceed < 50:
+            raise ValueError(
+                f"site {series.site_id}: {data.n_exceed} exceedances; need >= 50"
             )
-        except (FloatingPointError, np.linalg.LinAlgError):
-            break
-        nfev += pol.nfev * (1 + 2 * z0.size)
-        if np.isfinite(pol.fun) and pol.fun <= f_best:
-            z_best, f_best = pol.x, pol.fun
-        grad = _projected_gradient(grad_z(z_best), z_best, zlo, zhi)
-        max_grad = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if max_grad < 5e-4:
-            break
-    if not np.isfinite(max_grad):
-        grad = _projected_gradient(grad_z(z_best), z_best, zlo, zhi)
-        max_grad = float(np.max(np.abs(grad))) if grad.size else 0.0
-    return z_best * s, f_best, nfev, max_grad
+        built.append((series.site_id, data, *_terms(data, rf, sf)))
+    rate_terms = [t for t, _ in built[0][2] if t[0] not in frozen]
+    gpd_terms = [t for t, _ in built[0][3] if t[0] not in frozen]
+    if "xi" not in frozen:
+        gpd_terms.append(("xi",))
+    rate_slots, rate_at = _layout(rate_terms, shared, len(pairs))
+    gpd_slots, gpd_at = _layout(gpd_terms, shared, len(pairs))
+    xi_per_site = shared is not None and "xi" not in frozen and "xi" not in shared
+    sites = [
+        _Site(site_id, data, *_columns(rate, frozen, data.n),
+              *_columns(scale, frozen, data.n), rate_at[i], gpd_at[i],
+              config.shape_prior if i == 0 or xi_per_site else None)
+        for i, (site_id, data, rate, scale) in enumerate(built)
+    ]
+    return _Joint(rf, sf, dict(frozen), rate_terms, gpd_terms, rate_slots,
+                  gpd_slots, sites)
 
 
-def _perturbed_start(x0, layout, rng):
-    span = 0.2 * np.maximum(
-        np.abs(x0), [_PERTURB_FLOOR[_base_key(n)] for n in layout.names]
+def _site_values(joint, site, rate_x, gpd_x):
+    """Every parameter value of one site, frozen ones included."""
+    values = dict(joint.frozen)
+    for terms, coefs in ((joint.rate_terms, rate_x[site.rate_at]),
+                         (joint.gpd_terms, gpd_x[site.gpd_at])):
+        k = 0
+        for names in terms:
+            values.update(_term_values(names, coefs[k:k + len(names)]))
+            k += len(names)
+    return values
+
+
+def _objective(joint, rate_x, gpd_x):
+    """The negative (penalized) log-likelihood summed over the sites."""
+    return sum(
+        _nll_values(_site_values(joint, s, rate_x, gpd_x), s.data,
+                    joint.rate_family, joint.scale_family, s.prior)
+        for s in joint.sites
     )
-    x = x0 + span * rng.uniform(-1.0, 1.0, size=x0.size)
-    x = _clip_into(x, layout)
-    # Keep strictly-interior parameters off their open bounds.
-    eps = 1e-9
-    return np.minimum(np.maximum(x, layout.lo + eps * (layout.hi - layout.lo)),
-                      layout.hi - eps * (layout.hi - layout.lo))
 
 
-def fit_tail(series, config, thresholds=None, init_overrides=None):
-    """Fit the tail model by penalized maximum likelihood.
+def _rate_derivs(joint, x):
+    """Gradient and Hessian of the Bernoulli term in the rate coefficients."""
+    grad = np.zeros(x.size)
+    hess = np.zeros((x.size, x.size))
+    for s in joint.sites:
+        p = inv_logit(s.x_offset + s.X @ x[s.rate_at])
+        grad[s.rate_at] += s.X.T @ (p - (s.data.bern_sign < 0))
+        hess[np.ix_(s.rate_at, s.rate_at)] += s.X.T @ (s.X * (p * (1.0 - p))[:, None])
+    return grad, hess
 
-    Runs ``config.multi_start`` optimizations (a moments/phase-grid start
-    plus seeded ±20% perturbations of it), keeps the best final objective
-    (ties broken by lowest start index), then computes Hessian-based
-    standard errors. Requires at least 50 threshold exceedances.
-    ``init_overrides`` replaces named initial values, e.g. to warm-start
-    a larger family from a nested fit.
+
+def _gpd_pieces(excess, sigma, xi):
+    """Per-exceedance derivatives of the GPD negative log-density.
+
+    The density term is log(sigma) + (1 + xi) h with z = excess/sigma and
+    h = log1p(xi z)/xi. Returns its derivatives d/dsigma, d/dxi,
+    d2/dsigma2, d2/dsigma dxi and d2/dxi2. The xi-derivatives of h come
+    from its power series in xi z where |xi z| < 1e-4, which covers the
+    exponential limit xi -> 0, and from the closed form elsewhere, where
+    its cancellation error stays below 1e-8 relative.
+    """
+    z = excess / sigma
+    a = xi * z
+    t = 1.0 + a
+    series = np.abs(a) < 1e-4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(series, z * (1 - a / 2 + a * a / 3 - a ** 3 / 4),
+                     np.log1p(a) / xi)
+        h1 = np.where(series,
+                      z * z * (-1 / 2 + 2 * a / 3 - 3 * a * a / 4 + 4 * a ** 3 / 5),
+                      (z / t - h) / xi)
+        h2 = np.where(series,
+                      z ** 3 * (2 / 3 - 3 * a / 2 + 12 * a * a / 5 - 10 * a ** 3 / 3),
+                      -(z * z / (t * t) + 2 * h1) / xi)
+    return ((1 - z) / (sigma * t),
+            h + (1 + xi) * h1,
+            (2 * z + a * z - 1) / (sigma * t) ** 2,
+            z * (z - 1) / (sigma * t * t),
+            2 * h1 + (1 + xi) * h2)
+
+
+def _gpd_derivs(joint, x):
+    """Gradient and Hessian of the GPD term and the shape prior in the
+    scale coefficients and the shape."""
+    grad = np.zeros(x.size)
+    hess = np.zeros((x.size, x.size))
+    xi_free = "xi" not in joint.frozen
+    for s in joint.sites:
+        local = x[s.gpd_at]
+        k = s.Z.shape[1]
+        xi = local[k] if xi_free else joint.frozen["xi"]
+        Z = s.Z[s.data.exc_idx]
+        sigma = s.z_offset[s.data.exc_idx] + Z @ local[:k]
+        d_s, d_x, d_ss, d_sx, d_xx = _gpd_pieces(s.data.excess, sigma, xi)
+        g = Z.T @ d_s
+        h = Z.T @ (Z * d_ss[:, None])
+        if xi_free:
+            cross = Z.T @ d_sx
+            g = np.append(g, d_x.sum())
+            h = np.block([[h, cross[:, None]],
+                          [cross[None, :], np.array([[d_xx.sum()]])]])
+            if s.prior is not None:
+                g[-1] += (xi - s.prior.mean) / s.prior.variance
+                h[-1, -1] += 1.0 / s.prior.variance
+        grad[s.gpd_at] += g
+        hess[np.ix_(s.gpd_at, s.gpd_at)] += h
+    return grad, hess
+
+
+def _newton(fun, derivs, x, lo, hi):
+    """Minimize fun from a point where it is finite by damped Newton steps.
+
+    ``derivs`` gives the analytic gradient and Hessian. A coordinate at a
+    bound of [lo, hi] whose gradient pushes outward is held for the step;
+    the Hessian's eigenvalues are taken in absolute value and floored, so
+    every step descends. The step is halved until fun is finite and falls
+    by the Armijo fraction, which keeps every iterate inside the region
+    where the likelihood is finite. Stops when the Newton decrement
+    g'H^-1 g (about twice the excess of fun over its minimum) drops below
+    1e-10.
+    Returns the minimizer and the number of iterations.
+    """
+    f = fun(x)
+    for it in range(1, _MAX_NEWTON + 1):
+        grad, hess = derivs(x)
+        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        if not free.any():
+            break
+        w, v = np.linalg.eigh(hess[np.ix_(free, free)])
+        w = np.maximum(np.abs(w), 1e-12 * max(np.abs(w).max(), 1.0))
+        step = np.zeros_like(x)
+        step[free] = -v @ ((v.T @ grad[free]) / w)
+        if -(grad @ step) < 1e-10:
+            break
+        t = 1.0
+        while t > 1e-10:
+            trial = np.clip(x + t * step, lo, hi)
+            f_trial = fun(trial)
+            if f_trial <= f + 1e-4 * (grad @ (trial - x)):
+                break
+            t *= 0.5
+        else:
+            break
+        x, f = trial, f_trial
+    return x, it
+
+
+def _check_separation(joint, rate_x):
+    for s in joint.sites:
+        logit = np.abs(s.x_offset + s.X @ rate_x[s.rate_at]).max()
+        if logit > _SEPARATION_LOGIT:
+            raise ValueError(
+                f"site {s.site_id}: rate family {joint.rate_family} separates "
+                f"the exceedances (a fitted logit reaches {logit:.0f}); the "
+                "logistic likelihood has no finite maximum"
+            )
+
+
+def _gpd_start(joint):
+    """Exponential start: shape 0 and a constant scale at the mean excess."""
+    x = np.zeros(_size(joint.gpd_slots))
+    for start, names, labels in joint.gpd_slots:
+        if names == ("alpha_sigma",):
+            _, _, site = labels[0].partition("@")
+            sites = [joint.sites[int(site)]] if site else joint.sites
+            x[start] = np.concatenate([s.data.excess for s in sites]).mean()
+    return x
+
+
+def _edge(joint, rate_x, gpd_x, lo, hi):
+    """The feasibility edge the GPD estimate sits on, or None."""
+    if np.any((gpd_x <= lo) | (gpd_x >= hi)):
+        return f"xi box [{_XI_BOX[0]}, {_XI_BOX[1]}]"
+    for s in joint.sites:
+        values = _site_values(joint, s, rate_x, gpd_x)
+        sigma = s.z_offset + s.Z @ gpd_x[s.gpd_at][:s.Z.shape[1]]
+        if sigma.min() < 1e-4 * sigma.mean():
+            return f"site {s.site_id} sigma > 0"
+        if values["beta_sigma"] > (1.0 - 1e-4) * values["alpha_sigma"]:
+            return f"site {s.site_id} beta_sigma <= alpha_sigma"
+    return None
+
+
+def _intervals(joint, rate_x, gpd_x):
+    """Wald intervals of the parameter values from the analytic information.
+
+    The information in the linear coefficients is carried to the
+    parameter values through the Jacobian of the map between them (the
+    delta method). Returns (se map, ci map, ok, max scaled gradient), the
+    maps keyed by slot label and None when ok is False.
+    """
+    labels, values, grads, blocks = [], [], [], []
+    for slots, x, derivs in ((joint.rate_slots, rate_x, _rate_derivs),
+                             (joint.gpd_slots, gpd_x, _gpd_derivs)):
+        grad, hess = derivs(joint, x)
+        jac = np.zeros((x.size, x.size))
+        for start, names, slot_labels in slots:
+            vals = _term_values(names, x[start:start + len(names)])
+            jac[start:start + len(names), start:start + len(names)] = \
+                _term_jacobian(names, vals)
+            values += [vals[n] for n in names]
+            labels += slot_labels
+        grads.append(jac.T @ grad)
+        blocks.append(jac.T @ hess @ jac)
+    n_rate = rate_x.size
+    hess = np.zeros((len(labels), len(labels)))
+    hess[:n_rate, :n_rate] = blocks[0]
+    hess[n_rate:, n_rate:] = blocks[1]
+    se, ci, ok = wald_intervals(hess, values)
+    scaled = np.abs(np.concatenate(grads)) * (se if ok else 1.0)
+    max_grad = float(scaled.max()) if scaled.size else 0.0
+    if not ok:
+        return None, None, False, max_grad
+    return ({n: float(se[i]) for i, n in enumerate(labels)},
+            {n: (float(ci[i, 0]), float(ci[i, 1])) for i, n in enumerate(labels)},
+            True, max_grad)
+
+
+@dataclass
+class _Solution:
+    values: list  # every parameter value, per site
+    std_errors: dict | None  # by slot label
+    conf_intervals: dict | None
+    hessian_ok: bool
+    max_scaled_gradient: float
+    converged: bool
+    message: str
+    n_iter: int
+
+
+def _solve(joint):
+    """Fit a block design: the rate GLM first, then the GPD regression."""
+    gpd_x = _gpd_start(joint)
+    rate_x = np.zeros(_size(joint.rate_slots))
+    if not np.isfinite(_objective(joint, rate_x, gpd_x)):
+        raise ValueError("the frozen scale values leave no finite starting point")
+    unbounded = np.full(rate_x.size, np.inf)
+    rate_x, n_rate = _newton(lambda x: _objective(joint, x, gpd_x),
+                             lambda x: _rate_derivs(joint, x),
+                             rate_x, -unbounded, unbounded)
+    _check_separation(joint, rate_x)
+    lo = np.full(gpd_x.size, -np.inf)
+    hi = np.full(gpd_x.size, np.inf)
+    for start, names, _ in joint.gpd_slots:
+        if names == ("xi",):
+            lo[start], hi[start] = _XI_BOX
+    gpd_x, n_gpd = _newton(lambda x: _objective(joint, rate_x, x),
+                           lambda x: _gpd_derivs(joint, x), gpd_x, lo, hi)
+    se, ci, ok, max_grad = _intervals(joint, rate_x, gpd_x)
+    edge = _edge(joint, rate_x, gpd_x, lo, hi)
+    converged = max_grad < 1e-3 and edge is None
+    if edge is not None:
+        message = f"estimate held on the {edge} edge"
+    elif not converged:
+        message = f"max scaled gradient {max_grad:.2e} above 1e-3"
+    else:
+        message = "ok"
+    values = [_site_values(joint, s, rate_x, gpd_x) for s in joint.sites]
+    return _Solution(values, se, ci, ok, max_grad, converged, message,
+                     n_rate + n_gpd)
+
+
+def fit_tail(series, config, thresholds=None):
+    """Fit the tail model by (penalized) maximum likelihood.
+
+    The rate coefficients come from a Newton/IRLS solve of the logistic
+    GLM, the scale coefficients and the shape from a Newton solve of the
+    GPD regression, and the standard errors from the analytic information
+    matrix. Requires at least 50 threshold exceedances. Raises ValueError
+    when the rate covariates separate the exceedances, since the logistic
+    likelihood then has no finite maximum. An estimate held on the shape's
+    box or another feasibility edge comes back with ``converged`` False
+    and a message naming the edge.
     """
     if thresholds is None:
         thresholds = monthly_thresholds(series)
     rf, sf = config.rate_family, config.scale_family
-    data = _prepare(series, thresholds, rf, sf)
-    if data.n_exceed < 50:
-        raise ValueError(
-            f"site {series.site_id}: {data.n_exceed} exceedances; need >= 50"
-        )
-    layout = _build_layout(rf, sf, config.frozen)
-    if not layout.names:
+    names = [n for n in param_names(rf, sf) if n not in config.frozen]
+    if not names:
         raise ValueError("every parameter is frozen; nothing to fit")
+    joint = _joint([(series, thresholds)], config)
+    return _site_result(joint, _solve(joint), 0, series, thresholds, config,
+                        {n: n for n in names}, config.shape_prior)
 
-    def objective(x):
-        return _nll_values(_vector_to_values(x, layout), data, rf, sf,
-                           config.shape_prior)
 
-    init = _initial_values(data, rf, sf)
-    if init_overrides:
-        init.update(init_overrides)
-    x0 = _clip_into(np.array([init[n] for n in layout.names]), layout)
-    x0 = _phase_grid_start(x0, layout, objective)
+def _site_result(joint, sol, i, series, thresholds, config, labels, prior):
+    """FitResult of site i of a solved block design.
 
-    rng = np.random.default_rng(config.seed)
-    starts = [x0] + [
-        _perturbed_start(x0, layout, rng) for _ in range(config.multi_start - 1)
-    ]
-    best = None
-    total_nfev = 0
-    for k, xs in enumerate(starts):
-        x_opt, f_opt, nfev, max_grad = _optimize_start(xs, objective, layout, config)
-        total_nfev += nfev
-        if np.isfinite(f_opt) and (best is None or f_opt < best[1]):
-            best = (x_opt, f_opt, k, max_grad)
-    if best is None:
-        raise RuntimeError(
-            f"site {series.site_id}: no start produced a finite objective"
-        )
-    x_opt, f_opt, best_start, max_grad = best
-    k_free = len(layout.names)
-
-    se_map = ci_map = None
-    hessian_ok = False
-    if k_free:
-        x_opt, f_opt, gz, hess = _newton_polish(
-            objective, layout, x_opt, f_opt, max_grad
-        )
-        max_grad = float(np.max(np.abs(gz))) if gz.size else 0.0
-        se, ci, hessian_ok = wald_intervals(hess, x_opt)
-        if hessian_ok:
-            se_map = {n: float(se[i]) for i, n in enumerate(layout.names)}
-            ci_map = {n: (float(ci[i, 0]), float(ci[i, 1]))
-                      for i, n in enumerate(layout.names)}
-            # Convergence is judged on the gradient in se-standardized
-            # coordinates; a raw cutoff is unattainable for stiff
-            # coordinates where machine precision in the objective already
-            # implies a visible gradient.
-            max_grad = float(np.max(np.abs(gz) * se / layout.scale))
-
-    values = _vector_to_values(x_opt, layout)
-    for name in _PHASE_NAMES:
-        if name in values:
-            values[name] = float(np.mod(values[name], 365.0))
+    ``labels`` maps each free parameter to its slot label; the
+    log-likelihood is ``neg_loglik`` at the returned parameters, with the
+    shape penalty ``prior``.
+    """
+    rf, sf = config.rate_family, config.scale_family
+    data = joint.sites[i].data
+    values = sol.values[i]
     params = values_to_params(values, rf, sf, data)
-    loglik = -f_opt
-    aic = 2.0 * k_free - 2.0 * loglik
-    bic = k_free * math.log(data.n) - 2.0 * loglik
-
-    converged = max_grad < 1e-3
+    loglik = -neg_loglik(params, series, thresholds, prior)
+    k = len(labels)
     return FitResult(
         site_id=series.site_id,
         rate_family=rf,
         scale_family=sf,
-        estimates={n: float(values[n]) for n in layout.names},
+        estimates={n: float(values[n]) for n in labels},
         params=params,
         loglik=loglik,
         n_obs=data.n,
         n_exceed=data.n_exceed,
-        n_params=k_free,
-        aic=aic,
-        bic=bic,
-        std_errors=se_map,
-        conf_intervals=ci_map,
-        converged=converged,
-        hessian_ok=hessian_ok,
-        n_iter=total_nfev,
-        n_starts=len(starts),
-        best_start=best_start,
-        max_scaled_gradient=max_grad,
+        n_params=k,
+        aic=2.0 * k - 2.0 * loglik,
+        bic=k * math.log(data.n) - 2.0 * loglik,
+        std_errors={n: sol.std_errors[s] for n, s in labels.items()}
+        if sol.hessian_ok else None,
+        conf_intervals={n: sol.conf_intervals[s] for n, s in labels.items()}
+        if sol.hessian_ok else None,
+        converged=sol.converged,
+        hessian_ok=sol.hessian_ok,
+        n_iter=sol.n_iter,
+        max_scaled_gradient=sol.max_scaled_gradient,
         frozen=dict(config.frozen),
         run_length=config.run_length,
-        message="ok" if converged else
-        f"max scaled gradient {max_grad:.2e} above 1e-3",
+        message=sol.message,
     )
 
 
 def hessian_ci(fit, series, thresholds=None, shape_prior=None):
     """Recompute standard errors and 95% CIs for a fit on its data.
 
-    Pass the same ``shape_prior`` the fit used so the curvature matches
-    the objective that was optimized. Returns (std_errors,
-    conf_intervals, ok); ok is False (with None maps) when the Hessian
-    is not positive definite.
+    Evaluates the analytic information matrix at ``fit.estimates``. Pass
+    the same ``shape_prior`` the fit used so the curvature matches the
+    objective that was optimized. Returns (std_errors, conf_intervals,
+    ok); ok is False (with None maps) when the information matrix is not
+    positive definite.
     """
     if thresholds is None:
         thresholds = monthly_thresholds(series)
-    rf, sf = fit.rate_family, fit.scale_family
-    data = _prepare(series, thresholds, rf, sf)
-    layout = _build_layout(rf, sf, fit.frozen)
-
-    def objective(x):
-        return _nll_values(_vector_to_values(x, layout), data, rf, sf,
-                           shape_prior)
-
-    x = np.array([fit.estimates[n] for n in layout.names])
-    hess = numeric_hessian(objective, x, _hessian_steps(x, layout))
-    se, ci, ok = wald_intervals(hess, x)
-    if not ok:
-        return None, None, False
-    se_map = {n: float(se[i]) for i, n in enumerate(layout.names)}
-    ci_map = {n: (float(ci[i, 0]), float(ci[i, 1]))
-              for i, n in enumerate(layout.names)}
-    return se_map, ci_map, True
+    config = FitConfig(rate_family=fit.rate_family,
+                       scale_family=fit.scale_family,
+                       shape_prior=shape_prior, frozen=fit.frozen)
+    joint = _joint([(series, thresholds)], config)
+    rate_x, gpd_x = (
+        np.array([c for _, names, _ in slots
+                  for c in _to_linear(names, fit.estimates)], dtype=float)
+        for slots in (joint.rate_slots, joint.gpd_slots)
+    )
+    se, ci, ok, _ = _intervals(joint, rate_x, gpd_x)
+    return se, ci, ok
 
 
 def model_scores(fit):
@@ -941,159 +1014,48 @@ class PooledFitResult:
 def fit_pooled(spec, config):
     """Maximize the summed per-site log-likelihood with tied parameters.
 
-    Initializes from independent per-site fits (shared values averaged),
-    polishes jointly, and reports pooled AIC/BIC next to the untied
-    alternative (the sum of the independent fits' scores). The Normal
-    shape penalty, when enabled, is charged once per distinct shape
-    parameter in the joint objective.
+    Solves one block design: a shared parameter has one coefficient whose
+    columns stack over the sites, any other one coefficient per site.
+    Reports pooled AIC/BIC next to the untied alternative (the sum of
+    independent per-site fits' scores). The Normal shape penalty, when
+    enabled, is charged once per distinct shape parameter in the joint
+    objective. Site results carry the joint fit's iteration count and
+    convergence.
     """
     datasets = spec.normalized()
     if not datasets:
         raise ValueError("PooledSpec has no datasets")
     rf, sf = config.rate_family, config.scale_family
-    valid = set(param_names(rf, sf)) - set(config.frozen)
-    missing = [n for n in spec.shared if n not in valid]
+    names = [n for n in param_names(rf, sf) if n not in config.frozen]
+    missing = [n for n in spec.shared if n not in names]
     if missing:
         raise ValueError(f"shared names not free in family {rf}/{sf}: {missing}")
+    _check_pairs(spec.shared, "shared")
+    pairs = [(series, thr if thr is not None else monthly_thresholds(series))
+             for series, thr in datasets]
+    singles = [fit_tail(series, config, thresholds=thr) for series, thr in pairs]
+    joint = _joint(pairs, config, shared=set(spec.shared))
+    sol = _solve(joint)
+    shared = [n for n in names if n in spec.shared]
 
-    singles = []
-    prepared = []
-    for series, thr in datasets:
-        thr = thr if thr is not None else monthly_thresholds(series)
-        singles.append(fit_tail(series, config, thresholds=thr))
-        prepared.append(_prepare(series, thr, rf, sf))
-
-    layout = _build_layout(rf, sf, config.frozen)
-    shared = [n for n in layout.names if n in spec.shared]
-    own = [n for n in layout.names if n not in spec.shared]
-    n_sites = len(datasets)
-
-    # Global vector: shared block then one own-parameter block per site.
-    names_global = list(shared) + [f"{n}@{i}" for i in range(n_sites) for n in own]
-    lo = np.array([_BOUNDS[_base_key(n.split("@")[0])][0] for n in names_global])
-    hi = np.array([_BOUNDS[_base_key(n.split("@")[0])][1] for n in names_global])
-    scale = np.array([
-        _OPT_SCALE.get(_base_key(n.split("@")[0]), 1.0) for n in names_global
-    ])
-    glayout = _Layout(names=names_global, lo=lo, hi=hi, scale=scale,
-                      steps=np.array([
-                          _SIMPLEX_STEP[_base_key(n.split("@")[0])]
-                          for n in names_global
-                      ]),
-                      frozen=dict(config.frozen))
-
-    def site_values(x, i):
-        values = dict(config.frozen)
-        for a, n in enumerate(shared):
-            values[n] = x[a]
-        base = len(shared) + i * len(own)
-        for a, n in enumerate(own):
-            values[n] = x[base + a]
-        return values
-
-    prior = config.shape_prior
-
-    def site_nll(x, i, with_prior):
-        p = prior if (with_prior and ("xi" in own or i == 0)) else None
-        return _nll_values(site_values(x, i), prepared[i], rf, sf, p)
-
-    def objective(x):
-        return sum(site_nll(x, i, True) for i in range(n_sites))
-
-    x0 = np.empty(len(names_global))
-    for a, n in enumerate(shared):
-        x0[a] = np.mean([s.estimates[n] for s in singles])
-    for i in range(n_sites):
-        base = len(shared) + i * len(own)
-        for a, n in enumerate(own):
-            x0[base + a] = singles[i].estimates[n]
-    x0 = _clip_into(x0, glayout)
-
-    rng = np.random.default_rng(config.seed)
-    starts = [x0] + [
-        _perturbed_start(
-            x0,
-            _Layout(names=[n.split("@")[0] for n in names_global],
-                    lo=lo, hi=hi, scale=scale, steps=glayout.steps,
-                    frozen=glayout.frozen),
-            rng,
-        )
-        for _ in range(config.multi_start - 1)
+    site_results = [
+        _site_result(joint, sol, i, series, thr, config,
+                     {n: n if n in spec.shared else f"{n}@{i}" for n in names},
+                     None)
+        for i, (series, thr) in enumerate(pairs)
     ]
-    best = None
-    for k, xs in enumerate(starts):
-        x_opt, f_opt, _nfev, max_grad = _optimize_start(xs, objective, glayout, config)
-        if np.isfinite(f_opt) and (best is None or f_opt < best[1]):
-            best = (x_opt, f_opt, k, max_grad)
-    if best is None:
-        raise RuntimeError("pooled fit: no start produced a finite objective")
-    x_opt, f_opt, _best_k, max_grad = best
-
-    x_opt, f_opt, gz, hess = _newton_polish(
-        objective, glayout, x_opt, f_opt, max_grad
-    )
-    max_grad = float(np.max(np.abs(gz))) if gz.size else 0.0
-    se, ci, hessian_ok = wald_intervals(hess, x_opt)
-    if hessian_ok:
-        max_grad = float(np.max(np.abs(gz) * se / glayout.scale))
-
-    shared_est = {n: float(x_opt[a]) for a, n in enumerate(shared)}
-    shared_se = shared_ci = None
-    if hessian_ok:
-        shared_se = {n: float(se[a]) for a, n in enumerate(shared)}
-        shared_ci = {n: (float(ci[a, 0]), float(ci[a, 1]))
-                     for a, n in enumerate(shared)}
-
-    site_results = []
-    for i, (series, _thr) in enumerate(datasets):
-        values = site_values(x_opt, i)
-        for name in _PHASE_NAMES:
-            if name in values:
-                values[name] = float(np.mod(values[name], 365.0))
-        ll_i = -site_nll(x_opt, i, False)
-        k_i = len(layout.names)
-        est = {n: float(values[n]) for n in layout.names}
-        se_i = ci_i = None
-        if hessian_ok:
-            se_i, ci_i = {}, {}
-            for n in layout.names:
-                pos = shared.index(n) if n in shared \
-                    else len(shared) + i * len(own) + own.index(n)
-                se_i[n] = float(se[pos])
-                ci_i[n] = (float(ci[pos, 0]), float(ci[pos, 1]))
-        site_results.append(FitResult(
-            site_id=series.site_id,
-            rate_family=rf,
-            scale_family=sf,
-            estimates=est,
-            params=values_to_params(values, rf, sf, prepared[i]),
-            loglik=float(ll_i),
-            n_obs=prepared[i].n,
-            n_exceed=prepared[i].n_exceed,
-            n_params=k_i,
-            aic=2.0 * k_i - 2.0 * ll_i,
-            bic=k_i * math.log(prepared[i].n) - 2.0 * ll_i,
-            std_errors=se_i,
-            conf_intervals=ci_i,
-            converged=max_grad < 1e-3,
-            hessian_ok=hessian_ok,
-            n_iter=0,
-            n_starts=len(starts),
-            best_start=0,
-            max_scaled_gradient=max_grad,
-            frozen=dict(config.frozen),
-            run_length=config.run_length,
-            message="pooled",
-        ))
-
-    n_total = sum(p.n for p in prepared)
-    k_global = len(names_global)
-    loglik = -f_opt
+    penalty = sum(s.prior.neg_log_density(v["xi"])
+                  for s, v in zip(joint.sites, sol.values) if s.prior is not None)
+    loglik = sum(r.loglik for r in site_results) - penalty
+    n_total = sum(s.data.n for s in joint.sites)
+    k_global = _size(joint.rate_slots) + _size(joint.gpd_slots)
     return PooledFitResult(
-        shared_names=list(shared),
-        shared_estimates=shared_est,
-        shared_std_errors=shared_se,
-        shared_conf_intervals=shared_ci,
+        shared_names=shared,
+        shared_estimates={n: float(sol.values[0][n]) for n in shared},
+        shared_std_errors={n: sol.std_errors[n] for n in shared}
+        if sol.hessian_ok else None,
+        shared_conf_intervals={n: sol.conf_intervals[n] for n in shared}
+        if sol.hessian_ok else None,
         site_results=site_results,
         loglik=loglik,
         n_obs=n_total,
@@ -1102,7 +1064,7 @@ def fit_pooled(spec, config):
         bic=k_global * math.log(n_total) - 2.0 * loglik,
         untied_aic=sum(s.aic for s in singles),
         untied_bic=sum(s.bic for s in singles),
-        converged=max_grad < 1e-3,
-        hessian_ok=hessian_ok,
-        max_scaled_gradient=max_grad,
+        converged=sol.converged,
+        hessian_ok=sol.hessian_ok,
+        max_scaled_gradient=sol.max_scaled_gradient,
     )

@@ -64,7 +64,7 @@ def test_01_parameter_recovery_coverage_and_speed(report):
         xi=0.05,
     )
     spec = SimSpec(params=params, thresholds=0.3, n_cycles=50000)
-    cfg = FitConfig(rate_family="R1", scale_family="S0", multi_start=2,
+    cfg = FitConfig(rate_family="R1", scale_family="S0",
                     frozen=dict(FROZEN_HARMONICS))
     hits = {name: 0 for name in truth}
     worst_fit_seconds = 0.0
@@ -95,7 +95,7 @@ def test_02_information_criteria_pick_the_generating_family(report):
     scale = ScaleParams(family="S0", **S0_SCALE)
 
     def config(rf):
-        return FitConfig(rate_family=rf, scale_family="S0", multi_start=1,
+        return FitConfig(rate_family=rf, scale_family="S0",
                          frozen=dict(FROZEN_HARMONICS))
 
     aic_wins = 0
@@ -291,7 +291,7 @@ def test_08_pooling_shares_information_across_sites(report):
         scale=ScaleParams(family="S0", **S0_SCALE),
         xi=0.05,
     )
-    cfg = FitConfig(rate_family="R1", scale_family="S0", multi_start=1,
+    cfg = FitConfig(rate_family="R1", scale_family="S0",
                     frozen=dict(FROZEN_HARMONICS))
     sites = []
     for sid, seed in (("A", 100), ("B", 200)):

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -207,6 +208,17 @@ class TestSelect:
         assert sum(int(r["bic_best"]) for r in rows) == 1
         # one more parameter must not lose log likelihood
         assert float(rows[1]["loglik"]) >= float(rows[0]["loglik"]) - 1e-6
+
+    def test_unknown_fit_option_warns_once(self, tmp_path, base_doc, caplog):
+        assert "multi_start" in base_doc["fit"]  # no longer a fit option
+        base_doc["select"] = {"rate_families": ["R0", "R1"],
+                              "scale_families": ["S0"]}
+        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
+        with caplog.at_level(logging.WARNING, logger="skewsurge"):
+            assert main(["select", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 0
+        named = [r for r in caplog.records if "multi_start" in r.getMessage()]
+        assert len(named) == 1 and named[0].levelno == logging.WARNING
 
 
 class TestExi:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.optimize import minimize
 
 from skewsurge.fitting import (
     FitConfig,
@@ -17,11 +18,12 @@ from skewsurge.fitting import (
     hessian_ci,
     model_scores,
     neg_loglik,
-    numeric_hessian,
     param_names,
+    params_to_values,
+    values_to_params,
     wald_intervals,
 )
-from skewsurge.data import attach_covariates
+from skewsurge.data import GmtSeries, attach_covariates
 from skewsurge.simulate import SimSpec, simulate_series
 from skewsurge.tail import RateParams, ScaleParams, TailParams
 
@@ -112,7 +114,7 @@ class TestNegLoglik:
 @pytest.fixture(scope="module")
 def fit_r0(sim_r0):
     series, _, thr = sim_r0
-    cfg = FitConfig(rate_family="R0", scale_family="S0", multi_start=1,
+    cfg = FitConfig(rate_family="R0", scale_family="S0",
                     frozen=dict(FROZEN_HARMONICS))
     return fit_tail(series, cfg, thresholds=thr)
 
@@ -155,7 +157,7 @@ class TestFitTail:
     def test_frozen_delta_matches_smaller_family(self, sim_r0, fit_r0):
         series, _, thr = sim_r0
         cfg = FitConfig(
-            rate_family="R1", scale_family="S0", multi_start=1,
+            rate_family="R1", scale_family="S0",
             frozen={**FROZEN_HARMONICS, "delta_rate": 0.0},
         )
         pinned = fit_tail(series, cfg, thresholds=thr)
@@ -164,13 +166,9 @@ class TestFitTail:
     def test_nested_families_never_lose_likelihood(self, sim_r0, fit_r0):
         series, _, thr = sim_r0
         for rf, sf in (("R1", "S0"), ("R0", "S1")):
-            cfg = FitConfig(rate_family=rf, scale_family=sf, multi_start=1,
+            cfg = FitConfig(rate_family=rf, scale_family=sf,
                             frozen=dict(FROZEN_HARMONICS))
-            shared = set(param_names(rf, sf))
-            warm = {k: v for k, v in fit_r0.estimates.items()
-                    if k in shared}
-            bigger = fit_tail(series, cfg, thresholds=thr,
-                              init_overrides=warm)
+            bigger = fit_tail(series, cfg, thresholds=thr)
             assert bigger.loglik >= fit_r0.loglik - 1e-6, (rf, sf)
 
     def test_too_few_exceedances_rejected(self):
@@ -193,6 +191,59 @@ class TestFitTail:
             FitConfig(rate_family="R0", scale_family="S0",
                       frozen={"delta_rate": 0.0})
 
+    def test_lone_frozen_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="phi_day"):
+            FitConfig(rate_family="R0", scale_family="S0",
+                      frozen={"beta_day": 0.0})
+
+    def test_separated_exceedances_rejected(self):
+        # Exactly the 60 highest-tide cycles of 400 exceed the threshold,
+        # so peak tide separates them and the logistic likelihood has no
+        # finite maximum.
+        n = 400
+        surges = np.where(np.arange(n) >= n - 60, 0.6, 0.1)
+        series = attach_covariates(columns_series(
+            np.resize(np.arange(1, 13), n), 3.0 + 0.01 * np.arange(n),
+            surges, site_id="SEP"))
+        with pytest.raises(ValueError, match="SEP.*R0.*separates"):
+            fit_tail(series, FitConfig(rate_family="R0", scale_family="S0"),
+                     thresholds=flat_thresholds(0.5))
+
+    def test_exponential_truth_fits_with_finite_errors(self):
+        # xi = 0 exactly: the GPD derivatives must take their xi -> 0 limit.
+        spec = SimSpec(params=TailParams(
+            rate=RateParams(family="R0", lam=0.05),
+            scale=ScaleParams(family="S0", alpha=0.12, beta=0.04,
+                              phi=91.25, gamma=0.01),
+            xi=0.0), thresholds=0.3, n_cycles=8000)
+        series, _ = simulate_series(spec, seed=5)
+        free = fit_tail(series, FitConfig(frozen=dict(FROZEN_HARMONICS)),
+                        thresholds=spec.thresholds)
+        pinned = fit_tail(series,
+                          FitConfig(frozen={**FROZEN_HARMONICS, "xi": 0.0}),
+                          thresholds=spec.thresholds)
+        for fit in (free, pinned):
+            assert fit.converged and fit.hessian_ok, fit.message
+            assert all(np.isfinite(se) and se > 0
+                       for se in fit.std_errors.values())
+        assert abs(free.estimates["xi"]) < 4.0 * free.std_errors["xi"]
+        assert pinned.loglik <= free.loglik + 1e-9
+
+    def test_shape_held_on_its_box_is_not_converged(self):
+        # A short tail (xi = -0.8) puts the likelihood's maximum below the
+        # shape box's lower end of -0.49.
+        spec = SimSpec(params=TailParams(
+            rate=RateParams(family="R0", lam=0.05),
+            scale=ScaleParams(family="S0", alpha=0.12, beta=0.0, phi=0.0,
+                              gamma=0.0),
+            xi=-0.8), thresholds=0.3, n_cycles=8000)
+        series, _ = simulate_series(spec, seed=6)
+        fit = fit_tail(series, FitConfig(frozen=dict(FROZEN_HARMONICS)),
+                       thresholds=spec.thresholds)
+        assert not fit.converged
+        assert fit.estimates["xi"] == -0.49
+        assert "xi box" in fit.message
+
     def test_shape_prior_pulls_shape_toward_prior_mean(self):
         spec = SimSpec(
             params=TailParams(
@@ -205,7 +256,7 @@ class TestFitTail:
             n_cycles=4000,  # roughly 200 exceedances: noisy shape
         )
         series, _ = simulate_series(spec, seed=14)
-        base = dict(rate_family="R0", scale_family="S0", multi_start=1,
+        base = dict(rate_family="R0", scale_family="S0",
                     frozen={**FROZEN_HARMONICS, "beta_sigma": 0.0,
                             "phi_sigma": 0.0, "gamma_sigma": 0.0})
         plain = fit_tail(series, FitConfig(**base),
@@ -222,13 +273,8 @@ class TestFitTail:
 class TestHessianIntervals:
     def test_quadratic_oracle(self):
         # nll(theta) = (theta-2)^2 / (2 * 0.25): curvature 4, se 0.5.
-        def f(x):
-            return float((x[0] - 2.0) ** 2 / 0.5)
-
         x = np.array([2.0])
-        hess = numeric_hessian(f, x, np.array([1e-4]))
-        npt.assert_allclose(hess[0, 0], 4.0, rtol=1e-6)
-        se, ci, ok = wald_intervals(hess, x)
+        se, ci, ok = wald_intervals(np.array([[4.0]]), x)
         assert ok
         npt.assert_allclose(se[0], 0.5, rtol=1e-6)
         npt.assert_allclose(ci[0], [1.02, 2.98], rtol=1e-6)
@@ -245,6 +291,78 @@ class TestHessianIntervals:
         for name in fit_r0.std_errors:
             npt.assert_allclose(se[name], fit_r0.std_errors[name],
                                 rtol=1e-3)
+
+
+@pytest.fixture(scope="module")
+def sim_all_covariates():
+    """A GMT-trend record with every harmonic active (17 years)."""
+    truth = TailParams(
+        rate=RateParams(family="R3", lam=0.05, beta_day=0.03, phi_day=40.0,
+                        alpha_tide=0.3, beta_tide=0.2, phi_tide=120.0,
+                        delta=0.3),
+        scale=ScaleParams(family="S3", alpha=0.12, beta=0.04, phi=91.25,
+                          gamma=0.01, delta=0.01),
+        xi=0.05,
+    )
+    gmt = GmtSeries(years=np.arange(1950, 1975),
+                    anomalies=np.linspace(-0.6, 0.9, 25))
+    spec = SimSpec(params=truth, thresholds=0.3, n_cycles=12000, gmt=gmt)
+    series, _ = simulate_series(spec, seed=31)
+    return series, spec.thresholds
+
+
+def _objective_of(fit, series, thr):
+    """neg_loglik as a function of the fit's free parameter vector."""
+    names = list(fit.estimates)
+    base = params_to_values(fit.params)
+
+    def f(x):
+        values = dict(base, **dict(zip(names, x)))
+        return neg_loglik(values_to_params(values, fit.rate_family,
+                                           fit.scale_family, fit.params.rate),
+                          series, thr)
+
+    return f, np.array([fit.estimates[n] for n in names]), names
+
+
+def _fd_hessian(f, x, h):
+    k = x.size
+    hess = np.empty((k, k))
+    e = np.diag(h)
+    for i in range(k):
+        for j in range(i, k):
+            hess[i, j] = hess[j, i] = (
+                f(x + e[i] + e[j]) - f(x + e[i] - e[j])
+                - f(x - e[i] + e[j]) + f(x - e[i] - e[j])
+            ) / (4.0 * h[i] * h[j])
+    return hess
+
+
+@pytest.mark.parametrize("rf,sf", [("R0", "S0"), ("R1", "S1"), ("R2", "S2"),
+                                   ("R3", "S3"), ("R4", "S4")])
+def test_fit_is_the_maximum_of_the_objective(sim_all_covariates, rf, sf):
+    series, thr = sim_all_covariates
+    fit = fit_tail(series, FitConfig(rate_family=rf, scale_family=sf),
+                   thresholds=thr)
+    assert fit.converged and fit.hessian_ok, fit.message
+    assert fit.n_iter >= 1
+    f, x, names = _objective_of(fit, series, thr)
+    npt.assert_allclose(-f(x), fit.loglik, rtol=0, atol=1e-9)
+    se = np.array([fit.std_errors[n] for n in names])
+
+    h = 1e-3 * se
+    grad = np.array([(f(x + hi) - f(x - hi)) / (2.0 * h[i])
+                     for i, hi in enumerate(np.diag(h))])
+    assert np.max(np.abs(grad) * se) < 1e-3
+
+    search = minimize(f, x, method="Nelder-Mead",
+                      options={"maxfev": 1000, "xatol": 1e-10, "fatol": 1e-12})
+    assert search.fun >= f(x) - 1e-6
+
+    fd_se = np.sqrt(np.diag(np.linalg.inv(_fd_hessian(f, x, 0.02 * se))))
+    se_ci, _, ok = hessian_ci(fit, series, thresholds=thr)
+    assert ok
+    npt.assert_allclose([se_ci[n] for n in names], fd_se, rtol=1e-3)
 
 
 def test_model_scores_closed_form():
@@ -269,7 +387,7 @@ def sim_r1_pool():
 
 
 class TestPooling:
-    CFG = dict(rate_family="R1", scale_family="S0", multi_start=1,
+    CFG = dict(rate_family="R1", scale_family="S0",
                frozen=dict(FROZEN_HARMONICS))
 
     def test_single_site_matches_fit_tail(self, sim_r1_pool):
@@ -294,6 +412,8 @@ class TestPooling:
             cfg,
         )
         assert pooled.converged and pooled.hessian_ok
+        assert all(r.n_iter == pooled.site_results[0].n_iter >= 1
+                   for r in pooled.site_results)
         npt.assert_allclose(pooled.shared_estimates["delta_rate"],
                             single.estimates["delta_rate"], atol=5e-3)
         ratio = single.std_errors["delta_rate"] \
@@ -314,7 +434,7 @@ class TestPooling:
 
     def test_shared_name_must_exist_in_family(self, sim_r1_pool):
         series, thr = sim_r1_pool
-        cfg = FitConfig(rate_family="R0", scale_family="S0", multi_start=1,
+        cfg = FitConfig(rate_family="R0", scale_family="S0",
                         frozen=dict(FROZEN_HARMONICS))
         with pytest.raises(ValueError, match="delta_rate"):
             fit_pooled(
@@ -322,6 +442,13 @@ class TestPooling:
                            shared=["delta_rate"]),
                 cfg,
             )
+
+    def test_shared_harmonic_needs_its_phase(self, sim_r1_pool):
+        series, thr = sim_r1_pool
+        with pytest.raises(ValueError, match="phi_sigma"):
+            fit_pooled(PooledSpec(datasets=[(series, thr), (series, thr)],
+                                  shared=["beta_sigma"]),
+                       FitConfig(**self.CFG))
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError, match="datasets"):
