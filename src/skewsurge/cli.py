@@ -77,7 +77,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -230,33 +230,8 @@ class RunConfig:
         if self.run_length < 1:
             raise ValueError("run_length must be >= 1")
 
-    def canonical(self):
-        return {
-            "gauge_csv": self.gauge_csv,
-            "gmt_csv": self.gmt_csv,
-            "sites": self.sites,
-            "detrend_rates": self.detrend_rates,
-            "detrend_reference_year": self.detrend_reference_year,
-            "threshold_percentile": self.threshold_percentile,
-            "rate_family": self.rate_family,
-            "scale_family": self.scale_family,
-            "select_rate_families": self.select_rate_families,
-            "select_scale_families": self.select_scale_families,
-            "fit_options": self.fit_options,
-            "run_length": self.run_length,
-            "exi_v_quantile": self.exi_v_quantile,
-            "exi_n_levels": self.exi_n_levels,
-            "p_grid": self.p_grid,
-            "scenario": self.scenario,
-            "dependence": self.dependence,
-            "pooling_shared": self.pooling_shared,
-            "simulate": self.simulate,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-        }
-
     def config_hash(self):
-        blob = json.dumps(self.canonical(), sort_keys=True,
+        blob = json.dumps(asdict(self), sort_keys=True,
                           separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

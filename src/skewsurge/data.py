@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +56,7 @@ def day_of_year_365(month, day):
 def month_of_day(d):
     """Inverse of :func:`day_of_year_365`: month (1..12) containing day d."""
     d = np.asarray(d)
-    return np.searchsorted(_MONTH_CUM, d, side="right")
+    return np.searchsorted(_MONTH_CUM, d, side="left")
 
 
 def season_of_day(d):
@@ -94,8 +95,7 @@ class TidalCycleRecord:
 class SiteSeries:
     """Column store of tidal cycles for one site, sorted by timestamp.
 
-    Covariate columns (``year_std``, ``gmt``) and the standardizers
-    (``tide_mean``, ``tide_sd``, ``month_mean_day``) are absent until
+    Covariate columns (``year_std``, ``gmt``) are absent until
     :func:`attach_covariates` fills them in; they describe the series they
     were computed from, so :meth:`subset` drops them.
     """
@@ -113,15 +113,12 @@ class SiteSeries:
     reference_year: int | None = None
     year_std: np.ndarray | None = None
     gmt: np.ndarray | None = None
-    tide_mean: float | None = None
-    tide_sd: float | None = None
-    month_mean_day: np.ndarray | None = None  # shape (12,), NaN where month absent
 
     def __len__(self):
         return len(self.timestamps)
 
     def subset(self, mask):
-        """Row subset; attached covariates and standardizers are discarded."""
+        """Row subset; attached covariates are discarded."""
         return SiteSeries(
             site_id=self.site_id,
             timestamps=self.timestamps[mask],
@@ -366,9 +363,6 @@ def detrend_msl(series, rate_mm_per_year, reference_year):
         reference_year=reference_year,
         year_std=None,
         gmt=None,
-        tide_mean=None,
-        tide_sd=None,
-        month_mean_day=None,
     )
 
 
@@ -392,25 +386,40 @@ def monthly_thresholds(series, percentile=0.95):
     return MonthlyThresholds(values=values, percentile=percentile)
 
 
-def attach_covariates(series, gmt=None, mid_year=1968, half_range=53):
-    """Fill in covariate columns and standardizers on a copy of the series.
+class Standardizers(NamedTuple):
+    """Centering and scaling constants of the rate model's covariates."""
 
-    Computes the standardized year index, the per-month mean day-of-month
-    (the centering constant for the rate model's day term), the peak-tide
-    mean and standard deviation, and (when a GMT series is given) the
-    per-record GMT anomaly. Records in years missing from the GMT series
-    raise KeyError.
-    """
-    if len(series) == 0:
+    tide_mean: float
+    tide_sd: float
+    month_mean_day: np.ndarray  # shape (12,), NaN where a month is absent
+
+
+def standardizers(peak_tide, month, day_of_month):
+    """Peak-tide mean and standard deviation, and the mean day-of-month of
+    each month (the centering constant of the rate model's day term)."""
+    peak_tide = np.asarray(peak_tide, dtype=float)
+    if peak_tide.size == 0:
         raise ValueError("empty series")
-    tide_sd = float(series.peak_tide.std())
+    tide_sd = float(peak_tide.std())
     if tide_sd == 0.0:
         raise ValueError("peak tide has zero variance; cannot standardize")
     month_mean_day = np.full(12, np.nan)
     for j in range(1, 13):
-        sel = series.month == j
+        sel = month == j
         if sel.any():
-            month_mean_day[j - 1] = series.day_of_month[sel].mean()
+            month_mean_day[j - 1] = day_of_month[sel].mean()
+    return Standardizers(float(peak_tide.mean()), tide_sd, month_mean_day)
+
+
+def attach_covariates(series, gmt=None, mid_year=1968, half_range=53):
+    """Fill in covariate columns on a copy of the series.
+
+    Adds the standardized year index and (when a GMT series is given) the
+    per-record GMT anomaly. Records in years missing from the GMT series
+    raise KeyError. A series the tail model cannot standardize (empty, or
+    with a constant peak tide) raises ValueError.
+    """
+    standardizers(series.peak_tide, series.month, series.day_of_month)
     gmt_col = None
     if gmt is not None:
         gmt_col = np.asarray(
@@ -422,7 +431,4 @@ def attach_covariates(series, gmt=None, mid_year=1968, half_range=53):
         series,
         year_std=standardize_year(series.year, mid_year, half_range),
         gmt=gmt_col,
-        tide_mean=float(series.peak_tide.mean()),
-        tide_sd=tide_sd,
-        month_mean_day=month_mean_day,
     )

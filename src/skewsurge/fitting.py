@@ -12,8 +12,10 @@ each harmonic beta*sin(w(d - phi)) is linear in its coefficients, and so
 are the rate logit and the scale. A fit is therefore two exact solves:
 Newton/IRLS on the logistic GLM for the rate (McCullagh & Nelder 1989),
 then Newton with the analytic gradient and Hessian on the GPD regression
-for the scale coefficients and the shape (Davison & Smith 1990). Frozen
-parameters enter as offsets. Amplitudes and phases are reported as derived
+for the scale coefficients and the shape (Davison & Smith 1990). The
+predictor columns come from the kernel in :mod:`skewsurge.tail`, which
+the CDF and the simulator evaluate too; a fit stacks them once per site
+into a design matrix. Frozen parameters enter as offsets. Amplitudes and phases are reported as derived
 values, with delta-method standard errors from the analytic information
 matrix.
 """
@@ -25,21 +27,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SEASON_INDEX_OF_MONTH, SEASONS, monthly_thresholds
+from .data import SEASONS, Standardizers, monthly_thresholds, standardizers
 from .tail import (
-    GMT_FAMILIES,
     RATE_FAMILIES,
     SCALE_FAMILIES,
-    SEASONAL_FAMILIES,
     XI_ZERO_TOL,
-    RateParams,
-    ScaleParams,
     TailParams,
-    YEAR_FAMILIES,
+    _term_jacobian,
+    _term_values,
+    _to_linear,
     inv_logit,
+    linear_predictor,
+    params_to_values,
+    rate_terms,
+    scale_terms,
+    seasonal_basis,
+    values_to_params,
 )
-
-_TWO_PI_OVER_F = 2.0 * np.pi / 365.0
 
 RATE_BASE_NAMES = ("lam", "beta_day", "phi_day", "alpha_tide", "beta_tide", "phi_tide")
 SCALE_BASE_NAMES = ("alpha_sigma", "beta_sigma", "phi_sigma", "gamma_sigma")
@@ -200,217 +204,87 @@ class FitResult:
 
 @dataclass
 class _Prepared:
-    """Arrays and precomputed pieces the objective consumes."""
+    """A site's exceedances and its predictor terms."""
 
     n: int
     n_exceed: int
-    sin_d: np.ndarray
-    cos_d: np.ndarray
-    day_dev: np.ndarray  # day-of-month minus its monthly mean
-    tide_std: np.ndarray  # standardized peak tide
-    tide: np.ndarray
-    season: np.ndarray
-    year_std: np.ndarray | None
-    gmt: np.ndarray | None
+    std: Standardizers
+    rate_terms: list
+    scale_terms: list
     bern_sign: np.ndarray  # +1 non-exceedance, -1 exceedance
     exc_idx: np.ndarray
     excess: np.ndarray
-    tide_mean: float
-    tide_sd: float
-    month_mean_day: np.ndarray
 
 
 def _prepare(series, thresholds, rate_family, scale_family):
-    n = len(series)
-    if n == 0:
-        raise ValueError("empty series")
-    tide = series.peak_tide
-    tide_mean = float(tide.mean())
-    tide_sd = float(tide.std())
-    if tide_sd == 0.0:
-        raise ValueError("peak tide has zero variance")
-    month_mean_day = np.full(12, np.nan)
-    for j in range(1, 13):
-        sel = series.month == j
-        if sel.any():
-            month_mean_day[j - 1] = series.day_of_month[sel].mean()
-    needs_year = rate_family in YEAR_FAMILIES or scale_family in YEAR_FAMILIES
-    needs_gmt = rate_family in GMT_FAMILIES or scale_family in GMT_FAMILIES
-    if needs_year and series.year_std is None:
-        raise ValueError(
-            "family needs the standardized-year covariate; call attach_covariates"
-        )
-    if needs_gmt and series.gmt is None:
-        raise ValueError("family needs the GMT covariate; call attach_covariates")
+    std = standardizers(series.peak_tide, series.month, series.day_of_month)
     u = thresholds.for_month(series.month)
     exceed = series.skew_surge > u
-    d = series.day_of_year.astype(float)
+    d, basis = series.day_of_year, seasonal_basis(series.day_of_year)
     return _Prepared(
-        n=n,
+        n=len(series),
         n_exceed=int(exceed.sum()),
-        sin_d=np.sin(_TWO_PI_OVER_F * d),
-        cos_d=np.cos(_TWO_PI_OVER_F * d),
-        day_dev=series.day_of_month - month_mean_day[series.month - 1],
-        tide_std=(tide - tide_mean) / tide_sd,
-        tide=tide,
-        season=SEASON_INDEX_OF_MONTH[series.month],
-        year_std=None if series.year_std is None else series.year_std,
-        gmt=None if series.gmt is None else series.gmt,
+        std=std,
+        rate_terms=rate_terms(rate_family, basis, d, series.day_of_month,
+                              series.month, series.peak_tide, std,
+                              series.year_std, series.gmt),
+        scale_terms=scale_terms(scale_family, basis, d, series.peak_tide,
+                                series.year_std, series.gmt),
         bern_sign=np.where(exceed, -1.0, 1.0),
         exc_idx=np.flatnonzero(exceed),
         excess=(series.skew_surge - u)[exceed],
-        tide_mean=tide_mean,
-        tide_sd=tide_sd,
-        month_mean_day=month_mean_day,
     )
 
 
-def _trend_vector(family, values, prefix, data, idx=None):
-    """Per-record additive trend for one family from the values dict."""
-    if family.endswith("0"):
-        return 0.0
-    cov = data.year_std if family in YEAR_FAMILIES else data.gmt
-    if idx is not None:
-        cov = cov[idx]
-    if family in SEASONAL_FAMILIES:
-        season = data.season if idx is None else data.season[idx]
-        delta = np.array([values[f"{prefix}_{s}"] for s in SEASONS])
-        return delta[season] * cov
-    return values[prefix] * cov
+def _bernoulli_nll(data, g):
+    """Negative log-likelihood of the exceedance indicators at logits g."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.logaddexp(0.0, data.bern_sign * g).sum())
 
 
-def _nll_values(values, data, rate_family, scale_family, prior):
-    """Negative (penalized) log-likelihood from a flat name->value dict.
+def _gpd_nll(data, sigma, values, prior):
+    """Negative GPD log-density of the excesses at scales sigma, plus the
+    shape penalty.
 
-    Invalid proposals (rate outside (0,1), nonpositive scale anywhere on
-    the data hull, scale amplitude exceeding its level, shape at or past 1)
-    return +inf so optimizers can back off.
+    +inf outside the region where the likelihood is finite and the scale
+    model valid: sigma > 0 on every cycle, 0 <= beta_sigma <= alpha_sigma,
+    xi < 1, and every excess inside the support.
     """
-    lam = values["lam"]
-    if not 0.0 < lam < 1.0:
-        return np.inf
-    if not values["alpha_sigma"] > 0.0 or values["beta_sigma"] < 0.0:
-        return np.inf
-    if values["beta_sigma"] > values["alpha_sigma"]:
-        return np.inf
     xi = values["xi"]
-    if xi >= 1.0:
+    if (not 0.0 <= values["beta_sigma"] <= values["alpha_sigma"]
+            or not values["alpha_sigma"] > 0.0 or xi >= 1.0
+            or np.min(sigma) <= 0.0):
         return np.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        phi_d = _TWO_PI_OVER_F * values["phi_day"]
-        phi_t = _TWO_PI_OVER_F * values["phi_tide"]
-        harm_day = data.sin_d * math.cos(phi_d) - data.cos_d * math.sin(phi_d)
-        harm_tide = data.sin_d * math.cos(phi_t) - data.cos_d * math.sin(phi_t)
-        g = (
-            math.log(lam / (1.0 - lam))
-            + data.day_dev * values["beta_day"] * harm_day
-            + data.tide_std * (values["alpha_tide"] + values["beta_tide"] * harm_tide)
-        )
-        g = g + _trend_vector(rate_family, values, "delta_rate", data)
-        nll = float(np.logaddexp(0.0, data.bern_sign * g).sum())
-
-        phi_s = _TWO_PI_OVER_F * values["phi_sigma"]
-        sigma = (
-            values["alpha_sigma"]
-            + values["beta_sigma"] * (data.sin_d * math.cos(phi_s)
-                                      - data.cos_d * math.sin(phi_s))
-            + values["gamma_sigma"] * data.tide
-        )
-        sigma = sigma + _trend_vector(scale_family, values, "delta_sigma", data)
-        if np.min(sigma) <= 0.0:
-            return np.inf
         sig_exc = sigma[data.exc_idx]
         scaled = data.excess / sig_exc
         if abs(xi) < XI_ZERO_TOL:
-            nll += float(np.log(sig_exc).sum() + scaled.sum())
+            nll = float(np.log(sig_exc).sum() + scaled.sum())
         else:
             inner = 1.0 + xi * scaled
             if np.min(inner) <= 0.0:
                 return np.inf
-            nll += float(np.log(sig_exc).sum()
-                         + (1.0 + 1.0 / xi) * np.log(inner).sum())
+            nll = float(np.log(sig_exc).sum()
+                        + (1.0 + 1.0 / xi) * np.log(inner).sum())
     if prior is not None:
         nll += prior.neg_log_density(xi)
     return nll if np.isfinite(nll) else np.inf
-
-
-def params_to_values(tp):
-    """Flatten TailParams into the name->value dict used by the optimizer."""
-    values = {
-        "lam": tp.rate.lam,
-        "beta_day": tp.rate.beta_day,
-        "phi_day": tp.rate.phi_day,
-        "alpha_tide": tp.rate.alpha_tide,
-        "beta_tide": tp.rate.beta_tide,
-        "phi_tide": tp.rate.phi_tide,
-        "alpha_sigma": tp.scale.alpha,
-        "beta_sigma": tp.scale.beta,
-        "phi_sigma": tp.scale.phi,
-        "gamma_sigma": tp.scale.gamma,
-        "xi": tp.xi,
-    }
-    if tp.rate.family in ("R1", "R3"):
-        values["delta_rate"] = float(tp.rate.delta)
-    elif tp.rate.family in SEASONAL_FAMILIES:
-        for i, s in enumerate(SEASONS):
-            values[f"delta_rate_{s}"] = float(tp.rate.delta[i])
-    if tp.scale.family in ("S1", "S3"):
-        values["delta_sigma"] = float(tp.scale.delta)
-    elif tp.scale.family in SEASONAL_FAMILIES:
-        for i, s in enumerate(SEASONS):
-            values[f"delta_sigma_{s}"] = float(tp.scale.delta[i])
-    return values
-
-
-def values_to_params(values, rate_family, scale_family, data):
-    """Assemble TailParams from a flat dict plus the data standardizers."""
-    if rate_family in ("R1", "R3"):
-        rate_delta = values["delta_rate"]
-    elif rate_family in SEASONAL_FAMILIES:
-        rate_delta = np.array([values[f"delta_rate_{s}"] for s in SEASONS])
-    else:
-        rate_delta = None
-    if scale_family in ("S1", "S3"):
-        scale_delta = values["delta_sigma"]
-    elif scale_family in SEASONAL_FAMILIES:
-        scale_delta = np.array([values[f"delta_sigma_{s}"] for s in SEASONS])
-    else:
-        scale_delta = None
-    rate = RateParams(
-        family=rate_family,
-        lam=values["lam"],
-        beta_day=values["beta_day"],
-        phi_day=values["phi_day"],
-        alpha_tide=values["alpha_tide"],
-        beta_tide=values["beta_tide"],
-        phi_tide=values["phi_tide"],
-        tide_mean=data.tide_mean,
-        tide_sd=data.tide_sd,
-        month_mean_day=data.month_mean_day.copy(),
-        delta=rate_delta,
-    )
-    scale = ScaleParams(
-        family=scale_family,
-        alpha=values["alpha_sigma"],
-        beta=values["beta_sigma"],
-        phi=values["phi_sigma"],
-        gamma=values["gamma_sigma"],
-        delta=scale_delta,
-    )
-    return TailParams(rate=rate, scale=scale, xi=values["xi"])
 
 
 def neg_loglik(params, series, thresholds, shape_prior=None):
     """Negative (penalized) log-likelihood of TailParams on a site series.
 
     Sums a Bernoulli exceedance term per tidal cycle and a GPD density term
-    per exceedance; +inf for invalid parameters.
+    per exceedance; +inf for invalid parameters. The covariates are
+    standardized by the series' own standardizers, as in a fit.
     """
+    if not 0.0 < params.rate.lam < 1.0:
+        return np.inf
     data = _prepare(series, thresholds, params.rate.family, params.scale.family)
-    return _nll_values(
-        params_to_values(params), data,
-        params.rate.family, params.scale.family, shape_prior,
-    )
+    values = params_to_values(params)
+    return (_bernoulli_nll(data, linear_predictor(data.rate_terms, values))
+            + _gpd_nll(data, linear_predictor(data.scale_terms, values),
+                       values, shape_prior))
 
 
 def wald_intervals(hessian, x):
@@ -435,84 +309,12 @@ def wald_intervals(hessian, x):
     return se, ci, True
 
 
-def _terms(data, rate_family, scale_family):
-    """Rate and scale predictor terms as (parameter names, columns) pairs.
-
-    A scalar parameter has one column; the coefficient of the rate
-    intercept is logit(lam). A harmonic (amplitude, phase) has two columns,
-    its covariate times sin(wd) and times cos(wd), with coefficients
-    b1 = beta*cos(w*phi) and b2 = -beta*sin(w*phi). Terms come in
-    param_names order.
-    """
-    ones = np.ones(data.n)
-    rate = [
-        (("lam",), [ones]),
-        (("beta_day", "phi_day"),
-         [data.day_dev * data.sin_d, data.day_dev * data.cos_d]),
-        (("alpha_tide",), [data.tide_std]),
-        (("beta_tide", "phi_tide"),
-         [data.tide_std * data.sin_d, data.tide_std * data.cos_d]),
-    ]
-    scale = [
-        (("alpha_sigma",), [ones]),
-        (("beta_sigma", "phi_sigma"), [data.sin_d, data.cos_d]),
-        (("gamma_sigma",), [data.tide]),
-    ]
-    return (rate + _trend_terms(rate_family, "delta_rate", data),
-            scale + _trend_terms(scale_family, "delta_sigma", data))
-
-
-def _trend_terms(family, prefix, data):
-    if family.endswith("0"):
-        return []
-    cov = data.year_std if family in YEAR_FAMILIES else data.gmt
-    if family in SEASONAL_FAMILIES:
-        return [((f"{prefix}_{s}",), [cov * (data.season == k)])
-                for k, s in enumerate(SEASONS)]
-    return [((prefix,), [cov])]
-
-
-def _to_linear(names, values):
-    """Linear coefficients of one term from its parameter values."""
-    if names[0] == "lam":
-        return [math.log(values["lam"] / (1.0 - values["lam"]))]
-    if len(names) == 2:
-        beta, w = values[names[0]], _TWO_PI_OVER_F * values[names[1]]
-        return [beta * math.cos(w), -beta * math.sin(w)]
-    return [values[names[0]]]
-
-
-def _term_values(names, coefs):
-    """Parameter values of one term from its linear coefficients."""
-    if names[0] == "lam":
-        return {"lam": float(inv_logit(coefs[0]))}
-    if len(names) == 2:
-        w = math.atan2(-coefs[1], coefs[0])
-        return {names[0]: math.hypot(coefs[0], coefs[1]),
-                names[1]: (w / _TWO_PI_OVER_F) % 365.0}
-    return {names[0]: float(coefs[0])}
-
-
-def _term_jacobian(names, values):
-    """d(linear coefficients)/d(parameter values) of one term."""
-    if names[0] == "lam":
-        return np.array([[1.0 / (values["lam"] * (1.0 - values["lam"]))]])
-    if len(names) == 2:
-        beta, w = values[names[0]], _TWO_PI_OVER_F * values[names[1]]
-        c, s = math.cos(w), math.sin(w)
-        return np.array([[c, -beta * _TWO_PI_OVER_F * s],
-                         [-s, -beta * _TWO_PI_OVER_F * c]])
-    return np.eye(1)
-
-
 def _columns(terms, frozen, n):
     """Free columns of a predictor and the offset of its frozen terms."""
-    free = [c for names, cols in terms if names[0] not in frozen for c in cols]
-    offset = np.zeros(n)
-    for names, cols in terms:
-        if names[0] in frozen:
-            for col, coef in zip(cols, _to_linear(names, frozen)):
-                offset = offset + coef * col
+    free = [np.broadcast_to(cov * c, n) for names, cov, cols in terms
+            if names[0] not in frozen for c in cols]
+    offset = np.zeros(n) + linear_predictor(
+        [t for t in terms if t[0][0] in frozen], frozen)
     return (np.column_stack(free) if free else np.zeros((n, 0))), offset
 
 
@@ -594,43 +396,56 @@ def _joint(pairs, config, shared=None):
             raise ValueError(
                 f"site {series.site_id}: {data.n_exceed} exceedances; need >= 50"
             )
-        built.append((series.site_id, data, *_terms(data, rf, sf)))
-    rate_terms = [t for t, _ in built[0][2] if t[0] not in frozen]
-    gpd_terms = [t for t, _ in built[0][3] if t[0] not in frozen]
+        built.append((series.site_id, data))
+    first = built[0][1]
+    rate_free = [t[0] for t in first.rate_terms if t[0][0] not in frozen]
+    gpd_free = [t[0] for t in first.scale_terms if t[0][0] not in frozen]
     if "xi" not in frozen:
-        gpd_terms.append(("xi",))
-    rate_slots, rate_at = _layout(rate_terms, shared, len(pairs))
-    gpd_slots, gpd_at = _layout(gpd_terms, shared, len(pairs))
+        gpd_free.append(("xi",))
+    rate_slots, rate_at = _layout(rate_free, shared, len(pairs))
+    gpd_slots, gpd_at = _layout(gpd_free, shared, len(pairs))
     xi_per_site = shared is not None and "xi" not in frozen and "xi" not in shared
     sites = [
-        _Site(site_id, data, *_columns(rate, frozen, data.n),
-              *_columns(scale, frozen, data.n), rate_at[i], gpd_at[i],
-              config.shape_prior if i == 0 or xi_per_site else None)
-        for i, (site_id, data, rate, scale) in enumerate(built)
+        _Site(site_id, data, *_columns(data.rate_terms, frozen, data.n),
+              *_columns(data.scale_terms, frozen, data.n), rate_at[i],
+              gpd_at[i], config.shape_prior if i == 0 or xi_per_site else None)
+        for i, (site_id, data) in enumerate(built)
     ]
-    return _Joint(rf, sf, dict(frozen), rate_terms, gpd_terms, rate_slots,
+    return _Joint(rf, sf, dict(frozen), rate_free, gpd_free, rate_slots,
                   gpd_slots, sites)
+
+
+def _values(terms, coefs):
+    """Parameter values of consecutive terms from their linear coefficients."""
+    values, k = {}, 0
+    for names in terms:
+        values.update(_term_values(names, coefs[k:k + len(names)]))
+        k += len(names)
+    return values
 
 
 def _site_values(joint, site, rate_x, gpd_x):
     """Every parameter value of one site, frozen ones included."""
-    values = dict(joint.frozen)
-    for terms, coefs in ((joint.rate_terms, rate_x[site.rate_at]),
-                         (joint.gpd_terms, gpd_x[site.gpd_at])):
-        k = 0
-        for names in terms:
-            values.update(_term_values(names, coefs[k:k + len(names)]))
-            k += len(names)
-    return values
+    return {**joint.frozen, **_values(joint.rate_terms, rate_x[site.rate_at]),
+            **_values(joint.gpd_terms, gpd_x[site.gpd_at])}
 
 
-def _objective(joint, rate_x, gpd_x):
-    """The negative (penalized) log-likelihood summed over the sites."""
-    return sum(
-        _nll_values(_site_values(joint, s, rate_x, gpd_x), s.data,
-                    joint.rate_family, joint.scale_family, s.prior)
-        for s in joint.sites
-    )
+def _rate_objective(joint, x):
+    """The Bernoulli term summed over the sites, at rate coefficients x."""
+    return sum(_bernoulli_nll(s.data, s.x_offset + s.X @ x[s.rate_at])
+               for s in joint.sites)
+
+
+def _gpd_objective(joint, x):
+    """The GPD term and the shape penalty summed over the sites, at GPD
+    coefficients x (scale coefficients, then the shape when free)."""
+    total = 0.0
+    for s in joint.sites:
+        local = x[s.gpd_at]
+        sigma = s.z_offset + s.Z @ local[:s.Z.shape[1]]
+        values = {**joint.frozen, **_values(joint.gpd_terms, local)}
+        total += _gpd_nll(s.data, sigma, values, s.prior)
+    return total
 
 
 def _rate_derivs(joint, x):
@@ -827,10 +642,10 @@ def _solve(joint):
     """Fit a block design: the rate GLM first, then the GPD regression."""
     gpd_x = _gpd_start(joint)
     rate_x = np.zeros(_size(joint.rate_slots))
-    if not np.isfinite(_objective(joint, rate_x, gpd_x)):
+    if not np.isfinite(_gpd_objective(joint, gpd_x)):
         raise ValueError("the frozen scale values leave no finite starting point")
     unbounded = np.full(rate_x.size, np.inf)
-    rate_x, n_rate = _newton(lambda x: _objective(joint, x, gpd_x),
+    rate_x, n_rate = _newton(lambda x: _rate_objective(joint, x),
                              lambda x: _rate_derivs(joint, x),
                              rate_x, -unbounded, unbounded)
     _check_separation(joint, rate_x)
@@ -839,7 +654,7 @@ def _solve(joint):
     for start, names, _ in joint.gpd_slots:
         if names == ("xi",):
             lo[start], hi[start] = _XI_BOX
-    gpd_x, n_gpd = _newton(lambda x: _objective(joint, rate_x, x),
+    gpd_x, n_gpd = _newton(lambda x: _gpd_objective(joint, x),
                            lambda x: _gpd_derivs(joint, x), gpd_x, lo, hi)
     se, ci, ok, max_grad = _intervals(joint, rate_x, gpd_x)
     edge = _edge(joint, rate_x, gpd_x, lo, hi)
@@ -888,7 +703,7 @@ def _site_result(joint, sol, i, series, thresholds, config, labels, prior):
     rf, sf = config.rate_family, config.scale_family
     data = joint.sites[i].data
     values = sol.values[i]
-    params = values_to_params(values, rf, sf, data)
+    params = values_to_params(values, rf, sf, data.std)
     loglik = -neg_loglik(params, series, thresholds, prior)
     k = len(labels)
     return FitResult(

@@ -118,19 +118,12 @@ def annual_max_cdf(z, model, calendar, exi_model=None, scenario=None):
         year_std=scenario.year_std,
         gmt=scenario.gmt,
     )
-    if exi_model is None:
-        theta = np.ones_like(cdf)
-    else:
-        theta = np.asarray(eval_exi(exi_model, y), dtype=float)
-        theta = np.broadcast_to(theta, cdf.shape)
-    k = calendar.n_years
-    dead = np.bincount(calendar.year_index, weights=(cdf <= 0.0).astype(float),
-                       minlength=k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logterm = np.where(cdf > 0.0, theta * np.log(np.maximum(cdf, 1e-300)), 0.0)
-    logsum = np.bincount(calendar.year_index, weights=logterm, minlength=k)
-    per_year = np.where(dead > 0, 0.0, np.exp(logsum))
-    return float(per_year.mean())
+    theta = 1.0 if exi_model is None else eval_exi(exi_model, y)
+    with np.errstate(divide="ignore"):
+        log_factor = np.log(powered_cdf(cdf, theta))
+    log_year = np.bincount(calendar.year_index, weights=log_factor,
+                           minlength=calendar.n_years)
+    return float(np.exp(log_year).mean())
 
 
 def return_level(p, model, calendar, exi_model=None, scenario=None):

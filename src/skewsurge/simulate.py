@@ -24,10 +24,11 @@ from .data import (
     GmtSeries,
     MonthlyThresholds,
     SiteSeries,
+    attach_covariates,
     calendar_columns,
-    standardize_year,
+    standardizers,
 )
-from .tail import GMT_FAMILIES, XI_ZERO_TOL, TailParams, YEAR_FAMILIES, rate_at, scale_at
+from .tail import GMT_FAMILIES, XI_ZERO_TOL, TailParams, rate_at, scale_at
 
 CYCLE_MINUTES = 745.0  # 12 h 25 min
 SPRING_NEAP_DAYS = 14.77
@@ -86,39 +87,36 @@ def simulate_series(spec, seed):
 
     year, month, day_of_month, day_of_year = calendar_columns(timestamps)
 
-    tide_mean = float(tide.mean())
-    tide_sd = float(tide.std())
-    if tide_sd == 0.0:
-        raise ValueError("generated tide is constant; raise tide_amp or n_cycles")
-    month_mean_day = np.full(12, np.nan)
-    for j in range(1, 13):
-        sel = month == j
-        if sel.any():
-            month_mean_day[j - 1] = day_of_month[sel].mean()
-
     rf = spec.params.rate.family
     sf = spec.params.scale.family
-    year_std = None
-    if rf in YEAR_FAMILIES or sf in YEAR_FAMILIES:
-        year_std = standardize_year(year, spec.mid_year, spec.half_range)
-    gmt_col = None
-    if rf in GMT_FAMILIES or sf in GMT_FAMILIES:
-        if spec.gmt is None:
-            raise ValueError(f"families {rf}/{sf} need a GMT series in the spec")
-        gmt_col = spec.gmt.anomaly_for(year)
-
-    rate_eff = replace(
-        spec.params.rate,
-        tide_mean=tide_mean,
-        tide_sd=tide_sd,
-        month_mean_day=month_mean_day.copy(),
+    needs_gmt = rf in GMT_FAMILIES or sf in GMT_FAMILIES
+    if needs_gmt and spec.gmt is None:
+        raise ValueError(f"families {rf}/{sf} need a GMT series in the spec")
+    # The surge columns are filled in once the cycles are drawn.
+    series = attach_covariates(
+        SiteSeries(
+            site_id=spec.site_id,
+            timestamps=timestamps,
+            peak_tide=tide,
+            max_sea_level=tide,
+            skew_surge=np.zeros(n),
+            year=year,
+            month=month,
+            day_of_month=day_of_month,
+            day_of_year=day_of_year,
+        ),
+        gmt=spec.gmt if needs_gmt else None,
+        mid_year=spec.mid_year,
+        half_range=spec.half_range,
     )
+    rate_eff = replace(spec.params.rate,
+                       **standardizers(tide, month, day_of_month)._asdict())
     params_eff = TailParams(rate=rate_eff, scale=spec.params.scale, xi=spec.params.xi)
 
     lam = rate_at(rate_eff, day_of_year, day_of_month, month, tide,
-                  year_std=year_std, gmt=gmt_col)
+                  year_std=series.year_std, gmt=series.gmt)
     sigma = scale_at(spec.params.scale, day_of_year, tide,
-                     year_std=year_std, gmt=gmt_col)
+                     year_std=series.year_std, gmt=series.gmt)
     if np.min(sigma) <= 0.0:
         k = int(np.argmin(sigma))
         raise ValueError(
@@ -143,20 +141,4 @@ def simulate_series(spec, seed):
     body = spec.body_mean + spec.body_sd * norm.ppf(u_body * cap)
 
     surge = np.where(exceed, u + excess, body)
-    series = SiteSeries(
-        site_id=spec.site_id,
-        timestamps=timestamps,
-        peak_tide=tide,
-        max_sea_level=tide + surge,
-        skew_surge=surge,
-        year=year,
-        month=month,
-        day_of_month=day_of_month,
-        day_of_year=day_of_year,
-        year_std=standardize_year(year, spec.mid_year, spec.half_range),
-        gmt=gmt_col,
-        tide_mean=tide_mean,
-        tide_sd=tide_sd,
-        month_mean_day=month_mean_day,
-    )
-    return series, params_eff
+    return replace(series, max_sea_level=tide + surge, skew_surge=surge), params_eff

@@ -17,12 +17,13 @@ CDF is evaluated by :func:`eval_cdf`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .body import eval_body_cdf
-from .data import SEASON_INDEX_OF_MONTH
+from .data import SEASONS, season_of_day
 
 RATE_FAMILIES = ("R0", "R1", "R2", "R3", "R4")
 SCALE_FAMILIES = ("S0", "S1", "S2", "S3", "S4")
@@ -54,10 +55,6 @@ def inv_logit(t):
             t >= 0, 1.0 / (1.0 + np.exp(-t)), np.exp(t) / (1.0 + np.exp(t))
         )
     return out if out.ndim else float(out)
-
-
-def _harmonic(d, phase):
-    return np.sin(_TWO_PI_OVER_F * (np.asarray(d, dtype=float) - phase))
 
 
 @dataclass
@@ -176,56 +173,199 @@ class TailParams:
         )
 
 
-def _seasonal_lookup(delta, d):
-    """Per-record seasonal slope for day-of-year d (via month and season)."""
-    from .data import month_of_day
-
-    season = SEASON_INDEX_OF_MONTH[month_of_day(d)]
-    return np.asarray(delta, dtype=float)[season]
-
-
-def _trend(family, delta, d, year_std, gmt):
+def _trend_values(family, prefix, delta):
     if family in ("R0", "S0"):
-        return 0.0
+        return {}
+    if delta is None:
+        raise ValueError(f"family {family} has no trend delta set")
+    if family in SEASONAL_FAMILIES:
+        return {f"{prefix}_{s}": float(v) for s, v in zip(SEASONS, delta)}
+    return {prefix: float(delta)}
+
+
+def rate_values(rp):
+    """The rate parameters as a flat name -> value dict (see param_names)."""
+    return {"lam": rp.lam, "beta_day": rp.beta_day, "phi_day": rp.phi_day,
+            "alpha_tide": rp.alpha_tide, "beta_tide": rp.beta_tide,
+            "phi_tide": rp.phi_tide,
+            **_trend_values(rp.family, "delta_rate", rp.delta)}
+
+
+def scale_values(sp):
+    """The scale parameters as a flat name -> value dict."""
+    return {"alpha_sigma": sp.alpha, "beta_sigma": sp.beta,
+            "phi_sigma": sp.phi, "gamma_sigma": sp.gamma,
+            **_trend_values(sp.family, "delta_sigma", sp.delta)}
+
+
+def params_to_values(tp):
+    """Flatten TailParams into one name -> value dict."""
+    return {**rate_values(tp.rate), **scale_values(tp.scale), "xi": tp.xi}
+
+
+def _trend_delta(values, family, prefix):
+    if family in ("R0", "S0"):
+        return None
+    if family in SEASONAL_FAMILIES:
+        return np.array([values[f"{prefix}_{s}"] for s in SEASONS])
+    return values[prefix]
+
+
+def values_to_params(values, rate_family, scale_family, std):
+    """Assemble TailParams from a flat dict plus the rate standardizers
+    ``std`` (anything with tide_mean, tide_sd and month_mean_day)."""
+    rate = RateParams(
+        family=rate_family,
+        lam=values["lam"],
+        beta_day=values["beta_day"],
+        phi_day=values["phi_day"],
+        alpha_tide=values["alpha_tide"],
+        beta_tide=values["beta_tide"],
+        phi_tide=values["phi_tide"],
+        tide_mean=std.tide_mean,
+        tide_sd=std.tide_sd,
+        month_mean_day=np.array(std.month_mean_day, dtype=float),
+        delta=_trend_delta(values, rate_family, "delta_rate"),
+    )
+    scale = ScaleParams(
+        family=scale_family,
+        alpha=values["alpha_sigma"],
+        beta=values["beta_sigma"],
+        phi=values["phi_sigma"],
+        gamma=values["gamma_sigma"],
+        delta=_trend_delta(values, scale_family, "delta_sigma"),
+    )
+    return TailParams(rate=rate, scale=scale, xi=values["xi"])
+
+
+# The predictor kernel. The rate logit and the scale are each a sum of
+# terms; a term is (parameter names, covariate, columns), and its
+# contribution is the covariate times the sum of its linear coefficients
+# times its columns. A scalar parameter has the single column 1 and is its
+# own coefficient, except the rate intercept, whose coefficient is
+# logit(lam). A harmonic beta*sin(w(d - phi)) has the columns sin(wd) and
+# cos(wd), with coefficients b1 = beta*cos(w*phi) and b2 = -beta*sin(w*phi).
+# Fitting stacks covariate x column into a design matrix; the CDF and the
+# simulator sum the terms without stacking one, so the harmonics share the
+# two basis columns instead of each holding its own products.
+
+
+def seasonal_basis(d):
+    """(sin wd, cos wd) with w = 2 pi / 365: the columns of every harmonic."""
+    w = _TWO_PI_OVER_F * np.asarray(d, dtype=float)
+    return np.sin(w), np.cos(w)
+
+
+def _trend_terms(family, prefix, d, year_std, gmt):
+    """One slope on the trend covariate, or one per season (the season of
+    day-of-year d)."""
+    if family in ("R0", "S0"):
+        return []
     if family in YEAR_FAMILIES:
         cov, cov_name = year_std, "year_std (standardized year)"
     else:
         cov, cov_name = gmt, "gmt (GMT anomaly)"
     if cov is None:
         raise ValueError(f"family {family} needs the {cov_name} covariate")
-    if delta is None:
-        raise ValueError(f"family {family} has no trend delta set")
     cov = np.asarray(cov, dtype=float)
     if family in SEASONAL_FAMILIES:
-        return _seasonal_lookup(delta, d) * cov
-    return float(delta) * cov
+        season = season_of_day(d)
+        return [((f"{prefix}_{s}",), cov, [season == k])
+                for k, s in enumerate(SEASONS)]
+    return [((prefix,), cov, [1.0])]
+
+
+def rate_terms(family, basis, d, d_j, j, x, std, year_std=None, gmt=None):
+    """Terms of the rate logit, in param_names order; broadcasts.
+
+    Args:
+        family: rate family.
+        basis: seasonal_basis(d).
+        d: day of year (1..365).
+        d_j: day of month (1..31).
+        j: month (1..12).
+        x: peak tide (metres).
+        std: standardizers (tide_mean, tide_sd, month_mean_day).
+        year_std, gmt: trend covariates, required by the matching families.
+    """
+    if std.tide_sd == 0:
+        raise ValueError("tide_sd is zero")
+    day_dev = (np.asarray(d_j, dtype=float)
+               - np.asarray(std.month_mean_day)[np.asarray(j) - 1])
+    tide_std = (np.asarray(x, dtype=float) - std.tide_mean) / std.tide_sd
+    return [
+        (("lam",), 1.0, [1.0]),
+        (("beta_day", "phi_day"), day_dev, basis),
+        (("alpha_tide",), tide_std, [1.0]),
+        (("beta_tide", "phi_tide"), tide_std, basis),
+    ] + _trend_terms(family, "delta_rate", d, year_std, gmt)
+
+
+def scale_terms(family, basis, d, x, year_std=None, gmt=None):
+    """Terms of the GPD scale, in param_names order; broadcasts. ``basis``
+    is seasonal_basis(d)."""
+    return [
+        (("alpha_sigma",), 1.0, [1.0]),
+        (("beta_sigma", "phi_sigma"), 1.0, basis),
+        (("gamma_sigma",), np.asarray(x, dtype=float), [1.0]),
+    ] + _trend_terms(family, "delta_sigma", d, year_std, gmt)
+
+
+def _to_linear(names, values):
+    """Linear coefficients of one term from its parameter values."""
+    if names[0] == "lam":
+        return [logit(values["lam"])]
+    if len(names) == 2:
+        beta, w = values[names[0]], _TWO_PI_OVER_F * values[names[1]]
+        return [beta * math.cos(w), -beta * math.sin(w)]
+    return [values[names[0]]]
+
+
+def _term_values(names, coefs):
+    """Parameter values of one term from its linear coefficients."""
+    if names[0] == "lam":
+        return {"lam": float(inv_logit(coefs[0]))}
+    if len(names) == 2:
+        w = math.atan2(-coefs[1], coefs[0])
+        return {names[0]: math.hypot(coefs[0], coefs[1]),
+                names[1]: (w / _TWO_PI_OVER_F) % 365.0}
+    return {names[0]: float(coefs[0])}
+
+
+def _term_jacobian(names, values):
+    """d(linear coefficients)/d(parameter values) of one term."""
+    if names[0] == "lam":
+        return np.array([[1.0 / (values["lam"] * (1.0 - values["lam"]))]])
+    if len(names) == 2:
+        beta, w = values[names[0]], _TWO_PI_OVER_F * values[names[1]]
+        c, s = math.cos(w), math.sin(w)
+        return np.array([[c, -beta * _TWO_PI_OVER_F * s],
+                         [-s, -beta * _TWO_PI_OVER_F * c]])
+    return np.eye(1)
+
+
+def linear_predictor(terms, values):
+    """Sum over the terms of covariate x coefficient x column, the
+    coefficients taken from the parameter values."""
+    total = 0.0
+    for names, cov, cols in terms:
+        coefs = _to_linear(names, values)
+        inner = coefs[0] * cols[0]
+        if len(cols) == 2:
+            inner = inner + coefs[1] * cols[1]
+        total = total + cov * inner
+    return total
 
 
 def rate_logit(rp, d, d_j, j, x, year_std=None, gmt=None):
     """Logit of the per-cycle exceedance probability; broadcasts over arrays.
 
-    Args:
-        rp: RateParams.
-        d: day of year (1..365).
-        d_j: day of month (1..31).
-        j: month (1..12).
-        x: peak tide (metres).
-        year_std, gmt: trend covariates, required by the matching families.
+    The record arguments are those of :func:`rate_terms`; the standardizers
+    are the ones ``rp`` carries.
     """
-    if rp.tide_sd == 0:
-        raise ValueError("tide_sd is zero")
-    if not 0.0 < rp.lam < 1.0:
-        raise ValueError("baseline rate must be in (0, 1)")
-    d = np.asarray(d, dtype=float)
-    d_j = np.asarray(d_j, dtype=float)
-    j = np.asarray(j)
-    x = np.asarray(x, dtype=float)
-    g = logit(rp.lam) \
-        + (d_j - rp.month_mean_day[j - 1]) * rp.beta_day * _harmonic(d, rp.phi_day) \
-        + ((x - rp.tide_mean) / rp.tide_sd) * (
-            rp.alpha_tide + rp.beta_tide * _harmonic(d, rp.phi_tide)
-        )
-    g = g + _trend(rp.family, rp.delta, d, year_std, gmt)
+    terms = rate_terms(rp.family, seasonal_basis(d), d, d_j, j, x, rp,
+                       year_std, gmt)
+    g = linear_predictor(terms, rate_values(rp))
     return g if np.ndim(g) else float(g)
 
 
@@ -241,10 +381,8 @@ def scale_at(sp, d, x, year_std=None, gmt=None):
     likelihood, the simulator) must check, since an optimizer may propose
     parameters that push sigma negative somewhere.
     """
-    d = np.asarray(d, dtype=float)
-    x = np.asarray(x, dtype=float)
-    sigma = sp.alpha + sp.beta * _harmonic(d, sp.phi) + sp.gamma * x
-    sigma = sigma + _trend(sp.family, sp.delta, d, year_std, gmt)
+    terms = scale_terms(sp.family, seasonal_basis(d), d, x, year_std, gmt)
+    sigma = linear_predictor(terms, scale_values(sp))
     return sigma if np.ndim(sigma) else float(sigma)
 
 
@@ -349,16 +487,18 @@ def eval_cdf(y, d, d_j, j, x, *, body, params, thresholds, year_std=None, gmt=No
         )
     if above.any():
         sel = above
-        lam = rate_at(
-            params.rate, d[sel], d_j[sel], j[sel], x[sel],
-            None if cov_ys is None else cov_ys[sel],
-            None if cov_m is None else cov_m[sel],
-        )
-        sigma = scale_at(
-            params.scale, d[sel], x[sel],
-            None if cov_ys is None else cov_ys[sel],
-            None if cov_m is None else cov_m[sel],
-        )
+        d, x = d[sel], x[sel]
+        ys = None if cov_ys is None else cov_ys[sel]
+        gm = None if cov_m is None else cov_m[sel]
+        # The rate and the scale share one seasonal basis.
+        basis = seasonal_basis(d)
+        lam = inv_logit(linear_predictor(
+            rate_terms(params.rate.family, basis, d, d_j[sel], j[sel], x,
+                       params.rate, ys, gm),
+            rate_values(params.rate)))
+        sigma = linear_predictor(
+            scale_terms(params.scale.family, basis, d, x, ys, gm),
+            scale_values(params.scale))
         out[sel] = 1.0 - gpd_tail_prob(y[sel], u[sel], lam, sigma, params.xi)
     return out if out.ndim else float(out)
 

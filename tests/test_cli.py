@@ -83,6 +83,14 @@ class TestRunConfig:
         assert a.config_hash() == b.config_hash()
         assert len(a.config_hash()) == 16
 
+    def test_hash_is_pinned(self):
+        # Artifact headers carry this hash; these values must not move.
+        assert RunConfig.from_mapping({}).config_hash() == "5b82964721d2be25"
+        doc = {"rate_family": "R1",
+               "fit": {"frozen": {"beta_day": 0.0, "phi_day": 0.0}},
+               "return_levels": {"scenario": {"year": 2017}}}
+        assert RunConfig.from_mapping(doc).config_hash() == "b70453db7aabefa2"
+
     def test_hash_tracks_option_changes(self):
         a = RunConfig.from_mapping({})
         b = RunConfig.from_mapping({"threshold_percentile": 0.97})

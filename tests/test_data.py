@@ -15,9 +15,11 @@ from skewsurge.data import (
     detrend_msl,
     load_gmt,
     load_series,
+    month_of_day,
     monthly_thresholds,
     season_of_day,
     standardize_year,
+    standardizers,
     write_series_csv,
 )
 
@@ -183,6 +185,17 @@ class TestCalendar:
         assert season_of_day(day_of_year_365(12, 15)) == 0
         assert season_of_day(day_of_year_365(9, 15)) == 3
 
+    def test_month_of_day_inverts_day_of_year(self):
+        # Every day of every month, the last ones included (Feb 28 is
+        # winter, not spring).
+        days_in_month = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+        month = np.repeat(np.arange(1, 13), days_in_month)
+        day = np.concatenate([np.arange(1, n + 1) for n in days_in_month])
+        doy = day_of_year_365(month, day)
+        npt.assert_array_equal(doy, np.arange(1, 366))
+        npt.assert_array_equal(month_of_day(doy), month)
+        assert season_of_day(day_of_year_365(2, 28)) == 0
+
 
 class TestMonthlyThresholds:
     def test_interpolated_quantile(self):
@@ -249,7 +262,7 @@ class TestCovariates:
 
     def test_standardizers_describe_series(self):
         s = columns_series([1, 1, 2], [2.0, 4.0, 3.0], [0.1, 0.2, 0.3])
-        out = attach_covariates(s)
+        out = standardizers(s.peak_tide, s.month, s.day_of_month)
         npt.assert_allclose(out.tide_mean, 3.0)
         npt.assert_allclose(out.tide_sd, np.std([2.0, 4.0, 3.0]))
         npt.assert_allclose(out.month_mean_day[0],

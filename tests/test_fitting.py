@@ -25,7 +25,14 @@ from skewsurge.fitting import (
 )
 from skewsurge.data import GmtSeries, attach_covariates
 from skewsurge.simulate import SimSpec, simulate_series
-from skewsurge.tail import RateParams, ScaleParams, TailParams
+from skewsurge.tail import (
+    RateParams,
+    ScaleParams,
+    TailParams,
+    gpd_excess_logpdf,
+    rate_at,
+    scale_at,
+)
 
 from conftest import FROZEN_HARMONICS, columns_series, flat_thresholds
 
@@ -338,8 +345,34 @@ def _fd_hessian(f, x, h):
     return hess
 
 
-@pytest.mark.parametrize("rf,sf", [("R0", "S0"), ("R1", "S1"), ("R2", "S2"),
-                                   ("R3", "S3"), ("R4", "S4")])
+DIAGONAL_PAIRS = [("R0", "S0"), ("R1", "S1"), ("R2", "S2"), ("R3", "S3"),
+                  ("R4", "S4")]
+
+
+@pytest.mark.parametrize("rf,sf", DIAGONAL_PAIRS)
+def test_likelihood_uses_the_cdf_predictors(sim_all_covariates, rf, sf):
+    # The likelihood written out from the public rate, scale and GPD
+    # density functions, cycle by cycle.
+    series, thr = sim_all_covariates
+    params = fit_tail(series, FitConfig(rate_family=rf, scale_family=sf),
+                      thresholds=thr).params
+    u = thr.for_month(series.month)
+    exceed = series.skew_surge > u
+    covariates = dict(year_std=series.year_std, gmt=series.gmt)
+    lam = rate_at(params.rate, series.day_of_year, series.day_of_month,
+                  series.month, series.peak_tide, **covariates)
+    sigma = scale_at(params.scale, series.day_of_year, series.peak_tide,
+                     **covariates)
+    expected = (
+        -np.log1p(-lam[~exceed]).sum()
+        - np.log(lam[exceed]).sum()
+        - gpd_excess_logpdf(series.skew_surge[exceed] - u[exceed],
+                            sigma[exceed], params.xi).sum()
+    )
+    npt.assert_allclose(neg_loglik(params, series, thr), expected, rtol=1e-9)
+
+
+@pytest.mark.parametrize("rf,sf", DIAGONAL_PAIRS)
 def test_fit_is_the_maximum_of_the_objective(sim_all_covariates, rf, sf):
     series, thr = sim_all_covariates
     fit = fit_tail(series, FitConfig(rate_family=rf, scale_family=sf),

@@ -1,11 +1,12 @@
 """Rate model, scale model, GPD tail pieces and the combined CDF."""
 
 import math
+from datetime import date, timedelta
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from skewsurge.body import build_empirical, eval_body_cdf
 from skewsurge.tail import (
@@ -21,6 +22,7 @@ from skewsurge.tail import (
     logit,
     mean_excess,
     rate_at,
+    rate_logit,
     scale_at,
 )
 
@@ -138,6 +140,83 @@ class TestRateAt:
         summer = rate_at(rp, 196.0, 15.5, 7, 0.0, year_std=1.0)
         npt.assert_allclose(winter, inv_logit(logit(0.05) + 0.4))
         npt.assert_allclose(summer, 0.05)
+
+
+_SEASON_OF_MONTH = np.array([-1, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0])
+
+
+def _phase_harmonic(d, phi):
+    return np.sin(2.0 * np.pi * (d - phi) / 365.0)
+
+
+def _phase_trend(family, delta, month, year_std, gmt):
+    if family.endswith("0"):
+        return 0.0
+    cov = year_std if family[1] in "12" else gmt
+    if family[1] in "24":
+        return np.asarray(delta)[_SEASON_OF_MONTH[month]] * cov
+    return delta * cov
+
+
+def _phase_rate_logit(rp, d, d_j, j, x, year_std, gmt):
+    """The rate logit in phase form, each harmonic beta*sin(w(d - phi))."""
+    return (math.log(rp.lam / (1.0 - rp.lam))
+            + (d_j - rp.month_mean_day[j - 1]) * rp.beta_day
+            * _phase_harmonic(d, rp.phi_day)
+            + (x - rp.tide_mean) / rp.tide_sd
+            * (rp.alpha_tide + rp.beta_tide * _phase_harmonic(d, rp.phi_tide))
+            + _phase_trend(rp.family, rp.delta, j, year_std, gmt))
+
+
+def _phase_scale(sp, d, j, x, year_std, gmt):
+    return (sp.alpha + sp.beta * _phase_harmonic(d, sp.phi) + sp.gamma * x
+            + _phase_trend(sp.family, sp.delta, j, year_std, gmt))
+
+
+_unit = st.floats(-1.0, 1.0)
+_phase = st.floats(0.0, 365.0)
+
+
+@settings(deadline=None)
+@given(rf=st.sampled_from(["R0", "R1", "R2", "R3", "R4"]),
+       sf=st.sampled_from(["S0", "S1", "S2", "S3", "S4"]),
+       lam=st.floats(0.001, 0.5), rate=st.lists(_unit, min_size=3, max_size=3),
+       rate_phases=st.lists(_phase, min_size=2, max_size=2),
+       scale=st.lists(_unit, min_size=3, max_size=3), scale_phase=_phase,
+       deltas=st.lists(_unit, min_size=8, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_predictors_match_the_phase_form(rf, sf, lam, rate, rate_phases,
+                                         scale, scale_phase, deltas, seed):
+    rng = np.random.default_rng(seed)
+    n = 64
+    doy = rng.integers(1, 366, n)
+    dates = [date(2001, 1, 1) + timedelta(days=int(k) - 1) for k in doy]
+    month = np.array([t.month for t in dates])
+    dom = np.array([t.day for t in dates], dtype=float)
+    tide = 3.0 + rng.normal(0.0, 0.8, n)
+    year_std, gmt = rng.uniform(-1.0, 1.0, n), rng.uniform(-0.5, 1.5, n)
+
+    def delta(family, values):
+        return {"0": None, "1": values[0], "3": values[0]}.get(
+            family[1], values[:4])
+
+    rp = RateParams(family=rf, lam=lam, beta_day=rate[0],
+                    phi_day=rate_phases[0], alpha_tide=rate[1],
+                    beta_tide=rate[2], phi_tide=rate_phases[1],
+                    tide_mean=3.1, tide_sd=0.7,
+                    month_mean_day=rng.uniform(14.0, 17.0, 12),
+                    delta=delta(rf, deltas[:4]))
+    sp = ScaleParams(family=sf, alpha=scale[0], beta=scale[1],
+                     phi=scale_phase, gamma=scale[2],
+                     delta=delta(sf, deltas[4:]))
+    npt.assert_allclose(
+        rate_logit(rp, doy, dom, month, tide, year_std, gmt),
+        _phase_rate_logit(rp, doy, dom, month, tide, year_std, gmt),
+        rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(
+        scale_at(sp, doy, tide, year_std, gmt),
+        _phase_scale(sp, doy, month, tide, year_std, gmt),
+        rtol=1e-12, atol=1e-12)
 
 
 class TestGpdTail:
