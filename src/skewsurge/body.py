@@ -95,6 +95,36 @@ def build_empirical(series, thresholds):
     )
 
 
+def cell_cdf(model, month, tide):
+    """The body CDF of fixed records as a function of y, with no threshold
+    check: y -> (stored samples <= y) / total, per (month, band) cell.
+
+    The records are grouped once by cell with a stable sort, so each call
+    is one ``searchsorted`` per contiguous slice of the grouped values.
+    Month and tide broadcast; the returned function takes y of their
+    broadcast shape.
+    """
+    month, tide = np.broadcast_arrays(np.asarray(month), np.asarray(tide))
+    cell = (3 * (month - 1) + model.band_index(month, tide)).ravel()
+    order = np.argsort(cell, kind="stable")
+    bounds = np.searchsorted(cell[order], np.arange(37))
+    slices = [(c, bounds[c], bounds[c + 1]) for c in range(36)
+              if bounds[c] < bounds[c + 1]]
+
+    def cdf(y):
+        grouped = np.asarray(y, dtype=float).ravel()[order]
+        for c, lo, hi in slices:
+            j, b = divmod(c, 3)
+            grouped[lo:hi] = np.searchsorted(
+                model.samples[j][b], grouped[lo:hi], side="right"
+            ) / model.totals[j, b]
+        out = np.empty_like(grouped)
+        out[order] = grouped
+        return out.reshape(month.shape)
+
+    return cdf
+
+
 def eval_body_cdf(model, y, month, tide):
     """Evaluate the empirical body CDF at skew surge y.
 
@@ -111,13 +141,5 @@ def eval_body_cdf(model, y, month, tide):
             "eval_body_cdf requires y <= the monthly threshold; "
             "values above it belong to the tail branch"
         )
-    band = model.band_index(month, tide)
-    out = np.empty(y.shape, dtype=float)
-    for j in range(12):
-        for b in range(3):
-            sel = (month == j + 1) & (band == b)
-            if not sel.any():
-                continue
-            counts = np.searchsorted(model.samples[j][b], y[sel], side="right")
-            out[sel] = counts / model.totals[j, b]
+    out = cell_cdf(model, month, tide)(y)
     return out if out.ndim else float(out)

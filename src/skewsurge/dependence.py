@@ -74,28 +74,29 @@ def _pair_arrays(pairs):
 
 
 def _count_inversions(values):
-    """Strict inversions (i < j with values[i] > values[j]), by merge sort."""
-    values = list(values)
-    n = len(values)
-    buf = values[:]
+    """Strict inversions (i < j with values[i] > values[j]), counted
+    exactly by a bottom-up merge sort on integer ranks.
+
+    At width w every block of w ranks is sorted. The left halves of the
+    blocks of size 2w, keyed block * n + rank, form one sorted array in
+    which block k's left half ends at (k + 1) * w, so one searchsorted
+    counts, for each right-half element, the left elements of its block
+    that are greater. One sort of the keys then merges each pair of
+    halves (equal integer keys are interchangeable, so it need not be
+    stable).
+    """
+    ranks = np.unique(values, return_inverse=True)[1].ravel()
+    n = ranks.size
+    pos = np.arange(n)
     count = 0
     width = 1
     while width < n:
-        for lo in range(0, n - width, 2 * width):
-            mid = lo + width
-            hi = min(mid + width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if values[j] < values[i]:
-                    count += mid - i
-                    buf[k] = values[j]
-                    j += 1
-                else:
-                    buf[k] = values[i]
-                    i += 1
-                k += 1
-            buf[k:hi] = values[i:mid] if i < mid else values[j:hi]
-            values[lo:hi] = buf[lo:hi]
+        block = pos // (2 * width)
+        keys = block * n + ranks
+        right = pos % (2 * width) >= width
+        not_greater = np.searchsorted(keys[~right], keys[right], side="right")
+        count += int(((block[right] + 1) * width - not_greater).sum())
+        ranks = np.sort(keys) - block * n
         width *= 2
     return count
 

@@ -139,6 +139,30 @@ def fit_exi_curve(series, v=None, run_length=4, levels=None):
     )
 
 
+def exi_curve(model):
+    """theta(y, r) of a fitted model as a function of y: empirical
+    interpolation below v, the fitted curve above.
+
+    The interpolation table is built once; each call evaluates each branch
+    only where it applies. Output clipped to [0, 1]; broadcasts over y.
+    """
+    below_v = model.levels < model.v
+    xp = np.append(model.levels[below_v], model.v)
+    fp = np.append(model.runs_theta[below_v], model.theta_v)
+
+    def theta(y):
+        y = np.asarray(y, dtype=float)
+        out = np.empty(y.shape)
+        low = y <= model.v
+        out[low] = np.interp(y[low], xp, fp)
+        high = ~low
+        out[high] = model.theta - (model.theta - model.theta_v) * np.exp(
+            -(y[high] - model.v) / model.psi)
+        return np.clip(out, 0.0, 1.0, out=out)
+
+    return theta
+
+
 def eval_exi(model, y, run_length=None):
     """theta(y, r): empirical interpolation below v, fitted curve above.
 
@@ -149,16 +173,5 @@ def eval_exi(model, y, run_length=None):
         raise ValueError(
             f"model was fitted for run length {model.run_length}, got {run_length}"
         )
-    y = np.asarray(y, dtype=float)
-    below_levels = model.levels[model.levels < model.v]
-    below_theta = model.runs_theta[model.levels < model.v]
-    xp = np.concatenate([below_levels, [model.v]])
-    fp = np.concatenate([below_theta, [model.theta_v]])
-    out = np.where(
-        y <= model.v,
-        np.interp(y, xp, fp),
-        model.theta - (model.theta - model.theta_v)
-        * np.exp(-np.maximum(y - model.v, 0.0) / model.psi),
-    )
-    out = np.clip(out, 0.0, 1.0)
+    out = exi_curve(model)(y)
     return out if out.ndim else float(out)

@@ -216,8 +216,9 @@ class _Prepared:
     excess: np.ndarray
 
 
-def _prepare(series, thresholds, rate_family, scale_family):
-    std = standardizers(series.peak_tide, series.month, series.day_of_month)
+def _prepare(series, thresholds, rate_family, scale_family, std):
+    """A series' exceedances and predictor terms, its covariates
+    standardized by ``std``."""
     u = thresholds.for_month(series.month)
     exceed = series.skew_surge > u
     d, basis = series.day_of_year, seasonal_basis(series.day_of_year)
@@ -276,11 +277,15 @@ def neg_loglik(params, series, thresholds, shape_prior=None):
 
     Sums a Bernoulli exceedance term per tidal cycle and a GPD density term
     per exceedance; +inf for invalid parameters. The covariates are
-    standardized by the series' own standardizers, as in a fit.
+    standardized by the standardizers ``params.rate`` carries, so this is
+    the likelihood of the model that ``rate_at`` and ``eval_cdf``
+    evaluate, on any series. A fit stores the standardizers of the series
+    it was fitted to.
     """
     if not 0.0 < params.rate.lam < 1.0:
         return np.inf
-    data = _prepare(series, thresholds, params.rate.family, params.scale.family)
+    data = _prepare(series, thresholds, params.rate.family, params.scale.family,
+                    params.rate)
     values = params_to_values(params)
     return (_bernoulli_nll(data, linear_predictor(data.rate_terms, values))
             + _gpd_nll(data, linear_predictor(data.scale_terms, values),
@@ -391,7 +396,8 @@ def _joint(pairs, config, shared=None):
     rf, sf, frozen = config.rate_family, config.scale_family, config.frozen
     built = []
     for series, thresholds in pairs:
-        data = _prepare(series, thresholds, rf, sf)
+        data = _prepare(series, thresholds, rf, sf, standardizers(
+            series.peak_tide, series.month, series.day_of_month))
         if data.n_exceed < 50:
             raise ValueError(
                 f"site {series.site_id}: {data.n_exceed} exceedances; need >= 50"

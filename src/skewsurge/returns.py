@@ -1,11 +1,23 @@
 """Annual-maximum sea-level distribution and return levels.
 
-The annual maximum CDF at level z averages, over observed years, the
+The annual-maximum CDF at level z averages, over observed years, the
 product across that year's tidal cycles of the conditional skew-surge CDF
 evaluated at z minus the cycle's peak tide, each factor raised to the
-extremal index at that level to discount within-cluster dependence.
-Products accumulate in log space; a cycle whose factor is exactly zero
-sends its whole year to zero.
+extremal index at that level to discount within-cluster dependence
+(the skew-surge joint probability method).
+
+Nothing about a cycle but its surge y = z - tide depends on z, so the
+engine builds the calendar's conditional CDF once per call of
+:func:`annual_max_cdf`, :func:`return_level` or :func:`return_curve`
+(``model.conditional``: thresholds, rate, scale and body cells) together
+with the extremal-index curve. Each evaluation is then one pass over the
+cycles: theta * log F per cycle, -inf where F = 0, summed by year with a
+``bincount``. A cycle whose factor is exactly zero sends its whole year
+to zero.
+
+``model`` needs only ``conditional(d, d_j, j, x, year_std, gmt)``
+returning a function y -> F, so a stand-in distribution can replace a
+fitted SkewSurgeModel.
 
 Return levels invert the CDF by bisection. The target can be a step
 function (for example with a degenerate surge distribution), so after the
@@ -19,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exi import eval_exi
+from .exi import exi_curve
 
 RETURN_LEVEL_TOL = 1e-6
 RETURN_LEVEL_MAX_ITER = 200
@@ -99,18 +111,12 @@ def powered_cdf(cdf_values, theta):
     return out
 
 
-def annual_max_cdf(z, model, calendar, exi_model=None, scenario=None):
-    """P(annual maximum sea level <= z) under the fitted models.
-
-    ``model`` is a SkewSurgeModel; ``exi_model`` of None means an
-    extremal index of one everywhere. ``scenario`` fixes trend covariates
-    for the whole synthetic year.
-    """
+def _annual_max(model, calendar, exi_model, scenario):
+    """z -> P(annual maximum <= z), with everything that does not depend on
+    z built once."""
     if scenario is None:
         scenario = Scenario()
-    y = z - calendar.tide
-    cdf = model.cdf(
-        y,
+    cdf = model.conditional(
         calendar.day_of_year,
         calendar.day_of_month,
         calendar.month,
@@ -118,30 +124,41 @@ def annual_max_cdf(z, model, calendar, exi_model=None, scenario=None):
         year_std=scenario.year_std,
         gmt=scenario.gmt,
     )
-    theta = 1.0 if exi_model is None else eval_exi(exi_model, y)
-    with np.errstate(divide="ignore"):
-        log_factor = np.log(powered_cdf(cdf, theta))
-    log_year = np.bincount(calendar.year_index, weights=log_factor,
-                           minlength=calendar.n_years)
-    return float(np.exp(log_year).mean())
+    theta = None if exi_model is None else exi_curve(exi_model)
+
+    def f(z):
+        y = z - calendar.tide
+        factor = cdf(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_factor = np.log(factor)
+            if theta is not None:
+                # -inf where F = 0, also where theta = 0 makes the product nan.
+                log_factor = np.where(factor > 0.0, theta(y) * log_factor,
+                                      -np.inf)
+        log_year = np.bincount(calendar.year_index, weights=log_factor,
+                               minlength=calendar.n_years)
+        return float(np.exp(log_year).mean())
+
+    return f
 
 
-def return_level(p, model, calendar, exi_model=None, scenario=None):
-    """Level exceeded by the annual maximum with probability p.
+def annual_max_cdf(z, model, calendar, exi_model=None, scenario=None):
+    """P(annual maximum sea level <= z) under the fitted models.
 
-    Solves annual_max_cdf(z) = 1 - p by bisection on
-    [min tide - 1, max tide + 10]; raises when the target lies outside
-    that bracket.
+    ``model`` is a SkewSurgeModel; ``exi_model`` of None means an
+    extremal index of one everywhere. ``scenario`` fixes trend covariates
+    for the whole synthetic year.
     """
+    return _annual_max(model, calendar, exi_model, scenario)(z)
+
+
+def _invert(p, f, calendar):
+    """Solve f(z) = 1 - p by bisection on [min tide - 1, max tide + 10]."""
     if not 1e-6 <= p <= 0.5:
         raise ValueError(f"annual exceedance probability {p} outside [1e-6, 0.5]")
     target = 1.0 - p
     lo = float(calendar.tide.min()) - 1.0
     hi = float(calendar.tide.max()) + 10.0
-
-    def f(z):
-        return annual_max_cdf(z, model, calendar, exi_model, scenario)
-
     f_lo, f_hi = f(lo), f(hi)
     if f_lo > target or f_hi < target:
         raise ValueError(
@@ -158,6 +175,17 @@ def return_level(p, model, calendar, exi_model=None, scenario=None):
         else:
             hi = mid
     return hi
+
+
+def return_level(p, model, calendar, exi_model=None, scenario=None):
+    """Level exceeded by the annual maximum with probability p.
+
+    Solves annual_max_cdf(z) = 1 - p by bisection on
+    [min tide - 1, max tide + 10]; raises when the target lies outside
+    that bracket.
+    """
+    return _invert(p, _annual_max(model, calendar, exi_model, scenario),
+                   calendar)
 
 
 @dataclass
@@ -190,9 +218,8 @@ def return_curve(p_grid, model, calendar, exi_model=None, scenario=None):
     p_grid = np.asarray(p_grid, dtype=float)
     if p_grid.ndim != 1 or p_grid.size == 0:
         raise ValueError("p grid must be a nonempty 1-D array")
-    z = np.array([
-        return_level(p, model, calendar, exi_model, scenario) for p in p_grid
-    ])
+    f = _annual_max(model, calendar, exi_model, scenario)
+    z = np.array([_invert(p, f, calendar) for p in p_grid])
     order = np.argsort(p_grid)
     if np.any(np.diff(z[order]) > 1e-9):
         raise RuntimeError("return levels not nonincreasing in p")

@@ -11,8 +11,17 @@ year (families R1/R2) or GMT anomaly (R3/R4); even-numbered families give
 each season its own trend slope. The scale sigma is a seasonal harmonic
 plus a linear peak-tide term, with the analogous optional trends (S1-S4).
 
-Below u_j the distribution is the tide-banded empirical body; the combined
-CDF is evaluated by :func:`eval_cdf`.
+Both predictors come from one kernel (:func:`rate_terms`,
+:func:`scale_terms` over :func:`seasonal_basis`), which fitting, the
+simulator and the CDF share. Below u_j the distribution is the
+tide-banded empirical body. :meth:`SkewSurgeModel.conditional` freezes a
+set of records (day of year, day of month, month, peak tide, trend
+covariates) and returns their conditional CDF as a function of the surge
+alone: u_j, lambda, sigma and the body cells are built once, and each
+evaluation is a GPD tail pass plus, only where some record is at or
+below its threshold, a body search. The return engine evaluates it once
+per bisection step; :func:`eval_cdf`, which the PIT uses, builds it and
+applies it once.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import eval_body_cdf
+from .body import cell_cdf
 from .data import SEASONS, season_of_day
 
 RATE_FAMILIES = ("R0", "R1", "R2", "R3", "R4")
@@ -455,6 +464,45 @@ class SkewSurgeModel:
     params: TailParams
     thresholds: object  # MonthlyThresholds
 
+    def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
+        """The conditional CDF of fixed records as a function of the surge.
+
+        Returns F with F(y)[i] = P(Y <= y[i] | record i); y must broadcast
+        to the records' shape. The record arguments are those of
+        :func:`rate_terms` and broadcast together. Everything that does not
+        depend on y is built here once: the thresholds u_j, the rate lambda
+        and scale sigma (one seasonal basis), and the records' grouping by
+        body cell. Each call then evaluates the GPD tail where y > u_j and
+        the empirical body elsewhere; the body is searched only when some
+        record is at or below its threshold.
+        """
+        d, d_j, j, x = np.broadcast_arrays(
+            np.asarray(d), np.asarray(d_j), np.asarray(j),
+            np.asarray(x, dtype=float))
+        rate, scale, xi = self.params.rate, self.params.scale, self.params.xi
+        u = self.thresholds.for_month(j)
+        basis = seasonal_basis(d)
+        lam = inv_logit(linear_predictor(
+            rate_terms(rate.family, basis, d, d_j, j, x, rate, year_std, gmt),
+            rate_values(rate)))
+        sigma = linear_predictor(
+            scale_terms(scale.family, basis, d, x, year_std, gmt),
+            scale_values(scale))
+        body = cell_cdf(self.body, j, x)
+
+        def cdf(y):
+            y = np.broadcast_to(np.asarray(y, dtype=float), d.shape)
+            above = y > u
+            if above.all():
+                return 1.0 - gpd_tail_prob(y, u, lam, sigma, xi)
+            out = body(y)
+            if above.any():
+                out[above] = 1.0 - gpd_tail_prob(
+                    y[above], u[above], lam[above], sigma[above], xi)
+            return out
+
+        return cdf
+
     def cdf(self, y, d, d_j, j, x, year_std=None, gmt=None):
         return eval_cdf(
             y, d, d_j, j, x,
@@ -466,41 +514,18 @@ class SkewSurgeModel:
 def eval_cdf(y, d, d_j, j, x, *, body, params, thresholds, year_std=None, gmt=None):
     """Full skew-surge CDF: empirical body for y <= u_j, GPD tail above.
 
-    All record arguments broadcast. The two branches are evaluated as-is,
-    so there is a small jump at u_j wherever the local exceedance rate
-    differs from the threshold percentile's complement.
+    All record arguments broadcast with y. This is
+    ``SkewSurgeModel.conditional(d, d_j, j, x, year_std, gmt)(y)``, the
+    code path the return engine evaluates too. The two branches are
+    evaluated as-is, so there is a small jump at u_j wherever the local
+    exceedance rate differs from the threshold percentile's complement.
     """
-    y = np.asarray(y, dtype=float)
-    d = np.asarray(d)
-    d_j = np.asarray(d_j)
-    j = np.asarray(j)
-    x = np.asarray(x, dtype=float)
-    y, d, d_j, j, x = np.broadcast_arrays(y, d, d_j, j, x)
-    cov_ys = None if year_std is None else np.broadcast_to(np.asarray(year_std, dtype=float), y.shape)
-    cov_m = None if gmt is None else np.broadcast_to(np.asarray(gmt, dtype=float), y.shape)
-    u = thresholds.for_month(j)
-    above = y > u
-    out = np.empty(y.shape, dtype=float)
-    if (~above).any():
-        out[~above] = np.asarray(
-            eval_body_cdf(body, y[~above], j[~above], x[~above]), dtype=float
-        )
-    if above.any():
-        sel = above
-        d, x = d[sel], x[sel]
-        ys = None if cov_ys is None else cov_ys[sel]
-        gm = None if cov_m is None else cov_m[sel]
-        # The rate and the scale share one seasonal basis.
-        basis = seasonal_basis(d)
-        lam = inv_logit(linear_predictor(
-            rate_terms(params.rate.family, basis, d, d_j[sel], j[sel], x,
-                       params.rate, ys, gm),
-            rate_values(params.rate)))
-        sigma = linear_predictor(
-            scale_terms(params.scale.family, basis, d, x, ys, gm),
-            scale_values(params.scale))
-        out[sel] = 1.0 - gpd_tail_prob(y[sel], u[sel], lam, sigma, params.xi)
-    return out if out.ndim else float(out)
+    y, d, d_j, j, x = np.broadcast_arrays(
+        np.asarray(y, dtype=float), np.asarray(d), np.asarray(d_j),
+        np.asarray(j), np.asarray(x, dtype=float))
+    model = SkewSurgeModel(body=body, params=params, thresholds=thresholds)
+    out = model.conditional(d, d_j, j, x, year_std, gmt)(y)
+    return out if np.ndim(out) else float(out)
 
 
 def delta_lambda(rp, d, d_j, j, x, covariate, a, b):

@@ -185,8 +185,8 @@ class _StationaryCdf:
     def __init__(self, value):
         self.value = value
 
-    def cdf(self, y, d, d_j, j, x, year_std=None, gmt=None):
-        return np.full(np.shape(y), self.value, dtype=float)
+    def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
+        return lambda y: np.full(np.shape(y), self.value, dtype=float)
 
 
 def test_06_annual_maximum_identity_and_round_trip(sim_r0, report):

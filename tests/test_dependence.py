@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
 from skewsurge.body import build_empirical
 from skewsurge.data import SiteSeries, calendar_columns
 from skewsurge.dependence import (
+    _count_inversions,
     chi_chibar,
     daily_max_pairs,
     kendall_tau,
@@ -115,6 +117,15 @@ class TestKendallTau:
     def test_too_few_pairs_rejected(self):
         with pytest.raises(ValueError, match="2"):
             kendall_tau(([1.0], [2.0]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 6), max_size=300)
+       | st.lists(st.floats(-1e3, 1e3), max_size=300))
+def test_inversion_count_matches_brute_force(values):
+    v = np.asarray(values, dtype=float)
+    brute = int(np.triu(v[:, None] > v[None, :], k=1).sum())
+    assert _count_inversions(v) == brute
 
 
 class TestChiChibar:

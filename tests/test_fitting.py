@@ -300,20 +300,22 @@ class TestHessianIntervals:
                                 rtol=1e-3)
 
 
+ALL_COVARIATES_TRUTH = TailParams(
+    rate=RateParams(family="R3", lam=0.05, beta_day=0.03, phi_day=40.0,
+                    alpha_tide=0.3, beta_tide=0.2, phi_tide=120.0, delta=0.3),
+    scale=ScaleParams(family="S3", alpha=0.12, beta=0.04, phi=91.25,
+                      gamma=0.01, delta=0.01),
+    xi=0.05,
+)
+
+
 @pytest.fixture(scope="module")
 def sim_all_covariates():
     """A GMT-trend record with every harmonic active (17 years)."""
-    truth = TailParams(
-        rate=RateParams(family="R3", lam=0.05, beta_day=0.03, phi_day=40.0,
-                        alpha_tide=0.3, beta_tide=0.2, phi_tide=120.0,
-                        delta=0.3),
-        scale=ScaleParams(family="S3", alpha=0.12, beta=0.04, phi=91.25,
-                          gamma=0.01, delta=0.01),
-        xi=0.05,
-    )
     gmt = GmtSeries(years=np.arange(1950, 1975),
                     anomalies=np.linspace(-0.6, 0.9, 25))
-    spec = SimSpec(params=truth, thresholds=0.3, n_cycles=12000, gmt=gmt)
+    spec = SimSpec(params=ALL_COVARIATES_TRUTH, thresholds=0.3,
+                   n_cycles=12000, gmt=gmt)
     series, _ = simulate_series(spec, seed=31)
     return series, spec.thresholds
 
@@ -349,13 +351,9 @@ DIAGONAL_PAIRS = [("R0", "S0"), ("R1", "S1"), ("R2", "S2"), ("R3", "S3"),
                   ("R4", "S4")]
 
 
-@pytest.mark.parametrize("rf,sf", DIAGONAL_PAIRS)
-def test_likelihood_uses_the_cdf_predictors(sim_all_covariates, rf, sf):
-    # The likelihood written out from the public rate, scale and GPD
-    # density functions, cycle by cycle.
-    series, thr = sim_all_covariates
-    params = fit_tail(series, FitConfig(rate_family=rf, scale_family=sf),
-                      thresholds=thr).params
+def _public_neg_loglik(params, series, thr):
+    """The likelihood written out from the public rate, scale and GPD
+    density functions, cycle by cycle."""
     u = thr.for_month(series.month)
     exceed = series.skew_surge > u
     covariates = dict(year_std=series.year_std, gmt=series.gmt)
@@ -363,13 +361,38 @@ def test_likelihood_uses_the_cdf_predictors(sim_all_covariates, rf, sf):
                   series.month, series.peak_tide, **covariates)
     sigma = scale_at(params.scale, series.day_of_year, series.peak_tide,
                      **covariates)
-    expected = (
+    return (
         -np.log1p(-lam[~exceed]).sum()
         - np.log(lam[exceed]).sum()
         - gpd_excess_logpdf(series.skew_surge[exceed] - u[exceed],
                             sigma[exceed], params.xi).sum()
     )
-    npt.assert_allclose(neg_loglik(params, series, thr), expected, rtol=1e-9)
+
+
+@pytest.mark.parametrize("rf,sf", DIAGONAL_PAIRS)
+def test_likelihood_uses_the_cdf_predictors(sim_all_covariates, rf, sf):
+    series, thr = sim_all_covariates
+    params = fit_tail(series, FitConfig(rate_family=rf, scale_family=sf),
+                      thresholds=thr).params
+    npt.assert_allclose(neg_loglik(params, series, thr),
+                        _public_neg_loglik(params, series, thr), rtol=1e-9)
+
+
+def test_likelihood_of_other_records_uses_the_fitted_standardizers():
+    # The first 6,000 cycles have their own tide mean and sd and monthly
+    # mean days; scoring them must use the fitted record's, as the CDF does.
+    gmt = GmtSeries(years=np.arange(1950, 2000),
+                    anomalies=np.linspace(-0.6, 0.9, 50))
+    spec = SimSpec(params=ALL_COVARIATES_TRUTH, thresholds=0.3,
+                   n_cycles=35_000, gmt=gmt)
+    series, _ = simulate_series(spec, seed=31)
+    thr = spec.thresholds
+    params = fit_tail(series, FitConfig(rate_family="R3", scale_family="S3"),
+                      thresholds=thr).params
+    head = attach_covariates(series.subset(np.arange(len(series)) < 6000),
+                             gmt=gmt)
+    npt.assert_allclose(neg_loglik(params, head, thr),
+                        _public_neg_loglik(params, head, thr), rtol=1e-9)
 
 
 @pytest.mark.parametrize("rf,sf", DIAGONAL_PAIRS)

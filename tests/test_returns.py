@@ -6,8 +6,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from skewsurge.body import build_empirical
-from skewsurge.exi import ExiModel
+from skewsurge import SimSpec, simulate_series
+from skewsurge.body import build_empirical, eval_body_cdf
+from skewsurge.data import standardize_year
+from skewsurge.exi import ExiModel, eval_exi, fit_exi_curve
 from skewsurge.returns import (
     ReturnCurve,
     Scenario,
@@ -17,7 +19,15 @@ from skewsurge.returns import (
     return_curve,
     return_level,
 )
-from skewsurge.tail import RateParams, ScaleParams, SkewSurgeModel, TailParams
+from skewsurge.tail import (
+    RateParams,
+    ScaleParams,
+    SkewSurgeModel,
+    TailParams,
+    gpd_tail_prob,
+    rate_at,
+    scale_at,
+)
 
 from conftest import columns_series
 
@@ -28,8 +38,8 @@ class _ConstCdf:
     def __init__(self, value):
         self.value = value
 
-    def cdf(self, y, d, d_j, j, x, year_std=None, gmt=None):
-        return np.full(np.shape(y), self.value, dtype=float)
+    def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
+        return lambda y: np.full(np.shape(y), self.value, dtype=float)
 
 
 def _one_year_calendar(n_cycles=705, tide=3.0, year=2000):
@@ -93,10 +103,12 @@ class TestAnnualMaxCdf:
         cal = _one_year_calendar(100)
 
         class _OneZero(_ConstCdf):
-            def cdf(self, y, d, d_j, j, x, year_std=None, gmt=None):
-                out = np.full(np.shape(y), self.value, dtype=float)
-                out[0] = 0.0
-                return out
+            def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
+                def cdf(y):
+                    out = np.full(np.shape(y), self.value, dtype=float)
+                    out[0] = 0.0
+                    return out
+                return cdf
 
         assert annual_max_cdf(5.0, _OneZero(0.999), cal) == 0.0
 
@@ -204,6 +216,142 @@ class TestReturnCurve:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             ReturnCurve(p=np.array([0.1, 0.2]), z=np.array([1.0]))
+
+
+def _simulated(truth, seed, n_cycles=8000):
+    """(model with the simulator's truth, calendar, series) of one record."""
+    spec = SimSpec(params=truth, thresholds=0.3, n_cycles=n_cycles)
+    series, params = simulate_series(spec, seed=seed)
+    model = SkewSurgeModel(body=build_empirical(series, spec.thresholds),
+                           params=params, thresholds=spec.thresholds)
+    return model, TideSampleCalendar.from_series(series), series
+
+
+# Return levels of the R1/S0 truth below, captured before the return
+# engine built each cycle's threshold, rate, scale and body cell once per
+# curve; the engine must reproduce them.
+PINNED_LEVELS = {
+    1950: [
+        6.922363315459849, 6.801757847292798, 6.687500035345065,
+        6.576416051506991, 6.465332067668916, 6.357421911940501,
+        6.2510986702669165, 6.147155799675575, 6.045196571652771,
+        5.945220986198506, 5.847229043312776, 5.751319925124008,
+        5.657245676311142, 5.565006296874168, 5.474601786813093,
+        5.385908168467382, 5.298813861942552, 5.213163895162939,
+        5.128735108339582, 5.045208258996603,
+    ],
+    2100: [
+        7.0937500333814505, 6.9731445652143975, 6.855712925157006,
+        6.7414551132092715, 6.627197301261539, 6.516113317423464,
+        6.406616247640221, 6.29949954893922, 6.194763221320464,
+        6.091613807756538, 5.990844765274858, 5.891861001104859,
+        5.794860879503398, 5.699695627277833, 5.606414835492379,
+        5.5148201398901815, 5.424861949407028, 5.336323303136982,
+        5.249005836823192, 5.162550015250111,
+    ],
+}
+
+
+def test_return_curves_are_pinned():
+    truth = TailParams(
+        rate=RateParams(family="R1", lam=0.05, delta=0.2),
+        scale=ScaleParams(family="S0", alpha=0.12, beta=0.04, phi=91.25,
+                          gamma=0.01),
+        xi=0.05,
+    )
+    model, cal, series = _simulated(truth, seed=5)
+    exi_model = fit_exi_curve(series, run_length=4)
+    grid = np.geomspace(1e-4, 1e-1, 20)
+    for year, levels in PINNED_LEVELS.items():
+        scenario = Scenario(year_std=float(standardize_year(year)))
+        curve = return_curve(grid, model, cal, exi_model, scenario)
+        npt.assert_allclose(curve.z, levels, rtol=0, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def seasonal_model():
+    truth = TailParams(
+        rate=RateParams(family="R2", lam=0.05, beta_day=0.03, phi_day=40.0,
+                        alpha_tide=0.3, beta_tide=0.2, phi_tide=120.0,
+                        delta=[0.3, -0.1, 0.2, 0.0]),
+        scale=ScaleParams(family="S2", alpha=0.12, beta=0.04, phi=91.25,
+                          gamma=0.01, delta=[0.01, 0.0, -0.02, 0.005]),
+        xi=0.05,
+    )
+    return _simulated(truth, seed=7)
+
+
+def _reference_annual_max_cdf(z, model, cal, exi_model, scenario):
+    """Per-cycle factors from the public body, tail and extremal-index
+    functions, multiplied out year by year."""
+    y = z - cal.tide
+    u = model.thresholds.for_month(cal.month)
+    below = y <= u
+    cdf = np.empty(y.shape)
+    cdf[below] = eval_body_cdf(model.body, y[below], cal.month[below],
+                               cal.tide[below])
+    above = ~below
+    record = (cal.day_of_year[above], cal.day_of_month[above],
+              cal.month[above], cal.tide[above])
+    lam = rate_at(model.params.rate, *record, year_std=scenario.year_std)
+    sigma = scale_at(model.params.scale, record[0], record[3],
+                     year_std=scenario.year_std)
+    cdf[above] = 1.0 - gpd_tail_prob(y[above], u[above], lam, sigma,
+                                     model.params.xi)
+    factor = powered_cdf(cdf, eval_exi(exi_model, y))
+    years = [np.prod(factor[cal.year_index == k]) for k in range(cal.n_years)]
+    return np.mean(years), cdf
+
+
+def test_engine_matches_the_per_cycle_reference(seasonal_model):
+    model, cal, series = seasonal_model
+    exi_model = ExiModel(v=0.45, psi=0.1, theta=0.9, theta_v=0.6,
+                         run_length=4, levels=np.array([0.2, 0.3, 0.4]),
+                         runs_theta=np.array([0.4, 0.5, 0.55]))
+    scenario = Scenario(year_std=0.5)
+    conditional = model.conditional(
+        cal.day_of_year, cal.day_of_month, cal.month, cal.tide,
+        year_std=scenario.year_std)
+    u = model.thresholds.for_month(cal.month)
+    levels = {
+        "body only": float(np.min(cal.tide + u)) - 0.05,
+        "mixed": float(np.median(cal.tide)) + 0.3,
+        "mixed, nonzero": float(np.max(cal.tide)) - 0.2,
+        "tail only": float(np.max(cal.tide + u)) + 0.05,
+        "far tail": float(np.max(cal.tide)) + 1.5,
+    }
+    for name, z in levels.items():
+        expected, cycle_cdf = _reference_annual_max_cdf(z, model, cal,
+                                                        exi_model, scenario)
+        npt.assert_allclose(conditional(z - cal.tide), cycle_cdf,
+                            rtol=1e-12, err_msg=name)
+        got = annual_max_cdf(z, model, cal, exi_model, scenario)
+        npt.assert_allclose(got, expected, rtol=1e-12, err_msg=name)
+    # the levels above cover both branches and a nonzero mixed year
+    assert 0.0 < annual_max_cdf(levels["mixed, nonzero"], model, cal,
+                                exi_model, scenario) < 1.0
+
+
+def test_nonpositive_scale_in_the_tail_is_an_error(sim_r0, surge_model):
+    _, params, _ = sim_r0
+    model, cal = surge_model
+    # sigma = 0.01 - 0.01 * tide is negative for every tide above 1 m
+    bad = SkewSurgeModel(
+        body=model.body,
+        params=TailParams(rate=params.rate,
+                          scale=ScaleParams(family="S0", alpha=0.01, beta=0.0,
+                                            phi=0.0, gamma=-0.01),
+                          xi=params.xi),
+        thresholds=model.thresholds,
+    )
+    u = model.thresholds.for_month(cal.month)
+    body_only = float(np.min(cal.tide + u)) - 0.05
+    assert annual_max_cdf(body_only, bad, cal) == annual_max_cdf(
+        body_only, model, cal)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        annual_max_cdf(float(np.max(cal.tide)) + 1.0, bad, cal)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        return_level(0.01, bad, cal)
 
 
 class TestTideSampleCalendar:
