@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
-from datetime import datetime, timezone
+import warnings
+from contextlib import closing, nullcontext
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,6 +21,7 @@ import numpy as np
 
 GAUGE_HEADER = ["site", "timestamp", "peak_tide_m", "max_sea_level_m", "skew_surge_m"]
 GMT_HEADER = ["year", "anomaly_c"]
+_LEVELS = ("peak_tide_m", "max_sea_level_m")  # the gauge CSV's float fields
 
 # Non-leap cumulative days before each month; day-of-year is always mapped
 # onto a 365-day calendar (Feb 29 collapses onto day 59).
@@ -27,18 +29,9 @@ _DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _MONTH_CUM = np.concatenate([[0], np.cumsum(_DAYS_IN_MONTH)])[:12]
 
 SEASONS = ("winter", "spring", "summer", "autumn")
-# December belongs to winter (DJF / MAM / JJA / SON).
-SEASON_OF_MONTH = {
-    12: "winter", 1: "winter", 2: "winter",
-    3: "spring", 4: "spring", 5: "spring",
-    6: "summer", 7: "summer", 8: "summer",
-    9: "autumn", 10: "autumn", 11: "autumn",
-}
-SEASON_INDEX = {name: i for i, name in enumerate(SEASONS)}
-# Season index per month, usable as a lookup table with month values 1..12.
-SEASON_INDEX_OF_MONTH = np.array(
-    [-1] + [SEASON_INDEX[SEASON_OF_MONTH[m]] for m in range(1, 13)]
-)
+# Index into SEASONS per month 1..12 (DJF / MAM / JJA / SON: December is
+# winter), usable as a lookup table with month values.
+SEASON_INDEX_OF_MONTH = np.array([-1, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0])
 
 
 def day_of_year_365(month, day):
@@ -81,17 +74,6 @@ def calendar_columns(timestamps):
 
 
 @dataclass
-class TidalCycleRecord:
-    """One tidal cycle at one site."""
-
-    site: str
-    timestamp: datetime
-    peak_tide: float
-    max_sea_level: float
-    skew_surge: float
-
-
-@dataclass
 class SiteSeries:
     """Column store of tidal cycles for one site, sorted by timestamp.
 
@@ -119,31 +101,8 @@ class SiteSeries:
 
     def subset(self, mask):
         """Row subset; attached covariates are discarded."""
-        return SiteSeries(
-            site_id=self.site_id,
-            timestamps=self.timestamps[mask],
-            peak_tide=self.peak_tide[mask],
-            max_sea_level=self.max_sea_level[mask],
-            skew_surge=self.skew_surge[mask],
-            year=self.year[mask],
-            month=self.month[mask],
-            day_of_month=self.day_of_month[mask],
-            day_of_year=self.day_of_year[mask],
-            msl_trend_rate=self.msl_trend_rate,
-            reference_year=self.reference_year,
-        )
-
-    def records(self):
-        """Yield rows as :class:`TidalCycleRecord` (timestamps as naive UTC)."""
-        stamps = self.timestamps.astype("datetime64[s]").tolist()
-        for i, ts in enumerate(stamps):
-            yield TidalCycleRecord(
-                site=self.site_id,
-                timestamp=ts,
-                peak_tide=float(self.peak_tide[i]),
-                max_sea_level=float(self.max_sea_level[i]),
-                skew_surge=float(self.skew_surge[i]),
-            )
+        return replace(self, year_std=None, gmt=None, **{  # timestamps .. day_of_year
+            f.name: getattr(self, f.name)[mask] for f in fields(self)[1:9]})
 
     def summary(self):
         """Coverage summary: record counts overall, per month and per year."""
@@ -177,12 +136,11 @@ class GmtSeries:
     def anomaly_for(self, year):
         """Anomaly for each requested year; missing years raise KeyError."""
         year = np.atleast_1d(np.asarray(year, dtype=int))
-        idx = {int(y): i for i, y in enumerate(self.years)}
-        out = np.empty(len(year), dtype=float)
-        for i, y in enumerate(year):
-            if int(y) not in idx:
-                raise KeyError(f"no GMT anomaly for year {int(y)}")
-            out[i] = self.anomalies[idx[int(y)]]
+        missing = ~np.isin(year, self.years)
+        if missing.any():
+            raise KeyError(f"no GMT anomaly for year {year[missing][0]}")
+        order = np.argsort(self.years)
+        out = self.anomalies[order[np.searchsorted(self.years, year, sorter=order)]]
         return out if out.size > 1 else float(out[0])
 
 
@@ -210,15 +168,81 @@ class MonthlyThresholds:
         return cls(values=np.asarray(d["values"]), percentile=d["percentile"])
 
 
-def _parse_timestamp(text, line_no):
-    # datetime.fromisoformat on 3.10 rejects a trailing 'Z'.
-    try:
-        dt = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise ValueError(f"line {line_no}: bad timestamp {text!r}: {exc}") from None
-    if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
-    return dt
+def _utc_stamps(text):
+    """datetime64[s] UTC stamps from ISO 8601 byte strings: naive (UTC),
+    or ending in ``Z`` or in a ``+HH:MM`` / ``-HH:MM`` offset (subtracted)."""
+    text = np.char.strip(text)
+    codes = text.view(np.uint8).reshape(len(text), -1)
+    rows, end = np.arange(len(text)), np.char.str_len(text)
+    if not (np.char.find(text, b"-") == 4).all():  # also rejects "now", "today"
+        raise ValueError("not an ISO 8601 date and time (YYYY-MM-DD...)")
+    zulu = codes[rows, end - 1] == ord("Z")
+    codes[rows[zulu], end[zulu] - 1] = 0
+    sign = codes[rows, np.maximum(end - 6, 0)]
+    offset = (~zulu & (end > 6) & ((sign == ord("+")) | (sign == ord("-")))
+              & (codes[rows, end - 3] == ord(":")))
+    at, stop = rows[offset, None], end[offset, None]
+    hh_mm = codes[at, stop + [-5, -4, -2, -1]].astype(np.int64) - ord("0")
+    if ((hh_mm < 0) | (hh_mm > 9) | (hh_mm @ [10, 1, 0, 0] > 23)[:, None]
+            | (hh_mm[:, 2:3] > 5)).any():
+        raise ValueError("a UTC offset is +HH:MM or -HH:MM, below 24:00")
+    minutes = np.where(sign[offset] == ord("-"), -1, 1) * (hh_mm @ [600, 60, 10, 1])
+    codes[at, stop - np.arange(1, 7)] = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on offsets it parses itself
+        stamps = text.astype("datetime64[s]")
+    stamps[offset] -= minutes * np.timedelta64(60, "s")
+    return stamps
+
+
+def _lines(path):
+    """The lines of a gauge CSV that are not ``#`` comments, as bytes."""
+    with open(path, "rb") as fh:
+        yield from (line for line in fh if not line.startswith(b"#"))
+
+
+def _parse_rows(path, header, first_line):
+    """The data rows as one structured array, parsed by numpy's C parser.
+
+    Byte-string fields (latin-1 keeps each byte) are sized from the first
+    row plus a margin, or from the longest line if a value fills that size.
+    """
+    first = next(csv.reader([first_line.decode("latin-1")]))
+    widths = [len(f) + 8 for f in first] + [8] * len(header)
+    for _ in range(2):
+        table = np.loadtxt(
+            _lines(path), delimiter=",", quotechar='"', comments=None,
+            skiprows=1, ndmin=1, encoding="latin-1", dtype=[
+                (name, "f8" if name in _LEVELS else f"S{width}")
+                for name, width in zip(header, widths)])
+        if all(np.char.str_len(table[name]).max() < width
+               for name, width in zip(header, widths) if name not in _LEVELS):
+            return table
+        widths = [max(map(len, _lines(path)))] * len(header)
+    return table
+
+
+def _row_error(path, n_fields):
+    """The first unreadable data row's message, with its line in the file."""
+    with open(path) as fh:
+        lines = ((no, line) for no, line in enumerate(fh, start=1)
+                 if line != "\n" and not line.startswith("#"))
+        next(lines)  # the header
+        for line_no, line in lines:
+            row = next(csv.reader([line]))
+            where = f"{path} line {line_no}"
+            if len(row) != n_fields:
+                return f"{where}: expected {n_fields} fields"
+            if not row[0].strip():
+                return f"{where}: empty site id"
+            try:
+                _utc_stamps(np.array([row[1].encode()]))
+            except (ValueError, UserWarning) as exc:
+                return f"{where}: bad timestamp {row[1]!r}: {exc}"
+            try:
+                [float(v) for v in row[2:4] + [v for v in row[4:] if v.strip()]]
+            except ValueError:
+                return f"{where}: non-numeric level"
 
 
 def load_series(path):
@@ -227,69 +251,60 @@ def load_series(path):
     The file must carry the header
     ``site,timestamp,peak_tide_m,max_sea_level_m[,skew_surge_m]``; the
     skew-surge column is optional and computed as max sea level minus peak
-    tide when absent or empty. Rows are sorted per site by timestamp;
+    tide when absent or empty. Lines starting with ``#`` and blank lines
+    are skipped. Timestamps are ISO 8601, naive (read as UTC) or ending in
+    ``Z`` or a ``±HH:MM`` offset. Rows are sorted per site by timestamp;
     duplicate timestamps within a site are an error.
 
     Returns
     -------
-    dict mapping site id to SiteSeries.
+    dict mapping site id to SiteSeries, in order of first appearance.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"gauge CSV not found: {path}")
-    per_site: dict[str, list] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if header not in (GAUGE_HEADER, GAUGE_HEADER[:4]):
-            raise ValueError(
-                f"{path}: unexpected header {header!r}; "
-                f"expected {','.join(GAUGE_HEADER)} (skew_surge_m optional)"
-            )
-        has_ss = len(header) == 5
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path} line {line_no}: expected {len(header)} fields")
-            site = row[0].strip()
-            if not site:
-                raise ValueError(f"{path} line {line_no}: empty site id")
-            ts = _parse_timestamp(row[1], line_no)
-            try:
-                tide = float(row[2])
-                msl = float(row[3])
-            except ValueError:
-                raise ValueError(f"{path} line {line_no}: non-numeric level") from None
-            if has_ss and row[4].strip():
-                ss = float(row[4])
-            else:
-                ss = msl - tide
-            per_site.setdefault(site, []).append((ts, tide, msl, ss))
-
-    out = {}
-    for site, rows in per_site.items():
-        rows.sort(key=lambda r: r[0])
-        stamps = np.array([r[0] for r in rows], dtype="datetime64[s]")
-        if len(stamps) > 1 and (np.diff(stamps.astype("int64")) <= 0).any():
-            i = int(np.argmax(np.diff(stamps.astype("int64")) <= 0))
-            raise ValueError(f"site {site}: duplicate timestamp {stamps[i + 1]}")
-        months = np.array([r[0].month for r in rows])
-        days = np.array([r[0].day for r in rows])
-        out[site] = SiteSeries(
-            site_id=site,
-            timestamps=stamps,
-            peak_tide=np.array([r[1] for r in rows], dtype=float),
-            max_sea_level=np.array([r[2] for r in rows], dtype=float),
-            skew_surge=np.array([r[3] for r in rows], dtype=float),
-            year=np.array([r[0].year for r in rows]),
-            month=months,
-            day_of_month=days,
-            day_of_year=day_of_year_365(months, days),
+    with closing(_lines(path)) as lines:
+        header_line = next(lines, None)
+        first_line = next((line for line in lines if line.strip(b"\r\n")), None)
+    if header_line is None:
+        raise ValueError(f"{path}: empty file")
+    header = [h.strip() for h in next(csv.reader([header_line.decode()]), [])]
+    if header not in (GAUGE_HEADER, GAUGE_HEADER[:4]):
+        raise ValueError(
+            f"{path}: unexpected header {header!r}; "
+            f"expected {','.join(GAUGE_HEADER)} (skew_surge_m optional)"
         )
+    if first_line is None:
+        return {}
+    try:
+        table = _parse_rows(path, header, first_line)
+        site = np.char.strip(table["site"])
+        if (np.char.str_len(site) == 0).any():
+            raise ValueError("empty site id")
+        stamps = _utc_stamps(table["timestamp"])
+        tide, msl = table["peak_tide_m"], table["max_sea_level_m"]
+        skew = msl - tide
+        if len(header) == 5:
+            given = np.char.strip(table["skew_surge_m"])
+            filled = np.char.str_len(given) > 0
+            skew[filled] = given[filled].astype(float)
+    except (ValueError, UserWarning) as exc:
+        raise ValueError(_row_error(path, len(header)) or f"{path}: {exc}") from None
+
+    names, first, code = np.unique(site, return_index=True, return_inverse=True)
+    order = np.lexsort((stamps.view(np.int64), code))
+    stamps = stamps[order]
+    bounds = np.searchsorted(code[order], np.arange(len(names) + 1))
+    columns = (stamps, tide[order], msl[order], skew[order],
+               *calendar_columns(stamps))
+    out, site_ids = {}, [name.decode() for name in names.tolist()]
+    for k in np.argsort(first):
+        site_id, rows = site_ids[k], slice(bounds[k], bounds[k + 1])
+        dup = np.flatnonzero(np.diff(stamps[rows].view(np.int64)) == 0)
+        if dup.size:
+            raise ValueError(
+                f"site {site_id}: duplicate timestamp {stamps[rows][dup[0] + 1]}")
+        out[site_id] = SiteSeries(site_id, *(column[rows] for column in columns))
     return out
 
 
@@ -301,27 +316,22 @@ def write_series_csv(target, series, comment=None):
     """
     if isinstance(series, SiteSeries):
         series = [series]
-
-    def _write(fh):
+    is_path = isinstance(target, (str, Path))
+    with open(target, "w", newline="") if is_path else nullcontext(target) as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GAUGE_HEADER)
+        csv.writer(fh, lineterminator="\n").writerow(GAUGE_HEADER)
         for s in series:
-            for rec in s.records():
-                writer.writerow([
-                    rec.site,
-                    rec.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                    f"{rec.peak_tide:.6f}",
-                    f"{rec.max_sea_level:.6f}",
-                    f"{rec.skew_surge:.6f}",
-                ])
-
-    if isinstance(target, (str, Path)):
-        with open(target, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(target)
+            row = io.StringIO()
+            csv.writer(row, lineterminator="").writerow([s.site_id, ""])
+            site = row.getvalue()  # "<site id>," as the csv module writes it
+            stamps = s.timestamps.astype("datetime64[s]")
+            for i in range(0, len(s), 4096):  # blocks bound the memory held
+                block = [np.datetime_as_string(stamps[i:i + 4096])] + [
+                    c[i:i + 4096] for c in (s.peak_tide, s.max_sea_level, s.skew_surge)]
+                fh.write("".join(
+                    f"{site}{t}Z,{a:.6f},{b:.6f},{c:.6f}\n" for t, a, b, c
+                    in zip(*(column.tolist() for column in block))))
 
 
 def load_gmt(path):
@@ -420,15 +430,8 @@ def attach_covariates(series, gmt=None, mid_year=1968, half_range=53):
     with a constant peak tide) raises ValueError.
     """
     standardizers(series.peak_tide, series.month, series.day_of_month)
-    gmt_col = None
-    if gmt is not None:
-        gmt_col = np.asarray(
-            [gmt.anomaly_for(int(y)) for y in np.unique(series.year)], dtype=float
-        )
-        lookup = dict(zip(np.unique(series.year), gmt_col))
-        gmt_col = np.array([lookup[y] for y in series.year], dtype=float)
     return replace(
         series,
         year_std=standardize_year(series.year, mid_year, half_range),
-        gmt=gmt_col,
+        gmt=None if gmt is None else np.atleast_1d(gmt.anomaly_for(series.year)),
     )

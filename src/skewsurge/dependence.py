@@ -203,15 +203,14 @@ def pairwise_reports(series_map, lags=(-1, 0, 1), p=0.05, models=None):
     dicts keyed pair/lag/margin/tau/chi/chibar/n, ordered by site pair,
     margin, then lag.
     """
+    modelled = [site for site in sorted(series_map) if models and site in models]
+    uniform = {site: pit_transform(series_map[site], models[site])
+               for site in (modelled if len(modelled) > 1 else [])}
     rows = []
     for sa, sb in itertools.combinations(sorted(series_map), 2):
         margins = [("raw", series_map[sa], series_map[sb])]
-        if models and sa in models and sb in models:
-            margins.append((
-                "uniform",
-                pit_transform(series_map[sa], models[sa]),
-                pit_transform(series_map[sb], models[sb]),
-            ))
+        if sa in uniform and sb in uniform:
+            margins.append(("uniform", uniform[sa], uniform[sb]))
         for margin, ser_a, ser_b in margins:
             for lag in lags:
                 pairs = daily_max_pairs(ser_a, ser_b, lag)

@@ -70,16 +70,14 @@ class TideSampleCalendar:
     @classmethod
     def from_series(cls, series):
         """Build a calendar from a site record, keeping complete years only."""
-        full_years = []
-        for y in np.unique(series.year):
-            months = np.unique(series.month[series.year == y])
-            if months.size == 12:
-                full_years.append(y)
-        if not full_years:
+        years, year_of = np.unique(series.year, return_inverse=True)
+        has_month = np.zeros((years.size, 13), dtype=bool)
+        has_month[year_of, series.month] = True
+        years = years[has_month[:, 1:].all(axis=1)]
+        if not years.size:
             raise ValueError(
                 f"site {series.site_id}: no year has all twelve months"
             )
-        years = np.array(full_years)
         keep = np.isin(series.year, years)
         order = np.argsort(series.timestamps[keep], kind="stable")
         year_kept = series.year[keep][order]

@@ -1,14 +1,16 @@
 """Ingest, detrending, calendar derivation and monthly thresholds."""
 
+import io
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from skewsurge.data import (
     GmtSeries,
+    SiteSeries,
     attach_covariates,
     calendar_columns,
     day_of_year_365,
@@ -89,6 +91,29 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match="line 3"):
             load_series(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("A,2000-01-02T00:00Z,not_a_number,3.2\n", "line 6: non-numeric level"),
+        ("A,2000-01-02T00:00Z,,3.1\n", "line 6: non-numeric level"),
+        ("A,2000-01-02T00:00Z,3.0\n", "line 6: expected 4 fields"),
+        ("  ,2000-01-02T00:00Z,3.0,3.1\n", "line 6: empty site id"),
+        ("A,2000-01-02X,3.0,3.1\n", "line 6: bad timestamp '2000-01-02X'"),
+        ("A,now,3.0,3.1\n", "line 6: bad timestamp 'now'"),
+        ("A,20000102T0000,3.0,3.1\n", "line 6: bad timestamp '20000102T0000'"),
+        ("A,2000-01-02T00:00+24:00,3.0,3.1\n", "line 6: bad timestamp"),
+    ])
+    def test_row_error_names_its_line_in_the_file(self, tmp_path, row,
+                                                  message):
+        path = _write(
+            tmp_path,
+            "# config_hash=abc tool_version=0.1.0\n"
+            "site,timestamp,peak_tide_m,max_sea_level_m\n"
+            "# a comment between rows\n"
+            "A,2000-01-01T00:00Z,3.0,3.1\n"
+            "\n" + row,
+        )
+        with pytest.raises(ValueError, match=message):
+            load_series(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_series(tmp_path / "nope.csv")
@@ -102,6 +127,111 @@ class TestLoadSeries:
         npt.assert_allclose(back.peak_tide, series.peak_tide, atol=5e-7)
         npt.assert_allclose(back.skew_surge, series.skew_surge, atol=5e-7)
         npt.assert_array_equal(back.month, series.month)
+
+
+def _series(site_id, stamps, tide, level):
+    stamps = np.array(stamps, dtype="datetime64[s]")
+    tide, level = np.asarray(tide, dtype=float), np.asarray(level, dtype=float)
+    return SiteSeries(site_id, stamps, tide, level, level - tide,
+                      *calendar_columns(stamps))
+
+
+class TestGaugeCsvFormat:
+    """The parse and the written text, pinned to what the row-by-row
+    reader and writer this format started with produced."""
+
+    def test_parse_is_pinned(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "# written by hand\n"
+            "site,timestamp,peak_tide_m,max_sea_level_m,skew_surge_m\n"
+            "\n"
+            "A,2000-01-01T00:00:00Z,3.0,3.5,\n"
+            "A,2000-01-01T03:00:00+01:00,3.0,3.2,0.25\n"
+            "\n"
+            "A,2000-01-01T00:00-05:30,2.0,2.75,\n"
+            '"Port, North",2000-03-01T12:00,1.5,1.25,-0.25\n'
+            "A,2000-01-02,3.0,3.0,0.0\n",
+        )
+        loaded = load_series(path)
+        assert list(loaded) == ["A", "Port, North"]
+        a = loaded["A"]
+        npt.assert_array_equal(a.timestamps, np.array(
+            ["2000-01-01T00:00", "2000-01-01T02:00", "2000-01-01T05:30",
+             "2000-01-02T00:00"], dtype="datetime64[s]"))
+        npt.assert_array_equal(a.peak_tide, [3.0, 3.0, 2.0, 3.0])
+        npt.assert_array_equal(a.max_sea_level, [3.5, 3.2, 2.75, 3.0])
+        npt.assert_array_equal(a.skew_surge, [0.5, 0.25, 0.75, 0.0])
+        npt.assert_array_equal(a.day_of_month, [1, 1, 1, 2])
+        port = loaded["Port, North"]
+        assert port.timestamps.dtype == np.dtype("datetime64[s]")
+        npt.assert_array_equal(port.skew_surge, [-0.25])
+        assert (port.year[0], port.month[0], port.day_of_year[0]) == (2000, 3, 60)
+
+    def test_four_column_parse_is_pinned(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "site,timestamp,peak_tide_m,max_sea_level_m\n"
+            "B,2001-12-31T23:30Z,4.0,4.3\n"
+            "B,2001-12-31T23:00-01:00,4.0,4.5\n",
+        )
+        b = load_series(path)["B"]
+        npt.assert_array_equal(b.timestamps, np.array(
+            ["2001-12-31T23:30", "2002-01-01T00:00"], dtype="datetime64[s]"))
+        npt.assert_array_equal(b.skew_surge, [0.2999999999999998, 0.5])
+        npt.assert_array_equal(b.year, [2001, 2002])
+        npt.assert_array_equal(b.day_of_year, [365, 1])
+
+    def test_written_text_is_pinned(self):
+        port = _series("Port, North",
+                       ["1999-12-31T23:59:59", "2000-02-29T12:25:00"],
+                       [3.25, -0.5], [3.2499999, 1.0 / 3.0])
+        new = _series("NEW", ["2017-06-01T06:00:00"], [4.0], [4.123456789])
+        buf = io.StringIO()
+        write_series_csv(buf, [port, new],
+                         comment="config_hash=abc tool_version=0.1.0")
+        assert buf.getvalue() == (
+            "# config_hash=abc tool_version=0.1.0\n"
+            "site,timestamp,peak_tide_m,max_sea_level_m,skew_surge_m\n"
+            '"Port, North",1999-12-31T23:59:59Z,3.250000,3.250000,-0.000000\n'
+            '"Port, North",2000-02-29T12:25:00Z,-0.500000,0.333333,0.833333\n'
+            "NEW,2017-06-01T06:00:00Z,4.000000,4.123457,0.123457\n"
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sites=st.lists(
+            st.tuples(
+                st.sampled_from(["A", "B2", "Port, North", 'say "hi"', "é"]),
+                st.lists(st.integers(-2_000_000_000, 2_000_000_000),
+                         min_size=1, max_size=30, unique=True),
+            ),
+            min_size=1, max_size=4, unique_by=lambda site: site[0],
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_of_shuffled_sites(self, tmp_path_factory, sites, seed):
+        rng = np.random.default_rng(seed)
+        written = []
+        for site_id, seconds in sites:
+            stamps = np.array(seconds, dtype="datetime64[s]")
+            tide = rng.uniform(-5.0, 5.0, len(seconds))
+            written.append(_series(site_id, stamps, tide,
+                                   tide + rng.normal(0.0, 1.0, len(seconds))))
+        shuffled = [s.subset(rng.permutation(len(s))) for s in written]
+        path = tmp_path_factory.mktemp("rt") / "gauges.csv"
+        write_series_csv(path, shuffled, comment="round trip")
+        back = load_series(path)
+        assert list(back) == [site_id for site_id, _ in sites]
+        for s in written:
+            got, order = back[s.site_id], np.argsort(s.timestamps)
+            npt.assert_array_equal(got.timestamps, s.timestamps[order])
+            for name in ("peak_tide", "max_sea_level", "skew_surge"):
+                npt.assert_allclose(getattr(got, name),
+                                    getattr(s, name)[order], atol=5e-7)
+            for name in ("year", "month", "day_of_month", "day_of_year"):
+                npt.assert_array_equal(getattr(got, name),
+                                       getattr(s, name)[order])
 
 
 class TestDetrend:
@@ -282,6 +412,27 @@ def test_load_gmt(tmp_path):
     npt.assert_allclose(gmt.anomaly_for(1991), 0.31)
     with pytest.raises(KeyError):
         gmt.anomaly_for(1800)
+
+
+def test_gmt_lookup_of_unsorted_years():
+    gmt = GmtSeries(years=[1991, 1989, 1990], anomalies=[0.31, 0.2, 0.25])
+    npt.assert_array_equal(gmt.anomaly_for([1990, 1991, 1989, 1990]),
+                           [0.25, 0.31, 0.2, 0.25])
+    assert gmt.anomaly_for(np.int64(1989)) == 0.2
+    with pytest.raises(KeyError, match="no GMT anomaly for year 1992"):
+        gmt.anomaly_for([1990, 1992, 1800])
+    with pytest.raises(KeyError, match="year 1990"):
+        GmtSeries(years=[], anomalies=[]).anomaly_for(1990)
+
+
+def test_attach_covariates_looks_up_each_record_year():
+    s = columns_series([1, 1, 1], [2.0, 2.5, 3.0], [0.1, 0.2, 0.3])
+    s.year[:] = [1990, 1991, 1991]
+    gmt = GmtSeries(years=[1991, 1990], anomalies=[0.5, 0.25])
+    npt.assert_array_equal(attach_covariates(s, gmt=gmt).gmt, [0.25, 0.5, 0.5])
+    s.year[:] = 1992
+    with pytest.raises(KeyError, match="no GMT anomaly for year 1992"):
+        attach_covariates(s, gmt=gmt)
 
 
 def test_load_gmt_bad_header(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
+from skewsurge import dependence
 from skewsurge.body import build_empirical
 from skewsurge.data import SiteSeries, calendar_columns
 from skewsurge.dependence import (
@@ -274,3 +275,45 @@ class TestPairwiseReports:
         # identical sites are comonotone on either margin
         for row in both:
             assert row["tau"] == 1.0 and row["chi"] == 1.0
+
+    def test_each_modelled_site_is_transformed_once(self, fitted,
+                                                    monkeypatch):
+        series, model = fitted
+        series_map = {
+            site: replace(series, site_id=site,
+                          skew_surge=np.roll(series.skew_surge, 7 * k),
+                          max_sea_level=series.peak_tide
+                          + np.roll(series.skew_surge, 7 * k))
+            for k, site in enumerate("DCBA")
+        }
+        models = {"A": model, "B": model, "C": model}
+        uniform = {site: pit_transform(series_map[site], model)
+                   for site in models}
+        expected = []
+        for sa, sb in [("A", "B"), ("A", "C"), ("A", "D"), ("B", "C"),
+                       ("B", "D"), ("C", "D")]:
+            margins = [("raw", series_map[sa], series_map[sb])]
+            if sb in models:
+                margins.append(("uniform", uniform[sa], uniform[sb]))
+            for margin, ser_a, ser_b in margins:
+                for lag in (-1, 0, 1):
+                    pairs = daily_max_pairs(ser_a, ser_b, lag)
+                    chi, chibar = chi_chibar(pairs, 0.05)
+                    expected.append({
+                        "pair": f"{sa}-{sb}", "lag": lag, "margin": margin,
+                        "tau": kendall_tau(pairs), "chi": chi,
+                        "chibar": chibar, "p": 0.05, "n": len(pairs),
+                    })
+        calls = []
+
+        def counting(site_series, site_model):
+            calls.append(site_series.site_id)
+            return pit_transform(site_series, site_model)
+
+        monkeypatch.setattr(dependence, "pit_transform", counting)
+        rows = pairwise_reports(series_map, models=models)
+        assert sorted(calls) == ["A", "B", "C"]
+        assert rows == expected
+        calls.clear()
+        pairwise_reports(series_map, models={"A": model})
+        assert calls == []
