@@ -50,7 +50,6 @@ from .returns import (
     Scenario,
     TideSampleCalendar,
     annual_max_cdf,
-    powered_cdf,
     return_curve,
     return_level,
 )
@@ -81,7 +80,7 @@ __all__ = [
     "fit_pooled", "fit_tail", "hessian_ci", "model_scores", "neg_loglik",
     "param_names",
     "ReturnCurve", "Scenario", "TideSampleCalendar", "annual_max_cdf",
-    "powered_cdf", "return_curve", "return_level",
+    "return_curve", "return_level",
     "SimSpec", "simulate_series",
     "RateParams", "ScaleParams", "SkewSurgeModel", "TailParams",
     "delta_lambda", "eval_cdf", "gpd_tail_prob", "mean_excess",

@@ -339,20 +339,19 @@ def load_gmt(path):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"GMT CSV not found: {path}")
+    with open(path, newline="") as fh:  # numbered by the file's own lines
+        rows = [(no, next(csv.reader([line]), [])) for no, line in
+                enumerate(fh, start=1) if not line.startswith("#")]
+    if not rows or [h.strip() for h in rows[0][1]] != GMT_HEADER:
+        raise ValueError(f"{path}: expected header {','.join(GMT_HEADER)}")
     years, anoms = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != GMT_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(GMT_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
+    for line_no, row in rows[1:]:
+        try:
+            if row:
                 years.append(int(row[0]))
                 anoms.append(float(row[1]))
-            except (ValueError, IndexError):
-                raise ValueError(f"{path} line {line_no}: bad GMT row") from None
+        except (ValueError, IndexError):
+            raise ValueError(f"{path} line {line_no}: bad GMT row") from None
     return GmtSeries(years=np.array(years), anomalies=np.array(anoms))
 
 

@@ -19,21 +19,25 @@ to zero.
 returning a function y -> F, so a stand-in distribution can replace a
 fitted SkewSurgeModel.
 
-Return levels invert the CDF by bisection. The target can be a step
-function (for example with a degenerate surge distribution), so after the
-iteration cap the upper end of the bracket is returned; for continuous
-cases the probability tolerance is met long before the cap.
+Return levels solve h(z) = log(1 - F(z)) - log p = 0, near linear in z
+in the tail, by Illinois (modified regula falsi; a bisection step where
+F = 1 makes h -inf) until |h| < 1e-9, i.e. |F - (1 - p)| < 1e-9 p. A curve
+solves its grid from the largest p down, each level the lower end of the
+next bracket. After the iteration cap the bracket's upper end is returned,
+for targets that are step functions (a degenerate surge distribution).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exi import exi_curve
 
-RETURN_LEVEL_TOL = 1e-6
+RETURN_LEVEL_TOL = 1e-6  # |F - (1 - p)| every level meets, with room
+RETURN_LEVEL_LOG_TOL = 1e-9
 RETURN_LEVEL_MAX_ITER = 200
 
 
@@ -98,17 +102,6 @@ class TideSampleCalendar:
         return np.bincount(self.year_index, minlength=self.n_years)
 
 
-def powered_cdf(cdf_values, theta):
-    """Elementwise cdf**theta computed in log space; zero stays zero."""
-    cdf_values = np.asarray(cdf_values, dtype=float)
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), cdf_values.shape)
-    out = np.zeros_like(cdf_values)
-    pos = cdf_values > 0.0
-    with np.errstate(divide="ignore"):
-        out[pos] = np.exp(theta[pos] * np.log(cdf_values[pos]))
-    return out
-
-
 def _annual_max(model, calendar, exi_model, scenario):
     """z -> P(annual maximum <= z), with everything that does not depend on
     z built once."""
@@ -150,40 +143,34 @@ def annual_max_cdf(z, model, calendar, exi_model=None, scenario=None):
     return _annual_max(model, calendar, exi_model, scenario)(z)
 
 
-def _invert(p, f, calendar):
-    """Solve f(z) = 1 - p by bisection on [min tide - 1, max tide + 10]."""
-    if not 1e-6 <= p <= 0.5:
-        raise ValueError(f"annual exceedance probability {p} outside [1e-6, 0.5]")
-    target = 1.0 - p
-    lo = float(calendar.tide.min()) - 1.0
-    hi = float(calendar.tide.max()) + 10.0
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo > target or f_hi < target:
-        raise ValueError(
-            f"no bracket for p={p}: cdf({lo:.3f})={f_lo:.6f}, "
-            f"cdf({hi:.3f})={f_hi:.6f}"
-        )
+def _invert(p, f, lo, hi):
+    """(z, f(z)) with f(z) = 1 - p, by Illinois on h = log(1 - f) - log p
+    from (z, f(z)) ends with f(hi) >= 1 - p; ``lo`` if f(lo) reaches 1 - p."""
+    def h(cdf_value):  # -inf where F = 1, without taking log(0)
+        return math.log1p(-cdf_value) - math.log(p) if cdf_value < 1.0 else -math.inf
+    (a, f_a), (b, f_b) = lo, hi
+    h_a, h_b, side = h(f_a), h(f_b), 0  # side: +1 after a moved, -1 after b
+    if h_a < RETURN_LEVEL_LOG_TOL:
+        return lo
     for _ in range(RETURN_LEVEL_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid - target) < RETURN_LEVEL_TOL:
-            return mid
-        if f_mid < target:
-            lo = mid
+        c = 0.5 * (a + b) if h_b == -math.inf else b - h_b * (b - a) / (h_b - h_a)
+        f_c = f(c)
+        h_c = h(f_c)
+        if abs(h_c) < RETURN_LEVEL_LOG_TOL:
+            return c, f_c
+        if h_c > 0.0:
+            h_b *= 0.5 if side > 0 else 1.0  # Illinois: halve an end kept twice
+            a, h_a, side = c, h_c, 1
         else:
-            hi = mid
-    return hi
+            h_a *= 0.5 if side < 0 else 1.0
+            b, f_b, h_b, side = c, f_c, h_c, -1
+    return b, f_b
 
 
 def return_level(p, model, calendar, exi_model=None, scenario=None):
-    """Level exceeded by the annual maximum with probability p.
-
-    Solves annual_max_cdf(z) = 1 - p by bisection on
-    [min tide - 1, max tide + 10]; raises when the target lies outside
-    that bracket.
-    """
-    return _invert(p, _annual_max(model, calendar, exi_model, scenario),
-                   calendar)
+    """Level exceeded by the annual maximum with probability p (see
+    :func:`return_curve`)."""
+    return float(return_curve([p], model, calendar, exi_model, scenario).z[0])
 
 
 @dataclass
@@ -212,13 +199,29 @@ class ReturnCurve:
 
 
 def return_curve(p_grid, model, calendar, exi_model=None, scenario=None):
-    """Return levels for each probability in the grid, monotonicity checked."""
-    p_grid = np.asarray(p_grid, dtype=float)
-    if p_grid.ndim != 1 or p_grid.size == 0:
+    """Return levels for each probability in the grid, monotonicity checked.
+
+    Solves annual_max_cdf(z) = 1 - p on [min tide - 1, max tide + 10], from
+    the largest p down; raises when a target lies outside that bracket.
+    """
+    p = np.asarray(p_grid, dtype=float)
+    if p.ndim != 1 or p.size == 0:
         raise ValueError("p grid must be a nonempty 1-D array")
+    outside = ~((p >= 1e-6) & (p <= 0.5))
+    if outside.any():
+        raise ValueError(
+            f"annual exceedance probability {p[outside][0]} outside [1e-6, 0.5]")
     f = _annual_max(model, calendar, exi_model, scenario)
-    z = np.array([_invert(p, f, calendar) for p in p_grid])
-    order = np.argsort(p_grid)
-    if np.any(np.diff(z[order]) > 1e-9):
+    lo, hi = float(calendar.tide.min()) - 1.0, float(calendar.tide.max()) + 10.0
+    lo, hi = (lo, f(lo)), (hi, f(hi))
+    if lo[1] > 1.0 - p.max() or hi[1] < 1.0 - p.min():
+        raise ValueError(
+            f"no bracket for p={p.max() if lo[1] > 1.0 - p.max() else p.min()}: "
+            f"cdf({lo[0]:.3f})={lo[1]:.6f}, cdf({hi[0]:.3f})={hi[1]:.6f}")
+    z = np.empty_like(p)
+    for i in np.argsort(-p, kind="stable"):
+        lo = _invert(p[i], f, lo, hi)
+        z[i] = lo[0]
+    if np.any(np.diff(z[np.argsort(p)]) > 1e-9):
         raise RuntimeError("return levels not nonincreasing in p")
-    return ReturnCurve(p=p_grid, z=z)
+    return ReturnCurve(p=p, z=z)

@@ -19,9 +19,8 @@ set of records (day of year, day of month, month, peak tide, trend
 covariates) and returns their conditional CDF as a function of the surge
 alone: u_j, lambda, sigma and the body cells are built once, and each
 evaluation is a GPD tail pass plus, only where some record is at or
-below its threshold, a body search. The return engine evaluates it once
-per bisection step; :func:`eval_cdf`, which the PIT uses, builds it and
-applies it once.
+below its threshold, a body search. The return-level solver evaluates it
+once per step; :func:`eval_cdf` (used by the PIT) builds and applies it once.
 """
 
 from __future__ import annotations

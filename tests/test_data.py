@@ -440,3 +440,10 @@ def test_load_gmt_bad_header(tmp_path):
     path.write_text("yr,anom\n1990,0.2\n")
     with pytest.raises(ValueError, match="header"):
         load_gmt(path)
+
+
+def test_load_gmt_reports_the_files_own_line_number(tmp_path):
+    path = tmp_path / "gmt.csv"
+    path.write_text("# comment\nyear,anomaly_c\n1990,0.1\n\n1991,x\n")
+    with pytest.raises(ValueError, match="line 5: bad GMT row"):
+        load_gmt(path)
