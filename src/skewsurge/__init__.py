@@ -40,8 +40,6 @@ from .fitting import (
     ShapePrior,
     fit_pooled,
     fit_tail,
-    hessian_ci,
-    model_scores,
     neg_loglik,
     param_names,
 )
@@ -77,8 +75,7 @@ __all__ = [
     "pairwise_reports", "pit_transform",
     "ExiModel", "eval_exi", "fit_exi_curve", "runs_estimate",
     "FitConfig", "FitResult", "PooledFitResult", "PooledSpec", "ShapePrior",
-    "fit_pooled", "fit_tail", "hessian_ci", "model_scores", "neg_loglik",
-    "param_names",
+    "fit_pooled", "fit_tail", "neg_loglik", "param_names",
     "ReturnCurve", "Scenario", "TideSampleCalendar", "annual_max_cdf",
     "return_curve", "return_level",
     "SimSpec", "simulate_series",

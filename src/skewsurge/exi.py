@@ -8,19 +8,24 @@ index is smoothed by an exponential-in-level curve
     theta(y, r) = theta - (theta - theta_v) * exp(-(y - v) / psi)
 
 fitted by least squares to the runs estimates on a quantile grid; below v
-the runs estimates are interpolated directly.
+the runs estimates are interpolated directly. For a fixed psi the curve is
+linear in theta, so the fit is by variable projection (Golub & Pereyra
+1973): theta in closed form for each psi, psi by a 1-D search on the
+profiled sum of squares.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 DEFAULT_GRID_SIZE = 30
 DEFAULT_GRID_QUANTILES = (0.95, 0.999)
 DEFAULT_V_QUANTILE = 0.99
+LOG_PSI_RANGE = (-12.0, 8.0)  # searched around log of the level span
+LOG_PSI_TOL = 1e-10
 
 
 def runs_estimate(values, level, run_length):
@@ -79,6 +84,13 @@ def fit_exi_to_estimates(levels, estimates, v, theta_v):
 
     ``levels``/``estimates`` are the grid points strictly above v with
     their runs estimates. theta is constrained to [theta_v, 1], psi > 0.
+    Variable projection: with e = exp(-(levels - v) / psi) the residuals
+    are theta * (1 - e) - (estimates - theta_v * e), so the best theta for
+    a psi is a 1-D linear least-squares solution clipped to its bounds.
+    The profiled sum of squares is minimised over log psi on an 81-point
+    grid around the level span, refined by 9-point grids between the best
+    point's neighbours. Where theta sits at theta_v the curve is flat and
+    psi is arbitrary.
     """
     levels = np.asarray(levels, dtype=float)
     estimates = np.asarray(estimates, dtype=float)
@@ -88,19 +100,25 @@ def fit_exi_to_estimates(levels, estimates, v, theta_v):
         # The lower bound already pins theta at 1; the curve is identically 1
         # and psi is unidentifiable.
         return 1.0, 1.0
+    excess = levels - v
 
-    def resid(p):
-        theta, psi = p
-        return theta - (theta - theta_v) * np.exp(-(levels - v) / psi) - estimates
+    def profile(log_psi):
+        """(sum of squares, theta) at each log psi, theta at its best."""
+        e = np.exp(-excess / np.exp(log_psi)[..., None])
+        a, b = 1.0 - e, estimates - theta_v * e
+        theta = np.clip((a * b).sum(-1) / (a * a).sum(-1), theta_v, 1.0)
+        r = theta[..., None] * a - b
+        return (r * r).sum(-1), theta
 
-    span = max(float(levels.max() - v), 1e-3)
-    x0 = np.array([0.5 * (theta_v + 1.0), 0.5 * span])
-    res = least_squares(
-        resid, x0,
-        bounds=([theta_v, 1e-9], [1.0, np.inf]),
-        xtol=1e-14, ftol=1e-14, gtol=1e-14,
-    )
-    return float(res.x[0]), float(res.x[1])
+    log_span = math.log(max(float(excess.max()), 1e-3))
+    lo, hi = log_span + LOG_PSI_RANGE[0], log_span + LOG_PSI_RANGE[1]
+    n = 81
+    while hi - lo > LOG_PSI_TOL:
+        grid = np.linspace(lo, hi, n)
+        k = int(np.argmin(profile(grid)[0]))
+        lo, hi, n = grid[max(k - 1, 0)], grid[min(k + 1, n - 1)], 9
+    log_psi = 0.5 * (lo + hi)
+    return float(profile(np.array(log_psi))[1]), math.exp(log_psi)
 
 
 def fit_exi_curve(series, v=None, run_length=4, levels=None):

@@ -35,7 +35,6 @@ from .tail import (
     TailParams,
     _term_jacobian,
     _term_values,
-    _to_linear,
     inv_logit,
     linear_predictor,
     params_to_values,
@@ -736,37 +735,6 @@ def _site_result(joint, sol, i, series, thresholds, config, labels, prior):
         run_length=config.run_length,
         message=sol.message,
     )
-
-
-def hessian_ci(fit, series, thresholds=None, shape_prior=None):
-    """Recompute standard errors and 95% CIs for a fit on its data.
-
-    Evaluates the analytic information matrix at ``fit.estimates``. Pass
-    the same ``shape_prior`` the fit used so the curvature matches the
-    objective that was optimized. Returns (std_errors, conf_intervals,
-    ok); ok is False (with None maps) when the information matrix is not
-    positive definite.
-    """
-    if thresholds is None:
-        thresholds = monthly_thresholds(series)
-    config = FitConfig(rate_family=fit.rate_family,
-                       scale_family=fit.scale_family,
-                       shape_prior=shape_prior, frozen=fit.frozen)
-    joint = _joint([(series, thresholds)], config)
-    rate_x, gpd_x = (
-        np.array([c for _, names, _ in slots
-                  for c in _to_linear(names, fit.estimates)], dtype=float)
-        for slots in (joint.rate_slots, joint.gpd_slots)
-    )
-    se, ci, ok, _ = _intervals(joint, rate_x, gpd_x)
-    return se, ci, ok
-
-
-def model_scores(fit):
-    """(AIC, BIC) from a fit: 2k - 2l and k ln(n) - 2l."""
-    aic = 2.0 * fit.n_params - 2.0 * fit.loglik
-    bic = fit.n_params * math.log(fit.n_obs) - 2.0 * fit.loglik
-    return aic, bic
 
 
 @dataclass

@@ -20,11 +20,12 @@ returning a function y -> F, so a stand-in distribution can replace a
 fitted SkewSurgeModel.
 
 Return levels solve h(z) = log(1 - F(z)) - log p = 0, near linear in z
-in the tail, by Illinois (modified regula falsi; a bisection step where
-F = 1 makes h -inf) until |h| < 1e-9, i.e. |F - (1 - p)| < 1e-9 p. A curve
-solves its grid from the largest p down, each level the lower end of the
-next bracket. After the iteration cap the bracket's upper end is returned,
-for targets that are step functions (a degenerate surge distribution).
+in the tail, by regula falsi with Anderson-Bjorck scaling of an end kept
+twice (a bisection step where F = 1 makes h -inf) until |h| < 1e-9, i.e.
+|F - (1 - p)| < 1e-9 p. A curve solves its grid from the largest p down,
+each level the lower end of the next bracket. After the iteration cap the
+bracket's upper end is returned, for targets that are step functions (a
+degenerate surge distribution).
 """
 
 from __future__ import annotations
@@ -144,8 +145,9 @@ def annual_max_cdf(z, model, calendar, exi_model=None, scenario=None):
 
 
 def _invert(p, f, lo, hi):
-    """(z, f(z)) with f(z) = 1 - p, by Illinois on h = log(1 - f) - log p
-    from (z, f(z)) ends with f(hi) >= 1 - p; ``lo`` if f(lo) reaches 1 - p."""
+    """(z, f(z)) with f(z) = 1 - p, by Anderson-Bjorck on
+    h = log(1 - f) - log p from (z, f(z)) ends with f(hi) >= 1 - p; ``lo``
+    if f(lo) reaches 1 - p."""
     def h(cdf_value):  # -inf where F = 1, without taking log(0)
         return math.log1p(-cdf_value) - math.log(p) if cdf_value < 1.0 else -math.inf
     (a, f_a), (b, f_b) = lo, hi
@@ -158,11 +160,15 @@ def _invert(p, f, lo, hi):
         h_c = h(f_c)
         if abs(h_c) < RETURN_LEVEL_LOG_TOL:
             return c, f_c
+        # Anderson-Bjorck: an end kept twice has its h scaled by
+        # m = 1 - h_c / h(end c replaces), or halved where m <= 0 or is nan.
         if h_c > 0.0:
-            h_b *= 0.5 if side > 0 else 1.0  # Illinois: halve an end kept twice
+            m = 1.0 - h_c / h_a if side > 0 else 1.0
+            h_b *= m if m > 0.0 else 0.5
             a, h_a, side = c, h_c, 1
         else:
-            h_a *= 0.5 if side < 0 else 1.0
+            m = 1.0 - h_c / h_b if side < 0 else 1.0
+            h_a *= m if m > 0.0 else 0.5
             b, f_b, h_b, side = c, f_c, h_c, -1
     return b, f_b
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import (
     GmtSeries,
@@ -76,6 +75,8 @@ def simulate_series(spec, seed):
     the generated record's own values. The series comes back with its
     covariate columns already attached.
     """
+    from scipy.special import ndtr, ndtri  # here: scipy is slow to import
+
     n = spec.n_cycles
     step = np.timedelta64(int(round(spec.cycle_minutes * 60)), "s")
     t0 = np.datetime64(spec.start, "s")
@@ -137,8 +138,8 @@ def simulate_series(spec, seed):
     else:
         excess = sigma * np.expm1(xi * w) / xi
 
-    cap = norm.cdf((u - spec.body_mean) / spec.body_sd)
-    body = spec.body_mean + spec.body_sd * norm.ppf(u_body * cap)
+    cap = ndtr((u - spec.body_mean) / spec.body_sd)
+    body = spec.body_mean + spec.body_sd * ndtri(u_body * cap)
 
     surge = np.where(exceed, u + excess, body)
     return replace(series, max_sea_level=tide + surge, skew_surge=surge), params_eff

@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.optimize import least_squares
 
 from skewsurge.exi import (
     ExiModel,
@@ -77,6 +78,33 @@ class TestCurveFit:
                          run_length=4, levels=levels,
                          runs_theta=np.ones(10))
         npt.assert_array_equal(eval_exi(model, [1.0, 1.5, 4.0]), 1.0)
+
+    @pytest.mark.parametrize("theta,theta_v,noise", [
+        (1.08, 0.6, 0.01),   # best unclipped theta above 1
+        (0.85, 0.6, 0.01),   # interior
+        (0.5, 0.6, 0.0),     # every estimate below theta_v
+    ])
+    def test_matches_bounded_least_squares(self, theta, theta_v, noise):
+        v = 1.0
+        levels = np.linspace(1.02, 2.5, 25)
+        rng = np.random.default_rng(4)
+        est = (_curve(levels, v, theta, theta_v, 0.35)
+               + noise * rng.standard_normal(levels.size))
+
+        def resid(p):
+            return _curve(levels, v, p[0], theta_v, p[1]) - est
+
+        ref = least_squares(
+            resid, [0.5 * (theta_v + 1.0), 0.75],
+            bounds=([theta_v, 1e-9], [1.0, np.inf]),
+            xtol=1e-14, ftol=1e-14, gtol=1e-14,
+        ).x
+        fit = fit_exi_to_estimates(levels, est, v, theta_v)
+        npt.assert_allclose(fit[0], ref[0], rtol=0, atol=1e-8)
+        if fit[0] > theta_v:  # at theta_v the curve is flat in psi
+            npt.assert_allclose(fit[1], ref[1], rtol=1e-6)
+        sse, sse_ref = (np.sum(resid(p) ** 2) for p in (fit, ref))
+        assert sse <= sse_ref * (1.0 + 1e-12)
 
     def test_too_few_levels(self):
         with pytest.raises(ValueError, match="3"):

@@ -2,7 +2,6 @@
 
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -15,8 +14,6 @@ from skewsurge.fitting import (
     ShapePrior,
     fit_pooled,
     fit_tail,
-    hessian_ci,
-    model_scores,
     neg_loglik,
     param_names,
     params_to_values,
@@ -149,8 +146,6 @@ class TestFitTail:
         npt.assert_allclose(fit_r0.aic, 2 * k - 2 * ll, rtol=1e-12)
         npt.assert_allclose(fit_r0.bic, k * math.log(n) - 2 * ll,
                             rtol=1e-12)
-        aic, bic = model_scores(fit_r0)
-        assert (aic, bic) == (fit_r0.aic, fit_r0.bic)
 
     def test_ci_midpoint_is_estimate(self, fit_r0):
         for name, (lo, hi) in fit_r0.conf_intervals.items():
@@ -291,14 +286,6 @@ class TestHessianIntervals:
         se, ci, ok = wald_intervals(hess, np.zeros(2))
         assert not ok and se is None and ci is None
 
-    def test_recomputed_intervals_match_fit(self, sim_r0, fit_r0):
-        series, _, thr = sim_r0
-        se, ci, ok = hessian_ci(fit_r0, series, thresholds=thr)
-        assert ok
-        for name in fit_r0.std_errors:
-            npt.assert_allclose(se[name], fit_r0.std_errors[name],
-                                rtol=1e-3)
-
 
 ALL_COVARIATES_TRUTH = TailParams(
     rate=RateParams(family="R3", lam=0.05, beta_day=0.03, phi_day=40.0,
@@ -416,17 +403,7 @@ def test_fit_is_the_maximum_of_the_objective(sim_all_covariates, rf, sf):
     assert search.fun >= f(x) - 1e-6
 
     fd_se = np.sqrt(np.diag(np.linalg.inv(_fd_hessian(f, x, 0.02 * se))))
-    se_ci, _, ok = hessian_ci(fit, series, thresholds=thr)
-    assert ok
-    npt.assert_allclose([se_ci[n] for n in names], fd_se, rtol=1e-3)
-
-
-def test_model_scores_closed_form():
-    fit = SimpleNamespace(n_params=3, loglik=-100.0, n_obs=100)
-    aic, bic = model_scores(fit)
-    assert aic == 206.0
-    npt.assert_allclose(bic, 3 * math.log(100) + 200, rtol=1e-12)
-    npt.assert_allclose(bic, 213.816, atol=5e-4)
+    npt.assert_allclose(se, fd_se, rtol=1e-3)
 
 
 @pytest.fixture(scope="module")

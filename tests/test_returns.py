@@ -227,6 +227,16 @@ class TestSolver:
         npt.assert_array_equal(curve.z, return_curve(grid, model, cal).z)
         assert counted.evals <= 8 * grid.size, counted.evals
 
+    def test_curve_averages_at_most_five_evaluations_per_level(self,
+                                                               surge_model):
+        # Anderson-Bjorck scaling of a kept end's h: Illinois' halving
+        # spends about one more evaluation per level on this curve.
+        model, cal = surge_model
+        counted = _Counted(model)
+        grid = np.geomspace(1e-4, 1e-1, 20)
+        return_curve(grid, counted, cal)
+        assert counted.evals <= 5 * grid.size, counted.evals
+
     @pytest.mark.parametrize("below,above", [(0.999, 0.99999), (0.999, 1.0)])
     def test_step_function_returns_the_jump(self, below, above):
         # F jumps at surge 0.8, so at z = 3.8 m over a constant 3 m tide;

@@ -1,12 +1,18 @@
 """Synthetic-record generator: determinism and distributional checks."""
 
 import io
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.stats import genpareto, kstest
 
+import skewsurge
 from skewsurge.data import GmtSeries, load_series, write_series_csv
 from skewsurge.simulate import SimSpec, simulate_series
 from skewsurge.tail import RateParams, ScaleParams, TailParams
@@ -141,3 +147,24 @@ def test_invalid_spec_rejected():
 def test_scalar_threshold_coerced_to_monthly():
     spec = _spec(thresholds=0.25)
     npt.assert_array_equal(spec.thresholds.values, np.full(12, 0.25))
+
+
+def test_package_imports_without_scipy_until_simulating():
+    # scipy takes about a second to import; only simulate_series needs it.
+    code = textwrap.dedent("""
+        import sys
+        import skewsurge, skewsurge.cli
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert not loaded, loaded[:3]
+        from skewsurge.simulate import SimSpec, simulate_series
+        from skewsurge.tail import RateParams, ScaleParams, TailParams
+        params = TailParams(rate=RateParams(family="R0", lam=0.05),
+                            scale=ScaleParams(family="S0", alpha=0.1), xi=0.0)
+        series, _ = simulate_series(SimSpec(params, 0.3, 500), seed=1)
+        assert len(series) == 500 and "scipy.special" in sys.modules
+    """)
+    src = str(Path(skewsurge.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
