@@ -41,29 +41,43 @@ class PairedDailySeries:
 
 
 def _daily_max(series):
+    """Sorted unique dates of a time-ordered series and each day's maximum."""
+    if len(series) == 0:
+        raise ValueError("both series must be nonempty")
     days = series.timestamps.astype("datetime64[D]")
+    if np.any(days[1:] < days[:-1]):
+        raise ValueError(f"series {series.site_id} is not sorted by timestamp")
     change = np.flatnonzero(days[1:] != days[:-1]) + 1
     starts = np.concatenate([[0], change])
     return days[starts], np.maximum.reduceat(series.skew_surge, starts)
 
 
-def daily_max_pairs(series_a, series_b, lag=0):
-    """Daily maxima of both sites on overlapping dates, B shifted by lag days."""
-    if len(series_a) == 0 or len(series_b) == 0:
-        raise ValueError("both series must be nonempty")
-    da, va = _daily_max(series_a)
-    db, vb = _daily_max(series_b)
+def _pair_daily(daily_a, daily_b, lag, site_a, site_b):
+    """Pair two sites' daily maxima on the dates they share, B shifted by lag.
+
+    Both date arrays are sorted and unique (``_daily_max`` of a
+    time-ordered series), so one searchsorted of A's dates into B's
+    shifted dates finds every common date.
+    """
+    da, va = daily_a
+    db, vb = daily_b
     shifted = db - np.timedelta64(int(lag), "D")
-    common, ia, ib = np.intersect1d(da, shifted, return_indices=True)
-    if common.size == 0:
+    at = np.searchsorted(shifted, da)
+    ia = np.flatnonzero(shifted[np.minimum(at, shifted.size - 1)] == da)
+    if ia.size == 0:
         raise ValueError(
-            f"no overlapping dates between {series_a.site_id} and "
-            f"{series_b.site_id} at lag {lag}"
+            f"no overlapping dates between {site_a} and {site_b} at lag {lag}"
         )
     return PairedDailySeries(
-        dates=common, a=va[ia], b=vb[ib], lag=int(lag),
-        site_a=series_a.site_id, site_b=series_b.site_id,
+        dates=da[ia], a=va[ia], b=vb[at[ia]], lag=int(lag),
+        site_a=site_a, site_b=site_b,
     )
+
+
+def daily_max_pairs(series_a, series_b, lag=0):
+    """Daily maxima of both sites on overlapping dates, B shifted by lag days."""
+    return _pair_daily(_daily_max(series_a), _daily_max(series_b), lag,
+                       series_a.site_id, series_b.site_id)
 
 
 def _pair_arrays(pairs):
@@ -73,38 +87,74 @@ def _pair_arrays(pairs):
     return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
 
 
-def _count_inversions(values):
-    """Strict inversions (i < j with values[i] > values[j]), counted
-    exactly by a bottom-up merge sort on integer ranks.
+_BASE = 16  # block length whose inversions are counted by direct comparison
+_UPPER = np.triu(np.ones((_BASE, _BASE), dtype=bool), k=1)
 
-    At width w every block of w ranks is sorted. The left halves of the
-    blocks of size 2w, keyed block * n + rank, form one sorted array in
-    which block k's left half ends at (k + 1) * w, so one searchsorted
-    counts, for each right-half element, the left elements of its block
-    that are greater. One sort of the keys then merges each pair of
-    halves (equal integer keys are interchangeable, so it need not be
-    stable).
+
+def _count_inversions(ranks):
+    """Strict inversions (i < j with ranks[i] > ranks[j]) of integer ranks
+    in [0, len(ranks)), counted exactly by a bottom-up merge sort.
+
+    The ranks are padded to whole blocks of 16 with a rank above all
+    others, which adds no inversion. Inside each block the count is one
+    broadcast comparison of all pairs against a strict upper triangle;
+    each block is then sorted. At width w (blocks of w sorted, merged in
+    pairs into blocks of 2w = 2**s) one int64 sort of the keys
+    ((pos >> s) * m + rank) << 1 | side, with pos the position, m = n + 1
+    and side 1 on the right half, merges every pair of halves, equal
+    ranks putting left before right.
+    A right-half element at sorted position p, k-th among its block's
+    right elements, then has l_b + start_b + k - p greater left elements,
+    so the level's count is sum_b r_b * (l_b + start_b) + r_b (r_b - 1)/2
+    minus the sum of the right elements' sorted positions (l_b, r_b: the
+    block's left and right sizes, start_b: its first position). The next
+    level's ranks are (keys >> 1) - block * m.
     """
-    ranks = np.unique(values, return_inverse=True)[1].ravel()
+    ranks = np.asarray(ranks, dtype=np.int64)
     n = ranks.size
-    pos = np.arange(n)
-    count = 0
-    width = 1
-    while width < n:
-        block = pos // (2 * width)
-        keys = block * n + ranks
-        right = pos % (2 * width) >= width
-        not_greater = np.searchsorted(keys[~right], keys[right], side="right")
-        count += int(((block[right] + 1) * width - not_greater).sum())
-        ranks = np.sort(keys) - block * n
+    m = n + 1  # key multiplier above every rank, padding included
+    ranks = np.concatenate([ranks, np.full(-n % _BASE, n, dtype=np.int64)])
+    size = ranks.size
+    blocks = ranks.reshape(-1, _BASE)
+    count = int(np.count_nonzero(
+        (blocks[:, :, None] > blocks[:, None, :]) & _UPPER))
+    ranks = np.sort(blocks, axis=1).ravel()
+    pos = np.arange(size, dtype=np.int64)
+    width = _BASE
+    while width < size:
+        shift = width.bit_length()  # 2 * width == 1 << shift
+        block = pos >> shift
+        keys = ((block * m + ranks) << 1) | ((pos >> (shift - 1)) & 1)
+        keys.sort()
+        full, rest = divmod(size, 2 * width)
+        # full blocks: l_b = r_b = w and start_b = 2wb for b < full
+        count += full * (width * width + width * (width - 1) // 2
+                         + width * width * (full - 1))
+        if rest > width:
+            right = rest - width
+            count += right * (width + full * 2 * width) + right * (right - 1) // 2
+        count -= int(np.dot(keys & 1, pos))
+        ranks = (keys >> 1) - block * m
         width *= 2
     return count
 
 
-def _tied_pairs(sorted_values):
-    """Number of index pairs sharing a value, given a sorted array."""
-    _, counts = np.unique(sorted_values, return_counts=True)
-    return int((counts * (counts - 1) // 2).sum())
+def _runs(sorted_values):
+    """Value-changed mask of a sorted array and its number of tied pairs."""
+    changed = sorted_values[1:] != sorted_values[:-1]
+    starts = np.flatnonzero(changed) + 1
+    lengths = np.diff(starts, prepend=0, append=sorted_values.size)
+    return changed, int((lengths * (lengths - 1) // 2).sum())
+
+
+def _dense_ranks(values):
+    """Dense integer ranks (0 for the smallest value) and tied pairs."""
+    order = np.argsort(values)
+    changed, ties = _runs(values[order])
+    ranks = np.empty(values.size, dtype=np.int64)
+    ranks[order[0]] = 0
+    ranks[order[1:]] = np.cumsum(changed)
+    return ranks, ties
 
 
 def kendall_tau(pairs):
@@ -112,26 +162,28 @@ def kendall_tau(pairs):
 
     Counts concordant, discordant and tied pairs exactly (integer
     arithmetic throughout), so perfectly concordant input gives 1.0
-    exactly at any sample size. Raises when either margin is constant,
-    where the coefficient is undefined.
+    exactly at any sample size. Each margin is replaced by dense integer
+    ranks (one argsort); one int64 sort of ra * nb + rb then gives the
+    a-then-b order, the pairs tied on both margins (runs of equal keys)
+    and b's ranks in that order (key % nb), whose inversions are the
+    discordant pairs. Raises when either margin is constant, where the
+    coefficient is undefined.
     """
     a, b = _pair_arrays(pairs)
     n = len(a)
     if n < 2:
         raise ValueError("kendall_tau needs at least 2 pairs")
-    order = np.lexsort((b, a))
-    a_sorted = a[order]
-    b_by_a = b[order]
+    rank_a, ties_a = _dense_ranks(a)
+    rank_b, ties_b = _dense_ranks(b)
     total = n * (n - 1) // 2
-    ties_a = _tied_pairs(a_sorted)
-    ties_b = _tied_pairs(np.sort(b))
     if ties_a == total or ties_b == total:
         raise ValueError("kendall_tau is undefined for a constant margin")
+    nb = int(rank_b.max()) + 1
+    keys = np.sort(rank_a * nb + rank_b)
+    _, ties_both = _runs(keys)
     # within equal-a runs b is sorted, so every counted inversion is a
     # strictly discordant pair
-    discordant = _count_inversions(b_by_a)
-    pair_keys = a_sorted + 1j * b_by_a
-    ties_both = _tied_pairs(pair_keys)
+    discordant = _count_inversions(keys % nb)
     con_minus_dis = total - ties_a - ties_b + ties_both - 2 * discordant
     denom_sq = (total - ties_a) * (total - ties_b)
     root = math.isqrt(denom_sq)
@@ -203,17 +255,23 @@ def pairwise_reports(series_map, lags=(-1, 0, 1), p=0.05, models=None):
     dicts keyed pair/lag/margin/tau/chi/chibar/n, ordered by site pair,
     margin, then lag.
     """
-    modelled = [site for site in sorted(series_map) if models and site in models]
-    uniform = {site: pit_transform(series_map[site], models[site])
+    sites = sorted(series_map)
+    modelled = [site for site in sites if models and site in models]
+    # each site's daily maxima, computed once per margin
+    uniform = {site: _daily_max(pit_transform(series_map[site], models[site]))
                for site in (modelled if len(modelled) > 1 else [])}
+    raw = {site: _daily_max(series_map[site])
+           for site in (sites if len(sites) > 1 else [])}
     rows = []
-    for sa, sb in itertools.combinations(sorted(series_map), 2):
-        margins = [("raw", series_map[sa], series_map[sb])]
+    for sa, sb in itertools.combinations(sites, 2):
+        margins = [("raw", raw[sa], raw[sb])]
         if sa in uniform and sb in uniform:
             margins.append(("uniform", uniform[sa], uniform[sb]))
-        for margin, ser_a, ser_b in margins:
+        for margin, daily_a, daily_b in margins:
             for lag in lags:
-                pairs = daily_max_pairs(ser_a, ser_b, lag)
+                pairs = _pair_daily(daily_a, daily_b, lag,
+                                    series_map[sa].site_id,
+                                    series_map[sb].site_id)
                 chi, chibar = chi_chibar(pairs, p)
                 rows.append({
                     "pair": f"{sa}-{sb}",

@@ -133,19 +133,16 @@ def fit_exi_curve(series, v=None, run_length=4, levels=None):
     values = np.asarray(getattr(series, "skew_surge", series), dtype=float)
     if v is None:
         v = float(np.quantile(values, DEFAULT_V_QUANTILE))
-    if v >= values.max():
+    top = values.max()
+    if v >= top:
         raise ValueError("v must lie below the maximum observation")
     if levels is None:
         lo, hi = np.quantile(values, DEFAULT_GRID_QUANTILES)
         levels = np.linspace(lo, hi, DEFAULT_GRID_SIZE)
     levels = np.sort(np.asarray(levels, dtype=float))
-    usable, estimates = [], []
-    for lev in levels:
-        if (values > lev).any():
-            usable.append(lev)
-            estimates.append(runs_estimate(values, lev, run_length))
-    usable = np.asarray(usable)
-    estimates = np.asarray(estimates)
+    usable = levels[levels < top]
+    estimates = np.array([runs_estimate(values, lev, run_length)
+                          for lev in usable])
     above = usable > v
     if above.sum() < 3:
         raise ValueError("fewer than 3 usable grid levels above v")

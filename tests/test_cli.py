@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ class TestFit:
         assert abs(doc["estimates"]["lam"] - 0.05) < 0.01
         assert doc["threshold_percentile"] == 0.95
         assert doc["config_hash"] == RunConfig.from_mapping(
-            yaml.safe_load(open(cfg))
+            yaml.safe_load(Path(cfg).read_text())
         ).apply_flags(argparse.Namespace(
             site=None, rate_family=None, scale_family=None, out=str(out),
             seed=None, percentile=None, run_length=None,

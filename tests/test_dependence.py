@@ -120,13 +120,47 @@ class TestKendallTau:
             kendall_tau(([1.0], [2.0]))
 
 
+@pytest.mark.parametrize("n", [2, 15, 16, 17, 31, 33, 255, 257, 600])
+def test_matches_enumeration_across_merge_widths(n):
+    # sizes on both sides of the 16-element base block and of several
+    # merge widths, with heavy ties, distinct values and a margin that
+    # is constant within runs
+    rng = np.random.default_rng(n)
+    distinct = rng.permutation(n).astype(float)
+    cases = [
+        (rng.integers(0, 6, size=n).astype(float),
+         rng.integers(0, 6, size=n).astype(float)),
+        (distinct, distinct + rng.normal(scale=n / 4, size=n)),
+        (np.repeat(rng.normal(size=n), 5)[:n],
+         rng.integers(0, 6, size=n).astype(float)),
+    ]
+    for a, b in cases:
+        if np.all(a == a[0]) or np.all(b == b[0]):
+            with pytest.raises(ValueError, match="constant"):
+                kendall_tau((a, b))
+        else:
+            assert kendall_tau((a, b)) == _tau_b(a, b)
+
+
+def _brute_inversions(v):
+    return int(np.triu(v[:, None] > v[None, :], k=1).sum())
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.lists(st.integers(0, 6), max_size=300)
        | st.lists(st.floats(-1e3, 1e3), max_size=300))
 def test_inversion_count_matches_brute_force(values):
     v = np.asarray(values, dtype=float)
-    brute = int(np.triu(v[:, None] > v[None, :], k=1).sum())
-    assert _count_inversions(v) == brute
+    ranks = np.unique(v, return_inverse=True)[1]
+    assert _count_inversions(ranks) == _brute_inversions(v)
+
+
+@pytest.mark.parametrize("n", [1000, 4097])
+def test_inversion_count_matches_brute_force_at_large_sizes(n):
+    rng = np.random.default_rng(n)
+    for v in (rng.permutation(n), rng.integers(0, 40, size=n)):
+        ranks = np.unique(v, return_inverse=True)[1]
+        assert _count_inversions(ranks) == _brute_inversions(v)
 
 
 class TestChiChibar:
@@ -199,6 +233,14 @@ class TestDailyMaxPairs:
             daily_max_pairs(a, b, lag=0)
         with pytest.raises(ValueError, match="overlap"):
             daily_max_pairs(a, a, lag=100)
+
+    def test_unsorted_series_rejected(self):
+        # daily maxima are taken over runs of equal dates, so a day split
+        # across the record would give two maxima for one date
+        a = _daily_series(np.arange(6.0), per_day=2)
+        b = a.subset(np.array([3, 4, 5, 0, 1, 2]))
+        with pytest.raises(ValueError, match="sorted"):
+            daily_max_pairs(a, b)
 
     def test_empty_series_rejected(self):
         a = _daily_series(np.ones(5))
@@ -305,15 +347,26 @@ class TestPairwiseReports:
                         "chibar": chibar, "p": 0.05, "n": len(pairs),
                     })
         calls = []
+        daily_calls = []
+        daily_max = dependence._daily_max
 
         def counting(site_series, site_model):
             calls.append(site_series.site_id)
             return pit_transform(site_series, site_model)
 
+        def counting_daily_max(site_series):
+            daily_calls.append(site_series.site_id)
+            return daily_max(site_series)
+
         monkeypatch.setattr(dependence, "pit_transform", counting)
+        monkeypatch.setattr(dependence, "_daily_max", counting_daily_max)
         rows = pairwise_reports(series_map, models=models)
         assert sorted(calls) == ["A", "B", "C"]
+        # daily maxima once per site and margin: 4 raw + 3 uniform
+        assert sorted(daily_calls) == ["A", "A", "B", "B", "C", "C", "D"]
         assert rows == expected
         calls.clear()
+        daily_calls.clear()
         pairwise_reports(series_map, models={"A": model})
         assert calls == []
+        assert sorted(daily_calls) == ["A", "B", "C", "D"]
