@@ -606,8 +606,9 @@ def main(argv=None):
             path = Path(args.config)
             if not path.exists():
                 raise FileNotFoundError(f"config file not found: {path}")
-            with open(path) as fh:
-                doc = yaml.safe_load(fh) or {}
+            with open(path) as fh:  # libyaml's loader where PyYAML has it
+                doc = yaml.load(fh, Loader=getattr(
+                    yaml, "CSafeLoader", yaml.SafeLoader)) or {}
         cfg = RunConfig.from_mapping(doc).apply_flags(args)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

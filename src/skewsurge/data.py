@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from contextlib import closing, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -65,11 +65,19 @@ def standardize_year(year, mid_year=1968, half_range=53):
 
 
 def calendar_columns(timestamps):
-    """(year, month, day_of_month, day_of_year) arrays from datetime64 stamps."""
-    ts = np.asarray(timestamps, dtype="datetime64[s]")
-    year = ts.astype("datetime64[Y]").astype(int) + 1970
-    month = ts.astype("datetime64[M]").astype(int) % 12 + 1
-    day = (ts.astype("datetime64[D]") - ts.astype("datetime64[M]")).astype(int) + 1
+    """(year, month, day_of_month, day_of_year) arrays from datetime64 stamps.
+
+    Civil-from-days in integer arithmetic (H. Hinnant's algorithm) on days
+    since 1970, counted in 400-year eras of years that start on March 1.
+    """
+    days = np.asarray(timestamps, dtype="datetime64[s]").view(np.int64) // 86400
+    era, doe = np.divmod(days + 719468, 146097)  # day of era, 0..146096
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)  # from March 1, 0..365
+    mp = (5 * doy + 2) // 153  # month from March, 0..11
+    day = doy - (153 * mp + 2) // 5 + 1
+    month = np.where(mp < 10, mp + 3, mp - 9)
+    year = 400 * era + yoe + (month <= 2)
     return year, month, day, day_of_year_365(month, day)
 
 
@@ -195,30 +203,39 @@ def _utc_stamps(text):
     return stamps
 
 
-def _lines(path):
-    """The lines of a gauge CSV that are not ``#`` comments, as bytes."""
-    with open(path, "rb") as fh:
-        yield from (line for line in fh if not line.startswith(b"#"))
+def _has_comment_line(fh):
+    """Whether a line from ``fh``'s position (a line start) on is a comment,
+    read in blocks that end at a line end. Most blocks hold no ``#``."""
+    return any("#" in block and (block.startswith("#") or "\n#" in block)
+               for block in iter(lambda: fh.read(1 << 16) + fh.readline(), ""))
 
 
-def _parse_rows(path, header, first_line):
+def _parse_rows(lines, header, first_line):
     """The data rows as one structured array, parsed by numpy's C parser.
 
-    Byte-string fields (latin-1 keeps each byte) are sized from the first
-    row plus a margin, or from the longest line if a value fills that size.
+    ``lines()`` gives the data lines. Byte-string fields (latin-1 keeps each
+    byte) are sized from the first row plus a margin, or from the longest
+    line if a value fills that size. The skew surge is parsed as a float
+    unless that fails (an empty field does), when it is read as bytes.
     """
-    first = next(csv.reader([first_line.decode("latin-1")]))
+    first = next(csv.reader([first_line]))
     widths = [len(f) + 8 for f in first] + [8] * len(header)
-    for _ in range(2):
-        table = np.loadtxt(
-            _lines(path), delimiter=",", quotechar='"', comments=None,
-            skiprows=1, ndmin=1, encoding="latin-1", dtype=[
-                (name, "f8" if name in _LEVELS else f"S{width}")
-                for name, width in zip(header, widths)])
+    floats = {*_LEVELS, "skew_surge_m"}
+    for _ in range(3):
+        try:
+            table = np.loadtxt(
+                lines(), delimiter=",", quotechar='"', comments=None, ndmin=1,
+                dtype=[(name, "f8" if name in floats else f"S{width}")
+                       for name, width in zip(header, widths)])
+        except ValueError:
+            if "skew_surge_m" not in floats or len(header) < 5:
+                raise
+            floats = set(_LEVELS)
+            continue
         if all(np.char.str_len(table[name]).max() < width
-               for name, width in zip(header, widths) if name not in _LEVELS):
+               for name, width in zip(header, widths) if name not in floats):
             return table
-        widths = [max(map(len, _lines(path)))] * len(header)
+        widths = [max(map(len, lines()))] * len(header)
     return table
 
 
@@ -263,33 +280,45 @@ def load_series(path):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"gauge CSV not found: {path}")
-    with closing(_lines(path)) as lines:
-        header_line = next(lines, None)
-        first_line = next((line for line in lines if line.strip(b"\r\n")), None)
-    if header_line is None:
-        raise ValueError(f"{path}: empty file")
-    header = [h.strip() for h in next(csv.reader([header_line.decode()]), [])]
-    if header not in (GAUGE_HEADER, GAUGE_HEADER[:4]):
-        raise ValueError(
-            f"{path}: unexpected header {header!r}; "
-            f"expected {','.join(GAUGE_HEADER)} (skew_surge_m optional)"
-        )
-    if first_line is None:
-        return {}
-    try:
-        table = _parse_rows(path, header, first_line)
-        site = np.char.strip(table["site"])
-        if (np.char.str_len(site) == 0).any():
-            raise ValueError("empty site id")
-        stamps = _utc_stamps(table["timestamp"])
-        tide, msl = table["peak_tide_m"], table["max_sea_level_m"]
-        skew = msl - tide
-        if len(header) == 5:
-            given = np.char.strip(table["skew_surge_m"])
-            filled = np.char.str_len(given) > 0
-            skew[filled] = given[filled].astype(float)
-    except (ValueError, UserWarning) as exc:
-        raise ValueError(_row_error(path, len(header)) or f"{path}: {exc}") from None
+    # latin-1 text split at "\n" only: the file's bytes and lines as they are
+    with open(path, encoding="latin-1", newline="\n") as fh:
+        lines = (line for line in iter(fh.readline, "") if not line.startswith("#"))
+        header_line, start = next(lines, None), fh.tell()
+        first_line = next((line for line in lines if line.strip("\r\n")), None)
+        if header_line is None:
+            raise ValueError(f"{path}: empty file")
+        header = [h.strip() for h in next(csv.reader(
+            [header_line.encode("latin-1").decode()]), [])]
+        if header not in (GAUGE_HEADER, GAUGE_HEADER[:4]):
+            raise ValueError(
+                f"{path}: unexpected header {header!r}; "
+                f"expected {','.join(GAUGE_HEADER)} (skew_surge_m optional)"
+            )
+        if first_line is None:
+            return {}
+        fh.seek(start)
+        commented = _has_comment_line(fh)
+
+        def data_lines():  # numpy iterates the file itself unless lines are dropped
+            fh.seek(start)
+            return (line for line in fh if not line.startswith("#")) if commented else fh
+
+        try:
+            table = _parse_rows(data_lines, header, first_line)
+            site = np.char.strip(table["site"])
+            if (np.char.str_len(site) == 0).any():
+                raise ValueError("empty site id")
+            stamps = _utc_stamps(table["timestamp"])
+            tide, msl = table["peak_tide_m"], table["max_sea_level_m"]
+            skew = msl - tide
+            if table.dtype[-1].kind == "S":  # skew surge as bytes: not all floats
+                given = np.char.strip(table["skew_surge_m"])
+                filled = np.char.str_len(given) > 0
+                skew[filled] = given[filled].astype(float)
+            elif len(header) == 5:
+                skew = table["skew_surge_m"]
+        except (ValueError, UserWarning) as exc:
+            raise ValueError(_row_error(path, len(header)) or f"{path}: {exc}") from None
 
     names, first, code = np.unique(site, return_index=True, return_inverse=True)
     order = np.lexsort((stamps.view(np.int64), code))

@@ -31,9 +31,27 @@ SIM_PARAMS = {
 }
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _loaded_alike(text):
+    """The document as ``main`` loads it (libyaml's loader where PyYAML has
+    it), checked against PyYAML's pure-Python SafeLoader: the same mapping
+    with the same scalar types, in the same key order."""
+    doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    assert repr(doc) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+    return doc
+
+
+def _hash_alike(text):
+    assert (RunConfig.from_mapping(_loaded_alike(text)).config_hash()
+            == RunConfig.from_mapping(yaml.safe_load(text)).config_hash())
+
+
 def _write_yaml(path, doc):
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh)
+    _loaded_alike(Path(path).read_text())
     return str(path)
 
 
@@ -91,6 +109,18 @@ class TestRunConfig:
                "fit": {"frozen": {"beta_day": 0.0, "phi_day": 0.0}},
                "return_levels": {"scenario": {"year": 2017}}}
         assert RunConfig.from_mapping(doc).config_hash() == "b70453db7aabefa2"
+
+    @pytest.mark.parametrize("block", range(2))
+    def test_readme_configs_load_alike(self, block):
+        text = README.read_text().split("```yaml\n")[1 + block].split("```")[0]
+        assert "out_dir" in _loaded_alike(text)
+        _hash_alike(text)
+
+    def test_written_configs_hash_alike(self, tmp_path, base_doc):
+        # _write_yaml compares the two loaders on every config it writes
+        for doc in ({}, base_doc, {**base_doc, "return_levels": {
+                "p_grid": [0.1, 0.01], "scenario": {"year": 2017}}}):
+            _hash_alike(Path(_write_yaml(tmp_path / "c.yaml", doc)).read_text())
 
     def test_hash_tracks_option_changes(self):
         a = RunConfig.from_mapping({})
@@ -342,6 +372,13 @@ class TestErrorHandling:
         assert main(["fit", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
         assert "no/such.csv" in capsys.readouterr().err
+
+    def test_yaml_syntax_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("inputs: {gauge_csv: [a.csv\n")
+        assert main(["fit", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,7 +1,10 @@
 """Ingest, detrending, calendar derivation and monthly thresholds."""
 
+import calendar
+import datetime
 import io
 import math
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
@@ -234,6 +237,100 @@ class TestGaugeCsvFormat:
                                        getattr(s, name)[order])
 
 
+GAUGE_HEADER_LINE = "site,timestamp,peak_tide_m,max_sea_level_m,skew_surge_m\n"
+ROWS = [
+    "A,2000-01-01T00:00:00Z,3.0,3.5,0.25\n",
+    '"Port, North",2000-03-01T12:00,1.5,1.25,-0.25\n',
+    "A#1,2000-01-02T00:00Z,2.0,2.75,0.5\n",
+    "A,1999-12-31T22:00-01:00,3.0,3.2,0.125\n",
+]
+
+
+def _assert_same_series(got, expected):
+    """Same sites in the same order; every field equal, with its dtype."""
+    assert list(got) == list(expected)
+    for site_id, series in expected.items():
+        for f in fields(SiteSeries):
+            a, b = getattr(got[site_id], f.name), getattr(series, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype, f.name
+                npt.assert_array_equal(a, b, err_msg=f.name)
+            else:
+                assert a == b, f.name
+
+
+class TestLoaderRoutes:
+    """A file with no comment line after the header is handed to numpy as
+    it is; one with such a line is filtered first. Both give one answer."""
+
+    def _load(self, tmp_path, text, name="gauges.csv"):
+        return load_series(_write(tmp_path, text, name))
+
+    def test_plain_rows_are_pinned(self, tmp_path):
+        loaded = self._load(tmp_path, GAUGE_HEADER_LINE + "".join(ROWS))
+        assert list(loaded) == ["A", "Port, North", "A#1"]
+        a = loaded["A"]
+        npt.assert_array_equal(a.timestamps, np.array(
+            ["1999-12-31T23:00", "2000-01-01T00:00"], dtype="datetime64[s]"))
+        npt.assert_array_equal(a.skew_surge, [0.125, 0.25])
+        assert a.skew_surge.dtype == np.float64
+        npt.assert_array_equal(loaded["A#1"].skew_surge, [0.5])
+        assert len(self._load(tmp_path, GAUGE_HEADER_LINE + ROWS[3])["A"]) == 1
+
+    def test_comment_after_header_loads_identically(self, tmp_path):
+        plain = self._load(tmp_path, GAUGE_HEADER_LINE + "".join(ROWS))
+        for text in (
+            "# lead\n" + GAUGE_HEADER_LINE + "# after\n" + "".join(ROWS),
+            GAUGE_HEADER_LINE + "".join(ROWS[:2]) + "#A,2000-01-05,1,2,3\n"
+            + "".join(ROWS[2:]),
+            GAUGE_HEADER_LINE + "".join(ROWS) + "# last line, no newline",
+        ):
+            _assert_same_series(self._load(tmp_path, text), plain)
+
+    def test_crlf_file(self, tmp_path):
+        text = GAUGE_HEADER_LINE + "".join(ROWS)
+        plain = self._load(tmp_path, text)
+        crlf = _write(tmp_path, "", "crlf.csv")
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        _assert_same_series(load_series(crlf), plain)
+        crlf.write_bytes(("# c\r\n" + text + "# d\n").replace("\n", "\r\n").encode())
+        _assert_same_series(load_series(crlf), plain)
+
+    def test_blank_lines_before_first_row(self, tmp_path):
+        plain = self._load(tmp_path, GAUGE_HEADER_LINE + "".join(ROWS))
+        for gap in ("\n", "\n\n\n", "\n# c\n\n"):
+            _assert_same_series(
+                self._load(tmp_path, GAUGE_HEADER_LINE + gap + "".join(ROWS)),
+                plain)
+
+    def test_empty_skew_field(self, tmp_path):
+        rows = [*ROWS[:3], "A,1999-12-31T22:00-01:00,3.0,3.2,\n",
+                "x" * 40 + ",2001-01-01,0.1,0.3, \n"]  # wider than row 1
+        text = GAUGE_HEADER_LINE + "".join(rows)
+        loaded = self._load(tmp_path, text)
+        npt.assert_array_equal(loaded["A"].skew_surge, [3.2 - 3.0, 0.25])
+        npt.assert_array_equal(loaded["x" * 40].skew_surge, [0.3 - 0.1])
+        assert loaded["A"].skew_surge.dtype == np.float64
+        _assert_same_series(
+            self._load(tmp_path, text.replace("\nA#1", "\n# c\nA#1")), loaded)
+
+    def test_underscored_skew_is_read_as_python_reads_it(self, tmp_path):
+        # numpy's float parser rejects "1_0"; the byte-string route keeps it
+        loaded = self._load(tmp_path, GAUGE_HEADER_LINE + "A,2000-01-01,1,2,1_0\n")
+        npt.assert_array_equal(loaded["A"].skew_surge, [10.0])
+
+    def test_hash_inside_a_site_id_is_kept(self, tmp_path):
+        for text in (GAUGE_HEADER_LINE + ROWS[2],
+                     GAUGE_HEADER_LINE + "# c\n" + ROWS[2]):
+            assert list(self._load(tmp_path, text)) == ["A#1"]
+
+    def test_plain_text_named_like_a_compressed_file(self, tmp_path):
+        text = GAUGE_HEADER_LINE + "".join(ROWS)
+        plain = self._load(tmp_path, text)
+        for name in ("gauges.csv.gz", "gauges.csv.bz2", "gauges.csv.xz"):
+            _assert_same_series(self._load(tmp_path, text, name), plain)
+
+
 class TestDetrend:
     def test_newlyn_style_adjustment(self):
         # 1.73 mm/yr over the century 1917 -> 2017 raises the record 0.173 m.
@@ -310,6 +407,26 @@ class TestCalendar:
         npt.assert_array_equal(month, [12, 2, 7])
         npt.assert_array_equal(day, [31, 29, 4])
         npt.assert_array_equal(doy, [365, 59, 185])
+
+    @pytest.mark.parametrize("seconds", [0, 1, 45_900, 86_399])
+    def test_calendar_columns_match_datetime_every_day(self, seconds):
+        # 1800-01-01 .. 2200-12-31, 1800, 1900 and 2100 not leap, 2000 leap
+        first, epoch = datetime.date(1800, 1, 1), datetime.date(1970, 1, 1)
+        dates = [first + datetime.timedelta(k) for k in range(146_462)]
+        assert dates[-1] == datetime.date(2200, 12, 31)
+        stamps = (np.array([(d - epoch).days for d in dates]) * 86_400
+                  + seconds).astype("datetime64[s]")
+        year, month, day, doy = calendar_columns(stamps)
+        for column in (year, month, day, doy):
+            assert column.dtype == np.int64
+        npt.assert_array_equal(year, [d.year for d in dates])
+        npt.assert_array_equal(month, [d.month for d in dates])
+        npt.assert_array_equal(day, [d.day for d in dates])
+        yday = np.array([d.timetuple().tm_yday for d in dates])
+        leap = np.array([calendar.isleap(d.year) for d in dates])
+        npt.assert_array_equal(doy, yday - (leap & (yday >= 60)))
+        feb29 = (month == 2) & (day == 29)
+        assert feb29.sum() == 97 and (doy[feb29] == 59).all()
 
     def test_december_is_winter(self):
         assert season_of_day(day_of_year_365(12, 15)) == 0
