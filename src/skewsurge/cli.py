@@ -102,6 +102,7 @@ from .fitting import (
     FitConfig,
     PooledSpec,
     ShapePrior,
+    fit_grid,
     fit_pooled,
     fit_tail,
 )
@@ -362,11 +363,13 @@ def _cmd_select(cfg, out):
     series_map, _ = _load_sites(cfg)
     for site, series in series_map.items():
         thresholds = monthly_thresholds(series, cfg.threshold_percentile)
+        rfs, sfs = cfg.select_rate_families, cfg.select_scale_families
+        fit_cfg = _fit_config(cfg, rate_family=rfs[0], scale_family=sfs[0])
+        fits = fit_grid(series, fit_cfg, rfs, sfs, thresholds=thresholds)
         rows = []
-        for sf in cfg.select_scale_families:
-            for rf in cfg.select_rate_families:
-                fit_cfg = _fit_config(cfg, rate_family=rf, scale_family=sf)
-                fit = fit_tail(series, fit_cfg, thresholds=thresholds)
+        for sf in sfs:
+            for rf in rfs:
+                fit = fits[rf, sf]
                 rows.append([rf, sf, fit.n_params, fit.loglik, fit.aic,
                              fit.bic, fit.converged])
                 log.info("site %s %s/%s: aic %.2f bic %.2f", site, rf, sf,

@@ -241,7 +241,7 @@ def _parse_rows(lines, header, first_line):
 
 def _row_error(path, n_fields):
     """The first unreadable data row's message, with its line in the file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = ((no, line) for no, line in enumerate(fh, start=1)
                  if line != "\n" and not line.startswith("#"))
         next(lines)  # the header
@@ -252,6 +252,10 @@ def _row_error(path, n_fields):
                 return f"{where}: expected {n_fields} fields"
             if not row[0].strip():
                 return f"{where}: empty site id"
+            try:
+                row[0].encode()  # undecodable bytes were escaped to surrogates
+            except UnicodeEncodeError:
+                return f"{where}: site id is not UTF-8"
             try:
                 _utc_stamps(np.array([row[1].encode()]))
             except (ValueError, UserWarning) as exc:
@@ -288,7 +292,7 @@ def load_series(path):
         if header_line is None:
             raise ValueError(f"{path}: empty file")
         header = [h.strip() for h in next(csv.reader(
-            [header_line.encode("latin-1").decode()]), [])]
+            [header_line.encode("latin-1").decode(errors="replace")]), [])]
         if header not in (GAUGE_HEADER, GAUGE_HEADER[:4]):
             raise ValueError(
                 f"{path}: unexpected header {header!r}; "
@@ -326,7 +330,12 @@ def load_series(path):
     bounds = np.searchsorted(code[order], np.arange(len(names) + 1))
     columns = (stamps, tide[order], msl[order], skew[order],
                *calendar_columns(stamps))
-    out, site_ids = {}, [name.decode() for name in names.tolist()]
+    try:
+        site_ids = [name.decode() for name in names.tolist()]
+    except UnicodeDecodeError:
+        raise ValueError(_row_error(path, len(header))
+                         or f"{path}: a site id is not UTF-8") from None
+    out = {}
     for k in np.argsort(first):
         site_id, rows = site_ids[k], slice(bounds[k], bounds[k + 1])
         dup = np.flatnonzero(np.diff(stamps[rows].view(np.int64)) == 0)

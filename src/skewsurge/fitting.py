@@ -7,23 +7,30 @@ shared shape). An optional Normal penalty on the shape enters as an
 additive log-density term; with it enabled the reported log-likelihood is
 the penalized objective value.
 
-The two terms share no parameters. Written as b1*sin(wd) + b2*cos(wd),
-each harmonic beta*sin(w(d - phi)) is linear in its coefficients, and so
-are the rate logit and the scale. A fit is therefore two exact solves:
-Newton/IRLS on the logistic GLM for the rate (McCullagh & Nelder 1989),
-then Newton with the analytic gradient and Hessian on the GPD regression
-for the scale coefficients and the shape (Davison & Smith 1990). The
-predictor columns come from the kernel in :mod:`skewsurge.tail`, which
-the CDF and the simulator evaluate too; a fit stacks them once per site
-into a design matrix. Frozen parameters enter as offsets. Amplitudes and phases are reported as derived
-values, with delta-method standard errors from the analytic information
-matrix.
+The two terms share no parameter, so the model is two independent
+regressions, its two *halves*: the logistic GLM of a rate family, solved
+by Newton/IRLS (McCullagh & Nelder 1989), and the GPD regression of a
+scale family for the scale coefficients and the shape, solved by Newton
+with the analytic gradient and Hessian (Davison & Smith 1990). Written as
+b1*sin(wd) + b2*cos(wd), each harmonic beta*sin(w(d - phi)) is linear in
+its coefficients, and so are the rate logit and the scale.
+
+A half is a block design over one or more sites: the predictor columns
+from the kernel in :mod:`skewsurge.tail` (which the CDF and the simulator
+evaluate too), stacked once per site, with frozen parameters as offsets.
+``_fit_half`` solves one and takes its Wald block, and a FitResult joins
+one rate half and one GPD half: their log-likelihoods and iteration
+counts add, and the information matrix is block diagonal. So
+:func:`fit_grid` solves each family of a selection grid once, and
+:func:`fit_pooled` ties parameters across sites within each half.
+Amplitudes and phases are reported as derived values, with delta-method
+standard errors from the analytic information matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +38,7 @@ from .data import SEASONS, Standardizers, monthly_thresholds, standardizers
 from .tail import (
     RATE_FAMILIES,
     SCALE_FAMILIES,
+    SEASONAL_FAMILIES,
     XI_ZERO_TOL,
     TailParams,
     _term_jacobian,
@@ -59,26 +67,25 @@ _MAX_NEWTON = 100
 _SEPARATION_LOGIT = 20.0
 
 
+def _family_names(family, base, trend):
+    """Base names, then the trend slope (one per season where seasonal)."""
+    if family in ("R0", "S0"):
+        return list(base)
+    if family in SEASONAL_FAMILIES:
+        return [*base, *(f"{trend}_{s}" for s in SEASONS)]
+    return [*base, trend]
+
+
 def rate_param_names(family):
     if family not in RATE_FAMILIES:
         raise ValueError(f"unknown rate family {family!r}")
-    names = list(RATE_BASE_NAMES)
-    if family in ("R1", "R3"):
-        names.append("delta_rate")
-    elif family in ("R2", "R4"):
-        names.extend(f"delta_rate_{s}" for s in SEASONS)
-    return names
+    return _family_names(family, RATE_BASE_NAMES, "delta_rate")
 
 
 def scale_param_names(family):
     if family not in SCALE_FAMILIES:
         raise ValueError(f"unknown scale family {family!r}")
-    names = list(SCALE_BASE_NAMES)
-    if family in ("S1", "S3"):
-        names.append("delta_sigma")
-    elif family in ("S2", "S4"):
-        names.extend(f"delta_sigma_{s}" for s in SEASONS)
-    return names
+    return _family_names(family, SCALE_BASE_NAMES, "delta_sigma")
 
 
 def param_names(rate_family, scale_family):
@@ -130,10 +137,6 @@ class FitConfig:
     frozen: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.rate_family not in RATE_FAMILIES:
-            raise ValueError(f"unknown rate family {self.rate_family!r}")
-        if self.scale_family not in SCALE_FAMILIES:
-            raise ValueError(f"unknown scale family {self.scale_family!r}")
         valid = set(param_names(self.rate_family, self.scale_family))
         bad = set(self.frozen) - valid
         if bad:
@@ -176,60 +179,51 @@ class FitResult:
     message: str
 
     def to_dict(self):
-        return {
-            "site_id": self.site_id,
-            "rate_family": self.rate_family,
-            "scale_family": self.scale_family,
-            "estimates": self.estimates,
-            "params": self.params.to_dict(),
-            "loglik": self.loglik,
-            "n_obs": self.n_obs,
-            "n_exceed": self.n_exceed,
-            "n_params": self.n_params,
-            "aic": self.aic,
-            "bic": self.bic,
-            "std_errors": self.std_errors,
-            "conf_intervals": {k: list(v) for k, v in self.conf_intervals.items()}
-            if self.conf_intervals is not None else None,
-            "converged": self.converged,
-            "hessian_ok": self.hessian_ok,
-            "n_iter": self.n_iter,
-            "max_scaled_gradient": self.max_scaled_gradient,
-            "frozen": self.frozen,
-            "run_length": self.run_length,
-            "message": self.message,
-        }
+        return {**vars(self), "params": self.params.to_dict(),
+                "conf_intervals": _listed(self.conf_intervals)}
+
+
+def _listed(intervals):
+    """Interval map with each (lo, hi) as a list, for JSON."""
+    if intervals is None:
+        return None
+    return {k: list(v) for k, v in intervals.items()}
 
 
 @dataclass
 class _Prepared:
-    """A site's exceedances and its predictor terms."""
+    """A site's exceedances and what its predictor terms are built from."""
 
+    series: object  # SiteSeries
+    std: Standardizers
+    basis: tuple  # seasonal_basis of the day of year
     n: int
     n_exceed: int
-    std: Standardizers
-    rate_terms: list
-    scale_terms: list
     bern_sign: np.ndarray  # +1 non-exceedance, -1 exceedance
     exc_idx: np.ndarray
     excess: np.ndarray
 
+    def terms(self, family):
+        """Predictor terms of a rate family or of a scale family."""
+        s = self.series
+        if family in RATE_FAMILIES:
+            return rate_terms(family, self.basis, s.day_of_year,
+                              s.day_of_month, s.month, s.peak_tide, self.std,
+                              s.year_std, s.gmt)
+        return scale_terms(family, self.basis, s.day_of_year, s.peak_tide,
+                           s.year_std, s.gmt)
 
-def _prepare(series, thresholds, rate_family, scale_family, std):
-    """A series' exceedances and predictor terms, its covariates
-    standardized by ``std``."""
+
+def _prepare(series, thresholds, std):
+    """A series' exceedances, its covariates to be standardized by ``std``."""
     u = thresholds.for_month(series.month)
     exceed = series.skew_surge > u
-    d, basis = series.day_of_year, seasonal_basis(series.day_of_year)
     return _Prepared(
+        series=series,
+        std=std,
+        basis=seasonal_basis(series.day_of_year),
         n=len(series),
         n_exceed=int(exceed.sum()),
-        std=std,
-        rate_terms=rate_terms(rate_family, basis, d, series.day_of_month,
-                              series.month, series.peak_tide, std,
-                              series.year_std, series.gmt),
-        scale_terms=scale_terms(scale_family, basis, d, series.peak_tide,
-                                series.year_std, series.gmt),
         bern_sign=np.where(exceed, -1.0, 1.0),
         exc_idx=np.flatnonzero(exceed),
         excess=(series.skew_surge - u)[exceed],
@@ -283,12 +277,12 @@ def neg_loglik(params, series, thresholds, shape_prior=None):
     """
     if not 0.0 < params.rate.lam < 1.0:
         return np.inf
-    data = _prepare(series, thresholds, params.rate.family, params.scale.family,
-                    params.rate)
+    data = _prepare(series, thresholds, params.rate)
     values = params_to_values(params)
-    return (_bernoulli_nll(data, linear_predictor(data.rate_terms, values))
-            + _gpd_nll(data, linear_predictor(data.scale_terms, values),
-                       values, shape_prior))
+    return (_bernoulli_nll(data, linear_predictor(
+                data.terms(params.rate.family), values))
+            + _gpd_nll(data, linear_predictor(
+                data.terms(params.scale.family), values), values, shape_prior))
 
 
 def wald_intervals(hessian, x):
@@ -311,6 +305,17 @@ def wald_intervals(hessian, x):
     se = np.sqrt(diag)
     ci = np.stack([x - 1.96 * se, x + 1.96 * se], axis=1)
     return se, ci, True
+
+
+def _site_data(series, thresholds):
+    """A site prepared for fitting, standardized by its own record."""
+    data = _prepare(series, thresholds, standardizers(
+        series.peak_tide, series.month, series.day_of_month))
+    if data.n_exceed < 50:
+        raise ValueError(
+            f"site {series.site_id}: {data.n_exceed} exceedances; need >= 50"
+        )
+    return data
 
 
 def _columns(terms, frozen, n):
@@ -354,114 +359,83 @@ def _layout(terms, shared, n_sites):
 
 
 @dataclass
-class _Site:
-    """One site of a block design: free columns, frozen offsets, and the
-    global index of each local rate and GPD coefficient."""
+class _Block:
+    """One site's part of a half: its free columns, the offset of its
+    frozen terms and the global index of each local coefficient."""
 
-    site_id: str
     data: _Prepared
-    X: np.ndarray  # rate columns
-    x_offset: np.ndarray
-    Z: np.ndarray  # scale columns, every cycle
-    z_offset: np.ndarray
-    rate_at: np.ndarray
-    gpd_at: np.ndarray  # scale coefficients, then the shape when free
+    X: np.ndarray  # every cycle
+    offset: np.ndarray
+    at: np.ndarray
     prior: ShapePrior | None  # the shape penalty charged on this site
 
 
 @dataclass
-class _Joint:
-    """Sites fitted together. The rate coefficients and the GPD ones (scale
-    coefficients and shape) are separate vectors: the likelihood is a sum
-    of one term in each."""
+class _Half:
+    """One of the model's two regressions over a block design of sites:
+    the logistic GLM of a rate family, or the GPD regression of a scale
+    family (scale coefficients, then the shape when free)."""
 
-    rate_family: str
-    scale_family: str
+    family: str
+    gpd: bool
     frozen: dict
-    rate_terms: list  # free terms, local order
-    gpd_terms: list
-    rate_slots: list
-    gpd_slots: list
-    sites: list
+    terms: list  # free terms, local order
+    slots: list
+    blocks: list
 
 
-def _joint(pairs, config, shared=None):
-    """Block design of (series, thresholds) pairs under one configuration.
+def _half(datas, family, config, shared=None):
+    """Block design of one family's regression over prepared sites.
 
     ``shared`` names the parameters tied across sites; None ties every
     parameter (a single-site fit). The shape prior is charged once per
     distinct shape parameter.
     """
-    rf, sf, frozen = config.rate_family, config.scale_family, config.frozen
-    built = []
-    for series, thresholds in pairs:
-        data = _prepare(series, thresholds, rf, sf, standardizers(
-            series.peak_tide, series.month, series.day_of_month))
-        if data.n_exceed < 50:
-            raise ValueError(
-                f"site {series.site_id}: {data.n_exceed} exceedances; need >= 50"
-            )
-        built.append((series.site_id, data))
-    first = built[0][1]
-    rate_free = [t[0] for t in first.rate_terms if t[0][0] not in frozen]
-    gpd_free = [t[0] for t in first.scale_terms if t[0][0] not in frozen]
-    if "xi" not in frozen:
-        gpd_free.append(("xi",))
-    rate_slots, rate_at = _layout(rate_free, shared, len(pairs))
-    gpd_slots, gpd_at = _layout(gpd_free, shared, len(pairs))
+    frozen = config.frozen
+    gpd = family in SCALE_FAMILIES
+    terms = [data.terms(family) for data in datas]
+    free = [t[0] for t in terms[0] if t[0][0] not in frozen]
+    if gpd and "xi" not in frozen:
+        free.append(("xi",))
+    slots, at = _layout(free, shared, len(datas))
     xi_per_site = shared is not None and "xi" not in frozen and "xi" not in shared
-    sites = [
-        _Site(site_id, data, *_columns(data.rate_terms, frozen, data.n),
-              *_columns(data.scale_terms, frozen, data.n), rate_at[i],
-              gpd_at[i], config.shape_prior if i == 0 or xi_per_site else None)
-        for i, (site_id, data) in enumerate(built)
+    blocks = [
+        _Block(data, *_columns(site_terms, frozen, data.n), at[i],
+               config.shape_prior if gpd and (i == 0 or xi_per_site) else None)
+        for i, (data, site_terms) in enumerate(zip(datas, terms))
     ]
-    return _Joint(rf, sf, dict(frozen), rate_free, gpd_free, rate_slots,
-                  gpd_slots, sites)
+    return _Half(family, gpd, dict(frozen), free, slots, blocks)
 
 
-def _values(terms, coefs):
-    """Parameter values of consecutive terms from their linear coefficients."""
-    values, k = {}, 0
-    for names in terms:
-        values.update(_term_values(names, coefs[k:k + len(names)]))
+def _block_values(half, local):
+    """A site's values of the half's parameters, frozen ones included,
+    from its local coefficients."""
+    values, k = dict(half.frozen), 0
+    for names in half.terms:
+        values.update(_term_values(names, local[k:k + len(names)]))
         k += len(names)
     return values
 
 
-def _site_values(joint, site, rate_x, gpd_x):
-    """Every parameter value of one site, frozen ones included."""
-    return {**joint.frozen, **_values(joint.rate_terms, rate_x[site.rate_at]),
-            **_values(joint.gpd_terms, gpd_x[site.gpd_at])}
+def _block_nll(half, b, local, prior):
+    """A site's term of the half's objective at its local coefficients."""
+    if not half.gpd:
+        return _bernoulli_nll(b.data, b.offset + b.X @ local)
+    sigma = b.offset + b.X @ local[:b.X.shape[1]]
+    return _gpd_nll(b.data, sigma, _block_values(half, local), prior)
 
 
-def _rate_objective(joint, x):
-    """The Bernoulli term summed over the sites, at rate coefficients x."""
-    return sum(_bernoulli_nll(s.data, s.x_offset + s.X @ x[s.rate_at])
-               for s in joint.sites)
+def _objective(half, x):
+    """The half's negative log-likelihood summed over the sites, its shape
+    penalty included."""
+    return sum(_block_nll(half, b, x[b.at], b.prior) for b in half.blocks)
 
 
-def _gpd_objective(joint, x):
-    """The GPD term and the shape penalty summed over the sites, at GPD
-    coefficients x (scale coefficients, then the shape when free)."""
-    total = 0.0
-    for s in joint.sites:
-        local = x[s.gpd_at]
-        sigma = s.z_offset + s.Z @ local[:s.Z.shape[1]]
-        values = {**joint.frozen, **_values(joint.gpd_terms, local)}
-        total += _gpd_nll(s.data, sigma, values, s.prior)
-    return total
-
-
-def _rate_derivs(joint, x):
-    """Gradient and Hessian of the Bernoulli term in the rate coefficients."""
-    grad = np.zeros(x.size)
-    hess = np.zeros((x.size, x.size))
-    for s in joint.sites:
-        p = inv_logit(s.x_offset + s.X @ x[s.rate_at])
-        grad[s.rate_at] += s.X.T @ (p - (s.data.bern_sign < 0))
-        hess[np.ix_(s.rate_at, s.rate_at)] += s.X.T @ (s.X * (p * (1.0 - p))[:, None])
-    return grad, hess
+def _rate_derivs(half, b, local):
+    """Gradient and Hessian of a site's Bernoulli term."""
+    p = inv_logit(b.offset + b.X @ local)
+    return (b.X.T @ (p - (b.data.bern_sign < 0)),
+            b.X.T @ (b.X * (p * (1.0 - p))[:, None]))
 
 
 def _gpd_pieces(excess, sigma, xi):
@@ -494,31 +468,36 @@ def _gpd_pieces(excess, sigma, xi):
             2 * h1 + (1 + xi) * h2)
 
 
-def _gpd_derivs(joint, x):
-    """Gradient and Hessian of the GPD term and the shape prior in the
+def _gpd_derivs(half, b, local):
+    """Gradient and Hessian of a site's GPD term and shape penalty in the
     scale coefficients and the shape."""
+    k = b.X.shape[1]
+    xi_free = "xi" not in half.frozen
+    xi = local[k] if xi_free else half.frozen["xi"]
+    Z = b.X[b.data.exc_idx]
+    sigma = b.offset[b.data.exc_idx] + Z @ local[:k]
+    d_s, d_x, d_ss, d_sx, d_xx = _gpd_pieces(b.data.excess, sigma, xi)
+    g = Z.T @ d_s
+    h = Z.T @ (Z * d_ss[:, None])
+    if xi_free:
+        cross = Z.T @ d_sx
+        g = np.append(g, d_x.sum())
+        h = np.block([[h, cross[:, None]],
+                      [cross[None, :], np.array([[d_xx.sum()]])]])
+        if b.prior is not None:
+            g[-1] += (xi - b.prior.mean) / b.prior.variance
+            h[-1, -1] += 1.0 / b.prior.variance
+    return g, h
+
+
+def _derivs(half, x):
+    """Gradient and Hessian of the half's objective in its coefficients."""
     grad = np.zeros(x.size)
     hess = np.zeros((x.size, x.size))
-    xi_free = "xi" not in joint.frozen
-    for s in joint.sites:
-        local = x[s.gpd_at]
-        k = s.Z.shape[1]
-        xi = local[k] if xi_free else joint.frozen["xi"]
-        Z = s.Z[s.data.exc_idx]
-        sigma = s.z_offset[s.data.exc_idx] + Z @ local[:k]
-        d_s, d_x, d_ss, d_sx, d_xx = _gpd_pieces(s.data.excess, sigma, xi)
-        g = Z.T @ d_s
-        h = Z.T @ (Z * d_ss[:, None])
-        if xi_free:
-            cross = Z.T @ d_sx
-            g = np.append(g, d_x.sum())
-            h = np.block([[h, cross[:, None]],
-                          [cross[None, :], np.array([[d_xx.sum()]])]])
-            if s.prior is not None:
-                g[-1] += (xi - s.prior.mean) / s.prior.variance
-                h[-1, -1] += 1.0 / s.prior.variance
-        grad[s.gpd_at] += g
-        hess[np.ix_(s.gpd_at, s.gpd_at)] += h
+    for b in half.blocks:
+        g, h = (_gpd_derivs if half.gpd else _rate_derivs)(half, b, x[b.at])
+        grad[b.at] += g
+        hess[np.ix_(b.at, b.at)] += h
     return grad, hess
 
 
@@ -560,119 +539,198 @@ def _newton(fun, derivs, x, lo, hi):
     return x, it
 
 
-def _check_separation(joint, rate_x):
-    for s in joint.sites:
-        logit = np.abs(s.x_offset + s.X @ rate_x[s.rate_at]).max()
+def _check_separation(half, x):
+    for b in half.blocks:
+        logit = np.abs(b.offset + b.X @ x[b.at]).max()
         if logit > _SEPARATION_LOGIT:
             raise ValueError(
-                f"site {s.site_id}: rate family {joint.rate_family} separates "
-                f"the exceedances (a fitted logit reaches {logit:.0f}); the "
-                "logistic likelihood has no finite maximum"
+                f"site {b.data.series.site_id}: rate family {half.family} "
+                f"separates the exceedances (a fitted logit reaches "
+                f"{logit:.0f}); the logistic likelihood has no finite maximum"
             )
 
 
-def _gpd_start(joint):
+def _gpd_start(half):
     """Exponential start: shape 0 and a constant scale at the mean excess."""
-    x = np.zeros(_size(joint.gpd_slots))
-    for start, names, labels in joint.gpd_slots:
+    x = np.zeros(_size(half.slots))
+    for start, names, labels in half.slots:
         if names == ("alpha_sigma",):
             _, _, site = labels[0].partition("@")
-            sites = [joint.sites[int(site)]] if site else joint.sites
-            x[start] = np.concatenate([s.data.excess for s in sites]).mean()
+            blocks = [half.blocks[int(site)]] if site else half.blocks
+            x[start] = np.concatenate([b.data.excess for b in blocks]).mean()
     return x
 
 
-def _edge(joint, rate_x, gpd_x, lo, hi):
-    """The feasibility edge the GPD estimate sits on, or None."""
-    if np.any((gpd_x <= lo) | (gpd_x >= hi)):
+def _edge(half, x, lo, hi):
+    """The feasibility edge a GPD estimate sits on, or None."""
+    if np.any((x <= lo) | (x >= hi)):
         return f"xi box [{_XI_BOX[0]}, {_XI_BOX[1]}]"
-    for s in joint.sites:
-        values = _site_values(joint, s, rate_x, gpd_x)
-        sigma = s.z_offset + s.Z @ gpd_x[s.gpd_at][:s.Z.shape[1]]
+    for b in half.blocks:
+        values = _block_values(half, x[b.at])
+        sigma = b.offset + b.X @ x[b.at][:b.X.shape[1]]
+        site = b.data.series.site_id
         if sigma.min() < 1e-4 * sigma.mean():
-            return f"site {s.site_id} sigma > 0"
+            return f"site {site} sigma > 0"
         if values["beta_sigma"] > (1.0 - 1e-4) * values["alpha_sigma"]:
-            return f"site {s.site_id} beta_sigma <= alpha_sigma"
+            return f"site {site} beta_sigma <= alpha_sigma"
     return None
 
 
-def _intervals(joint, rate_x, gpd_x):
-    """Wald intervals of the parameter values from the analytic information.
-
-    The information in the linear coefficients is carried to the
-    parameter values through the Jacobian of the map between them (the
-    delta method). Returns (se map, ci map, ok, max scaled gradient), the
-    maps keyed by slot label and None when ok is False.
-    """
-    labels, values, grads, blocks = [], [], [], []
-    for slots, x, derivs in ((joint.rate_slots, rate_x, _rate_derivs),
-                             (joint.gpd_slots, gpd_x, _gpd_derivs)):
-        grad, hess = derivs(joint, x)
-        jac = np.zeros((x.size, x.size))
-        for start, names, slot_labels in slots:
-            vals = _term_values(names, x[start:start + len(names)])
-            jac[start:start + len(names), start:start + len(names)] = \
-                _term_jacobian(names, vals)
-            values += [vals[n] for n in names]
-            labels += slot_labels
-        grads.append(jac.T @ grad)
-        blocks.append(jac.T @ hess @ jac)
-    n_rate = rate_x.size
-    hess = np.zeros((len(labels), len(labels)))
-    hess[:n_rate, :n_rate] = blocks[0]
-    hess[n_rate:, n_rate:] = blocks[1]
-    se, ci, ok = wald_intervals(hess, values)
-    scaled = np.abs(np.concatenate(grads)) * (se if ok else 1.0)
-    max_grad = float(scaled.max()) if scaled.size else 0.0
-    if not ok:
-        return None, None, False, max_grad
-    return ({n: float(se[i]) for i, n in enumerate(labels)},
-            {n: (float(ci[i, 0]), float(ci[i, 1])) for i, n in enumerate(labels)},
-            True, max_grad)
-
-
 @dataclass
-class _Solution:
-    values: list  # every parameter value, per site
-    std_errors: dict | None  # by slot label
-    conf_intervals: dict | None
-    hessian_ok: bool
-    max_scaled_gradient: float
-    converged: bool
-    message: str
+class _HalfFit:
+    """A solved half.
+
+    Per site, ``values`` holds the half's parameter values (frozen ones
+    included) and ``nll`` its negative log-likelihood without the shape
+    penalty, which ``penalty`` sums. In slot-label order, ``grad`` is the
+    objective's gradient in the parameter values and ``se`` and ``ci``
+    the Wald standard errors and intervals, None when the half's
+    information block is not positive definite.
+    """
+
+    values: list
+    nll: list
+    penalty: float
+    labels: list
+    grad: np.ndarray
+    se: np.ndarray | None
+    ci: np.ndarray | None
     n_iter: int
+    edge: str | None  # the GPD estimate's feasibility edge
 
 
-def _solve(joint):
-    """Fit a block design: the rate GLM first, then the GPD regression."""
-    gpd_x = _gpd_start(joint)
-    rate_x = np.zeros(_size(joint.rate_slots))
-    if not np.isfinite(_gpd_objective(joint, gpd_x)):
-        raise ValueError("the frozen scale values leave no finite starting point")
-    unbounded = np.full(rate_x.size, np.inf)
-    rate_x, n_rate = _newton(lambda x: _rate_objective(joint, x),
-                             lambda x: _rate_derivs(joint, x),
-                             rate_x, -unbounded, unbounded)
-    _check_separation(joint, rate_x)
-    lo = np.full(gpd_x.size, -np.inf)
-    hi = np.full(gpd_x.size, np.inf)
-    for start, names, _ in joint.gpd_slots:
-        if names == ("xi",):
-            lo[start], hi[start] = _XI_BOX
-    gpd_x, n_gpd = _newton(lambda x: _gpd_objective(joint, x),
-                           lambda x: _gpd_derivs(joint, x), gpd_x, lo, hi)
-    se, ci, ok, max_grad = _intervals(joint, rate_x, gpd_x)
-    edge = _edge(joint, rate_x, gpd_x, lo, hi)
-    converged = max_grad < 1e-3 and edge is None
-    if edge is not None:
-        message = f"estimate held on the {edge} edge"
+def _fit_half(half):
+    """Solve one half by damped Newton and take its Wald block.
+
+    The rate GLM starts at zero coefficients and raises when its
+    covariates separate the exceedances; the GPD regression starts from
+    the exponential and keeps its shape in a box. The information in the
+    linear coefficients is carried to the parameter values through the
+    Jacobian of the map between them (the delta method).
+    """
+    n = _size(half.slots)
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    if half.gpd:
+        x = _gpd_start(half)
+        if not np.isfinite(_objective(half, x)):
+            raise ValueError("the frozen scale values leave no finite starting point")
+        for start, names, _ in half.slots:
+            if names == ("xi",):
+                lo[start], hi[start] = _XI_BOX
+    else:
+        x = np.zeros(n)
+    x, n_iter = _newton(lambda v: _objective(half, v),
+                        lambda v: _derivs(half, v), x, lo, hi)
+    if not half.gpd:
+        _check_separation(half, x)
+    grad, hess = _derivs(half, x)
+    jac = np.zeros((n, n))
+    labels, values = [], []
+    for start, names, slot_labels in half.slots:
+        vals = _term_values(names, x[start:start + len(names)])
+        jac[start:start + len(names), start:start + len(names)] = \
+            _term_jacobian(names, vals)
+        values += [vals[name] for name in names]
+        labels += slot_labels
+    se, ci, _ = wald_intervals(jac.T @ hess @ jac, values)
+    site_values = [_block_values(half, x[b.at]) for b in half.blocks]
+    return _HalfFit(
+        values=site_values,
+        nll=[_block_nll(half, b, x[b.at], None) for b in half.blocks],
+        penalty=sum(b.prior.neg_log_density(v["xi"])
+                    for b, v in zip(half.blocks, site_values)
+                    if b.prior is not None),
+        labels=labels,
+        grad=np.abs(jac.T @ grad),
+        se=se,
+        ci=ci,
+        n_iter=n_iter,
+        edge=_edge(half, x, lo, hi) if half.gpd else None,
+    )
+
+
+def _site_result(data, rate, gpd, i, config, labels, penalty=0.0):
+    """FitResult of site i from its rate half and its GPD half.
+
+    ``labels`` maps each free parameter to its slot label. The
+    log-likelihood is the two halves' at site i, less ``penalty``. The
+    information matrix is block diagonal, so it is usable when both
+    blocks are; the gradient is then measured in se units.
+    """
+    rf, sf = config.rate_family, config.scale_family
+    values = {**rate.values[i], **gpd.values[i]}
+    loglik = -(rate.nll[i] + gpd.nll[i] + penalty)
+    ok = rate.se is not None and gpd.se is not None
+    grad = np.concatenate([rate.grad, gpd.grad])
+    if ok:
+        se = np.concatenate([rate.se, gpd.se])
+        ci = np.concatenate([rate.ci, gpd.ci])
+        at = {s: j for j, s in enumerate(rate.labels + gpd.labels)}
+        grad = grad * se
+    max_grad = float(grad.max(initial=0.0))
+    converged = max_grad < 1e-3 and gpd.edge is None
+    if gpd.edge is not None:
+        message = f"estimate held on the {gpd.edge} edge"
     elif not converged:
         message = f"max scaled gradient {max_grad:.2e} above 1e-3"
     else:
         message = "ok"
-    values = [_site_values(joint, s, rate_x, gpd_x) for s in joint.sites]
-    return _Solution(values, se, ci, ok, max_grad, converged, message,
-                     n_rate + n_gpd)
+    k = len(labels)
+    return FitResult(
+        site_id=data.series.site_id,
+        rate_family=rf,
+        scale_family=sf,
+        estimates={n: float(values[n]) for n in labels},
+        params=values_to_params(values, rf, sf, data.std),
+        loglik=loglik,
+        n_obs=data.n,
+        n_exceed=data.n_exceed,
+        n_params=k,
+        aic=2.0 * k - 2.0 * loglik,
+        bic=k * math.log(data.n) - 2.0 * loglik,
+        std_errors={n: float(se[at[s]]) for n, s in labels.items()}
+        if ok else None,
+        conf_intervals={n: (float(ci[at[s], 0]), float(ci[at[s], 1]))
+                        for n, s in labels.items()} if ok else None,
+        converged=converged,
+        hessian_ok=ok,
+        n_iter=rate.n_iter + gpd.n_iter,
+        max_scaled_gradient=max_grad,
+        frozen=dict(config.frozen),
+        run_length=config.run_length,
+        message=message,
+    )
+
+
+def fit_grid(series, config, rate_families, scale_families, thresholds=None):
+    """Fit every (rate family, scale family) pair of a grid on one site.
+
+    Returns {(rate family, scale family): FitResult}. The two halves of
+    the model share no parameter, so each listed family's half is solved
+    once and a pair's fit joins its two halves: |R| + |S| Newton solves
+    for |R| x |S| fits. ``config`` gives the shape prior, the frozen
+    values and the run length; each pair is checked with it as a
+    FitConfig of that pair.
+    """
+    if thresholds is None:
+        thresholds = monthly_thresholds(series)
+    configs = {(rf, sf): replace(config, rate_family=rf, scale_family=sf)
+               for rf in rate_families for sf in scale_families}
+    free = {pair: [n for n in param_names(*pair) if n not in config.frozen]
+            for pair in configs}
+    if not all(free.values()):
+        raise ValueError("every parameter is frozen; nothing to fit")
+    data = _site_data(series, thresholds)
+    rates = {rf: _fit_half(_half([data], rf, config))
+             for rf in dict.fromkeys(rate_families)}
+    gpds = {sf: _fit_half(_half([data], sf, config))
+            for sf in dict.fromkeys(scale_families)}
+    return {
+        (rf, sf): _site_result(data, rates[rf], gpds[sf], 0, cfg,
+                               {n: n for n in free[rf, sf]},
+                               gpds[sf].penalty)
+        for (rf, sf), cfg in configs.items()
+    }
 
 
 def fit_tail(series, config, thresholds=None):
@@ -685,56 +743,11 @@ def fit_tail(series, config, thresholds=None):
     when the rate covariates separate the exceedances, since the logistic
     likelihood then has no finite maximum. An estimate held on the shape's
     box or another feasibility edge comes back with ``converged`` False
-    and a message naming the edge.
+    and a message naming the edge. This is the one-pair case of
+    :func:`fit_grid`.
     """
-    if thresholds is None:
-        thresholds = monthly_thresholds(series)
-    rf, sf = config.rate_family, config.scale_family
-    names = [n for n in param_names(rf, sf) if n not in config.frozen]
-    if not names:
-        raise ValueError("every parameter is frozen; nothing to fit")
-    joint = _joint([(series, thresholds)], config)
-    return _site_result(joint, _solve(joint), 0, series, thresholds, config,
-                        {n: n for n in names}, config.shape_prior)
-
-
-def _site_result(joint, sol, i, series, thresholds, config, labels, prior):
-    """FitResult of site i of a solved block design.
-
-    ``labels`` maps each free parameter to its slot label; the
-    log-likelihood is ``neg_loglik`` at the returned parameters, with the
-    shape penalty ``prior``.
-    """
-    rf, sf = config.rate_family, config.scale_family
-    data = joint.sites[i].data
-    values = sol.values[i]
-    params = values_to_params(values, rf, sf, data.std)
-    loglik = -neg_loglik(params, series, thresholds, prior)
-    k = len(labels)
-    return FitResult(
-        site_id=series.site_id,
-        rate_family=rf,
-        scale_family=sf,
-        estimates={n: float(values[n]) for n in labels},
-        params=params,
-        loglik=loglik,
-        n_obs=data.n,
-        n_exceed=data.n_exceed,
-        n_params=k,
-        aic=2.0 * k - 2.0 * loglik,
-        bic=k * math.log(data.n) - 2.0 * loglik,
-        std_errors={n: sol.std_errors[s] for n, s in labels.items()}
-        if sol.hessian_ok else None,
-        conf_intervals={n: sol.conf_intervals[s] for n, s in labels.items()}
-        if sol.hessian_ok else None,
-        converged=sol.converged,
-        hessian_ok=sol.hessian_ok,
-        n_iter=sol.n_iter,
-        max_scaled_gradient=sol.max_scaled_gradient,
-        frozen=dict(config.frozen),
-        run_length=config.run_length,
-        message=sol.message,
-    )
+    pair = (config.rate_family, config.scale_family)
+    return fit_grid(series, config, [pair[0]], [pair[1]], thresholds)[pair]
 
 
 @dataclass
@@ -749,13 +762,8 @@ class PooledSpec:
     shared: list
 
     def normalized(self):
-        out = []
-        for item in self.datasets:
-            if isinstance(item, tuple):
-                out.append(item)
-            else:
-                out.append((item, None))
-        return out
+        return [item if isinstance(item, tuple) else (item, None)
+                for item in self.datasets]
 
 
 @dataclass
@@ -779,32 +787,17 @@ class PooledFitResult:
     max_scaled_gradient: float
 
     def to_dict(self):
-        return {
-            "shared_names": self.shared_names,
-            "shared_estimates": self.shared_estimates,
-            "shared_std_errors": self.shared_std_errors,
-            "shared_conf_intervals": {
-                k: list(v) for k, v in self.shared_conf_intervals.items()
-            } if self.shared_conf_intervals is not None else None,
-            "site_results": [r.to_dict() for r in self.site_results],
-            "loglik": self.loglik,
-            "n_obs": self.n_obs,
-            "n_params": self.n_params,
-            "aic": self.aic,
-            "bic": self.bic,
-            "untied_aic": self.untied_aic,
-            "untied_bic": self.untied_bic,
-            "converged": self.converged,
-            "hessian_ok": self.hessian_ok,
-            "max_scaled_gradient": self.max_scaled_gradient,
-        }
+        return {**vars(self),
+                "shared_conf_intervals": _listed(self.shared_conf_intervals),
+                "site_results": [r.to_dict() for r in self.site_results]}
 
 
 def fit_pooled(spec, config):
     """Maximize the summed per-site log-likelihood with tied parameters.
 
-    Solves one block design: a shared parameter has one coefficient whose
-    columns stack over the sites, any other one coefficient per site.
+    Solves each half as one block design: a shared parameter has one
+    coefficient whose columns stack over the sites, any other one
+    coefficient per site.
     Reports pooled AIC/BIC next to the untied alternative (the sum of
     independent per-site fits' scores). The Normal shape penalty, when
     enabled, is charged once per distinct shape parameter in the joint
@@ -823,28 +816,26 @@ def fit_pooled(spec, config):
     pairs = [(series, thr if thr is not None else monthly_thresholds(series))
              for series, thr in datasets]
     singles = [fit_tail(series, config, thresholds=thr) for series, thr in pairs]
-    joint = _joint(pairs, config, shared=set(spec.shared))
-    sol = _solve(joint)
-    shared = [n for n in names if n in spec.shared]
-
+    datas = [_site_data(series, thr) for series, thr in pairs]
+    rate = _fit_half(_half(datas, rf, config, set(spec.shared)))
+    gpd = _fit_half(_half(datas, sf, config, set(spec.shared)))
     site_results = [
-        _site_result(joint, sol, i, series, thr, config,
-                     {n: n if n in spec.shared else f"{n}@{i}" for n in names},
-                     None)
-        for i, (series, thr) in enumerate(pairs)
+        _site_result(data, rate, gpd, i, config,
+                     {n: n if n in spec.shared else f"{n}@{i}" for n in names})
+        for i, data in enumerate(datas)
     ]
-    penalty = sum(s.prior.neg_log_density(v["xi"])
-                  for s, v in zip(joint.sites, sol.values) if s.prior is not None)
-    loglik = sum(r.loglik for r in site_results) - penalty
-    n_total = sum(s.data.n for s in joint.sites)
-    k_global = _size(joint.rate_slots) + _size(joint.gpd_slots)
+    shared = [n for n in names if n in spec.shared]
+    first = site_results[0]
+    loglik = sum(r.loglik for r in site_results) - gpd.penalty
+    n_total = sum(data.n for data in datas)
+    k_global = len(rate.labels) + len(gpd.labels)
     return PooledFitResult(
         shared_names=shared,
-        shared_estimates={n: float(sol.values[0][n]) for n in shared},
-        shared_std_errors={n: sol.std_errors[n] for n in shared}
-        if sol.hessian_ok else None,
-        shared_conf_intervals={n: sol.conf_intervals[n] for n in shared}
-        if sol.hessian_ok else None,
+        shared_estimates={n: first.estimates[n] for n in shared},
+        shared_std_errors={n: first.std_errors[n] for n in shared}
+        if first.hessian_ok else None,
+        shared_conf_intervals={n: first.conf_intervals[n] for n in shared}
+        if first.hessian_ok else None,
         site_results=site_results,
         loglik=loglik,
         n_obs=n_total,
@@ -853,7 +844,7 @@ def fit_pooled(spec, config):
         bic=k_global * math.log(n_total) - 2.0 * loglik,
         untied_aic=sum(s.aic for s in singles),
         untied_bic=sum(s.bic for s in singles),
-        converged=sol.converged,
-        hessian_ok=sol.hessian_ok,
-        max_scaled_gradient=sol.max_scaled_gradient,
+        converged=first.converged,
+        hessian_ok=first.hessian_ok,
+        max_scaled_gradient=first.max_scaled_gradient,
     )

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 import yaml
 
-from skewsurge import __version__
+from skewsurge import SimSpec, __version__, simulate_series
 from skewsurge.cli import RunConfig, main
+from skewsurge.data import write_series_csv
+from skewsurge.tail import RateParams, ScaleParams, TailParams
 
 FIT_SECTION = {
     "multi_start": 1,
@@ -115,6 +117,22 @@ class TestRunConfig:
         text = README.read_text().split("```yaml\n")[1 + block].split("```")[0]
         assert "out_dir" in _loaded_alike(text)
         _hash_alike(text)
+
+    def test_readme_library_use_runs(self, tmp_path, monkeypatch):
+        # The "Library use" block as README.md has it, on a simulated
+        # gauges.csv holding the site it names.
+        block = README.read_text().split("## Library use")[1]
+        block = block.split("```python\n")[1].split("```")[0]
+        spec = SimSpec(params=TailParams(
+            rate=RateParams(family="R1", lam=0.05, delta=0.2),
+            scale=ScaleParams(family="S0", alpha=0.12, beta=0.04,
+                              phi=91.25, gamma=0.01),
+            xi=0.05), thresholds=0.3, n_cycles=8000, site_id="newlyn")
+        write_series_csv(tmp_path / "gauges.csv", simulate_series(spec, 3)[0])
+        monkeypatch.chdir(tmp_path)
+        scope = {}
+        exec(compile(block, str(README), "exec"), scope)
+        assert np.isfinite(scope["z100"])
 
     def test_written_configs_hash_alike(self, tmp_path, base_doc):
         # _write_yaml compares the two loaders on every config it writes
@@ -372,6 +390,18 @@ class TestErrorHandling:
         assert main(["fit", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
         assert "no/such.csv" in capsys.readouterr().err
+
+    def test_site_id_that_is_not_utf8(self, tmp_path, capsys):
+        gauges = tmp_path / "g.csv"
+        gauges.write_bytes(b"site,timestamp,peak_tide_m,max_sea_level_m\n"
+                           b"\xff\xfe,2000-01-01T00:00Z,3.0,3.1\n")
+        cfg = _write_yaml(tmp_path / "c.yaml",
+                          {"inputs": {"gauge_csv": str(gauges)}})
+        assert main(["ingest", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "g.csv line 2: site id is not UTF-8" in err
 
     def test_yaml_syntax_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"

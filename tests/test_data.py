@@ -117,6 +117,25 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match=message):
             load_series(path)
 
+    @pytest.mark.parametrize("text, message", [
+        (b"site,timestamp,peak_tide_m,max_sea_level_m\n"
+         b"\xff\xfe,2000-01-01T00:00Z,3.0,3.1\n",
+         "gauges.csv line 2: site id is not UTF-8"),
+        (b"site,timestamp,peak_tide_m,max_sea_level_m\n"
+         b"A,2000-01-01T00:00Z,3.0,3.1\n"
+         b"\xff\xfe,2000-01-02T00:00Z,3.0,3.1\n",
+         "gauges.csv line 3: site id is not UTF-8"),
+        (b"si\xffte,timestamp,peak_tide_m,max_sea_level_m\n"
+         b"A,2000-01-01T00:00Z,3.0,3.1\n",
+         "gauges.csv: unexpected header"),
+    ], ids=["only-row", "after-a-valid-row", "header"])
+    def test_text_that_is_not_utf8_is_a_value_error(self, tmp_path, text,
+                                                     message):
+        path = tmp_path / "gauges.csv"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=message):
+            load_series(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_series(tmp_path / "nope.csv")

@@ -8,10 +8,12 @@ import numpy.testing as npt
 import pytest
 from scipy.optimize import minimize
 
+from skewsurge import fitting
 from skewsurge.fitting import (
     FitConfig,
     PooledSpec,
     ShapePrior,
+    fit_grid,
     fit_pooled,
     fit_tail,
     neg_loglik,
@@ -23,6 +25,8 @@ from skewsurge.fitting import (
 from skewsurge.data import GmtSeries, attach_covariates
 from skewsurge.simulate import SimSpec, simulate_series
 from skewsurge.tail import (
+    RATE_FAMILIES,
+    SCALE_FAMILIES,
     RateParams,
     ScaleParams,
     TailParams,
@@ -405,6 +409,62 @@ def test_fit_is_the_maximum_of_the_objective(sim_all_covariates, rf, sf):
     fd_se = np.sqrt(np.diag(np.linalg.inv(_fd_hessian(f, x, 0.02 * se))))
     npt.assert_allclose(se, fd_se, rtol=1e-3)
 
+    prior = ShapePrior()
+    penalized = fit_tail(series, FitConfig(rate_family=rf, scale_family=sf,
+                                           shape_prior=prior), thresholds=thr)
+    npt.assert_allclose(-neg_loglik(penalized.params, series, thr, prior),
+                        penalized.loglik, rtol=0, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def sim_curved_gmt():
+    """A GMT-trend record whose anomaly is not linear in the year, so the
+    year and GMT families differ."""
+    years = np.arange(1950, 1975)
+    gmt = GmtSeries(years=years,
+                    anomalies=-0.6 + 0.003 * (years - 1950) ** 2
+                    + 0.05 * np.sin(years))
+    spec = SimSpec(params=ALL_COVARIATES_TRUTH, thresholds=0.3,
+                   n_cycles=12000, gmt=gmt)
+    series, _ = simulate_series(spec, seed=32)
+    return series, spec.thresholds
+
+
+@pytest.mark.parametrize("prior", [None, ShapePrior()], ids=["plain", "prior"])
+def test_grid_solves_each_half_once(sim_curved_gmt, monkeypatch, prior):
+    series, thr = sim_curved_gmt
+    solves = []
+    newton = fitting._newton
+    monkeypatch.setattr(fitting, "_newton",
+                        lambda *args: solves.append(1) or newton(*args))
+    grid = fit_grid(series, FitConfig(shape_prior=prior), RATE_FAMILIES,
+                    SCALE_FAMILIES, thresholds=thr)
+    assert len(solves) == len(RATE_FAMILIES) + len(SCALE_FAMILIES)
+    assert list(grid) == [(rf, sf) for rf in RATE_FAMILIES
+                          for sf in SCALE_FAMILIES]
+    for (rf, sf), fit in grid.items():
+        alone = fit_tail(series, FitConfig(rate_family=rf, scale_family=sf,
+                                           shape_prior=prior),
+                         thresholds=thr)
+        assert (fit.n_params, fit.converged, fit.hessian_ok, fit.message) \
+            == (alone.n_params, alone.converged, alone.hessian_ok,
+                alone.message), (rf, sf)
+        assert list(fit.estimates) == list(alone.estimates)
+        npt.assert_allclose([fit.estimates[n] for n in fit.estimates],
+                            [alone.estimates[n] for n in fit.estimates],
+                            rtol=1e-9, atol=1e-12)
+        npt.assert_allclose([fit.loglik, fit.aic, fit.bic],
+                            [alone.loglik, alone.aic, alone.bic], rtol=1e-9)
+
+
+def test_grid_checks_each_pair(sim_curved_gmt):
+    # delta_rate is a parameter of R1 but not of R0
+    series, thr = sim_curved_gmt
+    with pytest.raises(ValueError, match="delta_rate"):
+        fit_grid(series, FitConfig(rate_family="R1",
+                                   frozen={"delta_rate": 0.0}),
+                 ["R1", "R0"], ["S0"], thresholds=thr)
+
 
 @pytest.fixture(scope="module")
 def sim_r1_pool():
@@ -464,6 +524,34 @@ class TestPooling:
         total = sum(r.loglik for r in pooled.site_results)
         npt.assert_allclose(pooled.loglik, total, atol=1e-8)
         assert pooled.n_obs == 2 * len(series)
+
+    def test_site_logliks_are_the_likelihood_at_their_params(
+            self, sim_r1_pool):
+        # A second record of the same model, so the sites' shapes differ;
+        # each site's shape carries its own penalty.
+        series, thr = sim_r1_pool
+        other, _ = simulate_series(SimSpec(
+            params=TailParams(
+                rate=RateParams(family="R1", lam=0.05, delta=0.2),
+                scale=ScaleParams(family="S0", alpha=0.12, beta=0.04,
+                                  phi=91.25, gamma=0.01),
+                xi=0.05),
+            thresholds=thr, n_cycles=12000), seed=22)
+        prior = ShapePrior()
+        pooled = fit_pooled(
+            PooledSpec(datasets=[(series, thr), (other, thr)],
+                       shared=["delta_rate"]),
+            FitConfig(shape_prior=prior, **self.CFG),
+        )
+        assert pooled.converged and pooled.hessian_ok
+        for record, result in zip((series, other), pooled.site_results):
+            npt.assert_allclose(-neg_loglik(result.params, record, thr),
+                                result.loglik, rtol=1e-9)
+        penalty = sum(prior.neg_log_density(r.params.xi)
+                      for r in pooled.site_results)
+        npt.assert_allclose(
+            pooled.loglik,
+            sum(r.loglik for r in pooled.site_results) - penalty, rtol=1e-12)
 
     def test_shared_name_must_exist_in_family(self, sim_r1_pool):
         series, thr = sim_r1_pool

@@ -291,32 +291,37 @@ def model(sim_r0):
                           thresholds=thresholds), series
 
 
+def _cdf(m, y, d, d_j, j, x):
+    return eval_cdf(y, d, d_j, j, x, body=m.body, params=m.params,
+                    thresholds=m.thresholds)
+
+
 class TestEvalCdf:
     def test_tail_boundary(self, model):
         m, series = model
         i = 40
         u = m.thresholds.for_month(series.month[i])
-        val = m.cdf(u + 1e-12, series.day_of_year[i],
-                    series.day_of_month[i], series.month[i],
-                    series.peak_tide[i])
+        val = _cdf(m, u + 1e-12, series.day_of_year[i],
+                   series.day_of_month[i], series.month[i],
+                   series.peak_tide[i])
         lam = 0.05  # R0 truth has no covariate terms beyond standardizers
         npt.assert_allclose(val, 1.0 - lam, atol=1e-6)
 
     def test_body_branch_delegates(self, model):
         m, series = model
         y = np.linspace(-0.2, 0.29, 40)
-        got = m.cdf(y, 50.0, 19.0, 2, 3.1)
+        got = _cdf(m, y, 50.0, 19.0, 2, 3.1)
         expect = eval_body_cdf(m.body, y, 2, 3.1)
         npt.assert_array_equal(got, expect)
 
     def test_limit_at_infinity(self, model):
         m, _ = model
-        npt.assert_allclose(m.cdf(50.0, 1.0, 1.0, 1, 3.0), 1.0, atol=1e-12)
+        npt.assert_allclose(_cdf(m, 50.0, 1.0, 1.0, 1, 3.0), 1.0, atol=1e-12)
 
     def test_nondecreasing_and_bounded(self, model):
         m, _ = model
         y = np.linspace(-0.3, 2.0, 500)
-        vals = m.cdf(y, 120.0, 10.0, 5, 2.8)
+        vals = _cdf(m, y, 120.0, 10.0, 5, 2.8)
         assert (np.diff(vals) >= -1e-15).all()
         assert vals.min() >= 0.0 and vals.max() <= 1.0
 
