@@ -257,7 +257,11 @@ def _row_error(path, n_fields):
             except UnicodeEncodeError:
                 return f"{where}: site id is not UTF-8"
             try:
-                _utc_stamps(np.array([row[1].encode()]))
+                stamp = np.array([row[1].encode()])
+            except UnicodeEncodeError:
+                return f"{where}: timestamp is not UTF-8"
+            try:
+                _utc_stamps(stamp)
             except (ValueError, UserWarning) as exc:
                 return f"{where}: bad timestamp {row[1]!r}: {exc}"
             try:
@@ -346,30 +350,136 @@ def load_series(path):
     return out
 
 
+def _ascii_table(fmt, count, dtype):
+    """Entry i: the bytes of ``fmt % i`` read as one little-endian integer."""
+    return np.frombuffer("".join(fmt % i for i in range(count)).encode(), dtype)
+
+
+_TWO_DIGITS = _ascii_table("%02d", 100, "<u2")
+_FOUR_DIGITS = _ascii_table("%04d", 10_000, "<u4")
+_SIGN_WHOLE = _ascii_table("-%03d", 1000, "<u4")  # a level's sign, whole part
+_POINT_DIGITS = _ascii_table(".%03d", 1000, "<u4")  # its point, first 3 decimals
+# Which of the bytes "-ddd" of a level with whole part i are kept; the
+# sign's byte is set apart, from the value's sign bit.
+_KEEP_WHOLE = np.frombuffer(bytes(
+    b for i in range(1000) for b in (0, i >= 100, i >= 10, 1)), "<u4")
+_STAMP_RANGE = np.array(["0000-01-01", "10000-01-01"],  # the writable years
+                        dtype="datetime64[s]").view(np.int64)
+_BLOCK_ROWS = 1 << 15  # rows per write; bounds the memory held
+
+
+def _put(matrix, at, table, index):
+    """Write ``table[index]``, one integer per row of the 2-D ``matrix`` of
+    bytes, at byte ``at`` of each row."""
+    np.ndarray(len(matrix), table.dtype, buffer=matrix, offset=at,
+               strides=(matrix.shape[1],))[:] = table.take(index)
+
+
+def _level_fields(text, keep, at, values):
+    """Fill the level fields starting at column ``at`` of ``text``.
+
+    Each field is a sign, three integer digits, ``.``, six decimals and its
+    separator; ``keep`` drops the sign of a value that is not negative and
+    the leading zeros. Returns the rows whose field is left out for
+    ``format`` to write: values not finite or that round to 1e3 or more,
+    and values whose ``|v| * 1e6`` lies within 1e-6 of a half-integer,
+    where rounding that product may not round the exact binary value half
+    to even.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.abs(values) * 1e6
+        k = np.rint(scaled)
+        exact = (k < 1e9) & (np.abs(scaled - k) < 0.5 - 1e-6)
+    k = np.where(exact, k, 0).astype(np.int32)
+    whole = k // 1_000_000
+    frac = k - whole * 1_000_000
+    _put(text, at, _SIGN_WHOLE, whole)
+    _put(text, at + 4, _POINT_DIGITS, frac // 1000)
+    _put(text, at + 7, _FOUR_DIGITS, frac % 10_000)  # rewrites the third decimal
+    _put(keep, at, _KEEP_WHOLE, whole)
+    keep[:, at] = np.signbit(values)
+    rows = np.flatnonzero(~exact)
+    keep[rows, at:at + 11] = False
+    return rows
+
+
+def _csv_rows(site, stamps, levels):
+    """One block of gauge CSV rows as a UTF-8 byte array.
+
+    ``site`` is the encoded ``<site id>,`` prefix, ``stamps`` are
+    datetime64[s] in years 0000-9999 and ``levels`` the three float columns.
+    Each row is laid out at full width in one byte matrix; a boolean mask
+    then drops the unused sign and leading-zero bytes.
+    """
+    p = len(site)
+    template = site + b"0000-00-00T00:00:00Z," + b"-000.000000," * 2 + b"-000.000000\n"
+    text = np.tile(np.frombuffer(template, np.uint8), (len(stamps), 1))
+    keep = np.ones(text.shape, bool)
+    year, month, day, _ = calendar_columns(stamps)
+    second = stamps.view(np.int64) % 86400
+    _put(text, p, _FOUR_DIGITS, year)
+    for at, n in ((p + 5, month), (p + 8, day), (p + 11, second // 3600),
+                  (p + 14, second // 60 % 60), (p + 17, second % 60)):
+        _put(text, at, _TWO_DIGITS, n)
+    rows, cols, fields = [], [], []  # the fields ``format`` writes
+    for j, values in enumerate(levels):
+        at = p + 21 + 12 * j
+        r = _level_fields(text, keep, at, values)
+        rows.append(r)
+        cols.append(np.full(r.size, at))
+        fields += [format(v, ".6f") for v in values[r].tolist()]
+    body = text[keep]
+    if not fields:
+        return body
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    row_end = np.cumsum(keep.sum(axis=1))
+    pos = (row_end[rows] - keep[rows].sum(axis=1)
+           + np.cumsum(keep[rows], axis=1)[np.arange(rows.size), cols - 1])
+    return np.insert(body, np.repeat(pos, [len(f) for f in fields]),
+                     np.frombuffer("".join(fields).encode(), np.uint8))
+
+
 def write_series_csv(target, series, comment=None):
     """Write a SiteSeries (or list of them) in the gauge CSV format.
 
     ``target`` may be a path or a text file handle. ``comment`` (if given)
-    is emitted first as a ``#``-prefixed line.
+    is emitted first as a ``#``-prefixed line. Each row is the site id as
+    the csv module quotes it, the stamp as ``YYYY-MM-DDTHH:MM:SSZ``, then
+    the three levels as ``format(v, ".6f")`` writes them: the exact binary
+    value rounded half to even to six decimals, and ``nan``, ``inf`` or
+    ``-inf`` where not finite. A stamp outside years 0000-9999, which
+    :func:`load_series` cannot read, raises ValueError before anything is
+    written.
     """
     if isinstance(series, SiteSeries):
         series = [series]
+    prepared = []
+    for s in series:
+        stamps = s.timestamps.astype("datetime64[s]")
+        seconds = stamps.view(np.int64)
+        outside = (seconds < _STAMP_RANGE[0]) | (seconds >= _STAMP_RANGE[1])
+        if outside.any():
+            raise ValueError(
+                f"site {s.site_id}: timestamp {stamps[outside][0]} is outside "
+                "years 0000-9999, which a gauge CSV cannot hold")
+        row = io.StringIO()
+        csv.writer(row, lineterminator="").writerow([s.site_id, ""])
+        # "<site id>,", decoded back to the same text below
+        site = row.getvalue().encode("utf-8", "surrogatepass")
+        levels = [np.asarray(c, dtype=float)
+                  for c in (s.peak_tide, s.max_sea_level, s.skew_surge)]
+        prepared.append((site, stamps, levels))
     is_path = isinstance(target, (str, Path))
     with open(target, "w", newline="") if is_path else nullcontext(target) as fh:
         if comment:
             fh.write(f"# {comment}\n")
         csv.writer(fh, lineterminator="\n").writerow(GAUGE_HEADER)
-        for s in series:
-            row = io.StringIO()
-            csv.writer(row, lineterminator="").writerow([s.site_id, ""])
-            site = row.getvalue()  # "<site id>," as the csv module writes it
-            stamps = s.timestamps.astype("datetime64[s]")
-            for i in range(0, len(s), 4096):  # blocks bound the memory held
-                block = [np.datetime_as_string(stamps[i:i + 4096])] + [
-                    c[i:i + 4096] for c in (s.peak_tide, s.max_sea_level, s.skew_surge)]
-                fh.write("".join(
-                    f"{site}{t}Z,{a:.6f},{b:.6f},{c:.6f}\n" for t, a, b, c
-                    in zip(*(column.tolist() for column in block))))
+        for site, stamps, levels in prepared:
+            for i in range(0, len(stamps), _BLOCK_ROWS):
+                rows = slice(i, i + _BLOCK_ROWS)
+                fh.write(str(_csv_rows(site, stamps[rows],
+                                       [c[rows] for c in levels]),
+                             "utf-8", "surrogatepass"))
 
 
 def load_gmt(path):

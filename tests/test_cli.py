@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import logging
 from pathlib import Path
@@ -189,6 +190,22 @@ class TestSimulate:
         assert truth["tool_version"] == __version__
         assert len(truth["config_hash"]) == 16
         assert a.decode().startswith("# config_hash=")
+
+    def test_written_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # The digest of the file the per-row writer first wrote for this
+        # config; ``out_dir`` is relative because it is part of the hash
+        # in the file's comment line.
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_yaml(tmp_path / "sim.yaml", {
+            "simulate": {"n_cycles": 2000, "threshold": 0.3,
+                         "params": SIM_PARAMS},
+            "seed": 0,
+            "out_dir": "simout",
+        })
+        assert main(["simulate", "--config", cfg]) == 0
+        written = (tmp_path / "simout" / "sim_SIM.csv").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == (
+            "62f1bbcda8952198585c7bd2ebeff5fd5fe86ad65b2d45a636fd1690d9b66c16")
 
     def test_seed_flag_changes_output(self, tmp_path):
         doc = {"simulate": {"n_cycles": 200, "params": SIM_PARAMS}}

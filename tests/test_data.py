@@ -1,16 +1,19 @@
 """Ingest, detrending, calendar derivation and monthly thresholds."""
 
 import calendar
+import csv
 import datetime
 import io
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewsurge import data
 from skewsurge.data import (
     GmtSeries,
     SiteSeries,
@@ -128,7 +131,11 @@ class TestLoadSeries:
         (b"si\xffte,timestamp,peak_tide_m,max_sea_level_m\n"
          b"A,2000-01-01T00:00Z,3.0,3.1\n",
          "gauges.csv: unexpected header"),
-    ], ids=["only-row", "after-a-valid-row", "header"])
+        (b"site,timestamp,peak_tide_m,max_sea_level_m\n"
+         b"A,2000-01-01T00:00Z,3.0,3.1\n"
+         b"A,2000-01-0\xff,3.0,3.1\n",
+         "gauges.csv line 3: timestamp is not UTF-8$"),
+    ], ids=["only-row", "after-a-valid-row", "header", "timestamp"])
     def test_text_that_is_not_utf8_is_a_value_error(self, tmp_path, text,
                                                      message):
         path = tmp_path / "gauges.csv"
@@ -156,6 +163,47 @@ def _series(site_id, stamps, tide, level):
     tide, level = np.asarray(tide, dtype=float), np.asarray(level, dtype=float)
     return SiteSeries(site_id, stamps, tide, level, level - tide,
                       *calendar_columns(stamps))
+
+
+def _per_row_csv(series):
+    """The gauge CSV text as the per-row writer this format started with
+    wrote it: one ``np.datetime_as_string`` and three ``f"{v:.6f}"`` per
+    row."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(
+        ["site", "timestamp", "peak_tide_m", "max_sea_level_m", "skew_surge_m"])
+    for s in series:
+        row = io.StringIO()
+        csv.writer(row, lineterminator="").writerow([s.site_id, ""])
+        site = row.getvalue()
+        stamps = np.datetime_as_string(s.timestamps.astype("datetime64[s]"))
+        for t, a, b, c in zip(stamps.tolist(), s.peak_tide.tolist(),
+                              s.max_sea_level.tolist(), s.skew_surge.tolist()):
+            out.write(f"{site}{t}Z,{a:.6f},{b:.6f},{c:.6f}\n")
+    return out.getvalue()
+
+
+def _near_tie(n, step):
+    """(n + 0.5) * 1e-6, moved ``step`` floats up (or down, if negative)."""
+    v = (n + 0.5) * 1e-6
+    for _ in range(abs(step)):
+        v = np.nextafter(v, math.copysign(math.inf, step))
+    return float(v)
+
+
+STAMP_SECONDS = (  # years 0000-9999
+    int(np.datetime64("0000-01-01T00:00:00").astype(np.int64)),
+    int(np.datetime64("9999-12-31T23:59:59").astype(np.int64)))
+LEVEL = st.one_of(
+    st.builds(_near_tie, st.integers(-2_000_000_000, 2_000_000_000),
+              st.integers(-3, 3)),
+    st.sampled_from([0.0, -0.0, -4e-7, 4e-7, -5e-7, 9.9999995, -9.9999995,
+                     99.9999995, 999.9999995, -999.9999995, 999.999999,
+                     1e3, -1e3, 1e300, math.nan, math.inf, -math.inf]),
+    st.floats(-2e3, 2e3),
+    st.floats(-1e-5, 1e-5),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
 
 
 class TestGaugeCsvFormat:
@@ -219,6 +267,51 @@ class TestGaugeCsvFormat:
             '"Port, North",2000-02-29T12:25:00Z,-0.500000,0.333333,0.833333\n'
             "NEW,2017-06-01T06:00:00Z,4.000000,4.123457,0.123457\n"
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sites=st.lists(
+            st.tuples(
+                st.sampled_from(["A", "Port, North", 'say "hi"', "é", "北,站"]),
+                st.lists(st.tuples(st.integers(*STAMP_SECONDS), LEVEL,
+                                   LEVEL, LEVEL), min_size=1, max_size=12),
+            ),
+            min_size=1, max_size=3,
+        ),
+        block=st.sampled_from([1, 2, 5, 1 << 15]),
+    )
+    def test_written_text_matches_the_per_row_writer(self, sites, block):
+        series = []
+        for site_id, rows in sites:
+            seconds, a, b, c = (np.array(column) for column in zip(*rows))
+            stamps = seconds.astype("datetime64[s]")
+            series.append(SiteSeries(site_id, stamps, a, b, c,
+                                     *calendar_columns(stamps)))
+        buf = io.StringIO()
+        with mock.patch.object(data, "_BLOCK_ROWS", block):
+            write_series_csv(buf, series)
+        assert buf.getvalue() == _per_row_csv(series)
+
+    @pytest.mark.parametrize("stamp, shown", [
+        ("10000-01-01T00:00:00", "10000-01-01T00:00:00"),
+        ("-0001-12-31T23:59:59", "-001-12-31T23:59:59"),
+        ("NaT", "NaT"),
+    ])
+    def test_years_the_loader_cannot_read_are_refused(self, tmp_path, stamp,
+                                                      shown):
+        fine = _series("A", ["0000-01-01T00:00:00", "9999-12-31T23:59:59"],
+                       [1.0, 2.0], [1.5, 2.5])
+        write_series_csv(tmp_path / "edges.csv", fine)
+        back = load_series(tmp_path / "edges.csv")["A"]
+        npt.assert_array_equal(back.timestamps, fine.timestamps)
+        bad = _series("Port, North", ["2000-01-01T00:00:00", stamp],
+                      [1.0, 1.0], [1.5, 1.5])
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match=(
+                f"site Port, North: timestamp {shown} is outside years "
+                "0000-9999")):
+            write_series_csv(path, [fine, bad])
+        assert not path.exists()
 
     @settings(max_examples=40, deadline=None)
     @given(
