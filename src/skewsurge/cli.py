@@ -26,8 +26,8 @@ Config schema (all sections optional unless a subcommand needs them)::
     threshold_percentile: 0.95       # in (0.5, 1)
     rate_family: R1                  # fit/rl/dep/pool
     scale_family: S0
-    select:
-      rate_families: [R0, R1, R2, R3, R4]
+    select:                          # default: every family, less
+      rate_families: [R0, R1, R2, R3, R4]   # R3/R4/S3/S4 without gmt_csv
       scale_families: [S0, S1, S2, S3, S4]
     fit:                             # other keys are ignored with a warning
       shape_prior: false             # or {mean: 0.0119, variance: 0.0343}
@@ -137,8 +137,8 @@ class RunConfig:
     threshold_percentile: float = 0.95
     rate_family: str = "R0"
     scale_family: str = "S0"
-    select_rate_families: list = field(default_factory=lambda: list(RATE_FAMILIES))
-    select_scale_families: list = field(default_factory=lambda: list(SCALE_FAMILIES))
+    select_rate_families: list | None = None  # None: select_families()
+    select_scale_families: list | None = None
     fit_options: dict = field(default_factory=dict)
     run_length: int = 4
     exi_v_quantile: float = 0.99
@@ -171,12 +171,10 @@ class RunConfig:
             threshold_percentile=float(doc.get("threshold_percentile", 0.95)),
             rate_family=str(doc.get("rate_family", "R0")),
             scale_family=str(doc.get("scale_family", "S0")),
-            select_rate_families=list(
-                select.get("rate_families") or RATE_FAMILIES
-            ),
-            select_scale_families=list(
-                select.get("scale_families") or SCALE_FAMILIES
-            ),
+            select_rate_families=list(select.get("rate_families") or ())
+            or None,
+            select_scale_families=list(select.get("scale_families") or ())
+            or None,
             fit_options=dict(doc.get("fit") or {}),
             run_length=int(doc.get("run_length", 4)),
             exi_v_quantile=float(exi.get("v_quantile", 0.99)),
@@ -222,18 +220,41 @@ class RunConfig:
                           (self.scale_family, SCALE_FAMILIES)):
             if fam not in pool:
                 raise ValueError(f"unknown family {fam!r}")
-        for fam in self.select_rate_families:
-            if fam not in RATE_FAMILIES:
-                raise ValueError(f"unknown rate family {fam!r} in select list")
-        for fam in self.select_scale_families:
-            if fam not in SCALE_FAMILIES:
-                raise ValueError(f"unknown scale family {fam!r} in select list")
+        for kind, fams, pool in (
+                ("rate", self.select_rate_families, RATE_FAMILIES),
+                ("scale", self.select_scale_families, SCALE_FAMILIES)):
+            for fam in fams or ():
+                if fam not in pool:
+                    raise ValueError(
+                        f"unknown {kind} family {fam!r} in select list")
+                if fam in GMT_FAMILIES and not self.gmt_csv:
+                    raise ValueError(
+                        f"{kind} family {fam} in select list needs the GMT "
+                        "anomaly: set inputs.gmt_csv")
         if self.run_length < 1:
             raise ValueError("run_length must be >= 1")
 
+    def select_families(self):
+        """(rate, scale) families for ``select``: the listed ones, by
+        default every family, leaving out the GMT ones (R3/R4/S3/S4) when
+        no GMT file is given."""
+        def pick(listed, families):
+            if listed is not None:
+                return listed
+            return [f for f in families
+                    if self.gmt_csv or f not in GMT_FAMILIES]
+        return (pick(self.select_rate_families, RATE_FAMILIES),
+                pick(self.select_scale_families, SCALE_FAMILIES))
+
     def config_hash(self):
-        blob = json.dumps(asdict(self), sort_keys=True,
-                          separators=(",", ":"))
+        doc = asdict(self)
+        # An unlisted select list hashes as the full list it used to be
+        # stored as, so artifacts keep their hash.
+        doc["select_rate_families"] = (self.select_rate_families
+                                       or list(RATE_FAMILIES))
+        doc["select_scale_families"] = (self.select_scale_families
+                                        or list(SCALE_FAMILIES))
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -363,7 +384,7 @@ def _cmd_select(cfg, out):
     series_map, _ = _load_sites(cfg)
     for site, series in series_map.items():
         thresholds = monthly_thresholds(series, cfg.threshold_percentile)
-        rfs, sfs = cfg.select_rate_families, cfg.select_scale_families
+        rfs, sfs = cfg.select_families()
         fit_cfg = _fit_config(cfg, rate_family=rfs[0], scale_family=sfs[0])
         fits = fit_grid(series, fit_cfg, rfs, sfs, thresholds=thresholds)
         rows = []

@@ -23,7 +23,13 @@ from .tail import eval_cdf
 
 @dataclass
 class PairedDailySeries:
-    """Aligned daily-maximum values for two sites at a fixed day lag."""
+    """Aligned daily-maximum values for two sites at a fixed day lag.
+
+    ``rank_a`` and ``rank_b``, when set, are nonnegative integer keys
+    ordered and tied exactly as ``a`` and ``b``: each site's dense ranks
+    over all its days, restricted to the paired dates. :func:`kendall_tau`
+    then re-densifies them instead of sorting the values.
+    """
 
     dates: np.ndarray  # datetime64[D], the A-side dates
     a: np.ndarray
@@ -31,17 +37,23 @@ class PairedDailySeries:
     lag: int
     site_a: str = ""
     site_b: str = ""
+    rank_a: np.ndarray | None = None
+    rank_b: np.ndarray | None = None
 
     def __post_init__(self):
         if not (len(self.dates) == len(self.a) == len(self.b)):
             raise ValueError("dates, a and b must have equal lengths")
+        for ranks in (self.rank_a, self.rank_b):
+            if ranks is not None and len(ranks) != len(self.a):
+                raise ValueError("ranks must have the length of the values")
 
     def __len__(self):
         return len(self.a)
 
 
 def _daily_max(series):
-    """Sorted unique dates of a time-ordered series and each day's maximum."""
+    """Sorted unique dates of a time-ordered series, each day's maximum,
+    and the maxima's dense ranks (one sort per site and margin)."""
     if len(series) == 0:
         raise ValueError("both series must be nonempty")
     days = series.timestamps.astype("datetime64[D]")
@@ -49,7 +61,8 @@ def _daily_max(series):
         raise ValueError(f"series {series.site_id} is not sorted by timestamp")
     change = np.flatnonzero(days[1:] != days[:-1]) + 1
     starts = np.concatenate([[0], change])
-    return days[starts], np.maximum.reduceat(series.skew_surge, starts)
+    values = np.maximum.reduceat(series.skew_surge, starts)
+    return days[starts], values, _dense_ranks(values)[0]
 
 
 def _pair_daily(daily_a, daily_b, lag, site_a, site_b):
@@ -57,10 +70,11 @@ def _pair_daily(daily_a, daily_b, lag, site_a, site_b):
 
     Both date arrays are sorted and unique (``_daily_max`` of a
     time-ordered series), so one searchsorted of A's dates into B's
-    shifted dates finds every common date.
+    shifted dates finds every common date. The pairs carry each site's
+    daily ranks on those dates.
     """
-    da, va = daily_a
-    db, vb = daily_b
+    da, va, ka = daily_a
+    db, vb, kb = daily_b
     shifted = db - np.timedelta64(int(lag), "D")
     at = np.searchsorted(shifted, da)
     ia = np.flatnonzero(shifted[np.minimum(at, shifted.size - 1)] == da)
@@ -68,9 +82,10 @@ def _pair_daily(daily_a, daily_b, lag, site_a, site_b):
         raise ValueError(
             f"no overlapping dates between {site_a} and {site_b} at lag {lag}"
         )
+    ib = at[ia]
     return PairedDailySeries(
-        dates=da[ia], a=va[ia], b=vb[at[ia]], lag=int(lag),
-        site_a=site_a, site_b=site_b,
+        dates=da[ia], a=va[ia], b=vb[ib], lag=int(lag),
+        site_a=site_a, site_b=site_b, rank_a=ka[ia], rank_b=kb[ib],
     )
 
 
@@ -157,24 +172,37 @@ def _dense_ranks(values):
     return ranks, ties
 
 
+def _margin_ranks(values, keys):
+    """Dense ranks and tied pairs of one margin. From integer ``keys``
+    ordered and tied as the values, one bincount gives the tie counts and
+    its cumulative sum the dense ranks; without keys the values are sorted.
+    """
+    if keys is None:
+        return _dense_ranks(values)
+    counts = np.bincount(keys)
+    dense = np.cumsum(counts > 0) - 1
+    return dense[keys], int((counts * (counts - 1) // 2).sum())
+
+
 def kendall_tau(pairs):
     """Tie-adjusted Kendall rank correlation of the paired values.
 
     Counts concordant, discordant and tied pairs exactly (integer
     arithmetic throughout), so perfectly concordant input gives 1.0
     exactly at any sample size. Each margin is replaced by dense integer
-    ranks (one argsort); one int64 sort of ra * nb + rb then gives the
-    a-then-b order, the pairs tied on both margins (runs of equal keys)
-    and b's ranks in that order (key % nb), whose inversions are the
-    discordant pairs. Raises when either margin is constant, where the
-    coefficient is undefined.
+    ranks, re-densified from the pairs' rank keys when they carry them
+    (see PairedDailySeries) and by one argsort otherwise. One int64 sort
+    of ra * nb + rb then gives the a-then-b order, the pairs tied on both
+    margins (runs of equal keys) and b's ranks in that order (key % nb),
+    whose inversions are the discordant pairs. Raises when either margin
+    is constant, where the coefficient is undefined.
     """
     a, b = _pair_arrays(pairs)
     n = len(a)
     if n < 2:
         raise ValueError("kendall_tau needs at least 2 pairs")
-    rank_a, ties_a = _dense_ranks(a)
-    rank_b, ties_b = _dense_ranks(b)
+    rank_a, ties_a = _margin_ranks(a, getattr(pairs, "rank_a", None))
+    rank_b, ties_b = _margin_ranks(b, getattr(pairs, "rank_b", None))
     total = n * (n - 1) // 2
     if ties_a == total or ties_b == total:
         raise ValueError("kendall_tau is undefined for a constant margin")
@@ -257,7 +285,7 @@ def pairwise_reports(series_map, lags=(-1, 0, 1), p=0.05, models=None):
     """
     sites = sorted(series_map)
     modelled = [site for site in sites if models and site in models]
-    # each site's daily maxima, computed once per margin
+    # each site's daily maxima and their ranks, computed once per margin
     uniform = {site: _daily_max(pit_transform(series_map[site], models[site]))
                for site in (modelled if len(modelled) > 1 else [])}
     raw = {site: _daily_max(series_map[site])

@@ -158,8 +158,11 @@ def exi_curve(model):
     """theta(y, r) of a fitted model as a function of y: empirical
     interpolation below v, the fitted curve above.
 
-    The interpolation table is built once; each call evaluates each branch
-    only where it applies. Output clipped to [0, 1]; broadcasts over y.
+    The interpolation table is built once. Each call evaluates the fitted
+    curve for every y in place in one new array, at max(y, v) so that the
+    exponential cannot overflow, then overwrites the entries with y <= v
+    by interpolation when there are any. Output clipped to [0, 1];
+    broadcasts over y.
     """
     below_v = model.levels < model.v
     xp = np.append(model.levels[below_v], model.v)
@@ -167,12 +170,15 @@ def exi_curve(model):
 
     def theta(y):
         y = np.asarray(y, dtype=float)
-        out = np.empty(y.shape)
+        out = np.maximum(y, model.v, out=np.empty(y.shape))
+        out -= model.v
+        out /= -model.psi
+        np.exp(out, out=out)
+        out *= model.theta - model.theta_v
+        np.subtract(model.theta, out, out=out)
         low = y <= model.v
-        out[low] = np.interp(y[low], xp, fp)
-        high = ~low
-        out[high] = model.theta - (model.theta - model.theta_v) * np.exp(
-            -(y[high] - model.v) / model.psi)
+        if low.any():
+            out[low] = np.interp(y[low], xp, fp)
         return np.clip(out, 0.0, 1.0, out=out)
 
     return theta

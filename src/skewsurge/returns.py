@@ -10,10 +10,14 @@ Nothing about a cycle but its surge y = z - tide depends on z, so the
 engine builds the calendar's conditional CDF once per call of
 :func:`annual_max_cdf`, :func:`return_level` or :func:`return_curve`
 (``model.conditional``: thresholds, rate, scale and body cells) together
-with the extremal-index curve. Each evaluation is then one pass over the
-cycles: theta * log F per cycle, -inf where F = 0, summed by year with a
-``bincount``. A cycle whose factor is exactly zero sends its whole year
-to zero.
+with the extremal-index curve, the year starts and two cycle-length
+buffers. Each evaluation is then a few in-place passes over the cycles:
+y, log F, times theta(y), and -inf written where F = 0 only when some
+factor is zero (theta = 0 would leave 0 * -inf = nan there). The years
+are summed with ``np.add.reduceat`` over their starts, which needs the
+layout :class:`TideSampleCalendar` checks: cycles year-major, every year
+present. A cycle whose factor is exactly zero sends its whole year to
+zero.
 
 ``model`` needs only ``conditional(d, d_j, j, x, year_std, gmt)``
 returning a function y -> F, so a stand-in distribution can replace a
@@ -60,9 +64,12 @@ class Scenario:
 class TideSampleCalendar:
     """Observed peak tides with calendar tags, grouped by complete year.
 
-    Flat arrays ordered year-major; ``year_index`` maps each element to
-    its position in ``years``. Only years with all twelve months present
-    qualify.
+    Flat arrays of equal length, ordered year-major: ``year_index`` maps
+    each element to its position in ``years``, does not decrease, and
+    runs from 0 to ``n_years - 1`` without a gap, so every year holds at
+    least one cycle. The annual-maximum engine sums each year as one
+    contiguous slice and relies on this layout; other layouts are
+    rejected. Only years with all twelve months present qualify.
     """
 
     years: np.ndarray
@@ -71,6 +78,19 @@ class TideSampleCalendar:
     day_of_year: np.ndarray
     tide: np.ndarray
     year_index: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.tide)
+        if any(len(a) != n for a in (self.month, self.day_of_month,
+                                     self.day_of_year, self.year_index)):
+            raise ValueError("calendar arrays must have equal lengths")
+        steps = np.diff(self.year_index)
+        if (n == 0 or self.year_index[0] != 0
+                or self.year_index[-1] != len(self.years) - 1
+                or np.any((steps != 0) & (steps != 1))):
+            raise ValueError(
+                "calendar must be year-major with every year present: "
+                "year_index must step by 0 or 1 from 0 to n_years - 1")
 
     @classmethod
     def from_series(cls, series):
@@ -117,18 +137,22 @@ def _annual_max(model, calendar, exi_model, scenario):
         gmt=scenario.gmt,
     )
     theta = None if exi_model is None else exi_curve(exi_model)
+    year_starts = np.searchsorted(calendar.year_index,
+                                  np.arange(calendar.n_years))
+    y = np.empty(calendar.tide.shape)
+    log_factor = np.empty(calendar.tide.shape)
 
     def f(z):
-        y = z - calendar.tide
+        np.subtract(z, calendar.tide, out=y)
         factor = cdf(y)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_factor = np.log(factor)
+            np.log(factor, out=log_factor)
             if theta is not None:
-                # -inf where F = 0, also where theta = 0 makes the product nan.
-                log_factor = np.where(factor > 0.0, theta(y) * log_factor,
-                                      -np.inf)
-        log_year = np.bincount(calendar.year_index, weights=log_factor,
-                               minlength=calendar.n_years)
+                np.multiply(log_factor, theta(y), out=log_factor)
+                if not factor.all():
+                    # theta = 0 makes 0 * -inf = nan where F = 0
+                    log_factor[factor == 0.0] = -np.inf
+        log_year = np.add.reduceat(log_factor, year_starts)
         return float(np.exp(log_year).mean())
 
     return f

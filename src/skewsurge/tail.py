@@ -17,10 +17,14 @@ simulator and the CDF share. Below u_j the distribution is the
 tide-banded empirical body. :meth:`SkewSurgeModel.conditional` freezes a
 set of records (day of year, day of month, month, peak tide, trend
 covariates) and returns their conditional CDF as a function of the surge
-alone: u_j, lambda, sigma and the body cells are built once, and each
-evaluation is a GPD tail pass plus, only where some record is at or
-below its threshold, a body search. The return-level solver evaluates it
-once per step; :func:`eval_cdf` (used by the PIT) builds and applies it once.
+alone: u_j, log lambda, 1/sigma and the body cells are built once, and
+each evaluation is a GPD tail pass plus, only where some record is at or
+below its threshold, a body search. The tail pass works in the log1p
+form of the survival, lambda * exp(-log1p(xi h)/xi) with h the scaled
+excess (exp(-h) for |xi| < XI_ZERO_TOL), as in-place steps over one
+array; :func:`gpd_tail_prob` uses the same steps. The return-level solver
+evaluates it once per step; :func:`eval_cdf` (used by the PIT) builds
+and applies it once.
 """
 
 from __future__ import annotations
@@ -397,26 +401,41 @@ def scale_at(sp, d, x, year_std=None, gmt=None):
 XI_ZERO_TOL = 1e-8
 
 
+def _tail_survival(scaled, log_lam, xi):
+    """P(Y > y) = lambda * P(GPD excess > y - u), written over ``scaled``,
+    z = (y - u)/sigma.
+
+    The survival is exp(log lambda - h) with h = log1p(max(xi z, -1))/xi,
+    or h = z in the exponential limit |xi| < XI_ZERO_TOL. Beyond the
+    upper endpoint of a negative shape h is +inf and the survival exactly
+    0. Each step is one in-place pass, so no temporaries are made.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if abs(xi) >= XI_ZERO_TOL:
+            scaled *= xi
+            np.maximum(scaled, -1.0, out=scaled)
+            np.log1p(scaled, out=scaled)
+            scaled /= xi
+        np.subtract(log_lam, scaled, out=scaled)
+        return np.exp(scaled, out=scaled)
+
+
 def gpd_tail_prob(y, u, lam_eff, sigma_eff, xi):
     """P(Y > y) for y above the threshold u.
 
     Uses the exponential limit for |xi| < 1e-8 and returns 0 beyond the
     upper endpoint u - sigma/xi when xi < 0. Broadcasts over arrays.
     """
-    y = np.asarray(y, dtype=float)
-    sigma_eff = np.asarray(sigma_eff, dtype=float)
+    y, u, lam_eff, sigma_eff = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (y, u, lam_eff, sigma_eff)))
     if np.any(sigma_eff <= 0):
         raise ValueError("sigma must be positive")
-    excess = y - np.asarray(u, dtype=float)
-    if np.any(excess < 0):
+    if np.any(y < u):
         raise ValueError("gpd_tail_prob requires y > u")
-    scaled = excess / sigma_eff
-    if abs(xi) < XI_ZERO_TOL:
-        surv = np.exp(-scaled)
-    else:
-        inner = np.maximum(1.0 + xi * scaled, 0.0)
-        surv = np.power(inner, -1.0 / xi, where=inner > 0, out=np.zeros_like(inner))
-    out = np.asarray(lam_eff, dtype=float) * surv
+    scaled = np.subtract(y, u, out=np.empty(y.shape))
+    scaled /= sigma_eff
+    with np.errstate(divide="ignore"):
+        out = _tail_survival(scaled, np.log(lam_eff), xi)
     return out if out.ndim else float(out)
 
 
@@ -469,11 +488,14 @@ class SkewSurgeModel:
         Returns F with F(y)[i] = P(Y <= y[i] | record i); y must broadcast
         to the records' shape. The record arguments are those of
         :func:`rate_terms` and broadcast together. Everything that does not
-        depend on y is built here once: the thresholds u_j, the rate lambda
-        and scale sigma (one seasonal basis), and the records' grouping by
-        body cell. Each call then evaluates the GPD tail where y > u_j and
-        the empirical body elsewhere; the body is searched only when some
-        record is at or below its threshold.
+        depend on y is built here once: the thresholds u_j, log lambda and
+        1/sigma (one seasonal basis), the records with sigma <= 0, and the
+        records' grouping by body cell. Each call then fills one new array
+        in place for every record: h = (y - u_j)/sigma, the tail survival
+        S = exp(log lambda - log1p(xi h)/xi) of :func:`_tail_survival`,
+        then F = 1 - S. The empirical body overwrites the records at or
+        below their threshold, and is searched only when there is one. A
+        record with sigma <= 0 is an error only where y is above u_j.
         """
         d, d_j, j, x = np.broadcast_arrays(
             np.asarray(d), np.asarray(d_j), np.asarray(j),
@@ -487,17 +509,24 @@ class SkewSurgeModel:
         sigma = linear_predictor(
             scale_terms(scale.family, basis, d, x, year_std, gmt),
             scale_values(scale))
+        with np.errstate(divide="ignore"):
+            log_lam, inv_sigma = np.log(lam), 1.0 / sigma
+        bad_sigma = sigma <= 0.0
+        any_bad_sigma = bool(np.any(bad_sigma))
         body = cell_cdf(self.body, j, x)
 
         def cdf(y):
             y = np.broadcast_to(np.asarray(y, dtype=float), d.shape)
             above = y > u
-            if above.all():
-                return 1.0 - gpd_tail_prob(y, u, lam, sigma, xi)
-            out = body(y)
-            if above.any():
-                out[above] = 1.0 - gpd_tail_prob(
-                    y[above], u[above], lam[above], sigma[above], xi)
+            if any_bad_sigma and np.any(bad_sigma & above):
+                raise ValueError("sigma must be positive")
+            out = np.subtract(y, u, out=np.empty(d.shape))
+            with np.errstate(invalid="ignore", over="ignore"):
+                out *= inv_sigma  # 0 * inf where sigma = 0 at y = u: body
+            _tail_survival(out, log_lam, xi)
+            np.subtract(1.0, out, out=out)
+            if not above.all():
+                np.copyto(out, body(y), where=~above)
             return out
 
         return cdf

@@ -5,6 +5,8 @@ import csv
 import hashlib
 import json
 import logging
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +136,28 @@ class TestRunConfig:
         scope = {}
         exec(compile(block, str(README), "exec"), scope)
         assert np.isfinite(scope["z100"])
+
+    def test_readme_quick_start_runs(self, tmp_path, monkeypatch):
+        # README's sim.yaml and run.yaml, then every `skewsurge` line of
+        # the shell block that follows them, in order.
+        readme = README.read_text()
+        for name in ("sim.yaml", "run.yaml"):
+            block = re.search(rf"```yaml\n# {re.escape(name)}\n(.*?)```",
+                              readme, re.S).group(1)
+            (tmp_path / name).write_text(block)
+        after = readme.split("# run.yaml\n")[1]
+        shell = after.split("```sh\n")[1].split("```")[0]
+        commands = [shlex.split(line, comments=True)[1:]
+                    for line in shell.splitlines()
+                    if line.startswith("skewsurge ")]
+        assert [c[0] for c in commands] == ["simulate", "fit", "rl", "select"]
+        monkeypatch.chdir(tmp_path)
+        for args in commands:
+            assert main(args) == 0, args
+        rows = list(csv.DictReader(
+            (tmp_path / "out" / "select_SIM.csv").read_text().splitlines()[1:]))
+        assert sorted({r["rate_family"] for r in rows}) == ["R0", "R1", "R2"]
+        assert sorted({r["scale_family"] for r in rows}) == ["S0", "S1", "S2"]
 
     def test_written_configs_hash_alike(self, tmp_path, base_doc):
         # _write_yaml compares the two loaders on every config it writes
@@ -293,6 +317,37 @@ class TestSelect:
                          "--out", str(tmp_path / "out")]) == 0
         named = [r for r in caplog.records if "multi_start" in r.getMessage()]
         assert len(named) == 1 and named[0].levelno == logging.WARNING
+
+
+    def test_default_lists_leave_out_gmt_families_without_a_gmt_file(self):
+        plain = RunConfig.from_mapping({})
+        assert plain.select_families() == (["R0", "R1", "R2"],
+                                           ["S0", "S1", "S2"])
+        with_gmt = RunConfig.from_mapping({"inputs": {"gmt_csv": "g.csv"}})
+        assert with_gmt.select_families() == (
+            ["R0", "R1", "R2", "R3", "R4"], ["S0", "S1", "S2", "S3", "S4"])
+        listed = RunConfig.from_mapping(
+            {"select": {"rate_families": ["R1", "R0"]}})
+        assert listed.select_families() == (["R1", "R0"],
+                                            ["S0", "S1", "S2"])
+
+    @pytest.mark.parametrize("section", [
+        {"rate_families": ["R0", "R3"]},
+        {"scale_families": ["S4"]},
+        {"rate_families": ["R0", "R1", "R2", "R3", "R4"]},
+    ])
+    def test_listed_gmt_family_without_a_gmt_file_fails_before_loading(
+            self, tmp_path, capsys, section):
+        doc = {"inputs": {"gauge_csv": "no/such.csv"}, "select": section}
+        with pytest.raises(ValueError, match="gmt_csv"):
+            RunConfig.from_mapping(doc)
+        cfg = _write_yaml(tmp_path / "c.yaml", doc)
+        assert main(["select", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gmt_csv" in err
+        assert "no/such.csv" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExi:

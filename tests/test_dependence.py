@@ -226,6 +226,23 @@ class TestDailyMaxPairs:
         assert kendall_tau(misaligned) < 0.5
         assert len(misaligned) == 39
 
+    @pytest.mark.parametrize("lag", [-3, 0, 1])
+    def test_carried_site_ranks_give_the_tau_of_the_values(self, lag):
+        # A ties often (values on a 0.01 grid), B seldom; each site has
+        # days the other lacks, so the pairs hold only part of each site's
+        # ranks, and B's run past the number of pairs.
+        rng = np.random.default_rng(8)
+        a = _daily_series(np.round(rng.normal(size=900), 2), per_day=2)
+        b = _daily_series(np.round(rng.normal(size=1400), 3), site_id="B",
+                          start="2001-03-20", per_day=2)
+        pairs = daily_max_pairs(a, b, lag)
+        assert pairs.rank_a is not None and pairs.rank_b is not None
+        assert len(np.unique(pairs.rank_a)) < pairs.rank_a.max() + 1
+        assert pairs.rank_b.max() >= len(pairs)
+        assert len(np.unique(pairs.a)) < len(pairs)  # tied days
+        assert kendall_tau(pairs) == kendall_tau((pairs.a, pairs.b))
+        assert kendall_tau(pairs) == _tau_b(pairs.a, pairs.b)
+
     def test_no_overlap_is_an_error(self):
         a = _daily_series(np.ones(5), start="2001-03-01")
         b = _daily_series(np.ones(5), start="2011-03-01", site_id="B")

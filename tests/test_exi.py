@@ -1,5 +1,7 @@
 """Runs declustering and the exponential-in-level extremal-index curve."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -165,6 +167,30 @@ class TestEvalExi:
         vals = eval_exi(model, y)
         assert (vals > 0).all() and (vals <= 1.0).all()
         assert (np.diff(vals) >= 0).all()
+
+    @pytest.mark.parametrize("y", [
+        np.linspace(1.0 + 1e-9, 4.0, 50),   # all above v
+        np.r_[-1e3, np.linspace(0.5, 1.0, 50)],  # all at or below v
+        np.linspace(0.5, 3.0, 101),         # straddling v
+    ], ids=["above", "below", "straddling"])
+    def test_matches_the_per_element_reference(self, model, y):
+        xp = np.append(model.levels[model.levels < model.v], model.v)
+        fp = np.append(model.runs_theta[model.levels < model.v],
+                       model.theta_v)
+        expected = [
+            float(np.interp(v, xp, fp)) if v <= model.v
+            else model.theta - (model.theta - model.theta_v) * math.exp(
+                -(v - model.v) / model.psi)
+            for v in y]
+        npt.assert_allclose(eval_exi(model, y), np.clip(expected, 0.0, 1.0),
+                            rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("y", [0.9, 1.0, 1.7])
+    def test_scalar_level_gives_a_float(self, model, y):
+        got = eval_exi(model, y)
+        assert type(got) is float
+        assert got == eval_exi(model, np.array([y, 2.0]))[0]
+        assert got == eval_exi(model, np.array(y))
 
     def test_run_length_mismatch_errors(self, model):
         with pytest.raises(ValueError, match="run length"):

@@ -42,6 +42,17 @@ class _ConstCdf:
         return lambda y: np.full(np.shape(y), self.value, dtype=float)
 
 
+class _OneZero(_ConstCdf):
+    """Stand-in whose first cycle's factor is exactly zero."""
+
+    def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
+        def cdf(y):
+            out = np.full(np.shape(y), self.value, dtype=float)
+            out[0] = 0.0
+            return out
+        return cdf
+
+
 def _one_year_calendar(n_cycles=705, tide=3.0, year=2000):
     reps = n_cycles // 12
     month = np.resize(np.repeat(np.arange(1, 13), reps), n_cycles)
@@ -80,15 +91,19 @@ class TestAnnualMaxCdf:
     def test_one_dead_cycle_kills_its_year(self):
         cal = _one_year_calendar(100)
 
-        class _OneZero(_ConstCdf):
-            def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
-                def cdf(y):
-                    out = np.full(np.shape(y), self.value, dtype=float)
-                    out[0] = 0.0
-                    return out
-                return cdf
-
         assert annual_max_cdf(5.0, _OneZero(0.999), cal) == 0.0
+
+    def test_dead_cycle_under_a_zero_extremal_index(self):
+        # theta = 0 makes every other factor F^0 = 1, and 0^0 is taken as
+        # the dead cycle's 0, with no warning for 0 * log(0).
+        cal = _one_year_calendar(100)
+        zero = ExiModel(v=0.5, psi=0.3, theta=0.0, theta_v=0.0,
+                        run_length=4, levels=np.array([0.3, 0.4, 0.6]),
+                        runs_theta=np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert annual_max_cdf(5.0, _ConstCdf(0.5), cal, zero) == 1.0
+            assert annual_max_cdf(5.0, _OneZero(0.5), cal, zero) == 0.0
 
     def test_unit_extremal_index_curve_changes_nothing(self, surge_model):
         model, cal = surge_model
@@ -256,6 +271,27 @@ class TestSolver:
         assert abs(z - 3.8) < 1e-12
         npt.assert_array_equal(curve.z, z)
 
+    def test_bracket_past_the_upper_endpoint(self, surge_model):
+        # xi < 0: every cycle is past its upper endpoint at the bracket's
+        # top, so F = 1 there exactly, h = -inf, and the first steps
+        # bisect.
+        model, cal = surge_model
+        bounded = SkewSurgeModel(
+            body=model.body, thresholds=model.thresholds,
+            params=TailParams(rate=model.params.rate,
+                              scale=model.params.scale, xi=-0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert annual_max_cdf(float(cal.tide.max()) + 10.0, bounded,
+                                  cal) == 1.0
+            for p in (0.1, 1e-3):
+                z = return_level(p, bounded, cal)
+                gap = math.log1p(-annual_max_cdf(z, bounded, cal)) \
+                    - math.log(p)
+                assert abs(gap) < 1e-8, p
+        assert return_level(1e-3, bounded, cal) \
+            < return_level(1e-3, model, cal)
+
 
 class TestReturnCurve:
     def test_levels_decrease_with_probability(self, surge_model):
@@ -420,6 +456,28 @@ def test_nonpositive_scale_in_the_tail_is_an_error(sim_r0, surge_model):
         return_level(0.01, bad, cal)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -0.02])
+def test_zero_or_negative_scale_only_matters_in_the_tail(surge_model, sigma):
+    model, _ = surge_model
+    flat = SkewSurgeModel(
+        body=model.body, thresholds=model.thresholds,
+        params=TailParams(rate=model.params.rate,
+                          scale=ScaleParams(family="S0", alpha=sigma,
+                                            beta=0.0, phi=0.0, gamma=0.0),
+                          xi=model.params.xi))
+    # zero tides, so every cycle sits exactly at y = u_j = 0.3, the
+    # highest body-only level, where (y - u_j) / sigma is 0 / 0
+    cal = _one_year_calendar(705, tide=0.0)
+    at_threshold = 0.3
+    assert np.all(model.thresholds.for_month(cal.month) == at_threshold)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert annual_max_cdf(at_threshold, flat, cal) == annual_max_cdf(
+            at_threshold, model, cal)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        annual_max_cdf(np.nextafter(at_threshold, np.inf), flat, cal)
+
+
 class TestTideSampleCalendar:
     def test_keeps_complete_years_only(self, sim_r0):
         series, _, _ = sim_r0
@@ -446,3 +504,28 @@ class TestTideSampleCalendar:
         assert np.all(np.isin(cal.month[sel], np.arange(1, 13)))
         assert np.unique(cal.month[sel]).size == 12
         assert first_year in series.year
+
+    @pytest.mark.parametrize("layout", ["out of order", "missing year",
+                                        "starts above 0", "short column"])
+    def test_layout_other_than_year_major_is_rejected(self, layout):
+        cal = _one_year_calendar(24)
+        columns = {
+            "years": np.array([2000, 2001, 2002]),
+            "month": np.tile(cal.month, 3),
+            "day_of_month": np.tile(cal.day_of_month, 3),
+            "day_of_year": np.tile(cal.day_of_year, 3),
+            "tide": np.tile(cal.tide, 3),
+            "year_index": np.repeat(np.arange(3), 24),
+        }
+        TideSampleCalendar(**columns)  # year-major, every year present
+        index = columns["year_index"]
+        if layout == "out of order":
+            columns["year_index"] = np.tile(np.arange(3), 24)
+        elif layout == "missing year":
+            columns["year_index"] = np.where(index == 1, 2, index)
+        elif layout == "starts above 0":
+            columns["year_index"] = np.minimum(index + 1, 2)
+        else:
+            columns["tide"] = columns["tide"][:-1]
+        with pytest.raises(ValueError, match="calendar"):
+            TideSampleCalendar(**columns)

@@ -326,6 +326,46 @@ class TestEvalCdf:
         assert vals.min() >= 0.0 and vals.max() <= 1.0
 
 
+    @pytest.mark.parametrize("offset", [0.2, -0.05], ids=["tail", "body"])
+    def test_scalar_surge_gives_a_float(self, model, offset):
+        m, _ = model
+        y = m.thresholds.for_month(2) + offset
+        got = _cdf(m, y, 50.0, 19.0, 2, 3.1)
+        assert type(got) is float
+        assert got == _cdf(m, np.array([y, 0.0]), 50.0, 19.0, 2, 3.1)[0]
+
+    def test_beyond_the_upper_endpoint_is_one(self, model):
+        m, _ = model
+        bounded = SkewSurgeModel(
+            body=m.body, thresholds=m.thresholds,
+            params=TailParams(rate=m.params.rate, scale=m.params.scale,
+                              xi=-0.5))
+        u = m.thresholds.for_month(5)
+        sigma = scale_at(m.params.scale, 120.0, 2.8)
+        end = u + sigma / 0.5
+        y = np.array([u + 0.5 * sigma, end - 1e-3, end, end + 1e-9, 50.0,
+                      np.inf])
+        got = _cdf(bounded, y, 120.0, 10.0, 5, 2.8)
+        assert (got[:2] < 1.0).all()
+        npt.assert_array_equal(got[2:], 1.0)
+
+    @pytest.mark.parametrize("xi", [0.0, 5e-9, -5e-9])
+    def test_shape_inside_the_zero_tolerance_is_the_exponential(self, model,
+                                                                xi):
+        m, _ = model
+        near = SkewSurgeModel(
+            body=m.body, thresholds=m.thresholds,
+            params=TailParams(rate=m.params.rate, scale=m.params.scale,
+                              xi=xi))
+        u = m.thresholds.for_month(5)
+        lam = rate_at(m.params.rate, 120.0, 10.0, 5, 2.8)
+        sigma = scale_at(m.params.scale, 120.0, 2.8)
+        y = u + np.array([1e-9, 0.1, 0.5, 2.0])
+        got = _cdf(near, y, 120.0, 10.0, 5, 2.8)
+        npt.assert_allclose(got, 1.0 - lam * np.exp(-(y - u) / sigma),
+                            rtol=1e-15)
+
+
 class TestDeltaLambda:
     def test_zero_delta(self):
         rp = RateParams(family="R1", lam=0.05, delta=0.0)
