@@ -341,12 +341,17 @@ def _scenario(cfg):
     )
 
 
-def _fit_one(series, cfg, fit_cfg=None):
+def _fit_one(series, cfg):
+    """A site's tail fit at the configured thresholds, and the thresholds."""
     thresholds = monthly_thresholds(series, cfg.threshold_percentile)
+    return fit_tail(series, _fit_config(cfg), thresholds=thresholds), thresholds
+
+
+def _fit_model(series, cfg):
+    """A site's tail fit and the model that joins it to the empirical body."""
+    fit, thresholds = _fit_one(series, cfg)
     body = build_empirical(series, thresholds)
-    fit = fit_tail(series, fit_cfg or _fit_config(cfg), thresholds=thresholds)
-    model = SkewSurgeModel(body=body, params=fit.params, thresholds=thresholds)
-    return fit, model, thresholds
+    return fit, SkewSurgeModel(body=body, params=fit.params, thresholds=thresholds)
 
 
 def _cmd_ingest(cfg, out):
@@ -369,7 +374,7 @@ def _cmd_ingest(cfg, out):
 def _cmd_fit(cfg, out):
     series_map, _ = _load_sites(cfg)
     for site, series in series_map.items():
-        fit, _model, thresholds = _fit_one(series, cfg)
+        fit, thresholds = _fit_one(series, cfg)
         doc = fit.to_dict()
         doc["threshold_percentile"] = cfg.threshold_percentile
         doc["monthly_thresholds_m"] = [float(v) for v in thresholds.values]
@@ -438,7 +443,7 @@ def _cmd_rl(cfg, out):
     series_map, _ = _load_sites(cfg)
     scenario = _scenario(cfg)
     for site, series in series_map.items():
-        fit, model, _thr = _fit_one(series, cfg)
+        fit, model = _fit_model(series, cfg)
         exi_model = fit_exi_curve(
             series,
             v=float(np.quantile(series.skew_surge, cfg.exi_v_quantile)),
@@ -473,7 +478,7 @@ def _cmd_dep(cfg, out):
     if dep.get("uniform", True):
         models = {}
         for site, series in series_map.items():
-            _fit, model, _thr = _fit_one(series, cfg)
+            _fit, model = _fit_model(series, cfg)
             models[site] = model
     rows = pairwise_reports(
         series_map,

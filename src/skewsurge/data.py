@@ -178,7 +178,14 @@ class MonthlyThresholds:
 
 def _utc_stamps(text):
     """datetime64[s] UTC stamps from ISO 8601 byte strings: naive (UTC),
-    or ending in ``Z`` or in a ``+HH:MM`` / ``-HH:MM`` offset (subtracted)."""
+    or ending in ``Z`` or in a ``±HH:MM``, ``±HHMM`` or ``±HH`` UTC offset
+    (subtracted).
+
+    A sign after the date ``YYYY-MM-DD`` starts an offset, which must
+    follow a time. Every offset is parsed here or refused, so numpy's
+    own parser never sees one: numpy parses offsets only on a path that
+    warns, and with the warning raised as an error it can crash there.
+    """
     text = np.char.strip(text)
     codes = text.view(np.uint8).reshape(len(text), -1)
     rows, end = np.arange(len(text)), np.char.str_len(text)
@@ -186,20 +193,29 @@ def _utc_stamps(text):
         raise ValueError("not an ISO 8601 date and time (YYYY-MM-DD...)")
     zulu = codes[rows, end - 1] == ord("Z")
     codes[rows[zulu], end[zulu] - 1] = 0
-    sign = codes[rows, np.maximum(end - 6, 0)]
-    offset = (~zulu & (end > 6) & ((sign == ord("+")) | (sign == ord("-")))
-              & (codes[rows, end - 3] == ord(":")))
-    at, stop = rows[offset, None], end[offset, None]
-    hh_mm = codes[at, stop + [-5, -4, -2, -1]].astype(np.int64) - ord("0")
-    if ((hh_mm < 0) | (hh_mm > 9) | (hh_mm @ [10, 1, 0, 0] > 23)[:, None]
-            | (hh_mm[:, 2:3] > 5)).any():
-        raise ValueError("a UTC offset is +HH:MM or -HH:MM, below 24:00")
-    minutes = np.where(sign[offset] == ord("-"), -1, 1) * (hh_mm @ [600, 60, 10, 1])
-    codes[at, stop - np.arange(1, 7)] = 0
+    signs = (codes[:, 10:] == ord("+")) | (codes[:, 10:] == ord("-"))
+    at = np.flatnonzero(signs.any(axis=1))
+    start = 10 + signs[at].argmax(axis=1)
+    width = end[at] - start  # 6, 5 or 3 bytes: +HH:MM, +HHMM or +HH
+    last = codes.shape[1] - 1
+    mm = start + np.where(width == 6, 4, 3)
+    hh_mm = codes[at[:, None], np.minimum(
+        np.stack([start + 1, start + 2, mm, mm + 1], axis=1), last)
+    ].astype(np.int64) - ord("0")
+    hh_mm[width == 3, 2:] = 0
+    if (~np.isin(width, (3, 5, 6)) | (start == 10) | zulu[at]
+            | (signs[at].sum(axis=1) > 1)
+            | ((width == 6) & (codes[at, np.minimum(start + 3, last)] != ord(":")))
+            | ((hh_mm < 0) | (hh_mm > 9)).any(axis=1)
+            | (hh_mm @ [10, 1, 0, 0] > 23) | (hh_mm[:, 2] > 5)).any():
+        raise ValueError("a UTC offset is ±HH:MM, ±HHMM or ±HH, below 24:00, "
+                         "after a time and with no Z")
+    minutes = np.where(codes[at, start] == ord("-"), -1, 1) * (hh_mm @ [600, 60, 10, 1])
+    codes[at[:, None], np.minimum(start[:, None] + np.arange(6), last)] = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warns on offsets it parses itself
         stamps = text.astype("datetime64[s]")
-    stamps[offset] -= minutes * np.timedelta64(60, "s")
+    stamps[at] -= minutes * np.timedelta64(60, "s")
     return stamps
 
 
@@ -278,7 +294,8 @@ def load_series(path):
     skew-surge column is optional and computed as max sea level minus peak
     tide when absent or empty. Lines starting with ``#`` and blank lines
     are skipped. Timestamps are ISO 8601, naive (read as UTC) or ending in
-    ``Z`` or a ``±HH:MM`` offset. Rows are sorted per site by timestamp;
+    ``Z`` or in a UTC offset of the form ``±HH:MM``, ``±HHMM`` or ``±HH``;
+    any other offset is an error. Rows are sorted per site by timestamp;
     duplicate timestamps within a site are an error.
 
     Returns

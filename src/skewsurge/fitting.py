@@ -25,6 +25,15 @@ counts add, and the information matrix is block diagonal. So
 :func:`fit_pooled` ties parameters across sites within each half.
 Amplitudes and phases are reported as derived values, with delta-method
 standard errors from the analytic information matrix.
+
+A Newton iteration is a pass of per-cycle kernels, each doing only what
+its formula needs. A block's design is column-major, so X'WX is one BLAS
+product over contiguous columns. The rate half takes its value, its
+residuals and its weights p(1 - p) from one e = exp(-|g|) per cycle. The
+GPD half takes its value and its derivatives from one h(z; xi) =
+log1p(xi z)/xi, a power series where |xi z| < 1e-4. Each rate intercept
+starts at the logit of its exceedance fraction, the exact maximum of the
+intercept-only model.
 """
 
 from __future__ import annotations
@@ -39,11 +48,9 @@ from .tail import (
     RATE_FAMILIES,
     SCALE_FAMILIES,
     SEASONAL_FAMILIES,
-    XI_ZERO_TOL,
     TailParams,
     _term_jacobian,
     _term_values,
-    inv_logit,
     linear_predictor,
     params_to_values,
     rate_terms,
@@ -231,14 +238,49 @@ def _prepare(series, thresholds, std):
 
 
 def _bernoulli_nll(data, g):
-    """Negative log-likelihood of the exceedance indicators at logits g."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.logaddexp(0.0, data.bern_sign * g).sum())
+    """Negative log-likelihood of the exceedance indicators at logits g.
+
+    A cycle's term is log(1 + e^(s g)), s its indicator's sign, written
+    as max(s g, 0) + log1p(e) with e = exp(-|g|): one exp per cycle, and
+    no overflow at any logit.
+    """
+    e = np.exp(-np.abs(g))
+    return float(np.maximum(data.bern_sign * g, 0.0).sum()
+                 + np.log1p(e, out=e).sum())
+
+
+def _gpd_h(z, xi, derivs=False):
+    """h(z; xi) = log1p(xi z)/xi, in which the GPD negative log-density of
+    a scaled excess z is log(sigma) + (1 + xi) h; with ``derivs``, also
+    its first two xi-derivatives (h, h1, h2).
+
+    Each comes from the closed form over every excess, overwritten where
+    |xi z| < 1e-4 by its power series in xi z, which covers the
+    exponential limit xi -> 0 (h = z). Elsewhere the closed forms'
+    cancellation error stays below 1e-8 relative. Beyond the support
+    (xi z <= -1) h is nan or infinite.
+    """
+    a = xi * z
+    near = np.flatnonzero(np.abs(a) < 1e-4)
+    an, zn = a[near], z[near]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.log1p(a) / xi
+        h[near] = zn * (1 - an / 2 + an * an / 3 - an ** 3 / 4)
+        if not derivs:
+            return h
+        t = 1.0 + a
+        h1 = (z / t - h) / xi
+        h1[near] = zn * zn * (-1 / 2 + 2 * an / 3 - 3 * an * an / 4
+                              + 4 * an ** 3 / 5)
+        h2 = -(z * z / (t * t) + 2 * h1) / xi
+        h2[near] = zn ** 3 * (2 / 3 - 3 * an / 2 + 12 * an * an / 5
+                              - 10 * an ** 3 / 3)
+    return h, h1, h2
 
 
 def _gpd_nll(data, sigma, values, prior):
     """Negative GPD log-density of the excesses at scales sigma, plus the
-    shape penalty.
+    shape penalty: the sum of log(sigma) + (1 + xi) h over the excesses.
 
     +inf outside the region where the likelihood is finite and the scale
     model valid: sigma > 0 on every cycle, 0 <= beta_sigma <= alpha_sigma,
@@ -249,17 +291,10 @@ def _gpd_nll(data, sigma, values, prior):
             or not values["alpha_sigma"] > 0.0 or xi >= 1.0
             or np.min(sigma) <= 0.0):
         return np.inf
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sig_exc = sigma[data.exc_idx]
-        scaled = data.excess / sig_exc
-        if abs(xi) < XI_ZERO_TOL:
-            nll = float(np.log(sig_exc).sum() + scaled.sum())
-        else:
-            inner = 1.0 + xi * scaled
-            if np.min(inner) <= 0.0:
-                return np.inf
-            nll = float(np.log(sig_exc).sum()
-                        + (1.0 + 1.0 / xi) * np.log(inner).sum())
+    sig_exc = sigma[data.exc_idx]
+    h = _gpd_h(data.excess / sig_exc, xi)
+    with np.errstate(invalid="ignore"):
+        nll = float(np.log(sig_exc).sum() + (1.0 + xi) * h.sum())
     if prior is not None:
         nll += prior.neg_log_density(xi)
     return nll if np.isfinite(nll) else np.inf
@@ -319,12 +354,16 @@ def _site_data(series, thresholds):
 
 
 def _columns(terms, frozen, n):
-    """Free columns of a predictor and the offset of its frozen terms."""
-    free = [np.broadcast_to(cov * c, n) for names, cov, cols in terms
-            if names[0] not in frozen for c in cols]
+    """Free columns of a predictor, filled one by one into a column-major
+    design, and the offset of its frozen terms."""
+    free = [(cov, c) for names, cov, cols in terms if names[0] not in frozen
+            for c in cols]
+    X = np.empty((n, len(free)), order="F")
+    for j, (cov, c) in enumerate(free):
+        np.multiply(cov, c, out=X[:, j])
     offset = np.zeros(n) + linear_predictor(
         [t for t in terms if t[0][0] in frozen], frozen)
-    return (np.column_stack(free) if free else np.zeros((n, 0))), offset
+    return X, offset
 
 
 def _size(slots):
@@ -432,35 +471,34 @@ def _objective(half, x):
 
 
 def _rate_derivs(half, b, local):
-    """Gradient and Hessian of a site's Bernoulli term."""
-    p = inv_logit(b.offset + b.X @ local)
-    return (b.X.T @ (p - (b.data.bern_sign < 0)),
-            b.X.T @ (b.X * (p * (1.0 - p))[:, None]))
+    """Gradient and Hessian of a site's Bernoulli term.
+
+    From e = exp(-|g|) and q = 1/(1 + e): a cycle's residual, the
+    derivative s sigmoid(s g) of its term, is s q where s g >= 0 and
+    s e q elsewhere, and its weight p(1 - p) is e q^2.
+    """
+    g = b.offset + b.X @ local
+    s = b.data.bern_sign
+    e = np.exp(-np.abs(g))
+    q = 1.0 / (1.0 + e)
+    e *= q
+    r = np.where(s * g >= 0.0, q, e)
+    r *= s
+    e *= q
+    return b.X.T @ r, b.X.T @ (b.X * e[:, None])
 
 
 def _gpd_pieces(excess, sigma, xi):
     """Per-exceedance derivatives of the GPD negative log-density.
 
     The density term is log(sigma) + (1 + xi) h with z = excess/sigma and
-    h = log1p(xi z)/xi. Returns its derivatives d/dsigma, d/dxi,
-    d2/dsigma2, d2/dsigma dxi and d2/dxi2. The xi-derivatives of h come
-    from its power series in xi z where |xi z| < 1e-4, which covers the
-    exponential limit xi -> 0, and from the closed form elsewhere, where
-    its cancellation error stays below 1e-8 relative.
+    h = log1p(xi z)/xi (:func:`_gpd_h`). Returns its derivatives d/dsigma,
+    d/dxi, d2/dsigma2, d2/dsigma dxi and d2/dxi2.
     """
     z = excess / sigma
+    h, h1, h2 = _gpd_h(z, xi, derivs=True)
     a = xi * z
     t = 1.0 + a
-    series = np.abs(a) < 1e-4
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(series, z * (1 - a / 2 + a * a / 3 - a ** 3 / 4),
-                     np.log1p(a) / xi)
-        h1 = np.where(series,
-                      z * z * (-1 / 2 + 2 * a / 3 - 3 * a * a / 4 + 4 * a ** 3 / 5),
-                      (z / t - h) / xi)
-        h2 = np.where(series,
-                      z ** 3 * (2 / 3 - 3 * a / 2 + 12 * a * a / 5 - 10 * a ** 3 / 3),
-                      -(z * z / (t * t) + 2 * h1) / xi)
     return ((1 - z) / (sigma * t),
             h + (1 + xi) * h1,
             (2 * z + a * z - 1) / (sigma * t) ** 2,
@@ -477,16 +515,16 @@ def _gpd_derivs(half, b, local):
     Z = b.X[b.data.exc_idx]
     sigma = b.offset[b.data.exc_idx] + Z @ local[:k]
     d_s, d_x, d_ss, d_sx, d_xx = _gpd_pieces(b.data.excess, sigma, xi)
-    g = Z.T @ d_s
-    h = Z.T @ (Z * d_ss[:, None])
+    g, h = np.empty(k + xi_free), np.empty((k + xi_free, k + xi_free))
+    g[:k] = Z.T @ d_s
+    h[:k, :k] = Z.T @ (Z * d_ss[:, None])
     if xi_free:
-        cross = Z.T @ d_sx
-        g = np.append(g, d_x.sum())
-        h = np.block([[h, cross[:, None]],
-                      [cross[None, :], np.array([[d_xx.sum()]])]])
+        g[k] = d_x.sum()
+        h[:k, k] = h[k, :k] = Z.T @ d_sx
+        h[k, k] = d_xx.sum()
         if b.prior is not None:
-            g[-1] += (xi - b.prior.mean) / b.prior.variance
-            h[-1, -1] += 1.0 / b.prior.variance
+            g[k] += (xi - b.prior.mean) / b.prior.variance
+            h[k, k] += 1.0 / b.prior.variance
     return g, h
 
 
@@ -512,6 +550,9 @@ def _newton(fun, derivs, x, lo, hi):
     where the likelihood is finite. Stops when the Newton decrement
     g'H^-1 g (about twice the excess of fun over its minimum) drops below
     1e-10.
+    For a half, ``fun`` and ``derivs`` are its kernels over a column-major
+    design: one exp(-|g|) per cycle for the rate GLM, one h(z; xi) for
+    the GPD regression, whose value and derivatives so agree.
     Returns the minimizer and the number of iterations.
     """
     f = fun(x)
@@ -550,14 +591,26 @@ def _check_separation(half, x):
             )
 
 
-def _gpd_start(half):
-    """Exponential start: shape 0 and a constant scale at the mean excess."""
+def _start(half):
+    """Closed-form start of a half's Newton solve, other coefficients 0.
+
+    Each rate intercept starts at the logit of its sites' exceedance
+    fraction, the maximum-likelihood estimate of the intercept-only model.
+    The GPD regression starts at the exponential: shape 0 and a constant
+    scale at the mean excess.
+    """
     x = np.zeros(_size(half.slots))
     for start, names, labels in half.slots:
-        if names == ("alpha_sigma",):
-            _, _, site = labels[0].partition("@")
-            blocks = [half.blocks[int(site)]] if site else half.blocks
-            x[start] = np.concatenate([b.data.excess for b in blocks]).mean()
+        if names not in (("lam",), ("alpha_sigma",)):
+            continue
+        _, _, site = labels[0].partition("@")
+        datas = [b.data for b in ([half.blocks[int(site)]] if site
+                                  else half.blocks)]
+        if half.gpd:
+            x[start] = np.concatenate([d.excess for d in datas]).mean()
+        else:
+            k, n = sum(d.n_exceed for d in datas), sum(d.n for d in datas)
+            x[start] = math.log(k / (n - k)) if k < n else 0.0
     return x
 
 
@@ -602,23 +655,24 @@ class _HalfFit:
 def _fit_half(half):
     """Solve one half by damped Newton and take its Wald block.
 
-    The rate GLM starts at zero coefficients and raises when its
+    The rate GLM starts with each intercept at the logit of its
+    exceedance fraction and every other coefficient 0, and raises when its
     covariates separate the exceedances; the GPD regression starts from
-    the exponential and keeps its shape in a box. The information in the
+    the exponential and keeps its shape in a box (:func:`_start`). The
+    blocks' designs are column-major and the kernels those of
+    :func:`_newton`. The information in the
     linear coefficients is carried to the parameter values through the
     Jacobian of the map between them (the delta method).
     """
     n = _size(half.slots)
     lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    x = _start(half)
     if half.gpd:
-        x = _gpd_start(half)
         if not np.isfinite(_objective(half, x)):
             raise ValueError("the frozen scale values leave no finite starting point")
         for start, names, _ in half.slots:
             if names == ("xi",):
                 lo[start], hi[start] = _XI_BOX
-    else:
-        x = np.zeros(n)
     x, n_iter = _newton(lambda v: _objective(half, v),
                         lambda v: _derivs(half, v), x, lo, hi)
     if not half.gpd:

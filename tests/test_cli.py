@@ -282,6 +282,23 @@ class TestFit:
             seed=None, percentile=None, run_length=None,
         )).config_hash()
 
+    def test_empty_body_cell_fits_but_has_no_model(self, tmp_path, base_doc,
+                                                   gauges, capsys):
+        # One peak tide all March leaves that month's upper tide bands empty:
+        # the tail fit needs no body, a return curve does.
+        lines = gauges.read_text().splitlines(keepends=True)
+        flat = [re.sub(r"^(SIM,\d{4}-03-[^,]*),[^,]*,", r"\1,3.000000,", line)
+                for line in lines]
+        assert sum(a != b for a, b in zip(lines, flat)) > 100
+        base_doc["inputs"]["gauge_csv"] = str(tmp_path / "flat.csv")
+        (tmp_path / "flat.csv").write_text("".join(flat))
+        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "fit_SIM_R0S0.json").read_text())["converged"]
+        assert main(["rl", "--config", cfg, "--out", str(out)]) == 1
+        assert "month 3 tide band 1 is empty" in capsys.readouterr().err
+
     def test_percentile_flag_reaches_artifact(self, tmp_path, base_doc):
         cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
         out = tmp_path / "out"

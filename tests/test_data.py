@@ -5,7 +5,12 @@ import csv
 import datetime
 import io
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +18,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import skewsurge
 from skewsurge import data
 from skewsurge.data import (
     GmtSeries,
@@ -204,6 +210,66 @@ LEVEL = st.one_of(
     st.floats(-1e-5, 1e-5),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+
+
+def _load_in_subprocess(tmp_path, code):
+    """Run ``code`` in a fresh interpreter with the package importable and
+    ``tmp`` bound to ``tmp_path``; a crash there fails only the caller."""
+    src = str(Path(skewsurge.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", f"tmp = {str(tmp_path)!r}\n" + textwrap.dedent(code)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120)
+
+
+@pytest.mark.parametrize("offset, extended, seconds", [
+    ("+0100", "+01:00", 3600), ("-0530", "-05:30", -19800),
+    ("+01", "+01:00", 3600), ("-00", "+00:00", 0),
+])
+def test_basic_format_offsets_match_the_extended_form(tmp_path, offset,
+                                                      extended, seconds):
+    # numpy parses these forms itself only on a path that warns, and with
+    # the warning raised as an error it crashed on files of 1,000+ rows.
+    proc = _load_in_subprocess(tmp_path, f"""
+        import numpy as np
+        from skewsurge.data import load_series
+        def load(offset):
+            path = f"{{tmp}}/gauge{{offset}}.csv"
+            with open(path, "w") as fh:
+                fh.write("site,timestamp,peak_tide_m,max_sea_level_m\\n")
+                for i in range(2000):
+                    fh.write(f"A,{{2000 + i // 500}}-{{1 + i // 40 % 12:02d}}-"
+                             f"{{1 + i % 28:02d}}T{{i % 24:02d}}:{{i % 60:02d}}"
+                             f"{{offset}},3.0,3.1\\n")
+            return load_series(path)["A"].timestamps
+        basic, extended = load({offset!r}), load({extended!r})
+        assert len(basic) == 2000 and (basic == extended).all()
+        assert ((load("") - basic).astype(int) == {seconds}).all()
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("stamp", [
+    "2000-01-01T00:00+01:00Z", "2000-01-01T00:00+01:00+01:00",
+    "2000-01-01T00:00+1", "2000-01-01T00:00+015", "2000-01-01T00:00+2400",
+    "2000-01-01T00:00+0160", "2000-01-01+01:00", "2000-01-01-05",
+])
+def test_offsets_not_parsed_are_refused(tmp_path, stamp):
+    proc = _load_in_subprocess(tmp_path, f"""
+        from skewsurge.data import load_series
+        path = f"{{tmp}}/gauge.csv"
+        with open(path, "w") as fh:
+            fh.write("site,timestamp,peak_tide_m,max_sea_level_m\\n")
+            fh.write("A,2000-01-01T00:00,3.0,3.1\\n" * 1999)
+            fh.write("A,{stamp},3.0,3.1\\n")
+        try:
+            load_series(path)
+        except ValueError as exc:
+            assert "line 2001: bad timestamp" in str(exc), exc
+        else:
+            raise AssertionError("loaded")
+    """)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestGaugeCsvFormat:

@@ -575,3 +575,94 @@ class TestPooling:
         with pytest.raises(ValueError, match="datasets"):
             fit_pooled(PooledSpec(datasets=[], shared=[]),
                        FitConfig(**self.CFG))
+
+
+def _fd_gradient(f, x, h):
+    return np.array([(f(x + hi) - f(x - hi)) / (2.0 * h[i])
+                     for i, hi in enumerate(np.diag(h))])
+
+
+class TestNewtonKernels:
+    """Each half's value, gradient and Hessian, the derivatives against
+    central differences of the value."""
+
+    @staticmethod
+    def _half(sim_r0, family, **config):
+        series, _, thr = sim_r0
+        return fitting._half([fitting._site_data(series, thr)], family,
+                             FitConfig(**config))
+
+    @staticmethod
+    def _check_derivs(value, derivs, x, h_grad, h_hess):
+        """Each entry to 1e-5 relative, or to within 100 times the
+        rounding error of its central difference."""
+        grad, hess = derivs(x)
+        noise = 100 * np.finfo(float).eps * abs(value(x))
+        npt.assert_allclose(grad, _fd_gradient(value, x, np.full(x.size, h_grad)),
+                            rtol=1e-5, atol=noise / h_grad)
+        npt.assert_allclose(hess, _fd_hessian(value, x, np.full(x.size, h_hess)),
+                            rtol=1e-5, atol=noise / h_hess ** 2)
+
+    def test_bernoulli_value_is_logaddexp(self, sim_r0):
+        half = self._half(sim_r0, "R0")
+        b = half.blocks[0]
+        for local in ([-3.0, 0.1, -0.2, 0.5, 0.3, 0.0],
+                      [0.0, 0.0, 0.0, 40.0, 0.0, 0.0]):
+            g = b.offset + b.X @ np.array(local)
+            reference = np.logaddexp(0.0, b.data.bern_sign * g).sum()
+            npt.assert_allclose(fitting._bernoulli_nll(b.data, g), reference,
+                                rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("slope", [0.5, 40.0], ids=["moderate", "beyond-30"])
+    def test_rate_derivatives(self, sim_r0, slope):
+        half = self._half(sim_r0, "R0")
+        b = half.blocks[0]
+        # columns: intercept, the day harmonic's two, tide, the tide
+        # harmonic's two; a steep tide slope sends logits beyond +-30
+        x = np.array([-3.0, 0.1, -0.2, slope, 0.3, -0.1])
+        logits = np.abs(b.offset + b.X @ x)
+        assert (logits.max() > 30.0) == (slope > 30.0)
+        self._check_derivs(lambda v: fitting._block_nll(half, b, v, None),
+                           lambda v: fitting._rate_derivs(half, b, v),
+                           x, 1e-5, 1e-4)
+
+    @pytest.mark.parametrize("xi", [0.0, 1e-9, -1e-9, 2e-3, -0.1, 0.3])
+    @pytest.mark.parametrize("prior", [None, ShapePrior()], ids=["plain", "prior"])
+    def test_gpd_derivatives(self, sim_r0, xi, prior):
+        half = self._half(sim_r0, "S0", shape_prior=prior)
+        b = half.blocks[0]
+        x = np.array([0.12, 0.02, 0.03, 0.01, xi])  # alpha, b1, b2, gamma, xi
+        sigma = b.offset + b.X @ x[:4]
+        z = b.data.excess / sigma[b.data.exc_idx]
+        near = np.abs(xi * z) < 1e-4
+        if xi == 2e-3:  # the series and the closed form, side by side
+            assert 0 < near.sum() < near.size
+        value = lambda v: fitting._block_nll(half, b, v, b.prior)
+        if abs(xi) < 1e-6:
+            h = z * (1 - xi * z / 2 + (xi * z) ** 2 / 3)
+        else:
+            h = np.log1p(xi * z) / xi
+        reference = (np.log(sigma[b.data.exc_idx]).sum() + (1 + xi) * h.sum()
+                     + (prior.neg_log_density(xi) if prior else 0.0))
+        npt.assert_allclose(value(x), reference, rtol=1e-13, atol=0)
+        self._check_derivs(value, lambda v: fitting._gpd_derivs(half, b, v),
+                           x, 1e-6, 1e-5)
+
+    def test_gpd_value_is_continuous_through_zero_shape(self, sim_r0):
+        half = self._half(sim_r0, "S0")
+        b = half.blocks[0]
+        at = lambda xi: fitting._block_nll(
+            half, b, np.array([0.12, 0.02, 0.03, 0.01, xi]), None)
+        slope = (at(1e-6) - at(-1e-6)) / 2e-6
+        for xi in (1e-12, -1e-12, 1e-9, -1e-9):
+            npt.assert_allclose(at(xi), at(0.0) + slope * xi, rtol=1e-14)
+
+    def test_intercept_only_rate_converges_in_one_iteration(self, sim_r0):
+        frozen = {"beta_day": 0.0, "phi_day": 0.0, "alpha_tide": 0.0,
+                  "beta_tide": 0.0, "phi_tide": 0.0}
+        half = self._half(sim_r0, "R0", frozen=frozen)
+        rate = fitting._fit_half(half)
+        data = half.blocks[0].data
+        assert rate.n_iter == 1
+        npt.assert_allclose(rate.values[0]["lam"], data.n_exceed / data.n,
+                            rtol=1e-12)
