@@ -102,25 +102,33 @@ def cell_cdf(model, month, tide):
     The records are grouped once by cell with a stable sort, so each call
     is one ``searchsorted`` per contiguous slice of the grouped values.
     Month and tide broadcast; the returned function takes y of their
-    broadcast shape.
+    broadcast shape. Called as ``cdf(y, out, where)``, it searches only
+    the records where the boolean ``where`` holds and writes their values
+    into the C-contiguous ``out``, leaving its other entries as they are.
     """
     month, tide = np.broadcast_arrays(np.asarray(month), np.asarray(tide))
     cell = (3 * (month - 1) + model.band_index(month, tide)).ravel()
     order = np.argsort(cell, kind="stable")
     bounds = np.searchsorted(cell[order], np.arange(37))
-    slices = [(c, bounds[c], bounds[c + 1]) for c in range(36)
-              if bounds[c] < bounds[c + 1]]
+    cells = [c for c in range(36) if bounds[c] < bounds[c + 1]]
 
-    def cdf(y):
-        grouped = np.asarray(y, dtype=float).ravel()[order]
-        for c, lo, hi in slices:
+    def cdf(y, out=None, where=None):
+        rows, at = order, bounds
+        if where is not None:  # the selected records, still grouped by cell
+            keep = np.ravel(where)[order]
+            rows = order[keep]
+            at = np.concatenate(([0], np.cumsum(keep)))[bounds]
+        grouped = np.asarray(y, dtype=float).ravel()[rows]
+        for c in cells:
+            lo, hi = at[c], at[c + 1]
             j, b = divmod(c, 3)
             grouped[lo:hi] = np.searchsorted(
                 model.samples[j][b], grouped[lo:hi], side="right"
             ) / model.totals[j, b]
-        out = np.empty_like(grouped)
-        out[order] = grouped
-        return out.reshape(month.shape)
+        if out is None:
+            out = np.empty(month.shape)
+        out.reshape(-1)[rows] = grouped
+        return out
 
     return cdf
 

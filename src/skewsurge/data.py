@@ -22,6 +22,7 @@ import numpy as np
 GAUGE_HEADER = ["site", "timestamp", "peak_tide_m", "max_sea_level_m", "skew_surge_m"]
 GMT_HEADER = ["year", "anomaly_c"]
 _LEVELS = ("peak_tide_m", "max_sea_level_m")  # the gauge CSV's float fields
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # names np.loadtxt decompresses
 
 # Non-leap cumulative days before each month; day-of-year is always mapped
 # onto a 365-day calendar (Feb 29 collapses onto day 59).
@@ -64,21 +65,40 @@ def standardize_year(year, mid_year=1968, half_range=53):
     return (np.asarray(year, dtype=float) - mid_year) / half_range
 
 
-def calendar_columns(timestamps):
-    """(year, month, day_of_month, day_of_year) arrays from datetime64 stamps.
-
-    Civil-from-days in integer arithmetic (H. Hinnant's algorithm) on days
-    since 1970, counted in 400-year eras of years that start on March 1.
-    """
-    days = np.asarray(timestamps, dtype="datetime64[s]").view(np.int64) // 86400
-    era, doe = np.divmod(days + 719468, 146097)  # day of era, 0..146096
-    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
-    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)  # from March 1, 0..365
+def _march_tables():
+    """(year step, month, day, day of the 365-day year) of each day 0..365
+    of a year that starts on March 1; the year steps on January 1."""
+    doy = np.arange(366)
     mp = (5 * doy + 2) // 153  # month from March, 0..11
     day = doy - (153 * mp + 2) // 5 + 1
     month = np.where(mp < 10, mp + 3, mp - 9)
-    year = 400 * era + yoe + (month <= 2)
-    return year, month, day, day_of_year_365(month, day)
+    return (month <= 2).astype(np.int64), month, day, day_of_year_365(month, day)
+
+
+_MARCH_YEAR, _MARCH_MONTH, _MARCH_DAY, _MARCH_DOY = _march_tables()
+_INT32_DAYS = (-2**31, 2**31 - 719468)  # days whose arithmetic fits in int32
+
+
+def calendar_columns(timestamps):
+    """(year, month, day_of_month, day_of_year) int64 arrays from datetime64
+    stamps.
+
+    Civil-from-days in integer arithmetic (H. Hinnant's algorithm) on days
+    since 1970, counted in 400-year eras of years that start on March 1;
+    the day within such a year indexes tables of month, day and the rest.
+    Days are int32 where they fit, which halves the temporaries.
+    """
+    days = np.asarray(timestamps, dtype="datetime64[s]").view(np.int64) // 86400
+    if days.size and _INT32_DAYS[0] <= days.min() and days.max() < _INT32_DAYS[1]:
+        days = days.astype(np.int32)
+    days += 719468
+    era = days // 146097
+    doe = days - era * 146097  # day of era, 0..146096
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)  # from March 1, 0..365
+    year = _MARCH_YEAR.take(doy)
+    year += 400 * era + yoe
+    return year, _MARCH_MONTH.take(doy), _MARCH_DAY.take(doy), _MARCH_DOY.take(doy)
 
 
 @dataclass
@@ -185,33 +205,60 @@ def _utc_stamps(text):
     follow a time. Every offset is parsed here or refused, so numpy's
     own parser never sees one: numpy parses offsets only on a path that
     warns, and with the warning raised as an error it can crash there.
+
+    The bytes are tested through one uint8 view of a copy. Stamps are
+    stripped and measured one by one only when some stamp differs in
+    length from the first or has a space around it, and searched for a
+    sign after the date only when some byte is ``+`` or the ``-`` bytes
+    are more than each date's two.
     """
-    text = np.char.strip(text)
-    codes = text.view(np.uint8).reshape(len(text), -1)
-    rows, end = np.arange(len(text)), np.char.str_len(text)
-    if not (np.char.find(text, b"-") == 4).all():  # also rejects "now", "today"
-        raise ValueError("not an ISO 8601 date and time (YYYY-MM-DD...)")
-    zulu = codes[rows, end - 1] == ord("Z")
-    codes[rows[zulu], end[zulu] - 1] = 0
-    signs = (codes[:, 10:] == ord("+")) | (codes[:, 10:] == ord("-"))
-    at = np.flatnonzero(signs.any(axis=1))
-    start = 10 + signs[at].argmax(axis=1)
-    width = end[at] - start  # 6, 5 or 3 bytes: +HH:MM, +HHMM or +HH
-    last = codes.shape[1] - 1
-    mm = start + np.where(width == 6, 4, 3)
-    hh_mm = codes[at[:, None], np.minimum(
-        np.stack([start + 1, start + 2, mm, mm + 1], axis=1), last)
-    ].astype(np.int64) - ord("0")
-    hh_mm[width == 3, 2:] = 0
-    if (~np.isin(width, (3, 5, 6)) | (start == 10) | zulu[at]
-            | (signs[at].sum(axis=1) > 1)
-            | ((width == 6) & (codes[at, np.minimum(start + 3, last)] != ord(":")))
-            | ((hh_mm < 0) | (hh_mm > 9)).any(axis=1)
-            | (hh_mm @ [10, 1, 0, 0] > 23) | (hh_mm[:, 2] > 5)).any():
-        raise ValueError("a UTC offset is ±HH:MM, ±HHMM or ±HH, below 24:00, "
-                         "after a time and with no Z")
-    minutes = np.where(codes[at, start] == ord("-"), -1, 1) * (hh_mm @ [600, 60, 10, 1])
-    codes[at[:, None], np.minimum(start[:, None] + np.arange(6), last)] = 0
+    text = np.array(text)  # contiguous; each "Z" and offset is zeroed in it
+    n, size = len(text), text.dtype.itemsize
+    codes = text.view(np.uint8).reshape(n, size)
+    length = len(text[0]) if n else 0
+    if (10 <= length < size and (codes[:, [0, length - 1]] > ord(" ")).all()
+            and not codes[:, length:].any()):  # what strip leaves as it is
+        end = np.broadcast_to(length, (n,))
+        zulu = codes[:, length - 1] == ord("Z")
+        codes[:, length - 1][zulu] = 0
+    else:
+        text = np.char.strip(text)
+        codes = text.view(np.uint8).reshape(n, size)
+        end, rows = np.char.str_len(text), np.arange(n)
+        zulu = codes[rows, end - 1] == ord("Z")
+        codes[rows[zulu], end[zulu] - 1] = 0
+    if (size > 10 and (codes[:, 4] == ord("-")).all()
+            and (codes[:, 7] == ord("-")).all()
+            and np.count_nonzero(codes == ord("-")) == 2 * n
+            and not (codes == ord("+")).any()):  # no sign after any date
+        at = np.arange(0)
+    else:
+        if not (np.char.find(text, b"-") == 4).all():  # also rejects "now"
+            raise ValueError("not an ISO 8601 date and time (YYYY-MM-DD...)")
+        signs = (codes[:, 10:] == ord("+")) | (codes[:, 10:] == ord("-"))
+        at = np.flatnonzero(signs.any(axis=1))
+        signs = signs[at]
+    minutes = 0
+    if at.size:  # the offset branch
+        start = 10 + signs.argmax(axis=1)
+        width = end[at] - start  # 6, 5 or 3 bytes: +HH:MM, +HHMM or +HH
+        last = codes.shape[1] - 1
+        mm = start + np.where(width == 6, 4, 3)
+        hh_mm = codes[at[:, None], np.minimum(
+            np.stack([start + 1, start + 2, mm, mm + 1], axis=1), last)
+        ].astype(np.int64) - ord("0")
+        hh_mm[width == 3, 2:] = 0
+        if (~np.isin(width, (3, 5, 6)) | (start == 10) | zulu[at]
+                | (signs.sum(axis=1) > 1)
+                | ((width == 6)
+                   & (codes[at, np.minimum(start + 3, last)] != ord(":")))
+                | ((hh_mm < 0) | (hh_mm > 9)).any(axis=1)
+                | (hh_mm @ [10, 1, 0, 0] > 23) | (hh_mm[:, 2] > 5)).any():
+            raise ValueError("a UTC offset is ±HH:MM, ±HHMM or ±HH, below "
+                             "24:00, after a time and with no Z")
+        minutes = (np.where(codes[at, start] == ord("-"), -1, 1)
+                   * (hh_mm @ [600, 60, 10, 1]))
+        codes[at[:, None], np.minimum(start[:, None] + np.arange(6), last)] = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warns on offsets it parses itself
         stamps = text.astype("datetime64[s]")
@@ -219,28 +266,42 @@ def _utc_stamps(text):
     return stamps
 
 
-def _has_comment_line(fh):
-    """Whether a line from ``fh``'s position (a line start) on is a comment,
-    read in blocks that end at a line end. Most blocks hold no ``#``."""
-    return any("#" in block and (block.startswith("#") or "\n#" in block)
-               for block in iter(lambda: fh.read(1 << 16) + fh.readline(), ""))
+def _scan_bytes(fh, start):
+    """(whether a line from byte ``start``, a line start, on is a comment,
+    whether the file holds a carriage return, the lines before ``start``)
+    of the binary ``fh``, read in blocks that end at a line end."""
+    fh.seek(0)
+    head = fh.read(start)
+    cr = b"\r" in head
+    for block in iter(lambda: fh.read(1 << 16) + fh.readline(), b""):
+        if b"#" in block and (block.startswith(b"#") or b"\n#" in block):
+            return True, cr, head.count(b"\n")
+        cr = cr or b"\r" in block
+    return False, cr, head.count(b"\n")
 
 
-def _parse_rows(lines, header, first_line):
+def _parse_rows(lines, header, first_line, named=None):
     """The data rows as one structured array, parsed by numpy's C parser.
 
-    ``lines()`` gives the data lines. Byte-string fields (latin-1 keeps each
-    byte) are sized from the first row plus a margin, or from the longest
-    line if a value fills that size. The skew surge is parsed as a float
-    unless that fails (an empty field does), when it is read as bytes.
+    ``lines()`` gives the data lines. If ``named`` is given, a file name
+    and the number of lines before its data, numpy reads the data from
+    that file itself, in blocks rather than line by line: the same lines
+    for a file with no comment line among its data and no carriage
+    return. Byte-string fields (latin-1 keeps each byte) are sized from
+    the first row plus a margin, or from the longest line if a value
+    fills that size (its last byte is set). The skew surge is parsed as a
+    float unless that fails (an empty field does), when it is read as
+    bytes.
     """
     first = next(csv.reader([first_line]))
     widths = [len(f) + 8 for f in first] + [8] * len(header)
     floats = {*_LEVELS, "skew_surge_m"}
     for _ in range(3):
         try:
+            source, skip = named or (lines(), 0)
             table = np.loadtxt(
-                lines(), delimiter=",", quotechar='"', comments=None, ndmin=1,
+                source, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                skiprows=skip, encoding="latin-1",
                 dtype=[(name, "f8" if name in floats else f"S{width}")
                        for name, width in zip(header, widths)])
         except ValueError:
@@ -248,8 +309,9 @@ def _parse_rows(lines, header, first_line):
                 raise
             floats = set(_LEVELS)
             continue
-        if all(np.char.str_len(table[name]).max() < width
-               for name, width in zip(header, widths) if name not in floats):
+        raw = table.view(np.uint8).reshape(len(table), table.dtype.itemsize)
+        if not any(raw[:, table.dtype.fields[name][1] + width - 1].any()
+                   for name, width in zip(header, widths) if name not in floats):
             return table
         widths = [max(map(len, lines()))] * len(header)
     return table
@@ -286,6 +348,14 @@ def _row_error(path, n_fields):
                 return f"{where}: non-numeric level"
 
 
+def _steps_in_runs(stamps, heads):
+    """Seconds from each stamp to the next, 1 where the next row starts
+    one of the runs that begin at rows ``heads``."""
+    step = np.diff(stamps.view(np.int64))
+    step[heads[1:] - 1] = 1
+    return step
+
+
 def load_series(path):
     """Load a gauge CSV into one :class:`SiteSeries` per site.
 
@@ -296,7 +366,9 @@ def load_series(path):
     are skipped. Timestamps are ISO 8601, naive (read as UTC) or ending in
     ``Z`` or in a UTC offset of the form ``±HH:MM``, ``±HHMM`` or ``±HH``;
     any other offset is an error. Rows are sorted per site by timestamp;
-    duplicate timestamps within a site are an error.
+    duplicate timestamps within a site are an error. A file already in
+    (site, time) order, one run of rows per site with its stamps rising,
+    as :func:`write_series_csv` writes it, is not re-sorted.
 
     Returns
     -------
@@ -321,48 +393,63 @@ def load_series(path):
             )
         if first_line is None:
             return {}
-        fh.seek(start)
-        commented = _has_comment_line(fh)
+        # latin-1 text: its position is the byte offset
+        commented, cr, skip = _scan_bytes(fh.buffer, start)
+        # numpy opens a file named like a compressed one decompressed
+        named = (None if commented or cr or path.name.endswith(_COMPRESSED)
+                 else (str(path), skip))
 
-        def data_lines():  # numpy iterates the file itself unless lines are dropped
+        def data_lines():  # the file's lines from the first data line on
             fh.seek(start)
             return (line for line in fh if not line.startswith("#")) if commented else fh
 
         try:
-            table = _parse_rows(data_lines, header, first_line)
-            site = np.char.strip(table["site"])
-            if (np.char.str_len(site) == 0).any():
+            table = _parse_rows(data_lines, header, first_line, named)
+            raw = table["site"]  # stripped once per run of equal fields
+            heads = np.flatnonzero(np.concatenate(([True], raw[1:] != raw[:-1])))
+            site = np.char.strip(raw[heads])
+            if (site == b"").any():
                 raise ValueError("empty site id")
             stamps = _utc_stamps(table["timestamp"])
             tide, msl = table["peak_tide_m"], table["max_sea_level_m"]
-            skew = msl - tide
             if table.dtype[-1].kind == "S":  # skew surge as bytes: not all floats
+                skew = msl - tide
                 given = np.char.strip(table["skew_surge_m"])
                 filled = np.char.str_len(given) > 0
                 skew[filled] = given[filled].astype(float)
-            elif len(header) == 5:
-                skew = table["skew_surge_m"]
+            else:
+                skew = table["skew_surge_m"] if len(header) == 5 else msl - tide
         except (ValueError, UserWarning) as exc:
             raise ValueError(_row_error(path, len(header)) or f"{path}: {exc}") from None
 
     names, first, code = np.unique(site, return_index=True, return_inverse=True)
-    order = np.lexsort((stamps.view(np.int64), code))
-    stamps = stamps[order]
-    bounds = np.searchsorted(code[order], np.arange(len(names) + 1))
-    columns = (stamps, tide[order], msl[order], skew[order],
-               *calendar_columns(stamps))
+    first = heads[first]  # each site's first row
     try:
         site_ids = [name.decode() for name in names.tolist()]
     except UnicodeDecodeError:
         raise ValueError(_row_error(path, len(header))
                          or f"{path}: a site id is not UTF-8") from None
+    step = _steps_in_runs(stamps, heads)
+    if len(heads) == len(names) and not (step < 0).any():  # in (site, time) order
+        levels = [np.ascontiguousarray(c) for c in (tide, msl, skew)]
+    else:
+        row_code = np.repeat(code, np.diff(heads, append=len(stamps)))
+        order = np.lexsort((stamps.view(np.int64), row_code))
+        stamps, levels = stamps[order], [c[order] for c in (tide, msl, skew)]
+        code = np.arange(len(names))
+        heads = np.searchsorted(row_code[order], code)
+        step = _steps_in_runs(stamps, heads)
+    dup = np.flatnonzero(step == 0)
+    if dup.size:  # reported for the site that appears first
+        run = code[np.searchsorted(heads, dup, side="right") - 1]
+        k = np.argmin(first[run])
+        raise ValueError(
+            f"site {site_ids[run[k]]}: duplicate timestamp {stamps[dup[k] + 1]}")
+    columns = (stamps, *levels, *calendar_columns(stamps))
+    bounds = np.append(heads, len(stamps))
     out = {}
-    for k in np.argsort(first):
-        site_id, rows = site_ids[k], slice(bounds[k], bounds[k + 1])
-        dup = np.flatnonzero(np.diff(stamps[rows].view(np.int64)) == 0)
-        if dup.size:
-            raise ValueError(
-                f"site {site_id}: duplicate timestamp {stamps[rows][dup[0] + 1]}")
+    for k in np.argsort(first[code]):
+        site_id, rows = site_ids[code[k]], slice(bounds[k], bounds[k + 1])
         out[site_id] = SiteSeries(site_id, *(column[rows] for column in columns))
     return out
 
@@ -548,9 +635,14 @@ def monthly_thresholds(series, percentile=0.95):
     """
     if not 0.0 < percentile < 1.0:
         raise ValueError("percentile must be in (0, 1)")
+    # grouped by month in a stable order: each slice is the masked column
+    month = np.asarray(series.month)
+    order = np.argsort(month, kind="stable")
+    bounds = np.searchsorted(month[order], np.arange(1, 14))
+    grouped = np.asarray(series.skew_surge)[order]
     values = np.empty(12)
     for j in range(1, 13):
-        ss = series.skew_surge[series.month == j]
+        ss = grouped[bounds[j - 1]:bounds[j]]
         if ss.size < 30:
             raise ValueError(
                 f"site {series.site_id}: month {j} has {ss.size} records; "
@@ -568,15 +660,23 @@ class Standardizers(NamedTuple):
     month_mean_day: np.ndarray  # shape (12,), NaN where a month is absent
 
 
-def standardizers(peak_tide, month, day_of_month):
-    """Peak-tide mean and standard deviation, and the mean day-of-month of
-    each month (the centering constant of the rate model's day term)."""
+def _tide_sd(peak_tide):
+    """Peak tide's standard deviation; ValueError if the series is empty or
+    the deviation is zero, where the rate model cannot standardize."""
     peak_tide = np.asarray(peak_tide, dtype=float)
     if peak_tide.size == 0:
         raise ValueError("empty series")
     tide_sd = float(peak_tide.std())
     if tide_sd == 0.0:
         raise ValueError("peak tide has zero variance; cannot standardize")
+    return tide_sd
+
+
+def standardizers(peak_tide, month, day_of_month):
+    """Peak-tide mean and standard deviation, and the mean day-of-month of
+    each month (the centering constant of the rate model's day term)."""
+    peak_tide = np.asarray(peak_tide, dtype=float)
+    tide_sd = _tide_sd(peak_tide)
     month_mean_day = np.full(12, np.nan)
     for j in range(1, 13):
         sel = month == j
@@ -593,7 +693,7 @@ def attach_covariates(series, gmt=None, mid_year=1968, half_range=53):
     raise KeyError. A series the tail model cannot standardize (empty, or
     with a constant peak tide) raises ValueError.
     """
-    standardizers(series.peak_tide, series.month, series.day_of_month)
+    _tide_sd(series.peak_tide)
     return replace(
         series,
         year_std=standardize_year(series.year, mid_year, half_range),

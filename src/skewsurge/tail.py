@@ -494,7 +494,7 @@ class SkewSurgeModel:
         in place for every record: h = (y - u_j)/sigma, the tail survival
         S = exp(log lambda - log1p(xi h)/xi) of :func:`_tail_survival`,
         then F = 1 - S. The empirical body overwrites the records at or
-        below their threshold, and is searched only when there is one. A
+        below their threshold, searched for those records alone. A
         record with sigma <= 0 is an error only where y is above u_j.
         """
         d, d_j, j, x = np.broadcast_arrays(
@@ -526,7 +526,7 @@ class SkewSurgeModel:
             _tail_survival(out, log_lam, xi)
             np.subtract(1.0, out, out=out)
             if not above.all():
-                np.copyto(out, body(y), where=~above)
+                body(y, out, ~above)
             return out
 
         return cdf

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 import skewsurge
 from skewsurge import data
 from skewsurge.data import (
+    GAUGE_HEADER,
     GmtSeries,
     SiteSeries,
     attach_covariates,
@@ -509,6 +511,306 @@ class TestLoaderRoutes:
             _assert_same_series(self._load(tmp_path, text, name), plain)
 
 
+# The loader as it was before numpy read the file by name, the stamps
+# were tested through one byte view, site ids were stripped once per run
+# and files in (site, time) order were left unsorted: the reference of
+# the differential test below.
+
+def _reference_calendar(timestamps):
+    days = np.asarray(timestamps, dtype="datetime64[s]").view(np.int64) // 86400
+    era, doe = np.divmod(days + 719468, 146097)
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    mp = (5 * doy + 2) // 153
+    day = doy - (153 * mp + 2) // 5 + 1
+    month = np.where(mp < 10, mp + 3, mp - 9)
+    year = 400 * era + yoe + (month <= 2)
+    return year, month, day, day_of_year_365(month, day)
+
+
+def _reference_utc_stamps(text):
+    text = np.char.strip(text)
+    codes = text.view(np.uint8).reshape(len(text), -1)
+    rows, end = np.arange(len(text)), np.char.str_len(text)
+    if not (np.char.find(text, b"-") == 4).all():
+        raise ValueError("not an ISO 8601 date and time (YYYY-MM-DD...)")
+    zulu = codes[rows, end - 1] == ord("Z")
+    codes[rows[zulu], end[zulu] - 1] = 0
+    signs = (codes[:, 10:] == ord("+")) | (codes[:, 10:] == ord("-"))
+    at = np.flatnonzero(signs.any(axis=1))
+    # One change: argmax of no rows raised on a lone 10-byte stamp (a date
+    # alone), so the row check reported such a valid stamp as bad.
+    start = 10 + (signs[at].argmax(axis=1) if at.size else at)
+    width = end[at] - start
+    last = codes.shape[1] - 1
+    mm = start + np.where(width == 6, 4, 3)
+    hh_mm = codes[at[:, None], np.minimum(
+        np.stack([start + 1, start + 2, mm, mm + 1], axis=1), last)
+    ].astype(np.int64) - ord("0")
+    hh_mm[width == 3, 2:] = 0
+    if (~np.isin(width, (3, 5, 6)) | (start == 10) | zulu[at]
+            | (signs[at].sum(axis=1) > 1)
+            | ((width == 6) & (codes[at, np.minimum(start + 3, last)] != ord(":")))
+            | ((hh_mm < 0) | (hh_mm > 9)).any(axis=1)
+            | (hh_mm @ [10, 1, 0, 0] > 23) | (hh_mm[:, 2] > 5)).any():
+        raise ValueError("a UTC offset is ±HH:MM, ±HHMM or ±HH, below 24:00, "
+                         "after a time and with no Z")
+    minutes = np.where(codes[at, start] == ord("-"), -1, 1) * (hh_mm @ [600, 60, 10, 1])
+    codes[at[:, None], np.minimum(start[:, None] + np.arange(6), last)] = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stamps = text.astype("datetime64[s]")
+    stamps[at] -= minutes * np.timedelta64(60, "s")
+    return stamps
+
+
+def _reference_parse_rows(lines, header, first_line):
+    first = next(csv.reader([first_line]))
+    widths = [len(f) + 8 for f in first] + [8] * len(header)
+    floats = {"peak_tide_m", "max_sea_level_m", "skew_surge_m"}
+    for _ in range(3):
+        try:
+            table = np.loadtxt(
+                lines(), delimiter=",", quotechar='"', comments=None, ndmin=1,
+                dtype=[(name, "f8" if name in floats else f"S{width}")
+                       for name, width in zip(header, widths)])
+        except ValueError:
+            if "skew_surge_m" not in floats or len(header) < 5:
+                raise
+            floats = {"peak_tide_m", "max_sea_level_m"}
+            continue
+        if all(np.char.str_len(table[name]).max() < width
+               for name, width in zip(header, widths) if name not in floats):
+            return table
+        widths = [max(map(len, lines()))] * len(header)
+    return table
+
+
+def _reference_row_error(path, n_fields):
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = ((no, line) for no, line in enumerate(fh, start=1)
+                 if line != "\n" and not line.startswith("#"))
+        next(lines)
+        for line_no, line in lines:
+            row = next(csv.reader([line]))
+            where = f"{path} line {line_no}"
+            if len(row) != n_fields:
+                return f"{where}: expected {n_fields} fields"
+            if not row[0].strip():
+                return f"{where}: empty site id"
+            try:
+                row[0].encode()
+            except UnicodeEncodeError:
+                return f"{where}: site id is not UTF-8"
+            try:
+                stamp = np.array([row[1].encode()])
+            except UnicodeEncodeError:
+                return f"{where}: timestamp is not UTF-8"
+            try:
+                _reference_utc_stamps(stamp)
+            except (ValueError, UserWarning) as exc:
+                return f"{where}: bad timestamp {row[1]!r}: {exc}"
+            try:
+                [float(v) for v in row[2:4] + [v for v in row[4:] if v.strip()]]
+            except ValueError:
+                return f"{where}: non-numeric level"
+
+
+def _reference_load_series(path):
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"gauge CSV not found: {path}")
+    with open(path, encoding="latin-1", newline="\n") as fh:
+        lines = (line for line in iter(fh.readline, "") if not line.startswith("#"))
+        header_line, start = next(lines, None), fh.tell()
+        first_line = next((line for line in lines if line.strip("\r\n")), None)
+        if header_line is None:
+            raise ValueError(f"{path}: empty file")
+        header = [h.strip() for h in next(csv.reader(
+            [header_line.encode("latin-1").decode(errors="replace")]), [])]
+        if header not in (GAUGE_HEADER, GAUGE_HEADER[:4]):
+            raise ValueError(
+                f"{path}: unexpected header {header!r}; "
+                f"expected {','.join(GAUGE_HEADER)} (skew_surge_m optional)"
+            )
+        if first_line is None:
+            return {}
+        fh.seek(start)
+        commented = any(
+            "#" in block and (block.startswith("#") or "\n#" in block)
+            for block in iter(lambda: fh.read(1 << 16) + fh.readline(), ""))
+
+        def data_lines():
+            fh.seek(start)
+            return (line for line in fh if not line.startswith("#")) if commented else fh
+
+        try:
+            table = _reference_parse_rows(data_lines, header, first_line)
+            site = np.char.strip(table["site"])
+            if (np.char.str_len(site) == 0).any():
+                raise ValueError("empty site id")
+            stamps = _reference_utc_stamps(table["timestamp"])
+            tide, msl = table["peak_tide_m"], table["max_sea_level_m"]
+            skew = msl - tide
+            if table.dtype[-1].kind == "S":
+                given = np.char.strip(table["skew_surge_m"])
+                filled = np.char.str_len(given) > 0
+                skew[filled] = given[filled].astype(float)
+            elif len(header) == 5:
+                skew = table["skew_surge_m"]
+        except (ValueError, UserWarning) as exc:
+            raise ValueError(_reference_row_error(path, len(header))
+                             or f"{path}: {exc}") from None
+
+    names, first, code = np.unique(site, return_index=True, return_inverse=True)
+    order = np.lexsort((stamps.view(np.int64), code))
+    stamps = stamps[order]
+    bounds = np.searchsorted(code[order], np.arange(len(names) + 1))
+    columns = (stamps, tide[order], msl[order], skew[order],
+               *_reference_calendar(stamps))
+    try:
+        site_ids = [name.decode() for name in names.tolist()]
+    except UnicodeDecodeError:
+        raise ValueError(_reference_row_error(path, len(header))
+                         or f"{path}: a site id is not UTF-8") from None
+    out = {}
+    for k in np.argsort(first):
+        site_id, rows = site_ids[k], slice(bounds[k], bounds[k + 1])
+        dup = np.flatnonzero(np.diff(stamps[rows].view(np.int64)) == 0)
+        if dup.size:
+            raise ValueError(
+                f"site {site_id}: duplicate timestamp {stamps[rows][dup[0] + 1]}")
+        out[site_id] = SiteSeries(site_id, *(column[rows] for column in columns))
+    return out
+
+
+def _outcome(load, path):
+    """What ``load(path)`` gives: the series, or a ValueError's text."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_identical(got, expected):
+    """The same outcome: one error text, or the same sites in the same
+    order with every column of the same dtype and bytes."""
+    assert type(got) is type(expected)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert list(got) == list(expected)
+    for site_id, series in expected.items():
+        for f in fields(SiteSeries):
+            a, b = getattr(got[site_id], f.name), getattr(series, f.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
+
+
+STAMP_FORMS = ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%dT%H:%M", "%Y-%m-%d %H:%M:%S",
+               "%Y-%m-%d")
+OFFSET_FORMS = ("", "Z", "{sign}{hh:02d}:{mm:02d}", "{sign}{hh:02d}{mm:02d}",
+                "{sign}{hh:02d}")
+BAD_ROWS = ("A,2000-01-02T00:00Z,x,3.1", "A,now,3.0,3.1", "A,2000-13-01,3,3",
+            "A,2000-01-02T00:00+24:00,3.0,3.1", "A,2000-01-02T00:00+01Z,3,3",
+            "  ,2000-01-02,3.0,3.1", "A,2000-01-02,3.0", "A,2000-01-02,1_0,2",
+            "\xff,2000-01-02,3.0,3.1")
+
+
+def _stamp(seconds, form, offset_form, offset):
+    """The instant ``seconds`` written in ``form`` at UTC offset ``offset``
+    minutes, with the offset in ``offset_form``."""
+    local = datetime.datetime(1970, 1, 1) + datetime.timedelta(
+        seconds=seconds + 60 * offset)
+    sign, (hh, mm) = "-" if offset < 0 else "+", divmod(abs(offset), 60)
+    return local.strftime(form) + offset_form.format(sign=sign, hh=hh, mm=mm)
+
+
+def _site_field(site_id, style):
+    """``site_id`` as a CSV field: quoted where the csv module quotes it,
+    always quoted, or with spaces around it (unless it holds a comma)."""
+    row = io.StringIO()
+    quoting = csv.QUOTE_ALL if style == "quoted" else csv.QUOTE_MINIMAL
+    csv.writer(row, lineterminator="", quoting=quoting).writerow([site_id])
+    if style == "padded" and "," not in site_id:
+        return f" {row.getvalue()}  "
+    return row.getvalue()
+
+
+@st.composite
+def gauge_files(draw):
+    """Bytes of a gauge CSV: one or more sites, their rows in writer order,
+    interleaved or shuffled, stamps in several forms and offsets, comment
+    and blank lines, CRLF line ends, empty skew fields and a bad row."""
+    five = draw(st.booleans())
+    sites = draw(st.lists(st.sampled_from(["A", "B2", "Port, North",
+                                           'say "hi"', "é"]),
+                          min_size=1, max_size=3, unique=True))
+    rows = [(site_id, t) for site_id in sites for t in sorted(draw(st.lists(
+        st.integers(-2_000_000_000, 2_000_000_000), min_size=1, max_size=8,
+        unique=True)))]
+    order = draw(st.sampled_from(["written", "interleaved", "shuffled"]))
+    if order == "interleaved":
+        rows.sort(key=lambda row: row[1])
+    elif order == "shuffled":
+        rows = draw(st.permutations(rows))
+    forms = draw(st.lists(st.tuples(
+        st.sampled_from(STAMP_FORMS), st.sampled_from(OFFSET_FORMS),
+        st.sampled_from([0, 60, -330, 345, -720, 840])), min_size=1, max_size=2))
+    site_style = draw(st.sampled_from(["minimal", "quoted", "padded"]))
+    lines = []
+    for site_id, t in rows:
+        form, offset_form, offset = draw(st.sampled_from(forms))
+        tide, level = draw(st.floats(-10, 10)), draw(st.floats(-10, 10))
+        line = (f"{_site_field(site_id, site_style)},"
+                f"{_stamp(t, form, offset_form, offset)},{tide!r},{level:.6f}")
+        if five:
+            line += "," + draw(st.sampled_from(["0.25", "-1e-3", "", " "]))
+        lines.append(line)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["# c", "#A,2000-01-05,1,2,3",
+                                               ""])))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(BAD_ROWS)) + (",0.1" if five else ""))
+    header = ",".join(GAUGE_HEADER if five else GAUGE_HEADER[:4])
+    lead = draw(st.sampled_from(["", "# config_hash=abc tool_version=0.1.0\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return (lead + header + "\n" + "".join(line + "\n" for line in lines)
+            ).replace("\n", end).encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=gauge_files())
+def test_loader_matches_the_reference_loader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("diff") / "gauges.csv"
+    path.write_bytes(text)
+    _assert_identical(_outcome(load_series, path),
+                      _outcome(_reference_load_series, path))
+
+
+def test_row_check_reads_a_date_alone(tmp_path):
+    # numpy refuses "1_0" and Python reads it, so no row is found at fault
+    path = _write(tmp_path, "site,timestamp,peak_tide_m,max_sea_level_m\n"
+                            "A,2000-01-02,1_0,2\n")
+    with pytest.raises(ValueError, match="gauges.csv: could not convert"):
+        load_series(path)
+
+
+def test_calendar_matches_the_reference_outside_int32_days():
+    seconds = np.array([-2**62, -2**31 * 86400, -1, 0, 2**31 * 86400 - 1,
+                        2**62, np.iinfo(np.int64).min])  # the last is NaT
+    stamps = seconds.astype("datetime64[s]")
+    for got, expected in zip(calendar_columns(stamps),
+                             _reference_calendar(stamps)):
+        assert got.dtype == expected.dtype
+        npt.assert_array_equal(got, expected)
+
+
 class TestDetrend:
     def test_newlyn_style_adjustment(self):
         # 1.73 mm/yr over the century 1917 -> 2017 raises the record 0.173 m.
@@ -649,6 +951,24 @@ class TestMonthlyThresholds:
         s = columns_series(months, np.full(480, 3.0), np.zeros(480))
         with pytest.raises(ValueError, match="month 7"):
             monthly_thresholds(s)
+
+    def test_first_sparse_month_is_named(self):
+        months = np.repeat(np.arange(1, 13), 40)[::-1].copy()
+        months[months == 9] = 1
+        months[months == 4] = 1
+        s = columns_series(months, np.full(480, 3.0), np.zeros(480))
+        with pytest.raises(ValueError, match="month 4 has 0 records"):
+            monthly_thresholds(s)
+
+    @pytest.mark.parametrize("percentile", [0.5, 0.95, 0.99])
+    def test_equal_to_each_masked_month(self, sim_r0, percentile):
+        series, _, _ = sim_r0
+        shuffled = series.subset(np.random.default_rng(3).permutation(len(series)))
+        for s in (series, shuffled):
+            expected = [np.quantile(s.skew_surge[s.month == j], percentile)
+                        for j in range(1, 13)]
+            got = monthly_thresholds(s, percentile).values
+            assert got.tobytes() == np.array(expected).tobytes()
 
     def test_monotone_in_percentile(self, sim_r0):
         series, _, _ = sim_r0

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewsurge.body import build_empirical, eval_body_cdf
+from skewsurge.body import build_empirical, cell_cdf, eval_body_cdf
 from skewsurge.tail import (
     RateParams,
     ScaleParams,
@@ -313,6 +313,23 @@ class TestEvalCdf:
         got = _cdf(m, y, 50.0, 19.0, 2, 3.1)
         expect = eval_body_cdf(m.body, y, 2, 3.1)
         npt.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("level", ["none", "some", "all"])
+    def test_body_searched_below_the_threshold_as_in_a_full_search(
+            self, model, level):
+        m, series = model
+        records = (series.day_of_year, series.day_of_month, series.month,
+                   series.peak_tide)
+        u = m.thresholds.for_month(series.month)
+        step = {"none": 0.01, "all": -0.01,
+                "some": np.where(np.arange(u.size) % 3, 0.01, -0.01)}[level]
+        y = u + step
+        below = y <= u
+        assert {"none": not below.any(), "all": below.all(),
+                "some": 0 < below.sum() < below.size}[level]
+        got = m.conditional(*records)(y)
+        full = cell_cdf(m.body, series.month, series.peak_tide)(y)
+        assert got.tobytes() == np.where(below, full, got).tobytes()
 
     def test_limit_at_infinity(self, model):
         m, _ = model
