@@ -99,8 +99,9 @@ def cell_cdf(model, month, tide):
     """The body CDF of fixed records as a function of y, with no threshold
     check: y -> (stored samples <= y) / total, per (month, band) cell.
 
-    The records are grouped once by cell with a stable sort, so each call
-    is one ``searchsorted`` per contiguous slice of the grouped values.
+    The records are grouped once by cell with a stable sort of the cell
+    numbers as int8 (numpy radix-sorts keys of 16 bits or fewer), so each
+    call is one ``searchsorted`` per contiguous slice of the grouped values.
     Month and tide broadcast; the returned function takes y of their
     broadcast shape. Called as ``cdf(y, out, where)``, it searches only
     the records where the boolean ``where`` holds and writes their values
@@ -108,7 +109,7 @@ def cell_cdf(model, month, tide):
     """
     month, tide = np.broadcast_arrays(np.asarray(month), np.asarray(tide))
     cell = (3 * (month - 1) + model.band_index(month, tide)).ravel()
-    order = np.argsort(cell, kind="stable")
+    order = np.argsort(cell.astype(np.int8), kind="stable")
     bounds = np.searchsorted(cell[order], np.arange(37))
     cells = [c for c in range(36) if bounds[c] < bounds[c + 1]]
 

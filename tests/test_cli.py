@@ -438,6 +438,25 @@ class TestDependence:
                      "--out", str(tmp_path / "o")]) == 1
         assert "two sites" in capsys.readouterr().err
 
+    def test_table_bytes_are_pinned(self, tmp_path, base_doc, gauges,
+                                    monkeypatch):
+        # Raw and uniform margins at lags -1, 0 and 1: every tau, chi and
+        # chibar digit the table writes, pinned to the table the int64-key
+        # merge count wrote. The gauge path is relative because it is part
+        # of the config hash in the file's comment line.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gauges.csv").write_bytes(gauges.read_bytes())
+        base_doc["inputs"] = {"gauge_csv": "gauges.csv"}
+        base_doc["sites"] = ["SIM", "SIM2"]
+        base_doc["dependence"] = {"p": 0.05, "lags": [-1, 0, 1],
+                                  "uniform": True}
+        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
+        assert main(["dep", "--config", cfg, "--out", "out"]) == 0
+        written = (tmp_path / "out" / "dep.csv").read_bytes()
+        assert written.count(b"\n") == 2 + 6
+        assert hashlib.sha256(written).hexdigest() == (
+            "f25b3723ad9d03b22feddb075259b3774bcd4f3cbda11f5232849fdf5104d046")
+
 
 class TestPool:
     def test_joint_fit_artifact(self, tmp_path, base_doc):

@@ -13,6 +13,7 @@ from skewsurge import dependence
 from skewsurge.body import build_empirical
 from skewsurge.data import SiteSeries, calendar_columns
 from skewsurge.dependence import (
+    PairedDailySeries,
     _count_inversions,
     chi_chibar,
     daily_max_pairs,
@@ -67,6 +68,81 @@ def _tau_b(a, b):
     return (conc - disc) / math.sqrt(denom_sq)
 
 
+# The merge count and tau as they were before int32 keys, kept as
+# references: int64 keys rebuilt from positions and ranks at every level,
+# ranks re-densified before the tau count.
+_REF_BASE = 16
+_REF_UPPER = np.triu(np.ones((_REF_BASE, _REF_BASE), dtype=bool), k=1)
+
+
+def _reference_count_inversions(ranks):
+    ranks = np.asarray(ranks, dtype=np.int64)
+    n = ranks.size
+    m = n + 1
+    ranks = np.concatenate([ranks, np.full(-n % _REF_BASE, n, dtype=np.int64)])
+    size = ranks.size
+    blocks = ranks.reshape(-1, _REF_BASE)
+    count = int(np.count_nonzero(
+        (blocks[:, :, None] > blocks[:, None, :]) & _REF_UPPER))
+    ranks = np.sort(blocks, axis=1).ravel()
+    pos = np.arange(size, dtype=np.int64)
+    width = _REF_BASE
+    while width < size:
+        shift = width.bit_length()
+        block = pos >> shift
+        keys = ((block * m + ranks) << 1) | ((pos >> (shift - 1)) & 1)
+        keys.sort()
+        full, rest = divmod(size, 2 * width)
+        count += full * (width * width + width * (width - 1) // 2
+                         + width * width * (full - 1))
+        if rest > width:
+            right = rest - width
+            count += right * (width + full * 2 * width) + right * (right - 1) // 2
+        count -= int(np.dot(keys & 1, pos))
+        ranks = (keys >> 1) - block * m
+        width *= 2
+    return count
+
+
+def _reference_runs(sorted_values):
+    changed = sorted_values[1:] != sorted_values[:-1]
+    starts = np.flatnonzero(changed) + 1
+    lengths = np.diff(starts, prepend=0, append=sorted_values.size)
+    return changed, int((lengths * (lengths - 1) // 2).sum())
+
+
+def _reference_margin_ranks(values, keys):
+    if keys is None:
+        order = np.argsort(values)
+        changed, ties = _reference_runs(values[order])
+        ranks = np.empty(values.size, dtype=np.int64)
+        ranks[order[0]] = 0
+        ranks[order[1:]] = np.cumsum(changed)
+        return ranks, ties
+    counts = np.bincount(keys)
+    dense = np.cumsum(counts > 0) - 1
+    return dense[keys], int((counts * (counts - 1) // 2).sum())
+
+
+def _reference_kendall_tau(a, b, keys_a=None, keys_b=None):
+    n = len(a)
+    rank_a, ties_a = _reference_margin_ranks(a, keys_a)
+    rank_b, ties_b = _reference_margin_ranks(b, keys_b)
+    total = n * (n - 1) // 2
+    nb = int(rank_b.max()) + 1
+    keys = np.sort(rank_a * nb + rank_b)
+    _, ties_both = _reference_runs(keys)
+    discordant = _reference_count_inversions(keys % nb)
+    con_minus_dis = total - ties_a - ties_b + ties_both - 2 * discordant
+    denom_sq = (total - ties_a) * (total - ties_b)
+    root = math.isqrt(denom_sq)
+    if root * root == denom_sq:
+        tau = con_minus_dis / root
+    else:
+        tau = con_minus_dis / math.sqrt(denom_sq)
+    return float(min(1.0, max(-1.0, tau)))
+
+
 class TestKendallTau:
     def test_comonotone_is_one(self):
         a = np.arange(50.0)
@@ -119,6 +195,17 @@ class TestKendallTau:
         with pytest.raises(ValueError, match="2"):
             kendall_tau(([1.0], [2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # a NaN would otherwise be ranked above every value
+        a = np.arange(10.0)
+        b = a.copy()
+        b[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau((a, b))
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau((b, a))
+
 
 @pytest.mark.parametrize("n", [2, 15, 16, 17, 31, 33, 255, 257, 600])
 def test_matches_enumeration_across_merge_widths(n):
@@ -163,6 +250,55 @@ def test_inversion_count_matches_brute_force_at_large_sizes(n):
         assert _count_inversions(ranks) == _brute_inversions(v)
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(st.sampled_from([0, 1, 15, 16, 17, 31, 32, 33]),
+                 st.integers(0, 5000)),
+       st.integers(1, 6000), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_inversion_count_matches_the_reference(n, levels, spread, seed):
+    # tied sequences of every length up to 5,000, the block edges included;
+    # the same ranks spread out below a larger bound count the same
+    rng = np.random.default_rng(seed)
+    ranks = rng.integers(0, min(levels, max(n, 1)), size=n)
+    expected = _reference_count_inversions(
+        np.unique(ranks, return_inverse=True)[1])
+    assert _count_inversions(ranks, levels) == expected
+    assert _count_inversions(spread * ranks + 1,
+                             spread * levels + 1) == expected
+
+
+def test_inversion_closed_forms_with_int64_keys():
+    n = 200_000
+    # the merge keys no longer fit int32 at this size
+    assert dependence._index_dtype(2 * (n + 1) * (n // 32 + 1)) is np.int64
+    ascending = np.arange(n)
+    assert _count_inversions(ascending) == 0
+    assert _count_inversions(ascending[::-1].copy()) == n * (n - 1) // 2
+    # 1,000 descending runs of 200 tied ranks: every pair from two runs
+    run = 200
+    ties = np.repeat(np.arange(n // run)[::-1], run)
+    assert _count_inversions(ties, n // run) == (
+        n * (n - 1) // 2 - (n // run) * run * (run - 1) // 2)
+
+
+def test_tau_with_int64_keys_matches_the_reference():
+    rng = np.random.default_rng(21)
+    # carried site ranks: (max ka + 1) * nb passes 2**31 on 3,000 pairs
+    n = 3000
+    ka = rng.integers(0, 1_000_000, size=n)
+    kb = np.minimum(ka // 200 + rng.integers(0, 40, size=n), 5999)
+    kb[-1] = 5999
+    pairs = PairedDailySeries(
+        dates=np.arange(n).astype("datetime64[D]"), a=ka.astype(float),
+        b=kb.astype(float), lag=0, rank_a=ka, rank_b=kb)
+    assert (ka.max() + 1) * 6000 > 2**31
+    assert kendall_tau(pairs) == _reference_kendall_tau(
+        pairs.a, pairs.b, ka, kb)
+    # values ranked here: 50,000 distinct values on each margin
+    a = rng.normal(size=50_000)
+    b = a + rng.normal(size=50_000)
+    assert kendall_tau((a, b)) == _reference_kendall_tau(a, b)
+
+
 class TestChiChibar:
     def test_comonotone_both_one(self):
         a = np.arange(100.0)
@@ -202,6 +338,15 @@ class TestChiChibar:
             chi_chibar((a, a), p=1.5)
         with pytest.raises(ValueError, match="exceedances"):
             chi_chibar((np.zeros(10), a), p=0.1)
+
+    def test_non_finite_values_rejected(self):
+        a = np.arange(10.0)
+        b = a.copy()
+        b[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            chi_chibar((a, b), p=0.2)
+        with pytest.raises(ValueError, match="finite"):
+            chi_chibar((b, a), p=0.2)
 
 
 class TestDailyMaxPairs:
@@ -264,6 +409,51 @@ class TestDailyMaxPairs:
         empty = _daily_series(np.array([]))
         with pytest.raises(ValueError, match="nonempty"):
             daily_max_pairs(a, empty)
+
+    def test_non_finite_values_rejected(self):
+        a = _daily_series(np.arange(6.0), per_day=2)
+        values = np.arange(6.0)
+        values[4] = np.nan
+        b = _daily_series(values, site_id="B", per_day=2)
+        with pytest.raises(ValueError, match="B: values must be finite"):
+            daily_max_pairs(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            pairwise_reports({"A": a, "B": b}, lags=(0,))
+
+    @pytest.mark.parametrize("lag", [-3, -2, -1, 0, 1, 2, 3])
+    def test_pairs_match_an_intersection_of_dates(self, lag):
+        # days without any record on either site, one to three records a
+        # day, and B starting before A and ending before it
+        rng = np.random.default_rng(40 + lag)
+
+        def gappy(n_days, per_day, site_id, start):
+            values = np.round(rng.normal(size=n_days * per_day), 2)
+            series = _daily_series(values, site_id=site_id, start=start,
+                                   per_day=per_day)
+            return series.subset(np.sort(rng.choice(
+                len(series), size=len(series) * 2 // 3, replace=False)))
+
+        a = gappy(500, 3, "A", "2001-03-10")
+        b = gappy(400, 1, "B", "2001-03-01")
+        pairs = daily_max_pairs(a, b, lag)
+
+        def reference_daily(series):
+            days = series.timestamps.astype("datetime64[D]")
+            unique, starts = np.unique(days, return_index=True)
+            values = np.maximum.reduceat(series.skew_surge, starts)
+            return unique, values, np.unique(values, return_inverse=True)[1]
+
+        da, va, ra = reference_daily(a)
+        db, vb, rb = reference_daily(b)
+        dates, ia, ib = np.intersect1d(da, db - np.timedelta64(lag, "D"),
+                                       return_indices=True)
+        assert 0 < len(dates) < min(len(da), len(db))
+        npt.assert_array_equal(pairs.dates, dates)
+        npt.assert_array_equal(pairs.a, va[ia])
+        npt.assert_array_equal(pairs.b, vb[ib])
+        npt.assert_array_equal(pairs.rank_a, ra[ia])
+        npt.assert_array_equal(pairs.rank_b, rb[ib])
+        assert pairs.lag == lag
 
 
 @pytest.fixture(scope="module")
