@@ -59,7 +59,6 @@ from .tail import (
     TailParams,
     delta_lambda,
     eval_cdf,
-    gpd_tail_prob,
     mean_excess,
     rate_at,
     scale_at,
@@ -80,6 +79,5 @@ __all__ = [
     "return_curve", "return_level",
     "SimSpec", "simulate_series",
     "RateParams", "ScaleParams", "SkewSurgeModel", "TailParams",
-    "delta_lambda", "eval_cdf", "gpd_tail_prob", "mean_excess",
-    "rate_at", "scale_at",
+    "delta_lambda", "eval_cdf", "mean_excess", "rate_at", "scale_at",
 ]

@@ -330,11 +330,23 @@ def _fmt(x):
 
 
 def _scenario(cfg):
+    """The return-level scenario, refused if it lacks a trend covariate
+    that the configured families need."""
     sc = cfg.scenario
     year_std = sc.get("year_std")
     if year_std is None and sc.get("year") is not None:
         year_std = float(standardize_year(int(sc["year"])))
     gmt = sc.get("gmt")
+    for kind, family in (("rate", cfg.rate_family),
+                         ("scale", cfg.scale_family)):
+        if family in YEAR_FAMILIES and year_std is None:
+            need = "year or year_std"
+        elif family in GMT_FAMILIES and gmt is None:
+            need = "gmt"
+        else:
+            continue
+        raise ValueError(f"return_levels.scenario needs {need} for {kind} "
+                         f"family {family}")
     return Scenario(
         year_std=None if year_std is None else float(year_std),
         gmt=None if gmt is None else float(gmt),
@@ -416,16 +428,21 @@ def _cmd_select(cfg, out):
     return 0
 
 
+def _exi_model(series, cfg):
+    """A site's extremal-index curve over the configured levels."""
+    return fit_exi_curve(
+        series,
+        v=float(np.quantile(series.skew_surge, cfg.exi_v_quantile)),
+        run_length=cfg.run_length,
+        levels=np.quantile(series.skew_surge,
+                           np.linspace(0.95, 0.999, cfg.exi_n_levels)),
+    )
+
+
 def _cmd_exi(cfg, out):
     series_map, _ = _load_sites(cfg)
     for site, series in series_map.items():
-        levels = np.quantile(
-            series.skew_surge,
-            np.linspace(0.95, 0.999, cfg.exi_n_levels),
-        )
-        v = float(np.quantile(series.skew_surge, cfg.exi_v_quantile))
-        model = fit_exi_curve(series, v=v, run_length=cfg.run_length,
-                              levels=levels)
+        model = _exi_model(series, cfg)
         _write_json(out / f"exi_{site}.json", {"site_id": site,
                                                "model": model.to_dict()}, cfg)
         fitted = eval_exi(model, model.levels)
@@ -440,17 +457,11 @@ def _cmd_exi(cfg, out):
 
 
 def _cmd_rl(cfg, out):
-    series_map, _ = _load_sites(cfg)
     scenario = _scenario(cfg)
+    series_map, _ = _load_sites(cfg)
     for site, series in series_map.items():
         fit, model = _fit_model(series, cfg)
-        exi_model = fit_exi_curve(
-            series,
-            v=float(np.quantile(series.skew_surge, cfg.exi_v_quantile)),
-            run_length=cfg.run_length,
-            levels=np.quantile(series.skew_surge,
-                               np.linspace(0.95, 0.999, cfg.exi_n_levels)),
-        )
+        exi_model = _exi_model(series, cfg)
         calendar = TideSampleCalendar.from_series(series)
         curve = return_curve(cfg.p_grid, model, calendar, exi_model, scenario)
         _write_csv(

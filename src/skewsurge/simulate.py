@@ -27,7 +27,7 @@ from .data import (
     calendar_columns,
     standardizers,
 )
-from .tail import GMT_FAMILIES, XI_ZERO_TOL, TailParams, rate_at, scale_at
+from .tail import GMT_FAMILIES, TailParams, _gpd_quantile, rate_at, scale_at
 
 CYCLE_MINUTES = 745.0  # 12 h 25 min
 SPRING_NEAP_DAYS = 14.77
@@ -132,11 +132,7 @@ def simulate_series(spec, seed):
     u_body = np.clip(rng.random(n), 1e-12, 1.0)
 
     exceed = u_ind < lam
-    xi = spec.params.xi
-    if abs(xi) < XI_ZERO_TOL:
-        excess = sigma * w
-    else:
-        excess = sigma * np.expm1(xi * w) / xi
+    excess = _gpd_quantile(w, spec.params.xi, sigma)
 
     cap = ndtr((u - spec.body_mean) / spec.body_sd)
     body = spec.body_mean + spec.body_sd * ndtri(u_body * cap)

@@ -150,7 +150,8 @@ class TestRunConfig:
         commands = [shlex.split(line, comments=True)[1:]
                     for line in shell.splitlines()
                     if line.startswith("skewsurge ")]
-        assert [c[0] for c in commands] == ["simulate", "fit", "rl", "select"]
+        assert [c[0] for c in commands] == ["simulate", "fit", "rl", "select",
+                                          "exi"]
         monkeypatch.chdir(tmp_path)
         for args in commands:
             assert main(args) == 0, args
@@ -415,6 +416,21 @@ class TestReturnLevels:
         # the data carry no trend, so the two levels differ only through
         # the fitted trend coefficient; both runs must at least succeed
         assert docs[1950]["curve"]["z_m"][0] > 0.0
+
+    @pytest.mark.parametrize("families,scenario,message", [
+        (("R1", "S0"), {}, "needs year or year_std for rate family R1"),
+        (("R0", "S3"), {"year": 2017}, "needs gmt for scale family S3"),
+    ])
+    def test_scenario_without_a_family_covariate_fails_before_loading(
+            self, tmp_path, capsys, families, scenario, message):
+        doc = {"inputs": {"gauge_csv": "no/such.csv"},
+               "rate_family": families[0], "scale_family": families[1],
+               "return_levels": {"scenario": scenario}}
+        cfg = _write_yaml(tmp_path / "c.yaml", doc)
+        assert main(["rl", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: return_levels.scenario {message}\n"
 
 
 class TestDependence:

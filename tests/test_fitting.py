@@ -30,7 +30,6 @@ from skewsurge.tail import (
     RateParams,
     ScaleParams,
     TailParams,
-    gpd_excess_logpdf,
     rate_at,
     scale_at,
 )
@@ -343,20 +342,22 @@ DIAGONAL_PAIRS = [("R0", "S0"), ("R1", "S1"), ("R2", "S2"), ("R3", "S3"),
 
 
 def _public_neg_loglik(params, series, thr):
-    """The likelihood written out from the public rate, scale and GPD
-    density functions, cycle by cycle."""
+    """The likelihood written out from the public rate and scale functions
+    and the GPD density's closed form, cycle by cycle."""
     u = thr.for_month(series.month)
     exceed = series.skew_surge > u
     covariates = dict(year_std=series.year_std, gmt=series.gmt)
     lam = rate_at(params.rate, series.day_of_year, series.day_of_month,
                   series.month, series.peak_tide, **covariates)
     sigma = scale_at(params.scale, series.day_of_year, series.peak_tide,
-                     **covariates)
+                     **covariates)[exceed]
+    z = (series.skew_surge[exceed] - u[exceed]) / sigma
+    xi = params.xi
     return (
         -np.log1p(-lam[~exceed]).sum()
         - np.log(lam[exceed]).sum()
-        - gpd_excess_logpdf(series.skew_surge[exceed] - u[exceed],
-                            sigma[exceed], params.xi).sum()
+        + np.log(sigma).sum()
+        + (1.0 + xi) * (np.log1p(xi * z) / xi).sum()
     )
 
 

@@ -24,7 +24,6 @@ from skewsurge.tail import (
     ScaleParams,
     SkewSurgeModel,
     TailParams,
-    gpd_tail_prob,
     rate_at,
     scale_at,
 )
@@ -381,8 +380,9 @@ def seasonal_model():
 
 
 def _reference_annual_max_cdf(z, model, cal, exi_model, scenario):
-    """Per-cycle factors from the public body, tail and extremal-index
-    functions, multiplied out year by year."""
+    """Per-cycle factors from the public body, rate, scale and
+    extremal-index functions and the GPD survival's closed form,
+    multiplied out year by year."""
     y = z - cal.tide
     u = model.thresholds.for_month(cal.month)
     below = y <= u
@@ -395,8 +395,9 @@ def _reference_annual_max_cdf(z, model, cal, exi_model, scenario):
     lam = rate_at(model.params.rate, *record, year_std=scenario.year_std)
     sigma = scale_at(model.params.scale, record[0], record[3],
                      year_std=scenario.year_std)
-    cdf[above] = 1.0 - gpd_tail_prob(y[above], u[above], lam, sigma,
-                                     model.params.xi)
+    xi = model.params.xi
+    z = (y[above] - u[above]) / sigma
+    cdf[above] = 1.0 - lam * np.exp(-np.log1p(xi * z) / xi)
     theta = eval_exi(exi_model, y)
     factor = np.zeros_like(cdf)  # cdf ** theta; zero stays zero
     pos = cdf > 0.0

@@ -14,10 +14,10 @@ from skewsurge.tail import (
     ScaleParams,
     SkewSurgeModel,
     TailParams,
+    _gpd_h,
+    _gpd_quantile,
     delta_lambda,
     eval_cdf,
-    gpd_excess_logpdf,
-    gpd_tail_prob,
     inv_logit,
     logit,
     mean_excess,
@@ -25,6 +25,8 @@ from skewsurge.tail import (
     rate_logit,
     scale_at,
 )
+
+from conftest import flat_thresholds
 
 
 class TestLogit:
@@ -219,51 +221,104 @@ def test_predictors_match_the_phase_form(rf, sf, lam, rate, rate_phases,
         rtol=1e-12, atol=1e-12)
 
 
+def _series_h(z, xi):
+    """h(z; xi) = log1p(xi z)/xi as its power series in xi z."""
+    a = xi * z
+    return z * sum((-a) ** k / (k + 1) for k in range(12))
+
+
+def _gpd_logpdf(excess, sigma, xi):
+    return -(np.log(sigma) + (1.0 + xi) * _gpd_h(excess / sigma, xi))
+
+
+@pytest.fixture(scope="module")
+def one_record(model):
+    """F(y) of one record (day 120, 10 May, tide 2.8) under a flat
+    threshold u = 1, a constant rate lam and a constant scale alpha."""
+    m, _ = model
+
+    def cdf(y, xi, lam=0.05, alpha=0.1):
+        params = TailParams(rate=RateParams(lam=lam),
+                            scale=ScaleParams(alpha=alpha, beta=0.0), xi=xi)
+        near = SkewSurgeModel(body=m.body, params=params,
+                              thresholds=flat_thresholds(1.0))
+        return near.conditional(120.0, 10.0, 5, 2.8)(y)
+
+    return cdf
+
+
 class TestGpdTail:
-    def test_boundary_returns_rate(self):
-        npt.assert_allclose(gpd_tail_prob(1.0, 1.0, 0.05, 0.1, 0.2), 0.05)
+    def test_boundary_returns_rate(self, one_record):
+        y = np.nextafter(1.0, 2.0)
+        npt.assert_allclose(1.0 - one_record(y, 0.2), 0.05, rtol=1e-14)
 
-    def test_exponential_limit(self):
-        npt.assert_allclose(gpd_tail_prob(1.1, 1.0, 1.0, 0.1, 0.0),
-                            math.exp(-1.0), rtol=1e-15)
+    def test_exponential_limit(self, one_record):
+        npt.assert_allclose(one_record(1.1, 0.0, lam=0.5),
+                            1.0 - 0.5 * math.exp(-1.0), rtol=1e-15)
 
-    def test_negative_shape_upper_endpoint(self):
+    def test_negative_shape_upper_endpoint(self, one_record):
         # sigma/|xi| = 0.5, so y = u + 0.5 sits exactly on the endpoint
         # (all quantities exactly representable in binary).
-        assert gpd_tail_prob(1.5, 1.0, 1.0, 0.25, -0.5) == 0.0
-        assert gpd_tail_prob(5.0, 1.0, 1.0, 0.25, -0.5) == 0.0
+        assert one_record(1.5, -0.5, alpha=0.25) == 1.0
+        assert one_record(5.0, -0.5, alpha=0.25) == 1.0
 
-    def test_continuous_in_shape_at_zero(self):
-        y, u, lam, sig = 1.23, 1.0, 0.7, 0.15
-        ref = gpd_tail_prob(y, u, lam, sig, 0.0)
-        for xi in (1e-9, -1e-9):
-            assert abs(gpd_tail_prob(y, u, lam, sig, xi) - ref) < 1e-9
-        for xi in (1e-7, -1e-7):
-            assert abs(gpd_tail_prob(y, u, lam, sig, xi) - ref) < 1e-6
+    def test_continuous_in_shape_at_zero(self, one_record):
+        y, lam, sig = 1.23, 0.7, 0.15
+        z = (y - 1.0) / sig
+        for xi in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7):
+            npt.assert_allclose(
+                1.0 - one_record(y, xi, lam=lam, alpha=sig),
+                lam * math.exp(-_series_h(z, xi)), rtol=1e-12)
 
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError, match="positive"):
-            gpd_tail_prob(1.1, 1.0, 0.05, 0.0, 0.1)
-        with pytest.raises(ValueError, match="y > u"):
-            gpd_tail_prob(0.9, 1.0, 0.05, 0.1, 0.1)
+    def test_invalid_inputs(self, one_record):
+        for alpha in (0.0, -0.1):
+            with pytest.raises(ValueError, match="positive"):
+                one_record(1.1, 0.1, alpha=alpha)
 
     def test_excess_logpdf_exponential_case(self):
         # density (1/sigma) e^{-e/sigma} with sigma=0.1, e=0.1
-        npt.assert_allclose(gpd_excess_logpdf(0.1, 0.1, 0.0),
+        npt.assert_allclose(_gpd_logpdf(np.array([0.1]), 0.1, 0.0),
                             math.log(10.0) - 1.0, rtol=1e-15)
 
     def test_excess_logpdf_outside_support(self):
-        assert gpd_excess_logpdf(0.3, 0.1, -0.5) == -np.inf
+        assert _gpd_logpdf(np.array([0.3]), 0.1, -0.5)[0] == -np.inf
 
     def test_excess_logpdf_matches_scipy(self):
         from scipy.stats import genpareto
         e = np.array([0.01, 0.05, 0.2, 0.7])
         for xi in (-0.2, 0.1, 0.4):
             npt.assert_allclose(
-                gpd_excess_logpdf(e, 0.12, xi),
+                _gpd_logpdf(e, 0.12, xi),
                 genpareto.logpdf(e, c=xi, scale=0.12),
                 rtol=1e-12,
             )
+
+
+class TestGpdKernel:
+    @pytest.mark.parametrize("xi", [1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+    def test_matches_the_series_near_zero(self, xi):
+        z = np.geomspace(1e-6, 50.0, 200)
+        npt.assert_allclose(_gpd_h(z, xi), _series_h(z, xi), rtol=1e-12)
+
+    def test_subnormal_shape_is_the_exponential(self):
+        z = np.geomspace(1e-6, 50.0, 20)
+        for xi in (0.0, 1e-310, -5e-324):
+            assert _gpd_h(z, xi).tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("xi", [-0.4, -1e-9, 0.0, 1e-9, 0.05, 0.9])
+    def test_quantile_inverts_the_kernel(self, xi):
+        w = np.geomspace(1e-6, 10.0, 200)
+        npt.assert_allclose(_gpd_h(_gpd_quantile(w, xi, 1.0), xi), w,
+                            rtol=1e-14)
+        npt.assert_allclose(_gpd_quantile(w, xi, 0.12),
+                            0.12 * _gpd_quantile(w, xi, 1.0), rtol=1e-15)
+
+    @pytest.mark.parametrize("xi", [0.0, 0.2])
+    def test_in_place(self, xi):
+        z = np.array([0.0, 0.3, 2.0])
+        expect = _gpd_h(z, xi)
+        assert _gpd_h(z, xi, out=z) is z
+        assert z.tobytes() == expect.tobytes()
 
 
 class TestMeanExcess:
@@ -366,9 +421,8 @@ class TestEvalCdf:
         assert (got[:2] < 1.0).all()
         npt.assert_array_equal(got[2:], 1.0)
 
-    @pytest.mark.parametrize("xi", [0.0, 5e-9, -5e-9])
-    def test_shape_inside_the_zero_tolerance_is_the_exponential(self, model,
-                                                                xi):
+    def _near_zero(self, model, xi):
+        """F of one record under shape xi, and its lambda and z."""
         m, _ = model
         near = SkewSurgeModel(
             body=m.body, thresholds=m.thresholds,
@@ -378,8 +432,18 @@ class TestEvalCdf:
         lam = rate_at(m.params.rate, 120.0, 10.0, 5, 2.8)
         sigma = scale_at(m.params.scale, 120.0, 2.8)
         y = u + np.array([1e-9, 0.1, 0.5, 2.0])
-        got = _cdf(near, y, 120.0, 10.0, 5, 2.8)
-        npt.assert_allclose(got, 1.0 - lam * np.exp(-(y - u) / sigma),
+        return _cdf(near, y, 120.0, 10.0, 5, 2.8), lam, (y - u) / sigma
+
+    @pytest.mark.parametrize("xi", [0.0])
+    def test_shape_inside_the_zero_tolerance_is_the_exponential(self, model,
+                                                                xi):
+        got, lam, z = self._near_zero(model, xi)
+        npt.assert_allclose(got, 1.0 - lam * np.exp(-z), rtol=1e-15)
+
+    @pytest.mark.parametrize("xi", [5e-9, -5e-9])
+    def test_shape_near_zero_is_the_closed_form(self, model, xi):
+        got, lam, z = self._near_zero(model, xi)
+        npt.assert_allclose(got, 1.0 - lam * np.exp(-np.log1p(xi * z) / xi),
                             rtol=1e-15)
 
 
