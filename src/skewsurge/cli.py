@@ -651,8 +651,13 @@ def main(argv=None):
                     yaml, "CSafeLoader", yaml.SafeLoader)) or {}
         cfg = RunConfig.from_mapping(doc).apply_flags(args)
         out = Path(cfg.out_dir)
+        made = not out.exists()
         out.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.subcommand](cfg, out)
+        try:
+            return _HANDLERS[args.subcommand](cfg, out)
+        finally:  # a run that wrote nothing leaves no directory it made
+            if made and not any(out.iterdir()):
+                out.rmdir()
     except (ValueError, FileNotFoundError, RuntimeError, KeyError,
             OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -155,14 +155,10 @@ def fit_exi_curve(series, v=None, run_length=4, levels=None):
 
 
 def exi_curve(model):
-    """theta(y, r) of a fitted model as a function of y: empirical
-    interpolation below v, the fitted curve above.
-
-    The interpolation table is built once. Each call evaluates the fitted
-    curve for every y in place in one new array, at max(y, v) so that the
-    exponential cannot overflow, then overwrites the entries with y <= v
-    by interpolation when there are any. Output clipped to [0, 1];
-    broadcasts over y.
+    """theta(y, r) of a fitted model as a function of y: the fitted curve
+    at max(y, v), so that the exponential cannot overflow, overwritten by
+    interpolation in a table built once where y <= v. Output clipped to
+    [0, 1]; broadcasts over y.
     """
     below_v = model.levels < model.v
     xp = np.append(model.levels[below_v], model.v)
@@ -170,16 +166,36 @@ def exi_curve(model):
 
     def theta(y):
         y = np.asarray(y, dtype=float)
-        out = np.maximum(y, model.v, out=np.empty(y.shape))
-        out -= model.v
-        out /= -model.psi
-        np.exp(out, out=out)
-        out *= model.theta - model.theta_v
-        np.subtract(model.theta, out, out=out)
+        out = np.asarray(model.theta - (model.theta - model.theta_v) * np.exp(
+            (np.maximum(y, model.v) - model.v) / -model.psi))
         low = y <= model.v
         if low.any():
             out[low] = np.interp(y[low], xp, fp)
         return np.clip(out, 0.0, 1.0, out=out)
+
+    return theta
+
+
+def exi_at_level(model, tide):
+    """z -> theta(z - tide): the index of each cycle of fixed peak tides at
+    sea level z. Where z - v >= max tide, the fitted curve factors as
+    theta - exp(-(z - max tide - v)/psi) k, k = (theta - theta_v)
+    exp((tide - max tide)/psi): one scalar exp, at most 1, and a
+    multiply-add into one kept array, clipped only when theta or theta_v
+    lies outside [0, 1]. Lower levels take :func:`exi_curve`.
+    """
+    curve = exi_curve(model)
+    top = float(np.max(tide))
+    k = (model.theta - model.theta_v) * np.exp((tide - top) / model.psi)
+    clip = not (0.0 <= model.theta <= 1.0 and 0.0 <= model.theta_v <= 1.0)
+    out = np.empty(k.shape)
+
+    def theta(z):
+        if z - model.v < top:
+            return curve(z - tide)
+        np.multiply(k, -math.exp(-(z - top - model.v) / model.psi), out=out)
+        np.add(out, model.theta, out=out)
+        return np.clip(out, 0.0, 1.0, out=out) if clip else out
 
     return theta
 

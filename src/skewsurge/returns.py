@@ -6,27 +6,28 @@ evaluated at z minus the cycle's peak tide, each factor raised to the
 extremal index at that level to discount within-cluster dependence
 (the skew-surge joint probability method).
 
-Nothing about a cycle but its surge y = z - tide depends on z, so the
-engine builds the calendar's conditional CDF once per call of
-:func:`annual_max_cdf`, :func:`return_level` or :func:`return_curve`
-(``model.conditional``: thresholds, rate, scale and body cells) together
-with the extremal-index curve, the year starts and two cycle-length
-buffers. Each evaluation is then a few in-place passes over the cycles:
-y, log F, times theta(y), and -inf written where F = 0 only when some
-factor is zero (theta = 0 would leave 0 * -inf = nan there). The years
-are summed with ``np.add.reduceat`` over their starts, which needs the
-layout :class:`TideSampleCalendar` checks: cycles year-major, every year
-present. A cycle whose factor is exactly zero sends its whole year to
-zero.
+The engine works in log survival. Along a curve only the level z
+changes, so :func:`annual_max_cdf`, :func:`return_level` and
+:func:`return_curve` build once, from ``model._records`` (the per-record
+builder a SkewSurgeModel's conditional CDF shares), each cycle's
+b = xi/sigma, c = -b (tide + u_j), lambda and tide + u_j, with the
+extremal index at level z (:func:`exi_at_level`) and the year starts.
+One evaluation is then a few in-place passes over the cycles: w = b z + c
+(xi times the scaled excess), h = log1p(w)/xi with the GPD's clamp at
+w = -1 (at xi = 0 ``_gpd_h``'s rule h = w, via b = -1/sigma and w = -h),
+-S = -lambda exp(-h), log F = log1p(-S), the log of the body CDF at
+y = z - tide for the cycles with z <= tide + u_j when there are any, and
+times theta. Each year is one ``np.add.reduceat`` slice (the layout
+:class:`TideSampleCalendar` checks), and the annual exceedance 1 - A is
+the years' mean of -expm1(log A_year), never formed as 1 - F. A factor
+of exactly zero sends its year to zero, under theta = 0 too; sigma <= 0
+is an error only where z is above tide + u_j.
 
-``model`` needs only ``conditional(d, d_j, j, x, year_std, gmt)``
-returning a function y -> F, so a stand-in distribution can replace a
-fitted SkewSurgeModel.
-
-Return levels solve h(z) = log(1 - F(z)) - log p = 0, near linear in z
-in the tail, by regula falsi with Anderson-Bjorck scaling of an end kept
-twice (a bisection step where F = 1 makes h -inf) until |h| < 1e-9, i.e.
-|F - (1 - p)| < 1e-9 p. A curve solves its grid from the largest p down,
+Return levels solve h(z) = log(1 - A(z)) - log p = 0, the log of the
+engine's exceedance, near linear in z in the tail, by regula falsi
+with Anderson-Bjorck scaling of an end kept twice (a bisection step where
+the exceedance is 0 makes h -inf) until |h| < 1e-9, i.e. the exceedance
+is within 1e-9 p of p. A curve solves its grid from the largest p down,
 each level the lower end of the next bracket. After the iteration cap the
 bracket's upper end is returned, for targets that are step functions (a
 degenerate surge distribution).
@@ -39,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exi import exi_curve
+from .exi import exi_at_level
+from .tail import _XI_TINY
 
 RETURN_LEVEL_TOL = 1e-6  # |F - (1 - p)| every level meets, with room
 RETURN_LEVEL_LOG_TOL = 1e-9
@@ -124,56 +126,74 @@ class TideSampleCalendar:
 
 
 def _annual_max(model, calendar, exi_model, scenario):
-    """z -> P(annual maximum <= z), with everything that does not depend on
+    """z -> P(annual maximum > z), with everything that does not depend on
     z built once."""
     if scenario is None:
         scenario = Scenario()
-    cdf = model.conditional(
-        calendar.day_of_year,
-        calendar.day_of_month,
-        calendar.month,
-        calendar.tide,
-        year_std=scenario.year_std,
-        gmt=scenario.gmt,
-    )
-    theta = None if exi_model is None else exi_curve(exi_model)
+    tide = calendar.tide
+    u, lam, sigma, body = model._records(
+        calendar.day_of_year, calendar.day_of_month, calendar.month, tide,
+        year_std=scenario.year_std, gmt=scenario.gmt)
+    xi = model.params.xi
+    exponential = abs(xi) < _XI_TINY  # _gpd_h's rule: h = w at xi = 0
+    edge = tide + u  # the level at each cycle's threshold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = (-1.0 if exponential else xi) / sigma  # at xi = 0, w = -h
+        c = -b * edge
+    neg_lam = -lam
+    top_edge = edge.max()
+    bad_edge = edge[sigma <= 0.0].min(initial=np.inf)
+    theta = None if exi_model is None else exi_at_level(exi_model, tide)
     year_starts = np.searchsorted(calendar.year_index,
                                   np.arange(calendar.n_years))
-    y = np.empty(calendar.tide.shape)
-    log_factor = np.empty(calendar.tide.shape)
+    log_f = np.empty(tide.shape)
 
-    def f(z):
-        np.subtract(z, calendar.tide, out=y)
-        factor = cdf(y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(factor, out=log_factor)
+    def exceedance(z):
+        if z > bad_edge:
+            raise ValueError("sigma must be positive")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.multiply(b, z, out=log_f)
+            np.add(log_f, c, out=log_f)  # w
+            # -h as in _gpd_h, two passes shorter: a product for its quotient,
+            # the clamp only for xi < 0 (for xi > 0 only body cycles have w < -1)
+            if not exponential:
+                if xi < 0.0:
+                    np.maximum(log_f, -1.0, out=log_f)
+                np.log1p(log_f, out=log_f)
+                np.multiply(log_f, -1.0 / xi, out=log_f)
+            np.exp(log_f, out=log_f)
+            np.multiply(log_f, neg_lam, out=log_f)  # -S
+            np.log1p(log_f, out=log_f)  # log F
+            if z <= top_edge:
+                below = z <= edge
+                body(z - tide, log_f, below)
+                np.log(log_f, out=log_f, where=below)
             if theta is not None:
-                np.multiply(log_factor, theta(y), out=log_factor)
-                if not factor.all():
-                    # theta = 0 makes 0 * -inf = nan where F = 0
-                    log_factor[factor == 0.0] = -np.inf
-        log_year = np.add.reduceat(log_factor, year_starts)
-        return float(np.exp(log_year).mean())
+                np.multiply(log_f, theta(z), out=log_f)
+        log_year = np.add.reduceat(log_f, year_starts)
+        log_year[np.isnan(log_year)] = -np.inf  # theta 0 times log F = -inf
+        return float(-np.expm1(log_year).mean())
 
-    return f
+    return exceedance
 
 
 def annual_max_cdf(z, model, calendar, exi_model=None, scenario=None):
-    """P(annual maximum sea level <= z) under the fitted models.
+    """P(annual maximum sea level <= z) under the fitted models: one minus
+    the engine's annual exceedance probability.
 
     ``model`` is a SkewSurgeModel; ``exi_model`` of None means an
     extremal index of one everywhere. ``scenario`` fixes trend covariates
     for the whole synthetic year.
     """
-    return _annual_max(model, calendar, exi_model, scenario)(z)
+    return 1.0 - _annual_max(model, calendar, exi_model, scenario)(z)
 
 
 def _invert(p, f, lo, hi):
-    """(z, f(z)) with f(z) = 1 - p, by Anderson-Bjorck on
-    h = log(1 - f) - log p from (z, f(z)) ends with f(hi) >= 1 - p; ``lo``
-    if f(lo) reaches 1 - p."""
-    def h(cdf_value):  # -inf where F = 1, without taking log(0)
-        return math.log1p(-cdf_value) - math.log(p) if cdf_value < 1.0 else -math.inf
+    """(z, f(z)) with the exceedance f(z) = p, by Anderson-Bjorck on
+    h = log f - log p from (z, f(z)) ends with f(hi) <= p; ``lo`` if
+    f(lo) is at most p."""
+    def h(q):  # -inf where the exceedance is 0, without taking log(0)
+        return math.log(q) - math.log(p) if q > 0.0 else -math.inf
     (a, f_a), (b, f_b) = lo, hi
     h_a, h_b, side = h(f_a), h(f_b), 0  # side: +1 after a moved, -1 after b
     if h_a < RETURN_LEVEL_LOG_TOL:
@@ -244,10 +264,10 @@ def return_curve(p_grid, model, calendar, exi_model=None, scenario=None):
     f = _annual_max(model, calendar, exi_model, scenario)
     lo, hi = float(calendar.tide.min()) - 1.0, float(calendar.tide.max()) + 10.0
     lo, hi = (lo, f(lo)), (hi, f(hi))
-    if lo[1] > 1.0 - p.max() or hi[1] < 1.0 - p.min():
+    if lo[1] < p.max() or hi[1] > p.min():
         raise ValueError(
-            f"no bracket for p={p.max() if lo[1] > 1.0 - p.max() else p.min()}: "
-            f"cdf({lo[0]:.3f})={lo[1]:.6f}, cdf({hi[0]:.3f})={hi[1]:.6f}")
+            f"no bracket for p={p.max() if lo[1] < p.max() else p.min()}: "
+            f"exceedance {lo[1]:.6g} at {lo[0]:.3f}, {hi[1]:.6g} at {hi[0]:.3f}")
     z = np.empty_like(p)
     for i in np.argsort(-p, kind="stable"):
         lo = _invert(p[i], f, lo, hi)

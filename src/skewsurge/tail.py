@@ -17,12 +17,12 @@ simulator and the CDF share. Below u_j the distribution is the
 tide-banded empirical body. :meth:`SkewSurgeModel.conditional` freezes a
 set of records (day of year, day of month, month, peak tide, trend
 covariates) and returns their conditional CDF as a function of the surge
-alone: u_j, log lambda, 1/sigma and the body cells are built once, and
-each evaluation is a GPD tail pass plus, only where some record is at or
-below its threshold, a body search. The tail pass is the survival
-lambda * exp(-h(z; xi)) of the scaled excess z, as in-place steps over
-one array. The return-level solver evaluates it once per step;
-:func:`eval_cdf` (used by the PIT) builds and applies it once.
+alone: u_j, lambda, sigma and the body cells are built once (a builder
+the annual-maximum engine shares), and each evaluation is a GPD tail
+pass plus, only where some record is at or below its threshold, a body
+search. The tail pass is the survival lambda * exp(-h(z; xi)) of the
+scaled excess z, as in-place steps over one array. :func:`eval_cdf`
+(used by the PIT) builds and applies it once.
 
 h(z; xi) = log1p(xi z)/xi is the GPD's one kernel (:func:`_gpd_h`),
 which the likelihood and, through its inverse, the simulator share. Its
@@ -427,15 +427,6 @@ def _gpd_quantile(w, xi, sigma):
     return sigma * np.expm1(xi * w) / xi
 
 
-def _tail_survival(scaled, log_lam, xi):
-    """P(Y > y) = exp(log lambda - h(z; xi)), written in place over
-    ``scaled``, z = (y - u)/sigma; exactly 0 beyond the endpoint."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = _gpd_h(scaled, xi, out=scaled)
-        np.subtract(log_lam, h, out=h)
-        return np.exp(h, out=h)
-
-
 def mean_excess(sigma_eff, xi):
     """Mean excess above the threshold: sigma / (1 - xi); requires xi < 1."""
     if xi >= 1:
@@ -455,26 +446,14 @@ class SkewSurgeModel:
     params: TailParams
     thresholds: object  # MonthlyThresholds
 
-    def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
-        """The conditional CDF of fixed records as a function of the surge.
-
-        Returns F with F(y)[i] = P(Y <= y[i] | record i); y must broadcast
-        to the records' shape. The record arguments are those of
-        :func:`rate_terms` and broadcast together. Everything that does not
-        depend on y is built here once: the thresholds u_j, log lambda and
-        1/sigma (one seasonal basis), the records with sigma <= 0, and the
-        records' grouping by body cell. Each call then fills one new array
-        in place for every record: z = (y - u_j)/sigma, the tail survival
-        S = exp(log lambda - h(z; xi)) of :func:`_tail_survival`, then
-        F = 1 - S. The empirical body overwrites the records at or
-        below their threshold, searched for those records alone. A
-        record with sigma <= 0 is an error only where y is above u_j.
-        """
+    def _records(self, d, d_j, j, x, year_std=None, gmt=None):
+        """(u_j, lambda, sigma, :func:`cell_cdf` body) of fixed records in
+        their broadcast shape, from one seasonal basis: all that
+        :meth:`conditional` and the annual-maximum engine need but y."""
         d, d_j, j, x = np.broadcast_arrays(
             np.asarray(d), np.asarray(d_j), np.asarray(j),
             np.asarray(x, dtype=float))
-        rate, scale, xi = self.params.rate, self.params.scale, self.params.xi
-        u = self.thresholds.for_month(j)
+        rate, scale = self.params.rate, self.params.scale
         basis = seasonal_basis(d)
         lam = inv_logit(linear_predictor(
             rate_terms(rate.family, basis, d, d_j, j, x, rate, year_std, gmt),
@@ -482,21 +461,39 @@ class SkewSurgeModel:
         sigma = linear_predictor(
             scale_terms(scale.family, basis, d, x, year_std, gmt),
             scale_values(scale))
+        return self.thresholds.for_month(j), lam, sigma, cell_cdf(self.body, j, x)
+
+    def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
+        """The conditional CDF of fixed records as a function of the surge.
+
+        Returns F with F(y)[i] = P(Y <= y[i] | record i); y must broadcast
+        to the records' shape. The record arguments are those of
+        :func:`rate_terms` and broadcast together. Everything that does not
+        depend on y is built here once (:meth:`_records`, then 1/sigma and
+        the records with sigma <= 0). Each call then fills one new array
+        in place for every record: z = (y - u_j)/sigma, the tail survival
+        S = exp(log lambda - h(z; xi)), exactly 0 beyond the endpoint, then
+        F = 1 - S. The empirical body overwrites the records at or
+        below their threshold, searched for those records alone. A
+        record with sigma <= 0 is an error only where y is above u_j.
+        """
+        u, lam, sigma, body = self._records(d, d_j, j, x, year_std, gmt)
         with np.errstate(divide="ignore"):
             log_lam, inv_sigma = np.log(lam), 1.0 / sigma
         bad_sigma = sigma <= 0.0
         any_bad_sigma = bool(np.any(bad_sigma))
-        body = cell_cdf(self.body, j, x)
 
         def cdf(y):
-            y = np.broadcast_to(np.asarray(y, dtype=float), d.shape)
+            y = np.broadcast_to(np.asarray(y, dtype=float), u.shape)
             above = y > u
             if any_bad_sigma and np.any(bad_sigma & above):
                 raise ValueError("sigma must be positive")
-            out = np.subtract(y, u, out=np.empty(d.shape))
+            out = np.subtract(y, u, out=np.empty(u.shape))
             with np.errstate(invalid="ignore", over="ignore"):
                 out *= inv_sigma  # 0 * inf where sigma = 0 at y = u: body
-            _tail_survival(out, log_lam, xi)
+                _gpd_h(out, self.params.xi, out=out)
+                np.subtract(log_lam, out, out=out)
+                np.exp(out, out=out)  # S
             np.subtract(1.0, out, out=out)
             if not above.all():
                 body(y, out, ~above)

@@ -181,15 +181,18 @@ def test_05_runs_declustering_hand_counts(report):
                    f"isolated peaks give {isolated} (want 1 exactly)")
 
 
-class _StationaryCdf:
-    def __init__(self, value):
-        self.value = value
-
-    def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
-        return lambda y: np.full(np.shape(y), self.value, dtype=float)
+def _stationary_model(value, body, thresholds):
+    """F = value for every surge above the thresholds: a rate of
+    1 - value under a scale of 1e300, whose h is 0 to the last digit."""
+    return SkewSurgeModel(
+        body=body, thresholds=thresholds,
+        params=TailParams(rate=RateParams(lam=1.0 - value),
+                          scale=ScaleParams(alpha=1e300, beta=0.0), xi=0.0))
 
 
 def test_06_annual_maximum_identity_and_round_trip(sim_r0, report):
+    series, params, thresholds = sim_r0
+    body = build_empirical(series, thresholds)
     n = 705
     reps = n // 12
     month = np.resize(np.repeat(np.arange(1, 13), reps), n)
@@ -202,12 +205,11 @@ def test_06_annual_maximum_identity_and_round_trip(sim_r0, report):
         tide=np.full(n, 3.0),
         year_index=np.zeros(n, dtype=int),
     )
-    got = annual_max_cdf(5.0, _StationaryCdf(0.999), calendar)
+    got = annual_max_cdf(5.0, _stationary_model(0.999, body, thresholds),
+                         calendar)
     identity_err = abs(got - 0.999 ** 705)
 
-    series, params, thresholds = sim_r0
-    model = SkewSurgeModel(body=build_empirical(series, thresholds),
-                           params=params, thresholds=thresholds)
+    model = SkewSurgeModel(body=body, params=params, thresholds=thresholds)
     real_cal = TideSampleCalendar.from_series(series)
     p_grid = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     round_trip_err = 0.0

@@ -432,6 +432,16 @@ class TestReturnLevels:
         err = capsys.readouterr().err
         assert err == f"error: return_levels.scenario {message}\n"
 
+    def test_a_failed_run_leaves_no_output_directory(self, tmp_path):
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "inputs": {"gauge_csv": "no/such.csv"}, "rate_family": "R1"})
+        out = tmp_path / "out"
+        assert main(["rl", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        out.mkdir()  # a directory the run did not make stays
+        assert main(["rl", "--config", cfg, "--out", str(out)]) == 1
+        assert out.is_dir()
+
 
 class TestDependence:
     def test_raw_table(self, tmp_path, base_doc):

@@ -1,5 +1,6 @@
 """Annual-maximum distribution, return levels and tide calendars."""
 
+import itertools
 import math
 import warnings
 
@@ -8,7 +9,8 @@ import numpy.testing as npt
 import pytest
 
 from skewsurge import SimSpec, simulate_series
-from skewsurge.body import build_empirical, eval_body_cdf
+from skewsurge import returns
+from skewsurge.body import TideBandedEmpirical, build_empirical, eval_body_cdf
 from skewsurge.data import standardize_year
 from skewsurge.exi import ExiModel, eval_exi, fit_exi_curve
 from skewsurge.returns import (
@@ -28,28 +30,45 @@ from skewsurge.tail import (
     scale_at,
 )
 
-from conftest import columns_series
+from conftest import columns_series, flat_thresholds
 
 
-class _ConstCdf:
-    """Stand-in model whose conditional CDF ignores every covariate."""
+def _step_model(jump, below, above):
+    """A model whose conditional CDF ignores every covariate: 0 for surges
+    below 0, ``below`` from 0 to ``jump`` (a body of 1000 per cell with
+    its samples at 0) and ``above`` past ``jump``: 1 - lambda under a
+    scale of 2**1000, whose h is 0 to the last digit, or 1 past the
+    endpoint of a scale of 2**-1000 with xi = -1. A power of two keeps
+    the engine's w = (xi/sigma) z - (xi/sigma)(tide + u_j) exact, so the
+    jump sits at one level to the last bit."""
+    n = 1000
+    body = TideBandedEmpirical(
+        tide_breaks=np.zeros((12, 2)),
+        samples=[[np.zeros(round(below * n))] * 3 for _ in range(12)],
+        totals=np.full((12, 3), n), thresholds=np.full(12, float(jump)))
+    if above == 1.0:
+        params = TailParams(rate=RateParams(lam=0.5),
+                            scale=ScaleParams(alpha=2.0 ** -1000, beta=0.0),
+                            xi=-1.0)
+    else:
+        params = TailParams(rate=RateParams(lam=1.0 - above),
+                            scale=ScaleParams(alpha=2.0 ** 1000, beta=0.0),
+                            xi=0.0)
+    return SkewSurgeModel(body=body, params=params,
+                          thresholds=flat_thresholds(jump))
 
-    def __init__(self, value):
-        self.value = value
 
-    def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
-        return lambda y: np.full(np.shape(y), self.value, dtype=float)
+def _const_model(value):
+    """F = value for every surge above 0.8 m (see :func:`_step_model`)."""
+    return _step_model(0.8, value, value)
 
 
-class _OneZero(_ConstCdf):
-    """Stand-in whose first cycle's factor is exactly zero."""
-
-    def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
-        def cdf(y):
-            out = np.full(np.shape(y), self.value, dtype=float)
-            out[0] = 0.0
-            return out
-        return cdf
+def _one_dead_cycle(n_cycles):
+    """A 3 m tide calendar whose first cycle has a 10 m tide: at z = 5 m
+    its surge is -5 m, where the CDF of :func:`_step_model` is 0."""
+    cal = _one_year_calendar(n_cycles)
+    cal.tide[0] = 10.0
+    return cal
 
 
 def _one_year_calendar(n_cycles=705, tide=3.0, year=2000):
@@ -69,7 +88,7 @@ def _one_year_calendar(n_cycles=705, tide=3.0, year=2000):
 class TestAnnualMaxCdf:
     def test_constant_factor_single_year_product(self):
         cal = _one_year_calendar(705)
-        got = annual_max_cdf(5.0, _ConstCdf(0.999), cal)
+        got = annual_max_cdf(5.0, _const_model(0.999), cal)
         assert abs(got - 0.999 ** 705) <= 1e-9
 
     def test_duplicated_years_average_to_same_value(self):
@@ -83,26 +102,25 @@ class TestAnnualMaxCdf:
             tide=np.tile(cal1.tide, k),
             year_index=np.repeat(np.arange(k), len(cal1.tide)),
         )
-        a = annual_max_cdf(5.0, _ConstCdf(0.999), cal1)
-        b = annual_max_cdf(5.0, _ConstCdf(0.999), calk)
+        a = annual_max_cdf(5.0, _const_model(0.999), cal1)
+        b = annual_max_cdf(5.0, _const_model(0.999), calk)
         npt.assert_allclose(a, b, rtol=1e-14)
 
     def test_one_dead_cycle_kills_its_year(self):
-        cal = _one_year_calendar(100)
-
-        assert annual_max_cdf(5.0, _OneZero(0.999), cal) == 0.0
+        cal = _one_dead_cycle(100)
+        assert annual_max_cdf(5.0, _const_model(0.999), cal) == 0.0
 
     def test_dead_cycle_under_a_zero_extremal_index(self):
         # theta = 0 makes every other factor F^0 = 1, and 0^0 is taken as
         # the dead cycle's 0, with no warning for 0 * log(0).
-        cal = _one_year_calendar(100)
+        cal, dead = _one_year_calendar(100), _one_dead_cycle(100)
         zero = ExiModel(v=0.5, psi=0.3, theta=0.0, theta_v=0.0,
                         run_length=4, levels=np.array([0.3, 0.4, 0.6]),
                         runs_theta=np.zeros(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert annual_max_cdf(5.0, _ConstCdf(0.5), cal, zero) == 1.0
-            assert annual_max_cdf(5.0, _OneZero(0.5), cal, zero) == 0.0
+            assert annual_max_cdf(5.0, _const_model(0.5), cal, zero) == 1.0
+            assert annual_max_cdf(5.0, _const_model(0.5), dead, zero) == 0.0
 
     def test_unit_extremal_index_curve_changes_nothing(self, surge_model):
         model, cal = surge_model
@@ -187,30 +205,25 @@ class TestReturnLevel:
 
 
 class _Counted:
-    """Wraps a model and counts the evaluations of its conditional CDF."""
+    """Counts the annual-maximum evaluations made inside a ``with`` block
+    by wrapping the engine each return curve builds."""
 
-    def __init__(self, model):
-        self.model, self.evals = model, 0
+    def __enter__(self):
+        self.evals, engine = 0, returns._annual_max
 
-    def conditional(self, *args, **kwargs):
-        cdf = self.model.conditional(*args, **kwargs)
+        def counting(*args):
+            f = engine(*args)
 
-        def counted(y):
-            self.evals += 1
-            return cdf(y)
-        return counted
+            def counted(z):
+                self.evals += 1
+                return f(z)
+            return counted
 
+        self.engine, returns._annual_max = engine, counting
+        return self
 
-class _StepCdf:
-    """Stand-in whose conditional CDF jumps from ``below`` to ``above`` at
-    surge ``jump``."""
-
-    def __init__(self, jump, below, above):
-        self.jump, self.below, self.above = jump, below, above
-
-    def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
-        return lambda y: np.where(np.asarray(y) < self.jump, self.below,
-                                  self.above)
+    def __exit__(self, *exc):
+        returns._annual_max = self.engine
 
 
 class TestSolver:
@@ -235,9 +248,9 @@ class TestSolver:
     def test_curve_costs_at_most_eight_evaluations_per_level(self,
                                                                surge_model):
         model, cal = surge_model
-        counted = _Counted(model)
         grid = np.geomspace(1e-4, 1e-1, 20)
-        curve = return_curve(grid, counted, cal)
+        with _Counted() as counted:
+            curve = return_curve(grid, model, cal)
         npt.assert_array_equal(curve.z, return_curve(grid, model, cal).z)
         assert counted.evals <= 8 * grid.size, counted.evals
 
@@ -246,9 +259,9 @@ class TestSolver:
         # Anderson-Bjorck scaling of a kept end's h: Illinois' halving
         # spends about one more evaluation per level on this curve.
         model, cal = surge_model
-        counted = _Counted(model)
         grid = np.geomspace(1e-4, 1e-1, 20)
-        return_curve(grid, counted, cal)
+        with _Counted() as counted:
+            return_curve(grid, model, cal)
         assert counted.evals <= 5 * grid.size, counted.evals
 
     @pytest.mark.parametrize("below,above", [(0.999, 0.99999), (0.999, 1.0)])
@@ -257,7 +270,7 @@ class TestSolver:
         # 1 - p lies inside the jump and the solver can only narrow the
         # bracket around it until the iteration cap.
         cal = _one_year_calendar(705, tide=3.0)
-        model = _StepCdf(0.8, below, above)
+        model = _step_model(0.8, below, above)
         low, high = (annual_max_cdf(z, model, cal) for z in (3.5, 4.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -379,16 +392,21 @@ def seasonal_model():
     return _simulated(truth, seed=7)
 
 
-def _reference_annual_max_cdf(z, model, cal, exi_model, scenario):
-    """Per-cycle factors from the public body, rate, scale and
-    extremal-index functions and the GPD survival's closed form,
-    multiplied out year by year."""
+def _reference_exceedance(z, model, cal, exi_model, scenario):
+    """(annual exceedance probability, per-cycle F) at level z from the
+    public body, rate, scale and extremal-index functions: the GPD
+    survival S in closed form (0 past a negative shape's endpoint), each
+    cycle's theta log1p(-S), or theta log F in the body, summed per year
+    with ``math.fsum`` and the years' 1 - A taken as -expm1."""
     y = z - cal.tide
     u = model.thresholds.for_month(cal.month)
     below = y <= u
     cdf = np.empty(y.shape)
+    log_f = np.empty(y.shape)
     cdf[below] = eval_body_cdf(model.body, y[below], cal.month[below],
                                cal.tide[below])
+    with np.errstate(divide="ignore"):
+        log_f[below] = np.log(cdf[below])
     above = ~below
     record = (cal.day_of_year[above], cal.day_of_month[above],
               cal.month[above], cal.tide[above])
@@ -396,43 +414,98 @@ def _reference_annual_max_cdf(z, model, cal, exi_model, scenario):
     sigma = scale_at(model.params.scale, record[0], record[3],
                      year_std=scenario.year_std)
     xi = model.params.xi
-    z = (y[above] - u[above]) / sigma
-    cdf[above] = 1.0 - lam * np.exp(-np.log1p(xi * z) / xi)
-    theta = eval_exi(exi_model, y)
-    factor = np.zeros_like(cdf)  # cdf ** theta; zero stays zero
-    pos = cdf > 0.0
-    factor[pos] = cdf[pos] ** theta[pos]
-    years = [np.prod(factor[cal.year_index == k]) for k in range(cal.n_years)]
-    return np.mean(years), cdf
+    excess = (y[above] - u[above]) / sigma
+    if xi == 0.0:
+        s = lam * np.exp(-excess)
+    else:
+        inside = xi * excess > -1.0
+        s = np.zeros_like(excess)
+        s[inside] = lam[inside] * np.exp(
+            -np.log1p(xi * excess[inside]) / xi)
+    cdf[above] = 1.0 - s
+    log_f[above] = np.log1p(-s)
+    theta = np.ones_like(y) if exi_model is None else eval_exi(exi_model, y)
+    with np.errstate(invalid="ignore"):
+        # a zero factor stays zero, theta = 0 or not
+        weighted = np.where(log_f == -np.inf, -np.inf, theta * log_f)
+    years = [-math.expm1(math.fsum(weighted[cal.year_index == k]))
+             for k in range(cal.n_years)]
+    return math.fsum(years) / cal.n_years, cdf
+
+
+def _with_xi(model, xi):
+    return SkewSurgeModel(
+        body=model.body, thresholds=model.thresholds,
+        params=TailParams(rate=model.params.rate, scale=model.params.scale,
+                          xi=xi))
+
+
+def _exi(theta, psi):
+    return ExiModel(v=0.45, psi=psi, theta=theta, theta_v=0.6,
+                    run_length=4, levels=np.array([0.2, 0.3, 0.4]),
+                    runs_theta=np.array([0.4, 0.5, 0.55]))
 
 
 def test_engine_matches_the_per_cycle_reference(seasonal_model):
-    model, cal, series = seasonal_model
-    exi_model = ExiModel(v=0.45, psi=0.1, theta=0.9, theta_v=0.6,
-                         run_length=4, levels=np.array([0.2, 0.3, 0.4]),
-                         runs_theta=np.array([0.4, 0.5, 0.55]))
+    fitted, cal, series = seasonal_model
+    exi_models = {
+        "fitted-like": _exi(0.9, 0.1),
+        # theta > 1 far above v, so the clip to [0, 1] is active
+        "clipped": _exi(1.3, 0.1),
+        # exp(-(z - max tide - v)/psi) overflows below max tide + v
+        "tiny psi": _exi(0.9, 1e-6),
+        "none": None,
+    }
     scenario = Scenario(year_std=0.5)
-    conditional = model.conditional(
-        cal.day_of_year, cal.day_of_month, cal.month, cal.tide,
-        year_std=scenario.year_std)
-    u = model.thresholds.for_month(cal.month)
+    u = fitted.thresholds.for_month(cal.month)
+    top, top_edge = float(np.max(cal.tide)), float(np.max(cal.tide + u))
     levels = {
         "body only": float(np.min(cal.tide + u)) - 0.05,
         "mixed": float(np.median(cal.tide)) + 0.3,
         "mixed, nonzero": float(np.max(cal.tide)) - 0.2,
-        "tail only": float(np.max(cal.tide + u)) + 0.05,
+        "below max(tide + u)": top_edge - 0.01,
+        "above max(tide + u)": top_edge + 0.01,
+        "tail only": top_edge + 0.05,
+        "below max tide + v": top + 0.45 - 0.01,
+        "above max tide + v": top + 0.45 + 0.01,
         "far tail": float(np.max(cal.tide)) + 1.5,
     }
-    for name, z in levels.items():
-        expected, cycle_cdf = _reference_annual_max_cdf(z, model, cal,
-                                                        exi_model, scenario)
-        npt.assert_allclose(conditional(z - cal.tide), cycle_cdf,
-                            rtol=1e-12, err_msg=name)
-        got = annual_max_cdf(z, model, cal, exi_model, scenario)
-        npt.assert_allclose(got, expected, rtol=1e-12, err_msg=name)
+    assert top_edge < top + 0.45  # the levels cross both in turn
+    for xi, exi_name in itertools.product([0.05, 0.0, -0.2], exi_models):
+        model, exi_model = _with_xi(fitted, xi), exi_models[exi_name]
+        conditional = model.conditional(
+            cal.day_of_year, cal.day_of_month, cal.month, cal.tide,
+            year_std=scenario.year_std)
+        exceedance = returns._annual_max(model, cal, exi_model, scenario)
+        for name, z in levels.items():
+            expected, cycle_cdf = _reference_exceedance(
+                z, model, cal, exi_model, scenario)
+            err_msg = f"xi={xi}, {exi_name}, {name}"
+            npt.assert_allclose(conditional(z - cal.tide), cycle_cdf,
+                                rtol=1e-12, err_msg=err_msg)
+            npt.assert_allclose(exceedance(z), expected, rtol=1e-12,
+                                err_msg=err_msg)
+            assert annual_max_cdf(z, model, cal, exi_model, scenario) \
+                == 1.0 - exceedance(z)
     # the levels above cover both branches and a nonzero mixed year
-    assert 0.0 < annual_max_cdf(levels["mixed, nonzero"], model, cal,
-                                exi_model, scenario) < 1.0
+    z = levels["below max(tide + u)"]
+    assert np.any(z <= cal.tide + u)
+    assert 0.0 < annual_max_cdf(z, fitted, cal, None, scenario) < 1.0
+
+
+def test_annual_exceedance_meets_the_fsum_reference(seasonal_model):
+    # log1p(-S) per cycle and -expm1 per year: the exceedance is never
+    # formed as 1 - F, so it keeps its relative precision at p = 1e-6.
+    model, cal, series = seasonal_model
+    exi_model = fit_exi_curve(series, run_length=4)
+    scenario = Scenario(year_std=0.5)
+    exceedance = returns._annual_max(model, cal, exi_model, scenario)
+    for p in (1e-2, 1e-4, 1e-6):
+        z = return_level(p, model, cal, exi_model, scenario)
+        expected, _ = _reference_exceedance(z, model, cal, exi_model,
+                                            scenario)
+        npt.assert_allclose(exceedance(z), expected, rtol=1e-12, err_msg=p)
+        npt.assert_allclose(expected, p, rtol=1e-8, err_msg=p)
 
 
 def test_nonpositive_scale_in_the_tail_is_an_error(sim_r0, surge_model):
