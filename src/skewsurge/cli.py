@@ -651,13 +651,15 @@ def main(argv=None):
                     yaml, "CSafeLoader", yaml.SafeLoader)) or {}
         cfg = RunConfig.from_mapping(doc).apply_flags(args)
         out = Path(cfg.out_dir)
-        made = not out.exists()
+        made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
         try:
             return _HANDLERS[args.subcommand](cfg, out)
         finally:  # a run that wrote nothing leaves no directory it made
-            if made and not any(out.iterdir()):
-                out.rmdir()
+            for d in made:  # out first, then its parents
+                if any(d.iterdir()):
+                    break
+                d.rmdir()
     except (ValueError, FileNotFoundError, RuntimeError, KeyError,
             OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -177,13 +177,11 @@ def exi_curve(model):
 
 
 def exi_at_level(model, tide):
-    """z -> theta(z - tide): the index of each cycle of fixed peak tides at
-    sea level z. Where z - v >= max tide, the fitted curve factors as
-    theta - exp(-(z - max tide - v)/psi) k, k = (theta - theta_v)
-    exp((tide - max tide)/psi): one scalar exp, at most 1, and a
-    multiply-add into one kept array, clipped only when theta or theta_v
-    lies outside [0, 1]. Lower levels take :func:`exi_curve`.
-    """
+    """z -> theta(z - tide) of fixed peak tides. Where z - v >= max tide it
+    is theta - exp(-(z - max tide - v)/psi) k, k = (theta - theta_v)
+    exp((tide - max tide)/psi): one scalar exp and a multiply-add into one
+    kept array, clipped only when theta or theta_v lies outside [0, 1].
+    Lower levels take :func:`exi_curve`."""
     curve = exi_curve(model)
     top = float(np.max(tide))
     k = (model.theta - model.theta_v) * np.exp((tide - top) / model.psi)

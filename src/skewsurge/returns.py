@@ -7,21 +7,14 @@ extremal index at that level to discount within-cluster dependence
 (the skew-surge joint probability method).
 
 The engine works in log survival. Along a curve only the level z
-changes, so :func:`annual_max_cdf`, :func:`return_level` and
-:func:`return_curve` build once, from ``model._records`` (the per-record
-builder a SkewSurgeModel's conditional CDF shares), each cycle's
-b = xi/sigma, c = -b (tide + u_j), lambda and tide + u_j, with the
-extremal index at level z (:func:`exi_at_level`) and the year starts.
-One evaluation is then a few in-place passes over the cycles: w = b z + c
-(xi times the scaled excess), h = log1p(w)/xi with the GPD's clamp at
-w = -1 (at xi = 0 ``_gpd_h``'s rule h = w, via b = -1/sigma and w = -h),
--S = -lambda exp(-h), log F = log1p(-S), the log of the body CDF at
-y = z - tide for the cycles with z <= tide + u_j when there are any, and
-times theta. Each year is one ``np.add.reduceat`` slice (the layout
-:class:`TideSampleCalendar` checks), and the annual exceedance 1 - A is
-the years' mean of -expm1(log A_year), never formed as 1 - F. A factor
-of exactly zero sends its year to zero, under theta = 0 too; sigma <= 0
-is an error only where z is above tide + u_j.
+changes, so each of :func:`annual_max_cdf`, :func:`return_level` and
+:func:`return_curve` builds once the cycles' log CDF at a sea level
+(``model._level_log_cdf`` of a SkewSurgeModel), the extremal index at a
+level (:func:`exi_at_level`) and the year starts. One evaluation is
+log F times theta, one ``np.add.reduceat`` slice per year (the layout
+:class:`TideSampleCalendar` checks) and the annual exceedance 1 - A as
+the years' mean of -expm1(log A_year), never 1 - F. A zero factor sends
+its year to zero, under theta = 0 too.
 
 Return levels solve h(z) = log(1 - A(z)) - log p = 0, the log of the
 engine's exceedance, near linear in z in the tail, by regula falsi
@@ -41,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exi import exi_at_level
-from .tail import _XI_TINY
 
 RETURN_LEVEL_TOL = 1e-6  # |F - (1 - p)| every level meets, with room
 RETURN_LEVEL_LOG_TOL = 1e-9
@@ -130,48 +122,25 @@ def _annual_max(model, calendar, exi_model, scenario):
     z built once."""
     if scenario is None:
         scenario = Scenario()
-    tide = calendar.tide
-    u, lam, sigma, body = model._records(
-        calendar.day_of_year, calendar.day_of_month, calendar.month, tide,
-        year_std=scenario.year_std, gmt=scenario.gmt)
-    xi = model.params.xi
-    exponential = abs(xi) < _XI_TINY  # _gpd_h's rule: h = w at xi = 0
-    edge = tide + u  # the level at each cycle's threshold
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = (-1.0 if exponential else xi) / sigma  # at xi = 0, w = -h
-        c = -b * edge
-    neg_lam = -lam
-    top_edge = edge.max()
-    bad_edge = edge[sigma <= 0.0].min(initial=np.inf)
-    theta = None if exi_model is None else exi_at_level(exi_model, tide)
+    log_cdf = model._level_log_cdf(
+        calendar.day_of_year, calendar.day_of_month, calendar.month,
+        calendar.tide, year_std=scenario.year_std, gmt=scenario.gmt)
+    theta = None if exi_model is None else exi_at_level(exi_model,
+                                                        calendar.tide)
     year_starts = np.searchsorted(calendar.year_index,
                                   np.arange(calendar.n_years))
-    log_f = np.empty(tide.shape)
+    weighted = np.empty(calendar.tide.shape)
 
     def exceedance(z):
-        if z > bad_edge:
-            raise ValueError("sigma must be positive")
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.multiply(b, z, out=log_f)
-            np.add(log_f, c, out=log_f)  # w
-            # -h as in _gpd_h, two passes shorter: a product for its quotient,
-            # the clamp only for xi < 0 (for xi > 0 only body cycles have w < -1)
-            if not exponential:
-                if xi < 0.0:
-                    np.maximum(log_f, -1.0, out=log_f)
-                np.log1p(log_f, out=log_f)
-                np.multiply(log_f, -1.0 / xi, out=log_f)
-            np.exp(log_f, out=log_f)
-            np.multiply(log_f, neg_lam, out=log_f)  # -S
-            np.log1p(log_f, out=log_f)  # log F
-            if z <= top_edge:
-                below = z <= edge
-                body(z - tide, log_f, below)
-                np.log(log_f, out=log_f, where=below)
-            if theta is not None:
-                np.multiply(log_f, theta(z), out=log_f)
-        log_year = np.add.reduceat(log_f, year_starts)
-        log_year[np.isnan(log_year)] = -np.inf  # theta 0 times log F = -inf
+        log_f = log_cdf(z)
+        if theta is None:
+            log_year = np.add.reduceat(log_f, year_starts)
+        else:
+            with np.errstate(invalid="ignore"):  # theta 0 times log F = -inf
+                np.multiply(log_f, theta(z), out=weighted)
+            log_year = np.add.reduceat(weighted, year_starts)
+            if np.isnan(log_year).any():  # a zero factor keeps its year 0
+                log_year[np.add.reduceat(log_f, year_starts) == -np.inf] = -np.inf
         return float(-np.expm1(log_year).mean())
 
     return exceedance

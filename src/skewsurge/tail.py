@@ -17,12 +17,12 @@ simulator and the CDF share. Below u_j the distribution is the
 tide-banded empirical body. :meth:`SkewSurgeModel.conditional` freezes a
 set of records (day of year, day of month, month, peak tide, trend
 covariates) and returns their conditional CDF as a function of the surge
-alone: u_j, lambda, sigma and the body cells are built once (a builder
-the annual-maximum engine shares), and each evaluation is a GPD tail
-pass plus, only where some record is at or below its threshold, a body
-search. The tail pass is the survival lambda * exp(-h(z; xi)) of the
-scaled excess z, as in-place steps over one array. :func:`eval_cdf`
-(used by the PIT) builds and applies it once.
+alone: u_j, lambda, sigma and the body cells are built once (shared with
+:meth:`SkewSurgeModel._level_log_cdf`, the engine's log CDF at one sea
+level), and each evaluation is a GPD tail pass, the survival
+lambda * exp(-h(z; xi)) of the scaled excess z in place over one array,
+plus a body search only where some record is at or below its threshold.
+:func:`eval_cdf` (used by the PIT) builds and applies it once.
 
 h(z; xi) = log1p(xi z)/xi is the GPD's one kernel (:func:`_gpd_h`),
 which the likelihood and, through its inverse, the simulator share. Its
@@ -449,7 +449,7 @@ class SkewSurgeModel:
     def _records(self, d, d_j, j, x, year_std=None, gmt=None):
         """(u_j, lambda, sigma, :func:`cell_cdf` body) of fixed records in
         their broadcast shape, from one seasonal basis: all that
-        :meth:`conditional` and the annual-maximum engine need but y."""
+        :meth:`conditional` and :meth:`_level_log_cdf` need but y."""
         d, d_j, j, x = np.broadcast_arrays(
             np.asarray(d), np.asarray(d_j), np.asarray(j),
             np.asarray(x, dtype=float))
@@ -462,6 +462,39 @@ class SkewSurgeModel:
             scale_terms(scale.family, basis, d, x, year_std, gmt),
             scale_values(scale))
         return self.thresholds.for_month(j), lam, sigma, cell_cdf(self.body, j, x)
+
+    def _level_log_cdf(self, d, d_j, j, x, year_std=None, gmt=None):
+        """z -> log F(z - x) of fixed records, x their peak tides, at one
+        sea level z, in one kept array: h = :func:`_gpd_h` of the affine
+        scaled excess z/sigma - (x + u_j)/sigma, log F = log1p(-exp(log
+        lambda - h)), never 1 - S, and the body's log F where z <= x + u_j.
+        sigma <= 0 is an error only where z is above x + u_j."""
+        u, lam, sigma, body = self._records(d, d_j, j, x, year_std, gmt)
+        x = np.broadcast_to(np.asarray(x, dtype=float), u.shape)
+        edge = x + u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a, c, log_lam = 1.0 / sigma, -edge / sigma, np.log(lam)
+        top_edge, bad_edge = edge.max(), edge[sigma <= 0.0].min(initial=np.inf)
+        out = np.empty(u.shape)
+
+        def log_cdf(z):
+            if z > bad_edge:
+                raise ValueError("sigma must be positive")
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                np.multiply(a, z, out=out)
+                np.add(out, c, out=out)  # inf - inf where sigma = 0: body
+                _gpd_h(out, self.params.xi, out=out)
+                np.subtract(log_lam, out, out=out)
+                np.exp(out, out=out)
+                np.negative(out, out=out)
+                np.log1p(out, out=out)
+                if z <= top_edge:
+                    below = z <= edge
+                    body(z - x, out, below)
+                    np.log(out, out=out, where=below)
+            return out
+
+        return log_cdf
 
     def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
         """The conditional CDF of fixed records as a function of the surge.

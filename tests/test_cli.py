@@ -438,9 +438,13 @@ class TestReturnLevels:
         out = tmp_path / "out"
         assert main(["rl", "--config", cfg, "--out", str(out)]) == 1
         assert not out.exists()
+        nested = out / "a" / "b"  # every level the run made goes again
+        assert main(["rl", "--config", cfg, "--out", str(nested)]) == 1
+        assert not out.exists()
         out.mkdir()  # a directory the run did not make stays
         assert main(["rl", "--config", cfg, "--out", str(out)]) == 1
-        assert out.is_dir()
+        assert main(["rl", "--config", cfg, "--out", str(nested)]) == 1
+        assert out.is_dir() and not any(out.iterdir())
 
 
 class TestDependence:

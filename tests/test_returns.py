@@ -39,7 +39,7 @@ def _step_model(jump, below, above):
     its samples at 0) and ``above`` past ``jump``: 1 - lambda under a
     scale of 2**1000, whose h is 0 to the last digit, or 1 past the
     endpoint of a scale of 2**-1000 with xi = -1. A power of two keeps
-    the engine's w = (xi/sigma) z - (xi/sigma)(tide + u_j) exact, so the
+    the engine's scaled excess z/sigma - (tide + u_j)/sigma exact, so the
     jump sits at one level to the last bit."""
     n = 1000
     body = TideBandedEmpirical(
@@ -121,6 +121,9 @@ class TestAnnualMaxCdf:
             warnings.simplefilter("error")
             assert annual_max_cdf(5.0, _const_model(0.5), cal, zero) == 1.0
             assert annual_max_cdf(5.0, _const_model(0.5), dead, zero) == 0.0
+            # only a zero factor counts so: a nan model stays nan
+            nan_xi = _with_xi(_const_model(0.5), math.nan)
+            assert math.isnan(annual_max_cdf(5.0, nan_xi, dead, zero))
 
     def test_unit_extremal_index_curve_changes_nothing(self, surge_model):
         model, cal = surge_model
@@ -393,11 +396,12 @@ def seasonal_model():
 
 
 def _reference_exceedance(z, model, cal, exi_model, scenario):
-    """(annual exceedance probability, per-cycle F) at level z from the
-    public body, rate, scale and extremal-index functions: the GPD
-    survival S in closed form (0 past a negative shape's endpoint), each
-    cycle's theta log1p(-S), or theta log F in the body, summed per year
-    with ``math.fsum`` and the years' 1 - A taken as -expm1."""
+    """(annual exceedance probability, per-cycle F, per-cycle log F) at
+    level z from the public body, rate, scale and extremal-index
+    functions: the GPD survival S in closed form (0 past a negative
+    shape's endpoint), each cycle's theta log1p(-S), or theta log F in
+    the body, summed per year with ``math.fsum`` and the years' 1 - A
+    taken as -expm1."""
     y = z - cal.tide
     u = model.thresholds.for_month(cal.month)
     below = y <= u
@@ -430,7 +434,7 @@ def _reference_exceedance(z, model, cal, exi_model, scenario):
         weighted = np.where(log_f == -np.inf, -np.inf, theta * log_f)
     years = [-math.expm1(math.fsum(weighted[cal.year_index == k]))
              for k in range(cal.n_years)]
-    return math.fsum(years) / cal.n_years, cdf
+    return math.fsum(years) / cal.n_years, cdf, log_f
 
 
 def _with_xi(model, xi):
@@ -463,6 +467,7 @@ def test_engine_matches_the_per_cycle_reference(seasonal_model):
         "body only": float(np.min(cal.tide + u)) - 0.05,
         "mixed": float(np.median(cal.tide)) + 0.3,
         "mixed, nonzero": float(np.max(cal.tide)) - 0.2,
+        "many body cycles, A > 1e-3": top_edge - 0.05,
         "below max(tide + u)": top_edge - 0.01,
         "above max(tide + u)": top_edge + 0.01,
         "tail only": top_edge + 0.05,
@@ -471,26 +476,39 @@ def test_engine_matches_the_per_cycle_reference(seasonal_model):
         "far tail": float(np.max(cal.tide)) + 1.5,
     }
     assert top_edge < top + 0.45  # the levels cross both in turn
+    year_starts = np.searchsorted(cal.year_index, np.arange(cal.n_years))
     for xi, exi_name in itertools.product([0.05, 0.0, -0.2], exi_models):
         model, exi_model = _with_xi(fitted, xi), exi_models[exi_name]
         conditional = model.conditional(
             cal.day_of_year, cal.day_of_month, cal.month, cal.tide,
             year_std=scenario.year_std)
+        log_cdf = model._level_log_cdf(
+            cal.day_of_year, cal.day_of_month, cal.month, cal.tide,
+            year_std=scenario.year_std)
         exceedance = returns._annual_max(model, cal, exi_model, scenario)
         for name, z in levels.items():
-            expected, cycle_cdf = _reference_exceedance(
+            expected, cycle_cdf, cycle_log_cdf = _reference_exceedance(
                 z, model, cal, exi_model, scenario)
             err_msg = f"xi={xi}, {exi_name}, {name}"
             npt.assert_allclose(conditional(z - cal.tide), cycle_cdf,
                                 rtol=1e-12, err_msg=err_msg)
+            # the engine's log F per year, where body cycles weigh whatever
+            # the exceedance (per cycle, a tail S near a negative shape's
+            # endpoint carries the affine excess's rounding times 1/|xi|)
+            npt.assert_allclose(
+                np.add.reduceat(log_cdf(z), year_starts),
+                [math.fsum(cycle_log_cdf[cal.year_index == k])
+                 for k in range(cal.n_years)], rtol=1e-12, err_msg=err_msg)
             npt.assert_allclose(exceedance(z), expected, rtol=1e-12,
                                 err_msg=err_msg)
             assert annual_max_cdf(z, model, cal, exi_model, scenario) \
                 == 1.0 - exceedance(z)
-    # the levels above cover both branches and a nonzero mixed year
-    z = levels["below max(tide + u)"]
-    assert np.any(z <= cal.tide + u)
-    assert 0.0 < annual_max_cdf(z, fitted, cal, None, scenario) < 1.0
+    # the levels above cover both branches and mixed years whose product
+    # A is far from 0 and 1, so the exceedance weighs each body cycle
+    z = levels["many body cycles, A > 1e-3"]
+    assert np.sum(z <= cal.tide + u) > 100
+    assert 1e-3 < annual_max_cdf(z, fitted, cal, exi_models["fitted-like"],
+                                 scenario) < 0.5
 
 
 def test_annual_exceedance_meets_the_fsum_reference(seasonal_model):
@@ -502,8 +520,8 @@ def test_annual_exceedance_meets_the_fsum_reference(seasonal_model):
     exceedance = returns._annual_max(model, cal, exi_model, scenario)
     for p in (1e-2, 1e-4, 1e-6):
         z = return_level(p, model, cal, exi_model, scenario)
-        expected, _ = _reference_exceedance(z, model, cal, exi_model,
-                                            scenario)
+        expected, _, _ = _reference_exceedance(z, model, cal, exi_model,
+                                               scenario)
         npt.assert_allclose(exceedance(z), expected, rtol=1e-12, err_msg=p)
         npt.assert_allclose(expected, p, rtol=1e-8, err_msg=p)
 
