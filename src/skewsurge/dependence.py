@@ -271,6 +271,22 @@ def kendall_tau(pairs):
     return float(min(1.0, max(-1.0, tau)))
 
 
+def _quantile(a, q):
+    """``np.quantile(a, q)`` to the bit, by numpy's linear rule, from one
+    selection: order statistics k and k + 1 of the virtual index
+    (n - 1) q, by one partition at k and the least value above it, and
+    numpy's interpolation between them (from the upper one where the
+    weight is at least 1/2)."""
+    v = (a.size - 1) * q
+    if v >= a.size - 1:
+        return a.max()
+    k = math.floor(v)
+    part = np.partition(a, k)
+    lo, hi = part[k], part[k + 1:].min()
+    t, gap = v - k, hi - lo
+    return hi - gap * (1 - t) if t >= 0.5 else lo + gap * t
+
+
 def chi_chibar(pairs, p=0.05):
     """Tail dependence (chi, chibar) above the empirical (1-p) quantiles.
 
@@ -284,8 +300,8 @@ def chi_chibar(pairs, p=0.05):
         raise ValueError("empty pairs")
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
-    q_a = np.quantile(a, 1.0 - p)
-    q_b = np.quantile(b, 1.0 - p)
+    q_a = _quantile(a, 1.0 - p)
+    q_b = _quantile(b, 1.0 - p)
     exc_a = a > q_a
     n_a = int(exc_a.sum())
     if n_a == 0:

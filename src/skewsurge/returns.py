@@ -17,13 +17,21 @@ the years' mean of -expm1(log A_year), never 1 - F. A zero factor sends
 its year to zero, under theta = 0 too.
 
 Return levels solve h(z) = log(1 - A(z)) - log p = 0, the log of the
-engine's exceedance, near linear in z in the tail, by regula falsi
-with Anderson-Bjorck scaling of an end kept twice (a bisection step where
-the exceedance is 0 makes h -inf) until |h| < 1e-9, i.e. the exceedance
-is within 1e-9 p of p. A curve solves its grid from the largest p down,
-each level the lower end of the next bracket. After the iteration cap the
-bracket's upper end is returned, for targets that are step functions (a
-degenerate surge distribution).
+engine's exceedance, near linear in z in the tail, until |h| < 1e-9, i.e.
+the exceedance is within 1e-9 p of p. A curve solves its grid from the
+largest p down, each level the lower end of the next bracket. The first
+bracket starts just above max(tide + u_j), the engine's ``top_edge``,
+where no cycle searches the body, unless the exceedance there is below
+the largest p. From the third level on, the first probe is z extrapolated
+in log p through the last (up to three) solved levels, the second a
+Newton step on that polynomial's slope, then secant steps on the two
+newest probes, each kept while it falls inside the bracket and the
+exceedance is positive: about three evaluations per level. Otherwise, and
+from then on, regula falsi with Anderson-Bjorck scaling of an end kept
+twice (a bisection step where the exceedance is 0 makes h -inf). After
+the iteration cap the bracket's upper end is returned, for targets that
+are step functions (a degenerate surge distribution). A nan exceedance
+is an error.
 """
 
 from __future__ import annotations
@@ -119,7 +127,8 @@ class TideSampleCalendar:
 
 def _annual_max(model, calendar, exi_model, scenario):
     """z -> P(annual maximum > z), with everything that does not depend on
-    z built once."""
+    z built once. Its ``top_edge`` is the log CDF's max(tide + u_j), above
+    which no cycle searches the body."""
     if scenario is None:
         scenario = Scenario()
     log_cdf = model._level_log_cdf(
@@ -143,6 +152,7 @@ def _annual_max(model, calendar, exi_model, scenario):
                 log_year[np.add.reduceat(log_f, year_starts) == -np.inf] = -np.inf
         return float(-np.expm1(log_year).mean())
 
+    exceedance.top_edge = log_cdf.top_edge
     return exceedance
 
 
@@ -157,22 +167,56 @@ def annual_max_cdf(z, model, calendar, exi_model=None, scenario=None):
     return 1.0 - _annual_max(model, calendar, exi_model, scenario)(z)
 
 
-def _invert(p, f, lo, hi):
-    """(z, f(z)) with the exceedance f(z) = p, by Anderson-Bjorck on
-    h = log f - log p from (z, f(z)) ends with f(hi) <= p; ``lo`` if
-    f(lo) is at most p."""
-    def h(q):  # -inf where the exceedance is 0, without taking log(0)
-        return math.log(q) - math.log(p) if q > 0.0 else -math.inf
+def _predicted(solved, log_p, probes):
+    """The next probe of a level from the (log p, z) of the levels solved
+    before it: their polynomial through the last three at log p, then a
+    Newton step on its slope, then secant steps on the two newest of the
+    ``probes`` (z, h); None where a secant has no slope."""
+    (t1, z1), (t2, z2) = solved[-2:]
+    slope, curve = (z2 - z1) / (t2 - t1), 0.0
+    if len(solved) > 2:
+        t0, z0 = solved[-3]
+        curve = (slope - (z1 - z0) / (t1 - t0)) / (t2 - t0)
+    if not probes:
+        return z2 + (log_p - t2) * (slope + curve * (log_p - t1))
+    if len(probes) == 1:
+        c, h = probes[0]
+        return c - h * (slope + curve * (2.0 * log_p - t1 - t2))
+    (c1, h1), (c2, h2) = probes[-2:]
+    return None if h2 == h1 else c2 - h2 * (c2 - c1) / (h2 - h1)
+
+
+def _invert(p, f, lo, hi, solved):
+    """(z, f(z)) with the exceedance f(z) = p, from (z, f(z)) ends with
+    f(hi) <= p; ``lo`` if f(lo) is at most p. With two or more levels in
+    ``solved``, the probes start as :func:`_predicted` and are kept while
+    each falls inside the bracket and finds a positive exceedance; after
+    that, or without them, Anderson-Bjorck on h = log f - log p."""
+    log_p = math.log(p)
+
+    def h(z, q):  # -inf where the exceedance is 0, without taking log(0)
+        if q > 0.0:
+            return math.log(q) - log_p
+        if q == 0.0:
+            return -math.inf
+        raise ValueError(f"annual exceedance is {q} at z = {z:.6g}")
     (a, f_a), (b, f_b) = lo, hi
-    h_a, h_b, side = h(f_a), h(f_b), 0  # side: +1 after a moved, -1 after b
+    h_a, h_b, side = h(a, f_a), h(b, f_b), 0  # side: +1 after a moved, -1 after b
     if h_a < RETURN_LEVEL_LOG_TOL:
         return lo
+    probes, predicting = [], len(solved) > 1
     for _ in range(RETURN_LEVEL_MAX_ITER):
-        c = 0.5 * (a + b) if h_b == -math.inf else b - h_b * (b - a) / (h_b - h_a)
+        if predicting:
+            c = _predicted(solved, log_p, probes)
+            predicting = c is not None and a < c < b
+        if not predicting:
+            c = 0.5 * (a + b) if h_b == -math.inf else b - h_b * (b - a) / (h_b - h_a)
         f_c = f(c)
-        h_c = h(f_c)
+        h_c = h(c, f_c)
         if abs(h_c) < RETURN_LEVEL_LOG_TOL:
             return c, f_c
+        probes.append((c, h_c))
+        predicting = predicting and h_c > -math.inf
         # Anderson-Bjorck: an end kept twice has its h scaled by
         # m = 1 - h_c / h(end c replaces), or halved where m <= 0 or is nan.
         if h_c > 0.0:
@@ -220,8 +264,12 @@ class ReturnCurve:
 def return_curve(p_grid, model, calendar, exi_model=None, scenario=None):
     """Return levels for each probability in the grid, monotonicity checked.
 
-    Solves annual_max_cdf(z) = 1 - p on [min tide - 1, max tide + 10], from
-    the largest p down; raises when a target lies outside that bracket.
+    Solves annual_max_cdf(z) = 1 - p from the largest p down, each level
+    the lower end of the next bracket. The first bracket is [just above
+    max(tide + u_j), max tide + 10], which no body search reaches, or
+    [min tide - 1, max tide + 10] where the exceedance just above
+    max(tide + u_j) is below the grid's largest p; raises when a target
+    lies outside it, or where the exceedance is nan.
     """
     p = np.asarray(p_grid, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -231,16 +279,23 @@ def return_curve(p_grid, model, calendar, exi_model=None, scenario=None):
         raise ValueError(
             f"annual exceedance probability {p[outside][0]} outside [1e-6, 0.5]")
     f = _annual_max(model, calendar, exi_model, scenario)
-    lo, hi = float(calendar.tide.min()) - 1.0, float(calendar.tide.max()) + 10.0
-    lo, hi = (lo, f(lo)), (hi, f(hi))
+
+    def at(z):
+        return z, f(z)
+    hi = at(float(calendar.tide.max()) + 10.0)
+    lo = at(math.nextafter(f.top_edge, math.inf))  # every cycle in its tail
+    if not lo[1] >= p.max():
+        lo = at(float(calendar.tide.min()) - 1.0)
     if lo[1] < p.max() or hi[1] > p.min():
         raise ValueError(
             f"no bracket for p={p.max() if lo[1] < p.max() else p.min()}: "
             f"exceedance {lo[1]:.6g} at {lo[0]:.3f}, {hi[1]:.6g} at {hi[0]:.3f}")
-    z = np.empty_like(p)
+    z, solved = np.empty_like(p), []  # solved: (log p, z), distinct p
     for i in np.argsort(-p, kind="stable"):
-        lo = _invert(p[i], f, lo, hi)
+        lo, log_p = _invert(p[i], f, lo, hi, solved), math.log(p[i])
         z[i] = lo[0]
+        if not solved or solved[-1][0] != log_p:
+            solved.append((log_p, lo[0]))
     if np.any(np.diff(z[np.argsort(p)]) > 1e-9):
         raise RuntimeError("return levels not nonincreasing in p")
     return ReturnCurve(p=p, z=z)

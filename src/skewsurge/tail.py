@@ -28,7 +28,11 @@ h(z; xi) = log1p(xi z)/xi is the GPD's one kernel (:func:`_gpd_h`),
 which the likelihood and, through its inverse, the simulator share. Its
 one rule at xi = 0: h = z where |xi| is below the smallest normal float,
 the closed form everywhere else, which stays within 2.5e-16 relative of
-the exact value (about one rounding) for every normal shape.
+the exact value (about one rounding) for every normal shape. The kernel
+is two pieces: the factor of z (:func:`_gpd_factor`, xi or 1 under that
+rule) and the clamp, log1p and division by xi of the scaled
+w = factor z (:func:`_gpd_h_scaled`); the annual-maximum engine folds
+the factor into its affine excess and calls the second piece alone.
 """
 
 from __future__ import annotations
@@ -403,20 +407,35 @@ def scale_at(sp, d, x, year_std=None, gmt=None):
     return sigma if np.ndim(sigma) else float(sigma)
 
 
+def _gpd_factor(xi):
+    """The factor of z in h(z; xi): xi, or 1 where |xi| < _XI_TINY, the
+    one rule at xi = 0, under which h = z."""
+    return 1.0 if abs(xi) < _XI_TINY else xi
+
+
+def _gpd_h_scaled(w, xi):
+    """h(z; xi) in place over w = factor z, the factor from
+    :func:`_gpd_factor`: log1p(w)/xi with w clamped at -1, so h is +inf
+    beyond a negative shape's endpoint, or w itself under the same rule at
+    xi = 0."""
+    if abs(xi) < _XI_TINY:
+        return w
+    np.maximum(w, -1.0, out=w)
+    with np.errstate(divide="ignore"):
+        np.log1p(w, out=w)
+    w /= xi
+    return w
+
+
 def _gpd_h(z, xi, out=None):
     """h(z; xi) = log1p(xi z)/xi over an array of scaled excesses z, or z
     where |xi| < _XI_TINY: the GPD's log survival is -h, its negative
-    log-density log(sigma) + (1 + xi) h. xi z is clamped at -1, so h is
-    +inf beyond a negative shape's endpoint. ``out`` may be z itself.
+    log-density log(sigma) + (1 + xi) h. It is :func:`_gpd_h_scaled` of
+    z times :func:`_gpd_factor`; a caller that already scales z affinely
+    folds the factor into its coefficients and calls the second piece
+    alone. ``out`` may be z itself.
     """
-    exponential = abs(xi) < _XI_TINY
-    out = np.multiply(z, 1.0 if exponential else xi, out=out)
-    if not exponential:
-        np.maximum(out, -1.0, out=out)
-        with np.errstate(divide="ignore"):
-            np.log1p(out, out=out)
-        out /= xi
-    return out
+    return _gpd_h_scaled(np.multiply(z, _gpd_factor(xi), out=out), xi)
 
 
 def _gpd_quantile(w, xi, sigma):
@@ -465,15 +484,20 @@ class SkewSurgeModel:
 
     def _level_log_cdf(self, d, d_j, j, x, year_std=None, gmt=None):
         """z -> log F(z - x) of fixed records, x their peak tides, at one
-        sea level z, in one kept array: h = :func:`_gpd_h` of the affine
-        scaled excess z/sigma - (x + u_j)/sigma, log F = log1p(-exp(log
-        lambda - h)), never 1 - S, and the body's log F where z <= x + u_j.
-        sigma <= 0 is an error only where z is above x + u_j."""
+        sea level z, in one kept array: h = :func:`_gpd_h_scaled` of the
+        affine w = a z + c, whose a = factor/sigma and c = -factor (x +
+        u_j)/sigma fold the kernel's :func:`_gpd_factor` into the scaled
+        excess, log F = log1p(-exp(log lambda - h)), never 1 - S, and the
+        body's log F where z <= x + u_j. sigma <= 0 is an error only where
+        z is above x + u_j. The function's ``top_edge`` is max(x + u_j),
+        above which every record is in the tail."""
         u, lam, sigma, body = self._records(d, d_j, j, x, year_std, gmt)
         x = np.broadcast_to(np.asarray(x, dtype=float), u.shape)
         edge = x + u
+        xi = self.params.xi
+        factor = _gpd_factor(xi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            a, c, log_lam = 1.0 / sigma, -edge / sigma, np.log(lam)
+            a, c, log_lam = factor / sigma, -factor * edge / sigma, np.log(lam)
         top_edge, bad_edge = edge.max(), edge[sigma <= 0.0].min(initial=np.inf)
         out = np.empty(u.shape)
 
@@ -483,7 +507,7 @@ class SkewSurgeModel:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 np.multiply(a, z, out=out)
                 np.add(out, c, out=out)  # inf - inf where sigma = 0: body
-                _gpd_h(out, self.params.xi, out=out)
+                _gpd_h_scaled(out, xi)
                 np.subtract(log_lam, out, out=out)
                 np.exp(out, out=out)
                 np.negative(out, out=out)
@@ -494,6 +518,7 @@ class SkewSurgeModel:
                     np.log(out, out=out, where=below)
             return out
 
+        log_cdf.top_edge = float(top_edge)
         return log_cdf
 
     def conditional(self, d, d_j, j, x, year_std=None, gmt=None):

@@ -208,18 +208,21 @@ class TestReturnLevel:
 
 
 class _Counted:
-    """Counts the annual-maximum evaluations made inside a ``with`` block
-    by wrapping the engine each return curve builds."""
+    """Counts the annual-maximum evaluations made inside a ``with`` block,
+    and keeps their levels, by wrapping the engine each return curve
+    builds; the wrapper carries the engine's ``top_edge``."""
 
     def __enter__(self):
-        self.evals, engine = 0, returns._annual_max
+        self.evals, self.levels, engine = 0, [], returns._annual_max
 
         def counting(*args):
             f = engine(*args)
 
             def counted(z):
                 self.evals += 1
+                self.levels.append(z)
                 return f(z)
+            counted.top_edge = f.top_edge
             return counted
 
         self.engine, returns._annual_max = engine, counting
@@ -306,6 +309,80 @@ class TestSolver:
                 assert abs(gap) < 1e-8, p
         assert return_level(1e-3, bounded, cal) \
             < return_level(1e-3, model, cal)
+
+    def test_curve_takes_three_and_a_half_evaluations_per_level(self,
+                                                                  surge_model):
+        # A bracket above the body, then from the third level a start
+        # predicted from the levels solved before: no evaluation reaches
+        # max(tide + u_j), where the body search runs.
+        model, cal = surge_model
+        grid = np.geomspace(1e-4, 1e-1, 20)
+        with _Counted() as counted:
+            return_curve(grid, model, cal)
+        assert counted.evals <= 3.5 * grid.size, counted.evals
+        top_edge = float(np.max(cal.tide + model.thresholds.for_month(
+            cal.month)))
+        assert min(counted.levels) > top_edge
+
+    def test_bracket_below_the_body_when_the_top_edge_is_too_rare(
+            self, surge_model):
+        # lambda = 1e-4: the exceedance just above max(tide + u_j) is
+        # below 0.1, so that level falls back on [min tide - 1, ...], where
+        # the empirical body makes the exceedance a staircase in z.
+        model, cal = surge_model
+        rare = SkewSurgeModel(
+            body=model.body, thresholds=model.thresholds,
+            params=TailParams(rate=RateParams(lam=1e-4),
+                              scale=model.params.scale, xi=model.params.xi))
+        grid = np.array([0.1, 1e-3, 1e-4])
+        with _Counted() as counted:
+            curve = return_curve(grid, rare, cal)
+        top_edge = float(np.max(cal.tide + model.thresholds.for_month(
+            cal.month)))
+        assert 1.0 - annual_max_cdf(np.nextafter(top_edge, np.inf), rare,
+                                    cal) < grid.max()
+        assert min(counted.levels) == float(cal.tide.min()) - 1.0
+        assert curve.z[0] <= top_edge < curve.z[1]
+        exceedance = returns._annual_max(rare, cal, None, None)
+        z = curve.z[0]  # the step that crosses 0.1, one ulp wide
+        assert exceedance(z) <= 0.1 < exceedance(np.nextafter(z, -np.inf))
+        for p, z in zip(grid[1:], curve.z[1:]):
+            assert abs(math.log(exceedance(z) / p)) < 1e-8, p
+
+    @pytest.mark.parametrize("xi", [0.0, 5e-324])
+    def test_exponential_tail_meets_its_closed_form(self, xi):
+        # Constant lambda and sigma over n cycles at one tide: above every
+        # threshold the annual exceedance is 1 - (1 - lambda e^{-e/sigma})^n,
+        # e the level's excess, so z = x + u + sigma log(lambda / q) with
+        # q = -expm1(log1p(-p)/n). A subnormal shape is the exponential.
+        n, tide, u, lam, sigma = 705, 3.0, 0.8, 0.05, 0.3
+        model = _step_model(u, 0.999, 0.5)
+        model.params = TailParams(rate=RateParams(lam=lam),
+                                  scale=ScaleParams(alpha=sigma, beta=0.0),
+                                  xi=xi)
+        grid = np.geomspace(1e-4, 0.2, 12)
+        with _Counted() as counted:
+            z = return_curve(grid, model, _one_year_calendar(n, tide)).z
+        assert min(counted.levels) > tide + u
+        q = -np.expm1(np.log1p(-grid) / n)
+        npt.assert_allclose(z, tide + u + sigma * np.log(lam / q),
+                            rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("shape,rate", [(math.nan, 0.05),
+                                            (0.05, math.nan)])
+    def test_nan_model_raises_rather_than_giving_levels(self, surge_model,
+                                                        shape, rate):
+        model, cal = surge_model
+        broken = SkewSurgeModel(
+            body=model.body, thresholds=model.thresholds,
+            params=TailParams(rate=RateParams(lam=rate),
+                              scale=model.params.scale, xi=shape))
+        assert math.isnan(annual_max_cdf(float(cal.tide.max()) + 1.0,
+                                         broken, cal))
+        with pytest.raises(ValueError, match="exceedance is nan at z = "):
+            return_curve(np.geomspace(1e-4, 1e-1, 5), broken, cal)
+        with pytest.raises(ValueError, match="exceedance is nan"):
+            return_level(0.01, broken, cal)
 
 
 class TestReturnCurve:
