@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
@@ -627,8 +628,25 @@ def detrend_msl(series, rate_mm_per_year, reference_year):
     )
 
 
+def _quantile(a, q):
+    """``np.quantile(a, q)`` to the bit, by numpy's linear rule, from one
+    selection: order statistics k and k + 1 of the virtual index
+    (n - 1) q, by one partition at k and the least value above it, and
+    numpy's interpolation between them (from the upper one where the
+    weight is at least 1/2)."""
+    v = (a.size - 1) * q
+    if v >= a.size - 1:
+        return a.max()
+    k = math.floor(v)
+    part = np.partition(a, k)
+    lo, hi = part[k], part[k + 1:].min()
+    t, gap = v - k, hi - lo
+    return hi - gap * (1 - t) if t >= 0.5 else lo + gap * t
+
+
 def monthly_thresholds(series, percentile=0.95):
-    """Empirical per-month skew-surge quantiles (linear interpolation).
+    """Empirical per-month skew-surge quantiles (linear interpolation),
+    each ``np.quantile`` of its month to the bit (:func:`_quantile`).
 
     Every month 1..12 needs at least 30 observations for a usable
     quantile estimate.
@@ -648,7 +666,7 @@ def monthly_thresholds(series, percentile=0.95):
                 f"site {series.site_id}: month {j} has {ss.size} records; "
                 "need >= 30 for a threshold"
             )
-        values[j - 1] = np.quantile(ss, percentile)
+        values[j - 1] = _quantile(ss, percentile)
     return MonthlyThresholds(values=values, percentile=percentile)
 
 

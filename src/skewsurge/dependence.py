@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import _quantile
 from .tail import eval_cdf
 
 
@@ -269,22 +270,6 @@ def kendall_tau(pairs):
     else:
         tau = con_minus_dis / math.sqrt(denom_sq)
     return float(min(1.0, max(-1.0, tau)))
-
-
-def _quantile(a, q):
-    """``np.quantile(a, q)`` to the bit, by numpy's linear rule, from one
-    selection: order statistics k and k + 1 of the virtual index
-    (n - 1) q, by one partition at k and the least value above it, and
-    numpy's interpolation between them (from the upper one where the
-    weight is at least 1/2)."""
-    v = (a.size - 1) * q
-    if v >= a.size - 1:
-        return a.max()
-    k = math.floor(v)
-    part = np.partition(a, k)
-    lo, hi = part[k], part[k + 1:].min()
-    t, gap = v - k, hi - lo
-    return hi - gap * (1 - t) if t >= 0.5 else lo + gap * t
 
 
 def chi_chibar(pairs, p=0.05):

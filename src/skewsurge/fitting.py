@@ -26,16 +26,16 @@ counts add, and the information matrix is block diagonal. So
 Amplitudes and phases are reported as derived values, with delta-method
 standard errors from the analytic information matrix.
 
-A Newton iteration is a pass of per-cycle kernels, each doing only what
-its formula needs. A block's design is column-major, so X'WX is one BLAS
-product over contiguous columns. The rate half takes its value, its
-residuals and its weights p(1 - p) from one e = exp(-|g|) per cycle. The
-GPD half takes its value and its derivatives from the CDF's kernel
-h(z; xi) = log1p(xi z)/xi (h = z only where |xi| is below the smallest
-normal float; the closed form is within 2.5e-16 relative elsewhere);
-h's xi-derivatives switch to a power series where |xi z| < 1e-4. Each
-rate intercept starts at the logit of its exceedance fraction, the exact
-maximum of the intercept-only model.
+Each half has one kernel (:func:`_kernel`): the value, gradient and
+Hessian from one pass per site, at the start and at each Newton trial
+point; the solve's last pass gives the Wald block and the site
+log-likelihoods. Designs are column-major, so X'WX is one BLAS product.
+The rate half takes all three from one e = exp(-|g|) per cycle, the GPD
+half from one z and one h(z; xi) = log1p(xi z)/xi over the exceedances
+(the CDF's kernel: h = z only where |xi| is below the smallest normal
+float) and the design's exceedance rows, gathered once per site; h's
+xi-derivatives switch to a power series where |xi z| < 1e-4. Each rate
+intercept starts at the logit of its exceedance fraction.
 """
 
 from __future__ import annotations
@@ -241,29 +241,29 @@ def _prepare(series, thresholds, std):
 
 
 def _bernoulli_nll(data, g):
-    """Negative log-likelihood of the exceedance indicators at logits g.
+    """Negative log-likelihood of the exceedance indicators at logits g,
+    with the s g and e = exp(-|g|) it is taken from.
 
     A cycle's term is log(1 + e^(s g)), s its indicator's sign, written
-    as max(s g, 0) + log1p(e) with e = exp(-|g|): one exp per cycle, and
-    no overflow at any logit.
+    as max(s g, 0) + log1p(e): one exp per cycle, and no overflow at any
+    logit.
     """
+    sg = data.bern_sign * g
     e = np.exp(-np.abs(g))
-    return float(np.maximum(data.bern_sign * g, 0.0).sum()
-                 + np.log1p(e, out=e).sum())
+    return float(np.maximum(sg, 0.0).sum() + np.log1p(e).sum()), sg, e
 
 
-def _gpd_xi_derivs(z, xi, h):
-    """The xi-derivatives (h1, h2) of h = h(z; xi) (:func:`_gpd_h`).
+def _gpd_xi_derivs(z, a, t, h, xi):
+    """The xi-derivatives (h1, h2) of h = h(z; xi) (:func:`_gpd_h`), with
+    a = xi z and t = 1 + a.
 
     Their closed forms cancel as xi z -> 0, so where |xi z| < 1e-4 they
     are overwritten by their power series in xi z, which covers xi = 0;
     elsewhere the cancellation error stays below 1e-8 relative.
     """
-    a = xi * z
     near = np.flatnonzero(np.abs(a) < 1e-4)
     an, zn = a[near], z[near]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = 1.0 + a
         h1 = (z / t - h) / xi
         h1[near] = zn * zn * (-1 / 2 + 2 * an / 3 - 3 * an * an / 4
                               + 4 * an ** 3 / 5)
@@ -273,26 +273,28 @@ def _gpd_xi_derivs(z, xi, h):
     return h1, h2
 
 
-def _gpd_nll(data, sigma, values, prior):
-    """Negative GPD log-density of the excesses at scales sigma, plus the
-    shape penalty: the sum of log(sigma) + (1 + xi) h over the excesses.
+def _gpd_nll(data, sigma, values):
+    """Negative GPD log-density of the excesses at scales sigma: the sum
+    of log(sigma) + (1 + xi) h over the excesses, h = h(z; xi) of
+    z = excess/sigma (:func:`_gpd_h`).
 
-    +inf outside the region where the likelihood is finite and the scale
-    model valid: sigma > 0 on every cycle, 0 <= beta_sigma <= alpha_sigma,
-    xi < 1, and every excess inside the support.
+    Returns it with the excesses' (sigma, z, h), which its derivatives
+    take, or +inf and None outside the region where the likelihood is
+    finite and the scale model valid: sigma > 0 on every cycle,
+    0 <= beta_sigma <= alpha_sigma, xi < 1, and every excess inside the
+    support.
     """
     xi = values["xi"]
     if (not 0.0 <= values["beta_sigma"] <= values["alpha_sigma"]
             or not values["alpha_sigma"] > 0.0 or xi >= 1.0
             or np.min(sigma) <= 0.0):
-        return np.inf
+        return np.inf, None
     sig_exc = sigma[data.exc_idx]
-    h = _gpd_h(data.excess / sig_exc, xi)
+    z = data.excess / sig_exc
+    h = _gpd_h(z, xi)
     with np.errstate(invalid="ignore"):
         nll = float(np.log(sig_exc).sum() + (1.0 + xi) * h.sum())
-    if prior is not None:
-        nll += prior.neg_log_density(xi)
-    return nll if np.isfinite(nll) else np.inf
+    return (nll, (sig_exc, z, h)) if np.isfinite(nll) else (np.inf, None)
 
 
 def neg_loglik(params, series, thresholds, shape_prior=None):
@@ -309,10 +311,12 @@ def neg_loglik(params, series, thresholds, shape_prior=None):
         return np.inf
     data = _prepare(series, thresholds, params.rate)
     values = params_to_values(params)
-    return (_bernoulli_nll(data, linear_predictor(
-                data.terms(params.rate.family), values))
-            + _gpd_nll(data, linear_predictor(
-                data.terms(params.scale.family), values), values, shape_prior))
+    gpd, _ = _gpd_nll(data, linear_predictor(
+        data.terms(params.scale.family), values), values)
+    if shape_prior is not None:
+        gpd += shape_prior.neg_log_density(values["xi"])
+    return _bernoulli_nll(data, linear_predictor(
+        data.terms(params.rate.family), values))[0] + gpd
 
 
 def wald_intervals(hessian, x):
@@ -401,6 +405,7 @@ class _Block:
     X: np.ndarray  # every cycle
     offset: np.ndarray
     at: np.ndarray
+    rows: np.ndarray | None  # a GPD half's X at the exceedances
     prior: ShapePrior | None  # the shape penalty charged on this site
 
 
@@ -433,11 +438,12 @@ def _half(datas, family, config, shared=None):
         free.append(("xi",))
     slots, at = _layout(free, shared, len(datas))
     xi_per_site = shared is not None and "xi" not in frozen and "xi" not in shared
-    blocks = [
-        _Block(data, *_columns(site_terms, frozen, data.n), at[i],
-               config.shape_prior if gpd and (i == 0 or xi_per_site) else None)
-        for i, (data, site_terms) in enumerate(zip(datas, terms))
-    ]
+    blocks = []
+    for i, (data, site_terms) in enumerate(zip(datas, terms)):
+        X, offset = _columns(site_terms, frozen, data.n)
+        blocks.append(_Block(
+            data, X, offset, at[i], X[data.exc_idx] if gpd else None,
+            config.shape_prior if gpd and (i == 0 or xi_per_site) else None))
     return _Half(family, gpd, dict(frozen), free, slots, blocks)
 
 
@@ -451,113 +457,104 @@ def _block_values(half, local):
     return values
 
 
-def _block_nll(half, b, local, prior):
-    """A site's term of the half's objective at its local coefficients."""
-    if not half.gpd:
-        return _bernoulli_nll(b.data, b.offset + b.X @ local)
-    sigma = b.offset + b.X @ local[:b.X.shape[1]]
-    return _gpd_nll(b.data, sigma, _block_values(half, local), prior)
+def _rate_kernel(half, b, local):
+    """A site's Bernoulli term, a zero penalty, and the term's gradient
+    and Hessian, from the e = exp(-|g|) of its value (:func:`_bernoulli_nll`).
 
-
-def _objective(half, x):
-    """The half's negative log-likelihood summed over the sites, its shape
-    penalty included."""
-    return sum(_block_nll(half, b, x[b.at], b.prior) for b in half.blocks)
-
-
-def _rate_derivs(half, b, local):
-    """Gradient and Hessian of a site's Bernoulli term.
-
-    From e = exp(-|g|) and q = 1/(1 + e): a cycle's residual, the
-    derivative s sigmoid(s g) of its term, is s q where s g >= 0 and
-    s e q elsewhere, and its weight p(1 - p) is e q^2.
+    With q = 1/(1 + e), a cycle's residual, the derivative s sigmoid(s g)
+    of its term, is s q where s g >= 0 and s e q elsewhere, and its
+    weight p(1 - p) is e q^2.
     """
-    g = b.offset + b.X @ local
-    s = b.data.bern_sign
-    e = np.exp(-np.abs(g))
+    nll, sg, e = _bernoulli_nll(b.data, b.offset + b.X @ local)
     q = 1.0 / (1.0 + e)
     e *= q
-    r = np.where(s * g >= 0.0, q, e)
-    r *= s
+    r = np.where(sg >= 0.0, q, e)
+    r *= b.data.bern_sign
     e *= q
-    return b.X.T @ r, b.X.T @ (b.X * e[:, None])
+    return nll, 0.0, b.X.T @ r, b.X.T @ (b.X * e[:, None])
 
 
-def _gpd_pieces(excess, sigma, xi):
-    """Per-exceedance derivatives of the GPD negative log-density.
+def _gpd_kernel(half, b, local):
+    """A site's GPD term, its shape penalty, and their gradient and
+    Hessian in the scale coefficients and the shape, from the one z and
+    h(z; xi) of its value (:func:`_gpd_nll`).
 
-    The density term is log(sigma) + (1 + xi) h with z = excess/sigma and
-    h = log1p(xi z)/xi (:func:`_gpd_h`). Returns its derivatives d/dsigma,
-    d/dxi, d2/dsigma2, d2/dsigma dxi and d2/dxi2.
+    An excess's term log(sigma) + (1 + xi) h has, with a = xi z and
+    t = 1 + a, the sigma-derivatives (1 - z)/(sigma t) and
+    (2 z + a z - 1)/(sigma t)^2; its xi-derivatives and the mixed one
+    z (z - 1)/(sigma t^2) are taken only while the shape is free. The
+    exceedance rows of the design carry them to the scale coefficients.
     """
-    z = excess / sigma
-    h = _gpd_h(z, xi)
-    h1, h2 = _gpd_xi_derivs(z, xi, h)
+    k = b.X.shape[1]
+    values = _block_values(half, local)
+    nll, pieces = _gpd_nll(b.data, b.offset + b.X @ local[:k], values)
+    if pieces is None:
+        return nll, 0.0, None, None
+    xi = values["xi"]
+    sigma, z, h = pieces
     a = xi * z
     t = 1.0 + a
-    return ((1 - z) / (sigma * t),
-            h + (1 + xi) * h1,
-            (2 * z + a * z - 1) / (sigma * t) ** 2,
-            z * (z - 1) / (sigma * t * t),
-            2 * h1 + (1 + xi) * h2)
-
-
-def _gpd_derivs(half, b, local):
-    """Gradient and Hessian of a site's GPD term and shape penalty in the
-    scale coefficients and the shape."""
-    k = b.X.shape[1]
-    xi_free = "xi" not in half.frozen
-    xi = local[k] if xi_free else half.frozen["xi"]
-    Z = b.X[b.data.exc_idx]
-    sigma = b.offset[b.data.exc_idx] + Z @ local[:k]
-    d_s, d_x, d_ss, d_sx, d_xx = _gpd_pieces(b.data.excess, sigma, xi)
-    g, h = np.empty(k + xi_free), np.empty((k + xi_free, k + xi_free))
-    g[:k] = Z.T @ d_s
-    h[:k, :k] = Z.T @ (Z * d_ss[:, None])
-    if xi_free:
-        g[k] = d_x.sum()
-        h[:k, k] = h[k, :k] = Z.T @ d_sx
-        h[k, k] = d_xx.sum()
+    st = sigma * t
+    Z = b.rows
+    grad, hess = np.empty(local.size), np.empty((local.size, local.size))
+    grad[:k] = Z.T @ ((1 - z) / st)
+    hess[:k, :k] = Z.T @ (Z * ((2 * z + a * z - 1) / (st * st))[:, None])
+    penalty = 0.0 if b.prior is None else b.prior.neg_log_density(xi)
+    if k < local.size:  # the shape is free
+        h1, h2 = _gpd_xi_derivs(z, a, t, h, xi)
+        grad[k] = (h + (1 + xi) * h1).sum()
+        hess[:k, k] = hess[k, :k] = Z.T @ (z * (z - 1) / (st * t))
+        hess[k, k] = (2 * h1 + (1 + xi) * h2).sum()
         if b.prior is not None:
-            g[k] += (xi - b.prior.mean) / b.prior.variance
-            h[k, k] += 1.0 / b.prior.variance
-    return g, h
+            grad[k] += (xi - b.prior.mean) / b.prior.variance
+            hess[k, k] += 1.0 / b.prior.variance
+    return nll, penalty, grad, hess
 
 
-def _derivs(half, x):
-    """Gradient and Hessian of the half's objective in its coefficients."""
-    grad = np.zeros(x.size)
-    hess = np.zeros((x.size, x.size))
+def _kernel(half, x):
+    """The half at coefficients x from one pass of its kernel per site:
+    the objective, shape penalty included, its gradient and Hessian, and
+    each site's negative log-likelihood without the penalty. Where the
+    objective is +inf the rest are None."""
+    f, nll = 0.0, []
+    grad, hess = np.zeros(x.size), np.zeros((x.size, x.size))
     for b in half.blocks:
-        g, h = (_gpd_derivs if half.gpd else _rate_derivs)(half, b, x[b.at])
+        v, penalty, g, h = (_gpd_kernel if half.gpd else _rate_kernel)(
+            half, b, x[b.at])
+        if g is None:
+            return np.inf, None, None, None
+        f += v + penalty
+        nll.append(v)
         grad[b.at] += g
-        hess[np.ix_(b.at, b.at)] += h
-    return grad, hess
+        hess[b.at[:, None], b.at] += h
+    return f, grad, hess, nll
 
 
-def _newton(fun, derivs, x, lo, hi):
-    """Minimize fun from a point where it is finite by damped Newton steps.
+def _newton(kernel, x, lo, hi):
+    """Minimize an objective by damped Newton steps from a point where it
+    is finite.
 
-    ``derivs`` gives the analytic gradient and Hessian. A coordinate at a
-    bound of [lo, hi] whose gradient pushes outward is held for the step;
-    the Hessian's eigenvalues are taken in absolute value and floored, so
-    every step descends. The step is halved until fun is finite and falls
-    by the Armijo fraction, which keeps every iterate inside the region
-    where the likelihood is finite. Stops when the Newton decrement
-    g'H^-1 g (about twice the excess of fun over its minimum) drops below
-    1e-10.
-    For a half, ``fun`` and ``derivs`` are its kernels over a column-major
-    design: one exp(-|g|) per cycle for the rate GLM, one h(z; xi) for
-    the GPD regression, whose value and derivatives so agree.
-    Returns the minimizer and the number of iterations.
+    ``kernel`` gives the objective, its analytic gradient and Hessian,
+    and whatever else the caller keeps, from one pass at a point: once at
+    the start and once per trial point. A coordinate at a bound of
+    [lo, hi] whose gradient pushes outward is held for the step; the
+    Hessian's eigenvalues are taken in absolute value and floored, so
+    every step descends. The step is halved until the objective is finite
+    and falls by the Armijo fraction, which keeps every iterate inside the
+    region where the likelihood is finite. Stops when the Newton decrement
+    g'H^-1 g (about twice the excess of the objective over its minimum)
+    drops below 1e-10. Returns the minimizer, the number of iterations and
+    the kernel's evaluation there, which is not repeated.
     """
-    f = fun(x)
+    at = kernel(x)
+    if not np.isfinite(at[0]):
+        raise ValueError("the frozen values leave no finite starting point")
     for it in range(1, _MAX_NEWTON + 1):
-        grad, hess = derivs(x)
+        f, grad, hess = at[:3]
         free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
         if not free.any():
             break
-        w, v = np.linalg.eigh(hess[np.ix_(free, free)])
+        w, v = np.linalg.eigh(hess[free][:, free])
         w = np.maximum(np.abs(w), 1e-12 * max(np.abs(w).max(), 1.0))
         step = np.zeros_like(x)
         step[free] = -v @ ((v.T @ grad[free]) / w)
@@ -566,14 +563,14 @@ def _newton(fun, derivs, x, lo, hi):
         t = 1.0
         while t > 1e-10:
             trial = np.clip(x + t * step, lo, hi)
-            f_trial = fun(trial)
-            if f_trial <= f + 1e-4 * (grad @ (trial - x)):
+            at_trial = kernel(trial)
+            if at_trial[0] <= f + 1e-4 * (grad @ (trial - x)):
                 break
             t *= 0.5
         else:
             break
-        x, f = trial, f_trial
-    return x, it
+        x, at = trial, at_trial
+    return x, it, at
 
 
 def _check_separation(half, x):
@@ -655,25 +652,21 @@ def _fit_half(half):
     exceedance fraction and every other coefficient 0, and raises when its
     covariates separate the exceedances; the GPD regression starts from
     the exponential and keeps its shape in a box (:func:`_start`). The
-    blocks' designs are column-major and the kernels those of
-    :func:`_newton`. The information in the
-    linear coefficients is carried to the parameter values through the
-    Jacobian of the map between them (the delta method).
+    Wald block and the site log-likelihoods come from the solve's last
+    kernel pass (:func:`_kernel`), not from a pass at the estimate. The
+    information in the linear coefficients is carried to the parameter
+    values through the Jacobian of the map between them (the delta method).
     """
     n = _size(half.slots)
     lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
-    x = _start(half)
     if half.gpd:
-        if not np.isfinite(_objective(half, x)):
-            raise ValueError("the frozen scale values leave no finite starting point")
         for start, names, _ in half.slots:
             if names == ("xi",):
                 lo[start], hi[start] = _XI_BOX
-    x, n_iter = _newton(lambda v: _objective(half, v),
-                        lambda v: _derivs(half, v), x, lo, hi)
+    x, n_iter, (_, grad, hess, nll) = _newton(
+        lambda v: _kernel(half, v), _start(half), lo, hi)
     if not half.gpd:
         _check_separation(half, x)
-    grad, hess = _derivs(half, x)
     jac = np.zeros((n, n))
     labels, values = [], []
     for start, names, slot_labels in half.slots:
@@ -686,7 +679,7 @@ def _fit_half(half):
     site_values = [_block_values(half, x[b.at]) for b in half.blocks]
     return _HalfFit(
         values=site_values,
-        nll=[_block_nll(half, b, x[b.at], None) for b in half.blocks],
+        nll=nll,
         penalty=sum(b.prior.neg_log_density(v["xi"])
                     for b, v in zip(half.blocks, site_values)
                     if b.prior is not None),

@@ -191,7 +191,8 @@ def _invert(p, f, lo, hi, solved):
     f(hi) <= p; ``lo`` if f(lo) is at most p. With two or more levels in
     ``solved``, the probes start as :func:`_predicted` and are kept while
     each falls inside the bracket and finds a positive exceedance; after
-    that, or without them, Anderson-Bjorck on h = log f - log p."""
+    that, or without them, Anderson-Bjorck on h = log f - log p. On a step
+    of f across p (the body's staircase) it stops at a one-ulp bracket."""
     log_p = math.log(p)
 
     def h(z, q):  # -inf where the exceedance is 0, without taking log(0)
@@ -206,6 +207,8 @@ def _invert(p, f, lo, hi, solved):
         return lo
     probes, predicting = [], len(solved) > 1
     for _ in range(RETURN_LEVEL_MAX_ITER):
+        if b <= math.nextafter(a, math.inf):  # no float left between the ends
+            break
         if predicting:
             c = _predicted(solved, log_p, probes)
             predicting = c is not None and a < c < b

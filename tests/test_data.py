@@ -924,6 +924,26 @@ class TestCalendar:
         assert season_of_day(day_of_year_365(2, 28)) == 0
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=300),
+                 st.lists(st.integers(0, 3), min_size=1, max_size=300),
+                 st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=2)),
+       st.one_of(st.sampled_from([1e-12, 1e-6, 0.05, 0.5, 1.0 - 1e-6,
+                                  1.0 - 1e-12]),
+                 st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+def test_quantile_is_numpys_linear_quantile(values, p):
+    # chi's and the monthly thresholds equal np.quantile's to the bit:
+    # ties, one or two
+    # values, and p near 0 and 1 (virtual index near 0 and n - 1)
+    a = np.asarray(values, dtype=float)
+    kept = a.copy()
+    got = data._quantile(a, 1.0 - p)
+    expected = np.quantile(a, 1.0 - p)
+    assert got == expected and type(got) is type(expected)
+    npt.assert_array_equal(a, kept)
+
+
+
 class TestMonthlyThresholds:
     def test_interpolated_quantile(self):
         months = np.repeat(np.arange(1, 13), 100)
@@ -969,6 +989,29 @@ class TestMonthlyThresholds:
                         for j in range(1, 13)]
             got = monthly_thresholds(s, percentile).values
             assert got.tobytes() == np.array(expected).tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.one_of(st.just(30), st.integers(31, 90)),
+                    min_size=12, max_size=12),
+           st.sampled_from([None, 1, 4]),
+           st.one_of(st.sampled_from([1e-12, 1e-6, 0.05, 0.5, 0.95,
+                                      1.0 - 1e-6, 1.0 - 1e-12]),
+                     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+           st.integers(0, 2**32 - 1))
+    def test_each_month_is_numpys_quantile_to_the_bit(self, sizes, levels,
+                                                      percentile, seed):
+        # months of exactly 30 records, ties (surges on ``levels`` distinct
+        # values, or continuous where None), percentiles near 0 and 1, and
+        # the records in any order
+        rng = np.random.default_rng(seed)
+        months = rng.permutation(np.repeat(np.arange(1, 13), sizes))
+        surges = (rng.normal(0.2, 0.3, months.size) if levels is None
+                  else rng.integers(0, levels, months.size) * 0.25)
+        s = columns_series(months, np.full(months.size, 3.0), surges)
+        expected = [np.quantile(s.skew_surge[s.month == j], percentile)
+                    for j in range(1, 13)]
+        got = monthly_thresholds(s, percentile).values
+        assert got.tobytes() == np.array(expected).tobytes()
 
     def test_monotone_in_percentile(self, sim_r0):
         series, _, _ = sim_r0

@@ -299,24 +299,6 @@ def test_tau_with_int64_keys_matches_the_reference():
     assert kendall_tau((a, b)) == _reference_kendall_tau(a, b)
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.one_of(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=300),
-                 st.lists(st.integers(0, 3), min_size=1, max_size=300),
-                 st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=2)),
-       st.one_of(st.sampled_from([1e-12, 1e-6, 0.05, 0.5, 1.0 - 1e-6,
-                                  1.0 - 1e-12]),
-                 st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
-def test_quantile_is_numpys_linear_quantile(values, p):
-    # chi's thresholds equal np.quantile's to the bit: ties, one or two
-    # values, and p near 0 and 1 (virtual index near 0 and n - 1)
-    a = np.asarray(values, dtype=float)
-    kept = a.copy()
-    got = dependence._quantile(a, 1.0 - p)
-    expected = np.quantile(a, 1.0 - p)
-    assert got == expected and type(got) is type(expected)
-    npt.assert_array_equal(a, kept)
-
-
 class TestChiChibar:
     def test_comonotone_both_one(self):
         a = np.arange(100.0)

@@ -584,14 +584,22 @@ def _fd_gradient(f, x, h):
 
 
 class TestNewtonKernels:
-    """Each half's value, gradient and Hessian, the derivatives against
-    central differences of the value."""
+    """Each half's kernel: its value, and its gradient and Hessian against
+    central differences of the value, all from one pass."""
 
     @staticmethod
     def _half(sim_r0, family, **config):
         series, _, thr = sim_r0
         return fitting._half([fitting._site_data(series, thr)], family,
                              FitConfig(**config))
+
+    @staticmethod
+    def _value(half):
+        return lambda v: fitting._kernel(half, v)[0]
+
+    @staticmethod
+    def _derivs(half):
+        return lambda v: fitting._kernel(half, v)[1:3]
 
     @staticmethod
     def _check_derivs(value, derivs, x, h_grad, h_hess):
@@ -611,7 +619,7 @@ class TestNewtonKernels:
                       [0.0, 0.0, 0.0, 40.0, 0.0, 0.0]):
             g = b.offset + b.X @ np.array(local)
             reference = np.logaddexp(0.0, b.data.bern_sign * g).sum()
-            npt.assert_allclose(fitting._bernoulli_nll(b.data, g), reference,
+            npt.assert_allclose(self._value(half)(np.array(local)), reference,
                                 rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("slope", [0.5, 40.0], ids=["moderate", "beyond-30"])
@@ -623,8 +631,7 @@ class TestNewtonKernels:
         x = np.array([-3.0, 0.1, -0.2, slope, 0.3, -0.1])
         logits = np.abs(b.offset + b.X @ x)
         assert (logits.max() > 30.0) == (slope > 30.0)
-        self._check_derivs(lambda v: fitting._block_nll(half, b, v, None),
-                           lambda v: fitting._rate_derivs(half, b, v),
+        self._check_derivs(self._value(half), self._derivs(half),
                            x, 1e-5, 1e-4)
 
     @pytest.mark.parametrize("xi", [0.0, 1e-9, -1e-9, 2e-3, -0.1, 0.3])
@@ -638,25 +645,56 @@ class TestNewtonKernels:
         near = np.abs(xi * z) < 1e-4
         if xi == 2e-3:  # the series and the closed form, side by side
             assert 0 < near.sum() < near.size
-        value = lambda v: fitting._block_nll(half, b, v, b.prior)
+        value = self._value(half)
         if abs(xi) < 1e-6:
             h = z * (1 - xi * z / 2 + (xi * z) ** 2 / 3)
         else:
             h = np.log1p(xi * z) / xi
-        reference = (np.log(sigma[b.data.exc_idx]).sum() + (1 + xi) * h.sum()
-                     + (prior.neg_log_density(xi) if prior else 0.0))
+        nll = np.log(sigma[b.data.exc_idx]).sum() + (1 + xi) * h.sum()
+        reference = nll + (prior.neg_log_density(xi) if prior else 0.0)
         npt.assert_allclose(value(x), reference, rtol=1e-13, atol=0)
-        self._check_derivs(value, lambda v: fitting._gpd_derivs(half, b, v),
-                           x, 1e-6, 1e-5)
+        npt.assert_allclose(fitting._kernel(half, x)[3], [nll],
+                            rtol=1e-13, atol=0)
+        self._check_derivs(value, self._derivs(half), x, 1e-6, 1e-5)
 
     def test_gpd_value_is_continuous_through_zero_shape(self, sim_r0):
         half = self._half(sim_r0, "S0")
-        b = half.blocks[0]
-        at = lambda xi: fitting._block_nll(
-            half, b, np.array([0.12, 0.02, 0.03, 0.01, xi]), None)
+        at = lambda xi: self._value(half)(np.array([0.12, 0.02, 0.03, 0.01, xi]))
         slope = (at(1e-6) - at(-1e-6)) / 2e-6
         for xi in (1e-12, -1e-12, 1e-9, -1e-9):
             npt.assert_allclose(at(xi), at(0.0) + slope * xi, rtol=1e-14)
+
+    @pytest.mark.parametrize("family", ["R0", "S0"])
+    def test_a_solve_evaluates_its_kernel_once_per_point(self, sim_r0,
+                                                         monkeypatch, family):
+        # once at the start and once per trial point, none of them twice,
+        # and none after the solve: the Wald block and the site values
+        # are the solve's last evaluation
+        half = self._half(sim_r0, family, shape_prior=ShapePrior())
+        kernel, newton = fitting._kernel, fitting._newton
+        evaluations, solves, solving = [], [], [False]
+
+        def counted_kernel(h, x):
+            assert solving[0], "kernel evaluated outside the solve"
+            evaluations.append((x.copy(), kernel(h, x)))
+            return evaluations[-1][1]
+
+        def watched_newton(fun, x, lo, hi):
+            solving[0] = True
+            solves.append((x.copy(), newton(fun, x, lo, hi)))
+            solving[0] = False
+            return solves[-1][1]
+
+        monkeypatch.setattr(fitting, "_kernel", counted_kernel)
+        monkeypatch.setattr(fitting, "_newton", watched_newton)
+        fit = fitting._fit_half(half)
+        [(start, (x, n_iter, last))] = solves
+        points = [p.tobytes() for p, _ in evaluations]
+        assert points[0] == start.tobytes()
+        assert len(set(points)) == len(points)
+        assert n_iter == fit.n_iter and len(points) >= n_iter
+        assert evaluations[points.index(x.tobytes())][1] is last
+        assert fit.nll is last[3]
 
     def test_intercept_only_rate_converges_in_one_iteration(self, sim_r0):
         frozen = {"beta_day": 0.0, "phi_day": 0.0, "alpha_tide": 0.0,

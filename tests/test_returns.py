@@ -274,7 +274,7 @@ class TestSolver:
     def test_step_function_returns_the_jump(self, below, above):
         # F jumps at surge 0.8, so at z = 3.8 m over a constant 3 m tide;
         # 1 - p lies inside the jump and the solver can only narrow the
-        # bracket around it until the iteration cap.
+        # bracket around it until its ends are one ulp apart.
         cal = _one_year_calendar(705, tide=3.0)
         model = _step_model(0.8, below, above)
         low, high = (annual_max_cdf(z, model, cal) for z in (3.5, 4.0))
@@ -337,6 +337,9 @@ class TestSolver:
         grid = np.array([0.1, 1e-3, 1e-4])
         with _Counted() as counted:
             curve = return_curve(grid, rare, cal)
+        # the first level ends once no float is left between its bracket's
+        # ends, not on the cap of 200: 84 evaluations for the curve, not 216
+        assert counted.evals <= 100, counted.evals
         top_edge = float(np.max(cal.tide + model.thresholds.for_month(
             cal.month)))
         assert 1.0 - annual_max_cdf(np.nextafter(top_edge, np.inf), rare,
