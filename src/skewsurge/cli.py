@@ -8,11 +8,14 @@ summarize), ``fit`` (empirical body plus tail model per site), ``select``
 
 Options come from a YAML config file; the flags ``--site``,
 ``--rate-family``, ``--scale-family``, ``--out``, ``--seed``,
-``--percentile`` and ``--run-length`` override it. Artifacts are
-deterministic for a given config and inputs: no timestamps, sorted JSON
-keys, and every file embeds the config hash and tool version (JSON keys,
-or a leading ``#`` line in CSVs). Set SKEWSURGE_LOG to control log
-verbosity (DEBUG/INFO/WARNING/ERROR; default WARNING).
+``--percentile`` and ``--run-length`` override it. A key that the schema
+below does not list is ignored with a warning naming it, a bare name
+where a list is expected is a one-item list, and a malformed value exits
+1 naming its key. Artifacts are deterministic for a given config and
+inputs: no timestamps, sorted JSON keys, and every file embeds the config
+hash and tool version (JSON keys, or a leading ``#`` line in CSVs). Set
+SKEWSURGE_LOG to control log verbosity (DEBUG/INFO/WARNING/ERROR; default
+WARNING).
 
 Config schema (all sections optional unless a subcommand needs them)::
 
@@ -29,23 +32,24 @@ Config schema (all sections optional unless a subcommand needs them)::
     select:                          # default: every family, less
       rate_families: [R0, R1, R2, R3, R4]   # R3/R4/S3/S4 without gmt_csv
       scale_families: [S0, S1, S2, S3, S4]
-    fit:                             # other keys are ignored with a warning
-      shape_prior: false             # or {mean: 0.0119, variance: 0.0343}
+    fit:
+      shape_prior: {mean: 0.0119, variance: 0.0343}  # or true; default off
       frozen: {beta_day: 0.0, phi_day: 0.0}   # amplitude and phase together
     run_length: 4
     exi:
       v_quantile: 0.99
-      n_levels: 30
+      n_levels: 30    # equally spaced in probability from 0.95 to 0.999
+                      # (fit_exi_curve's default grid: equally spaced in level)
     return_levels:
       p_grid: [0.1, 0.01, 0.001, 0.0001]
-      scenario: {year: 2017, gmt: null}   # or year_std directly
+      scenario: {year: 2017, year_std: null, gmt: null}   # year_std wins
     dependence:
       p: 0.05
       lags: [-1, 0, 1]
       uniform: true
     pooling:
       shared: [delta_rate]
-    simulate:
+    simulate:         # params unset: 0, but lam 0.05 and alpha_sigma 0.1
       site_id: SIM
       n_cycles: 50000
       start: "1950-01-01T00:00"
@@ -54,16 +58,11 @@ Config schema (all sections optional unless a subcommand needs them)::
       tide_amp: 1.0
       body_mean: 0.0
       body_sd: 0.1
-      params:
-        rate_family: R1
-        scale_family: S0
-        lam: 0.05
-        delta_rate: 0.2
-        alpha_sigma: 0.12
-        beta_sigma: 0.04
-        phi_sigma: 91.25
-        gamma_sigma: 0.01
-        xi: 0.05
+      params: {rate_family: R1, scale_family: S0, xi: 0.05,  # the fit's names
+               lam: 0.05, beta_day: 0.0, phi_day: 0.0, alpha_tide: 0.0,
+               beta_tide: 0.0, phi_tide: 0.0, alpha_sigma: 0.12,
+               beta_sigma: 0.04, phi_sigma: 91.25, gamma_sigma: 0.01,
+               delta_rate: 0.2, delta_sigma: 0.0}  # seasonal: 4, winter first
     out_dir: out
     seed: 0
 """
@@ -77,16 +76,16 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from copy import copy
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, exi
 from .body import build_empirical
 from .data import (
-    GmtSeries,
     attach_covariates,
     detrend_msl,
     load_gmt,
@@ -105,6 +104,7 @@ from .fitting import (
     fit_grid,
     fit_pooled,
     fit_tail,
+    param_names,
 )
 from .returns import Scenario, TideSampleCalendar, return_curve
 from .simulate import SimSpec, simulate_series
@@ -117,96 +117,130 @@ from .tail import (
     SkewSurgeModel,
     TailParams,
     YEAR_FAMILIES,
+    params_to_values,
+    values_to_params,
 )
 
 log = logging.getLogger("skewsurge")
 
 SUBCOMMANDS = ("ingest", "fit", "select", "exi", "rl", "dep", "pool", "simulate")
-_FIT_OPTIONS = ("shape_prior", "frozen")
+
+
+def _mapping(v):
+    if not isinstance(v, dict):
+        raise TypeError(f"expected a mapping, not {v!r}")
+    return dict(v)
+
+
+def _list_of(read):
+    """A reader of a list of ``read`` items; a bare name is one item."""
+    def read_list(v):
+        if not isinstance(v, (list, tuple, str)):
+            raise TypeError(f"expected a list, not {v!r}")
+        return [read(x) for x in ([v] if isinstance(v, str) else v)]
+    return read_list
+
+
+def _one_of(choices):
+    """A reader of one of ``choices``."""
+    def read(v):
+        if v not in choices:
+            raise ValueError(f"{v!r} is not one of {', '.join(choices)}")
+        return v
+    return read
+
+
+def _read(path, read, value):
+    """``read(value)``, its error raised again naming the config key."""
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config {path}: {exc}") from None
+
+
+_RATE, _SCALE = _one_of(RATE_FAMILIES), _one_of(SCALE_FAMILIES)
+# simulate.params' unset values: the library's, less the scale harmonic.
+_SIM_DEFAULTS = params_to_values(TailParams(RateParams(), ScaleParams(beta=0.0)))
+
+# The keys inside the mapping-valued fields and their readers. Handlers
+# pass on only the keys that are set, so callees keep their own defaults.
+_KEYS = {
+    "fit": {"shape_prior": lambda v: v if isinstance(v, bool) else _mapping(v),
+            "frozen": lambda v: {k: float(x) for k, x in _mapping(v).items()}},
+    "fit.shape_prior": {"mean": float, "variance": float},
+    "return_levels.scenario": {"year": int, "year_std": float, "gmt": float},
+    "dependence": {"p": float, "lags": _list_of(int), "uniform": bool},
+    "simulate": {"site_id": str, "n_cycles": int, "start": str,
+                 "tide_mean": float, "tide_amp": float, "body_mean": float,
+                 "body_sd": float, "params": _mapping,
+                 "threshold": lambda v: MonthlyThresholds(  # one, or 12
+                     np.full(12, np.asarray(v, float)), percentile=None)},
+    "simulate.params": {
+        "rate_family": _RATE, "scale_family": _SCALE,
+        **dict.fromkeys(_SIM_DEFAULTS, float),
+        **dict.fromkeys(("delta_rate", "delta_sigma"),  # one, or one a season
+                        lambda v: np.ravel(np.asarray(v, float)).tolist())},
+}
+
+
+def _section(doc, path):
+    """The set keys of the config mapping ``doc`` at ``path``, each read."""
+    return {key: _read(f"{path}.{key}", read, doc[key])
+            for key, read in _KEYS[path].items() if doc.get(key) is not None}
+
+
+def _key(path, read, default=None):
+    """A RunConfig field read from the config key ``path`` by ``read``."""
+    return field(default_factory=lambda: copy(default),
+                 metadata={"path": path, "read": read})
 
 
 @dataclass
 class RunConfig:
     """Validated, flag-merged run options; hashed canonically for artifacts."""
 
-    gauge_csv: str | None = None
-    gmt_csv: str | None = None
-    sites: list = field(default_factory=list)
-    detrend_rates: dict = field(default_factory=dict)
-    detrend_reference_year: int = 2017
-    threshold_percentile: float = 0.95
-    rate_family: str = "R0"
-    scale_family: str = "S0"
-    select_rate_families: list | None = None  # None: select_families()
-    select_scale_families: list | None = None
-    fit_options: dict = field(default_factory=dict)
-    run_length: int = 4
-    exi_v_quantile: float = 0.99
-    exi_n_levels: int = 30
-    p_grid: list = field(default_factory=lambda: [0.1, 0.01, 0.001, 0.0001])
-    scenario: dict = field(default_factory=dict)
-    dependence: dict = field(default_factory=dict)
-    pooling_shared: list = field(default_factory=list)
-    simulate: dict = field(default_factory=dict)
-    out_dir: str = "out"
-    seed: int = 0
+    gauge_csv: str | None = _key("inputs.gauge_csv", str)
+    gmt_csv: str | None = _key("inputs.gmt_csv", str)
+    sites: list = _key("sites", _list_of(str), [])
+    detrend_rates: dict = _key("detrend.rates_mm_per_year", _mapping, {})
+    detrend_reference_year: int = _key("detrend.reference_year", int, 2017)
+    threshold_percentile: float = _key("threshold_percentile", float, 0.95)
+    rate_family: str = _key("rate_family", _RATE, "R0")
+    scale_family: str = _key("scale_family", _SCALE, "S0")
+    select_rate_families: list | None = _key(  # None: select_families()
+        "select.rate_families", lambda v: _list_of(_RATE)(v) or None)
+    select_scale_families: list | None = _key(
+        "select.scale_families", lambda v: _list_of(_SCALE)(v) or None)
+    fit_options: dict = _key("fit", _mapping, {})
+    run_length: int = _key("run_length", int, 4)
+    exi_v_quantile: float = _key("exi.v_quantile", float,
+                                 exi.DEFAULT_V_QUANTILE)
+    exi_n_levels: int = _key("exi.n_levels", int, exi.DEFAULT_GRID_SIZE)
+    p_grid: list = _key("return_levels.p_grid", _list_of(float),
+                        [0.1, 0.01, 0.001, 0.0001])
+    scenario: dict = _key("return_levels.scenario", _mapping, {})
+    dependence: dict = _key("dependence", _mapping, {})
+    pooling_shared: list = _key("pooling.shared", _list_of(str), [])
+    simulate: dict = _key("simulate", _mapping, {})
+    out_dir: str = _key("out_dir", str, "out")
+    seed: int = _key("seed", int, 0)
 
     @classmethod
     def from_mapping(cls, doc):
-        doc = doc or {}
-        if not isinstance(doc, dict):
-            raise ValueError("config document must be a mapping")
-        inputs = doc.get("inputs") or {}
-        detrend = doc.get("detrend") or {}
-        select = doc.get("select") or {}
-        exi = doc.get("exi") or {}
-        rl = doc.get("return_levels") or {}
-        pooling = doc.get("pooling") or {}
-        cfg = cls(
-            gauge_csv=inputs.get("gauge_csv"),
-            gmt_csv=inputs.get("gmt_csv"),
-            sites=list(doc.get("sites") or []),
-            detrend_rates=dict(detrend.get("rates_mm_per_year") or {}),
-            detrend_reference_year=int(detrend.get("reference_year", 2017)),
-            threshold_percentile=float(doc.get("threshold_percentile", 0.95)),
-            rate_family=str(doc.get("rate_family", "R0")),
-            scale_family=str(doc.get("scale_family", "S0")),
-            select_rate_families=list(select.get("rate_families") or ())
-            or None,
-            select_scale_families=list(select.get("scale_families") or ())
-            or None,
-            fit_options=dict(doc.get("fit") or {}),
-            run_length=int(doc.get("run_length", 4)),
-            exi_v_quantile=float(exi.get("v_quantile", 0.99)),
-            exi_n_levels=int(exi.get("n_levels", 30)),
-            p_grid=[float(p) for p in rl.get("p_grid", [0.1, 0.01, 0.001, 0.0001])],
-            scenario=dict(rl.get("scenario") or {}),
-            dependence=dict(doc.get("dependence") or {}),
-            pooling_shared=list(pooling.get("shared") or []),
-            simulate=dict(doc.get("simulate") or {}),
-            out_dir=str(doc.get("out_dir", "out")),
-            seed=int(doc.get("seed", 0)),
-        )
-        for key in sorted(set(cfg.fit_options) - set(_FIT_OPTIONS)):
-            log.warning("ignoring unknown fit option %r", key)
+        flat = _flatten(_read("document", _mapping, doc or {}))
+        for path in flat:
+            if path not in _PATHS and path not in _PARENTS:
+                log.warning("ignoring unknown config key %s", path)
+        cfg = cls(**{name: _read(path, read, flat[path])
+                     for name, path, read in _FIELDS
+                     if flat.get(path) is not None})
         cfg.validate()
         return cfg
 
     def apply_flags(self, args):
-        if args.site:
-            self.sites = list(args.site)
-        if args.rate_family:
-            self.rate_family = args.rate_family
-        if args.scale_family:
-            self.scale_family = args.scale_family
-        if args.out:
-            self.out_dir = args.out
-        if args.seed is not None:
-            self.seed = args.seed
-        if args.percentile is not None:
-            self.threshold_percentile = args.percentile
-        if args.run_length is not None:
-            self.run_length = args.run_length
+        for flag, name in _FLAGS.items():
+            if getattr(args, flag) is not None:
+                setattr(self, name, getattr(args, flag))
         self.validate()
         return self
 
@@ -216,21 +250,13 @@ class RunConfig:
                 f"threshold_percentile {self.threshold_percentile} "
                 "outside (0.5, 1)"
             )
-        for fam, pool in ((self.rate_family, RATE_FAMILIES),
-                          (self.scale_family, SCALE_FAMILIES)):
-            if fam not in pool:
-                raise ValueError(f"unknown family {fam!r}")
-        for kind, fams, pool in (
-                ("rate", self.select_rate_families, RATE_FAMILIES),
-                ("scale", self.select_scale_families, SCALE_FAMILIES)):
-            for fam in fams or ():
-                if fam not in pool:
-                    raise ValueError(
-                        f"unknown {kind} family {fam!r} in select list")
-                if fam in GMT_FAMILIES and not self.gmt_csv:
-                    raise ValueError(
-                        f"{kind} family {fam} in select list needs the GMT "
-                        "anomaly: set inputs.gmt_csv")
+        for kind, listed in (("rate", self.select_rate_families),
+                             ("scale", self.select_scale_families)):
+            gmt = [fam for fam in listed or () if fam in GMT_FAMILIES]
+            if gmt and not self.gmt_csv:
+                raise ValueError(
+                    f"{kind} family {gmt[0]} in select list needs the GMT "
+                    "anomaly: set inputs.gmt_csv")
         if self.run_length < 1:
             raise ValueError("run_length must be >= 1")
 
@@ -258,25 +284,40 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+_FIELDS = [(f.name, f.metadata["path"], f.metadata["read"])
+           for f in fields(RunConfig)]
+_FLAGS = {"site": "sites", "rate_family": "rate_family",
+          "scale_family": "scale_family", "out": "out_dir", "seed": "seed",
+          "percentile": "threshold_percentile", "run_length": "run_length"}
+# Every config key path, and every path that holds a mapping of them.
+_PATHS = ({path for _, path, _ in _FIELDS}
+          | {f"{section}.{key}" for section, keys in _KEYS.items()
+             for key in keys})
+_PARENTS = {path.rpartition(".")[0] for path in _PATHS if "." in path}
+
+
+def _flatten(doc, prefix=""):
+    """{key path: value} over a config mapping and the sections in it."""
+    flat = {}
+    for key, value in doc.items():
+        path = f"{prefix}{key}"
+        flat[path] = value
+        # a section must be a mapping; a field's reader checks its value
+        if path in _PARENTS and value is not None and (
+                path not in _PATHS or isinstance(value, dict)):
+            flat.update(_flatten(_read(path, _mapping, value), path + "."))
+    return flat
+
+
 def _fit_config(cfg, **overrides):
-    opts = cfg.fit_options
-    prior = opts.get("shape_prior", False)
-    if prior is True:
-        prior = ShapePrior()
-    elif isinstance(prior, dict):
-        prior = ShapePrior(mean=float(prior.get("mean", 0.0119)),
-                           variance=float(prior.get("variance", 0.0343)))
-    else:
-        prior = None
-    kw = {
-        "rate_family": cfg.rate_family,
-        "scale_family": cfg.scale_family,
-        "shape_prior": prior,
-        "run_length": cfg.run_length,
-        "frozen": {k: float(v) for k, v in (opts.get("frozen") or {}).items()},
-    }
-    kw.update(overrides)
-    return FitConfig(**kw)
+    opts = _section(cfg.fit_options, "fit")
+    prior = opts.pop("shape_prior", False)
+    if prior is not False:
+        opts["shape_prior"] = ShapePrior(**_section(
+            {} if prior is True else prior, "fit.shape_prior"))
+    return FitConfig(**{"rate_family": cfg.rate_family,
+                        "scale_family": cfg.scale_family,
+                        "run_length": cfg.run_length, **opts, **overrides})
 
 
 def _load_sites(cfg):
@@ -293,8 +334,9 @@ def _load_sites(cfg):
         series = all_series[site]
         rate = cfg.detrend_rates.get(site)
         if rate is not None:
-            series = detrend_msl(series, float(rate),
-                                 cfg.detrend_reference_year)
+            series = detrend_msl(
+                series, _read(f"detrend.rates_mm_per_year.{site}", float, rate),
+                cfg.detrend_reference_year)
         out[site] = attach_covariates(series, gmt=gmt)
     return out, gmt
 
@@ -332,25 +374,21 @@ def _fmt(x):
 def _scenario(cfg):
     """The return-level scenario, refused if it lacks a trend covariate
     that the configured families need."""
-    sc = cfg.scenario
-    year_std = sc.get("year_std")
-    if year_std is None and sc.get("year") is not None:
-        year_std = float(standardize_year(int(sc["year"])))
-    gmt = sc.get("gmt")
+    sc = _section(cfg.scenario, "return_levels.scenario")
+    if "year" in sc:
+        sc.setdefault("year_std", float(standardize_year(sc.pop("year"))))
+    scenario = Scenario(**sc)
     for kind, family in (("rate", cfg.rate_family),
                          ("scale", cfg.scale_family)):
-        if family in YEAR_FAMILIES and year_std is None:
+        if family in YEAR_FAMILIES and scenario.year_std is None:
             need = "year or year_std"
-        elif family in GMT_FAMILIES and gmt is None:
+        elif family in GMT_FAMILIES and scenario.gmt is None:
             need = "gmt"
         else:
             continue
         raise ValueError(f"return_levels.scenario needs {need} for {kind} "
                          f"family {family}")
-    return Scenario(
-        year_std=None if year_std is None else float(year_std),
-        gmt=None if gmt is None else float(gmt),
-    )
+    return scenario
 
 
 def _fit_one(series, cfg):
@@ -435,7 +473,8 @@ def _exi_model(series, cfg):
         v=float(np.quantile(series.skew_surge, cfg.exi_v_quantile)),
         run_length=cfg.run_length,
         levels=np.quantile(series.skew_surge,
-                           np.linspace(0.95, 0.999, cfg.exi_n_levels)),
+                           np.linspace(*exi.DEFAULT_GRID_QUANTILES,
+                                       cfg.exi_n_levels)),
     )
 
 
@@ -484,19 +523,12 @@ def _cmd_dep(cfg, out):
     series_map, _ = _load_sites(cfg)
     if len(series_map) < 2:
         raise ValueError("dependence needs at least two sites")
-    dep = cfg.dependence
+    dep = _section(cfg.dependence, "dependence")
     models = None
-    if dep.get("uniform", True):
-        models = {}
-        for site, series in series_map.items():
-            _fit, model = _fit_model(series, cfg)
-            models[site] = model
-    rows = pairwise_reports(
-        series_map,
-        lags=tuple(dep.get("lags", (-1, 0, 1))),
-        p=float(dep.get("p", 0.05)),
-        models=models,
-    )
+    if dep.pop("uniform", True):
+        models = {site: _fit_model(series, cfg)[1]
+                  for site, series in series_map.items()}
+    rows = pairwise_reports(series_map, models=models, **dep)
     _write_csv(
         out / "dep.csv",
         ["pair", "lag", "margin", "tau", "chi", "chibar", "p", "n"],
@@ -520,66 +552,34 @@ def _cmd_pool(cfg, out):
     return 0
 
 
-def _params_from_mapping(doc):
-    rf = doc.get("rate_family", "R0")
-    sf = doc.get("scale_family", "S0")
-    if rf not in RATE_FAMILIES or sf not in SCALE_FAMILIES:
-        raise ValueError(f"unknown simulate families {rf}/{sf}")
-
-    def seq_or_scalar(key):
-        v = doc.get(key)
-        if v is None:
-            return None
-        return np.asarray(v, dtype=float) if isinstance(v, (list, tuple)) else float(v)
-
-    rate = RateParams(
-        family=rf,
-        lam=float(doc.get("lam", 0.05)),
-        beta_day=float(doc.get("beta_day", 0.0)),
-        phi_day=float(doc.get("phi_day", 0.0)),
-        alpha_tide=float(doc.get("alpha_tide", 0.0)),
-        beta_tide=float(doc.get("beta_tide", 0.0)),
-        phi_tide=float(doc.get("phi_tide", 0.0)),
-        delta=seq_or_scalar("delta_rate") if rf != "R0" else None,
-    )
-    scale = ScaleParams(
-        family=sf,
-        alpha=float(doc.get("alpha_sigma", 0.1)),
-        beta=float(doc.get("beta_sigma", 0.0)),
-        phi=float(doc.get("phi_sigma", 0.0)),
-        gamma=float(doc.get("gamma_sigma", 0.0)),
-        delta=seq_or_scalar("delta_sigma") if sf != "S0" else None,
-    )
-    return TailParams(rate=rate, scale=scale, xi=float(doc.get("xi", 0.0)))
+def _sim_params(doc):
+    """TailParams from simulate.params, unset values from _SIM_DEFAULTS."""
+    values = {"rate_family": "R0", "scale_family": "S0", **_SIM_DEFAULTS,
+              **_section(doc, "simulate.params")}
+    rf, sf = values.pop("rate_family"), values.pop("scale_family")
+    for name in ("delta_rate", "delta_sigma"):
+        deltas = values.pop(name, [])
+        slots = [n for n in param_names(rf, sf) if n.startswith(name)]
+        if slots and len(deltas) != len(slots):
+            raise ValueError(f"config simulate.params.{name}: families "
+                             f"{rf}/{sf} take {len(slots)} value(s), "
+                             f"not {len(deltas)}")
+        values.update(zip(slots, deltas))
+    # the rate standardizers are placeholders: simulate_series sets them
+    return values_to_params(values, rf, sf, RateParams())
 
 
 def _cmd_simulate(cfg, out):
-    doc = cfg.simulate
-    if not doc:
+    if not cfg.simulate:
         raise ValueError("config is missing the simulate section")
+    doc = _section(cfg.simulate, "simulate")
     if "n_cycles" not in doc:
         raise ValueError("simulate.n_cycles is required")
-    params = _params_from_mapping(doc.get("params") or {})
-    needs_gmt = params.rate.family in GMT_FAMILIES \
-        or params.scale.family in GMT_FAMILIES
+    params = _sim_params(doc.pop("params", {}))
+    needs_gmt = {params.rate.family, params.scale.family} & GMT_FAMILIES
     gmt = load_gmt(cfg.gmt_csv) if (cfg.gmt_csv and needs_gmt) else None
-    threshold = doc.get("threshold", 0.3)
-    if isinstance(threshold, (list, tuple)):
-        threshold = MonthlyThresholds(
-            values=np.asarray(threshold, dtype=float), percentile=None
-        )
-    spec = SimSpec(
-        params=params,
-        thresholds=threshold,
-        n_cycles=int(doc["n_cycles"]),
-        start=str(doc.get("start", "1950-01-01T00:00")),
-        site_id=str(doc.get("site_id", "SIM")),
-        tide_mean=float(doc.get("tide_mean", 3.0)),
-        tide_amp=float(doc.get("tide_amp", 1.0)),
-        body_mean=float(doc.get("body_mean", 0.0)),
-        body_sd=float(doc.get("body_sd", 0.1)),
-        gmt=gmt,
-    )
+    spec = SimSpec(params=params, thresholds=doc.pop("threshold", 0.3),
+                   gmt=gmt, **doc)
     series, params_eff = simulate_series(spec, cfg.seed)
     write_series_csv(
         out / f"sim_{spec.site_id}.csv", series,

@@ -7,6 +7,8 @@ import json
 import logging
 import re
 import shlex
+import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 import yaml
 
 from skewsurge import SimSpec, __version__, simulate_series
+from skewsurge import cli
 from skewsurge.cli import RunConfig, main
 from skewsurge.data import write_series_csv
 from skewsurge.tail import RateParams, ScaleParams, TailParams
@@ -192,6 +195,45 @@ class TestRunConfig:
             RunConfig.from_mapping({"run_length": 0})
         with pytest.raises(ValueError, match="mapping"):
             RunConfig.from_mapping(["not", "a", "dict"])
+
+    def test_bare_name_is_a_one_item_list(self):
+        bare = RunConfig.from_mapping({
+            "sites": "newlyn", "pooling": {"shared": "delta_rate"},
+            "select": {"rate_families": "R1"}})
+        assert (bare.sites, bare.pooling_shared, bare.select_rate_families) \
+            == (["newlyn"], ["delta_rate"], ["R1"])
+        listed = RunConfig.from_mapping({
+            "sites": ["newlyn"], "pooling": {"shared": ["delta_rate"]},
+            "select": {"rate_families": ["R1"]}})
+        assert bare.config_hash() == listed.config_hash()
+
+    def test_unknown_keys_warn_once_each(self, caplog):
+        doc = {"threshold_percentil": 0.9, "seed": 1,
+               "return_levels": {"p_grid": [0.1],
+                                 "scenario": {"year": 2017, "yeer": 2017}},
+               "dependence": {"lags": [0], "lag": [0]},
+               "fit": {"shape_prior": {"mean": 0.0, "meen": 0.0}},
+               "simulate": {"n_cycles": 10,
+                            "params": {"lam": 0.1, "lamm": 0.1}}}
+        with caplog.at_level(logging.WARNING, logger="skewsurge"):
+            cfg = RunConfig.from_mapping(doc)
+        assert cfg.threshold_percentile == 0.95
+        assert [r.getMessage() for r in caplog.records] == [
+            f"ignoring unknown config key {path}" for path in (
+                "threshold_percentil", "return_levels.scenario.yeer",
+                "dependence.lag", "fit.shape_prior.meen",
+                "simulate.params.lamm")]
+
+    def test_docstring_schema_lists_every_key(self):
+        # The schema block's key paths are the fields' config keys, the
+        # keys known inside the mapping-valued ones, and their sections.
+        block = textwrap.dedent(cli.__doc__.split("::\n")[1])
+        documented = set(cli._flatten(yaml.safe_load(block)))
+        keys = ({f.metadata["path"] for f in fields(RunConfig)}
+                | {f"{section}.{key}" for section, known in cli._KEYS.items()
+                   for key in known})
+        sections = {path.rpartition(".")[0] for path in keys if "." in path}
+        assert documented == keys | sections
 
 
 class TestSimulate:
@@ -547,6 +589,23 @@ class TestErrorHandling:
         assert main(["fit", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("subcommand,doc,key", [
+        ("fit", {"inputs": ["a"]}, "inputs"),
+        ("dep", {"dependence": [1]}, "dependence"),
+        ("rl", {"return_levels": {"p_grid": 0.01}}, "return_levels.p_grid"),
+        ("simulate", {"simulate": {"n_cycles": 10, "params": {
+            "rate_family": "R2", "delta_rate": 0.2}}},
+         "simulate.params.delta_rate"),
+    ])
+    def test_malformed_value_names_its_key(self, tmp_path, capsys,
+                                           subcommand, doc, key):
+        cfg = _write_yaml(tmp_path / "c.yaml", doc)
+        assert main([subcommand, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {key}: ")
+        assert err.count("\n") == 1
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:
