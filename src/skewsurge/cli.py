@@ -341,24 +341,24 @@ def _load_sites(cfg):
     return out, gmt
 
 
-def _meta(cfg):
-    return {"config_hash": cfg.config_hash(), "tool_version": __version__}
+def _stamp(meta):
+    """The ``config_hash=... tool_version=...`` line of a CSV artifact."""
+    return (f"config_hash={meta['config_hash']} "
+            f"tool_version={meta['tool_version']}")
 
 
-def _write_json(path, payload, cfg):
+def _write_json(path, payload, meta):
     doc = dict(payload)
-    doc.update(_meta(cfg))
+    doc.update(meta)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     log.info("wrote %s", path)
 
 
-def _write_csv(path, header, rows, cfg):
-    meta = _meta(cfg)
+def _write_csv(path, header, rows, meta):
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={meta['config_hash']} "
-                 f"tool_version={meta['tool_version']}\n")
+        fh.write(f"# {_stamp(meta)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -391,20 +391,20 @@ def _scenario(cfg):
     return scenario
 
 
-def _fit_one(series, cfg):
+def _fit_one(series, cfg, fit_cfg):
     """A site's tail fit at the configured thresholds, and the thresholds."""
     thresholds = monthly_thresholds(series, cfg.threshold_percentile)
-    return fit_tail(series, _fit_config(cfg), thresholds=thresholds), thresholds
+    return fit_tail(series, fit_cfg, thresholds=thresholds), thresholds
 
 
-def _fit_model(series, cfg):
+def _fit_model(series, cfg, fit_cfg):
     """A site's tail fit and the model that joins it to the empirical body."""
-    fit, thresholds = _fit_one(series, cfg)
+    fit, thresholds = _fit_one(series, cfg, fit_cfg)
     body = build_empirical(series, thresholds)
     return fit, SkewSurgeModel(body=body, params=fit.params, thresholds=thresholds)
 
 
-def _cmd_ingest(cfg, out):
+def _cmd_ingest(cfg, out, meta):
     series_map, _ = _load_sites(cfg)
     summary = {"sites": {}}
     for site, series in series_map.items():
@@ -413,34 +413,33 @@ def _cmd_ingest(cfg, out):
         info["detrend_mm_per_year"] = cfg.detrend_rates.get(site)
         info["monthly_thresholds_m"] = [float(v) for v in thresholds.values]
         summary["sites"][site] = info
-        write_series_csv(
-            out / f"ingest_{site}.csv", series,
-            comment=f"config_hash={cfg.config_hash()} tool_version={__version__}",
-        )
-    _write_json(out / "ingest.json", summary, cfg)
+        write_series_csv(out / f"ingest_{site}.csv", series,
+                         comment=_stamp(meta))
+    _write_json(out / "ingest.json", summary, meta)
     return 0
 
 
-def _cmd_fit(cfg, out):
+def _cmd_fit(cfg, out, meta):
+    fit_cfg = _fit_config(cfg)
     series_map, _ = _load_sites(cfg)
     for site, series in series_map.items():
-        fit, thresholds = _fit_one(series, cfg)
+        fit, thresholds = _fit_one(series, cfg, fit_cfg)
         doc = fit.to_dict()
         doc["threshold_percentile"] = cfg.threshold_percentile
         doc["monthly_thresholds_m"] = [float(v) for v in thresholds.values]
         name = f"fit_{site}_{cfg.rate_family}{cfg.scale_family}.json"
-        _write_json(out / name, doc, cfg)
+        _write_json(out / name, doc, meta)
         log.info("site %s: loglik %.3f converged %s", site, fit.loglik,
                  fit.converged)
     return 0
 
 
-def _cmd_select(cfg, out):
+def _cmd_select(cfg, out, meta):
+    rfs, sfs = cfg.select_families()
+    fit_cfg = _fit_config(cfg, rate_family=rfs[0], scale_family=sfs[0])
     series_map, _ = _load_sites(cfg)
     for site, series in series_map.items():
         thresholds = monthly_thresholds(series, cfg.threshold_percentile)
-        rfs, sfs = cfg.select_families()
-        fit_cfg = _fit_config(cfg, rate_family=rfs[0], scale_family=sfs[0])
         fits = fit_grid(series, fit_cfg, rfs, sfs, thresholds=thresholds)
         rows = []
         for sf in sfs:
@@ -461,7 +460,7 @@ def _cmd_select(cfg, out):
             out / f"select_{site}.csv",
             ["rate_family", "scale_family", "n_params", "loglik", "aic",
              "bic", "aic_best", "bic_best", "converged"],
-            table, cfg,
+            table, meta,
         )
     return 0
 
@@ -478,28 +477,28 @@ def _exi_model(series, cfg):
     )
 
 
-def _cmd_exi(cfg, out):
+def _cmd_exi(cfg, out, meta):
     series_map, _ = _load_sites(cfg)
     for site, series in series_map.items():
         model = _exi_model(series, cfg)
         _write_json(out / f"exi_{site}.json", {"site_id": site,
-                                               "model": model.to_dict()}, cfg)
+                                               "model": model.to_dict()}, meta)
         fitted = eval_exi(model, model.levels)
         _write_csv(
             out / f"exi_{site}.csv",
             ["level_m", "runs_theta", "fitted_theta"],
             [[_fmt(l), _fmt(t), _fmt(f)]
              for l, t, f in zip(model.levels, model.runs_theta, fitted)],
-            cfg,
+            meta,
         )
     return 0
 
 
-def _cmd_rl(cfg, out):
-    scenario = _scenario(cfg)
+def _cmd_rl(cfg, out, meta):
+    scenario, fit_cfg = _scenario(cfg), _fit_config(cfg)
     series_map, _ = _load_sites(cfg)
     for site, series in series_map.items():
-        fit, model = _fit_model(series, cfg)
+        fit, model = _fit_model(series, cfg, fit_cfg)
         exi_model = _exi_model(series, cfg)
         calendar = TideSampleCalendar.from_series(series)
         curve = return_curve(cfg.p_grid, model, calendar, exi_model, scenario)
@@ -507,7 +506,7 @@ def _cmd_rl(cfg, out):
             out / f"rl_{site}.csv",
             ["p", "return_period_years", "z_m"],
             [[_fmt(p), _fmt(rp), _fmt(z)] for p, rp, z in curve.rows()],
-            cfg,
+            meta,
         )
         _write_json(out / f"rl_{site}.json", {
             "site_id": site,
@@ -515,18 +514,18 @@ def _cmd_rl(cfg, out):
             "scenario": {"year_std": scenario.year_std, "gmt": scenario.gmt},
             "fit": fit.to_dict(),
             "exi": exi_model.to_dict(),
-        }, cfg)
+        }, meta)
     return 0
 
 
-def _cmd_dep(cfg, out):
+def _cmd_dep(cfg, out, meta):
+    dep, fit_cfg = _section(cfg.dependence, "dependence"), _fit_config(cfg)
     series_map, _ = _load_sites(cfg)
     if len(series_map) < 2:
         raise ValueError("dependence needs at least two sites")
-    dep = _section(cfg.dependence, "dependence")
     models = None
     if dep.pop("uniform", True):
-        models = {site: _fit_model(series, cfg)[1]
+        models = {site: _fit_model(series, cfg, fit_cfg)[1]
                   for site, series in series_map.items()}
     rows = pairwise_reports(series_map, models=models, **dep)
     _write_csv(
@@ -534,12 +533,13 @@ def _cmd_dep(cfg, out):
         ["pair", "lag", "margin", "tau", "chi", "chibar", "p", "n"],
         [[r["pair"], r["lag"], r["margin"], _fmt(r["tau"]), _fmt(r["chi"]),
           _fmt(r["chibar"]), _fmt(r["p"]), r["n"]] for r in rows],
-        cfg,
+        meta,
     )
     return 0
 
 
-def _cmd_pool(cfg, out):
+def _cmd_pool(cfg, out, meta):
+    fit_cfg = _fit_config(cfg)
     series_map, _ = _load_sites(cfg)
     if len(series_map) < 2:
         raise ValueError("pooling needs at least two sites")
@@ -547,8 +547,8 @@ def _cmd_pool(cfg, out):
         raise ValueError("config is missing pooling.shared")
     spec = PooledSpec(datasets=[series_map[s] for s in sorted(series_map)],
                       shared=list(cfg.pooling_shared))
-    result = fit_pooled(spec, _fit_config(cfg))
-    _write_json(out / "pool.json", result.to_dict(), cfg)
+    result = fit_pooled(spec, fit_cfg)
+    _write_json(out / "pool.json", result.to_dict(), meta)
     return 0
 
 
@@ -569,7 +569,7 @@ def _sim_params(doc):
     return values_to_params(values, rf, sf, RateParams())
 
 
-def _cmd_simulate(cfg, out):
+def _cmd_simulate(cfg, out, meta):
     if not cfg.simulate:
         raise ValueError("config is missing the simulate section")
     doc = _section(cfg.simulate, "simulate")
@@ -581,17 +581,15 @@ def _cmd_simulate(cfg, out):
     spec = SimSpec(params=params, thresholds=doc.pop("threshold", 0.3),
                    gmt=gmt, **doc)
     series, params_eff = simulate_series(spec, cfg.seed)
-    write_series_csv(
-        out / f"sim_{spec.site_id}.csv", series,
-        comment=f"config_hash={cfg.config_hash()} tool_version={__version__}",
-    )
+    write_series_csv(out / f"sim_{spec.site_id}.csv", series,
+                     comment=_stamp(meta))
     _write_json(out / f"sim_{spec.site_id}_truth.json", {
         "site_id": spec.site_id,
         "n_cycles": spec.n_cycles,
         "seed": cfg.seed,
         "params_effective": params_eff.to_dict(),
         "thresholds_m": [float(v) for v in spec.thresholds.values],
-    }, cfg)
+    }, meta)
     return 0
 
 
@@ -650,11 +648,12 @@ def main(argv=None):
                 doc = yaml.load(fh, Loader=getattr(
                     yaml, "CSafeLoader", yaml.SafeLoader)) or {}
         cfg = RunConfig.from_mapping(doc).apply_flags(args)
+        meta = {"config_hash": cfg.config_hash(), "tool_version": __version__}
         out = Path(cfg.out_dir)
         made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
         try:
-            return _HANDLERS[args.subcommand](cfg, out)
+            return _HANDLERS[args.subcommand](cfg, out, meta)
         finally:  # a run that wrote nothing leaves no directory it made
             for d in made:  # out first, then its parents
                 if any(d.iterdir()):

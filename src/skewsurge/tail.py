@@ -14,15 +14,11 @@ plus a linear peak-tide term, with the analogous optional trends (S1-S4).
 Both predictors come from one kernel (:func:`rate_terms`,
 :func:`scale_terms` over :func:`seasonal_basis`), which fitting, the
 simulator and the CDF share. Below u_j the distribution is the
-tide-banded empirical body. :meth:`SkewSurgeModel.conditional` freezes a
-set of records (day of year, day of month, month, peak tide, trend
-covariates) and returns their conditional CDF as a function of the surge
-alone: u_j, lambda, sigma and the body cells are built once (shared with
-:meth:`SkewSurgeModel._level_log_cdf`, the engine's log CDF at one sea
-level), and each evaluation is a GPD tail pass, the survival
-lambda * exp(-h(z; xi)) of the scaled excess z in place over one array,
-plus a body search only where some record is at or below its threshold.
-:func:`eval_cdf` (used by the PIT) builds and applies it once.
+tide-banded empirical body. One evaluator over fixed records
+(:meth:`SkewSurgeModel._evaluator`) gives the conditional CDF of a surge,
+F = 1 - S (:meth:`SkewSurgeModel.conditional`, the PIT through
+:func:`eval_cdf`), and of a sea level, log F = log1p(-S)
+(:meth:`SkewSurgeModel._level_log_cdf`, the annual-maximum engine).
 
 h(z; xi) = log1p(xi z)/xi is the GPD's one kernel (:func:`_gpd_h`),
 which the likelihood and, through its inverse, the simulator share. Its
@@ -31,8 +27,8 @@ the closed form everywhere else, which stays within 2.5e-16 relative of
 the exact value (about one rounding) for every normal shape. The kernel
 is two pieces: the factor of z (:func:`_gpd_factor`, xi or 1 under that
 rule) and the clamp, log1p and division by xi of the scaled
-w = factor z (:func:`_gpd_h_scaled`); the annual-maximum engine folds
-the factor into its affine excess and calls the second piece alone.
+w = factor z (:func:`_gpd_h_scaled`); the evaluator folds the factor
+into its affine excess and calls the second piece alone.
 """
 
 from __future__ import annotations
@@ -427,15 +423,15 @@ def _gpd_h_scaled(w, xi):
     return w
 
 
-def _gpd_h(z, xi, out=None):
+def _gpd_h(z, xi):
     """h(z; xi) = log1p(xi z)/xi over an array of scaled excesses z, or z
     where |xi| < _XI_TINY: the GPD's log survival is -h, its negative
     log-density log(sigma) + (1 + xi) h. It is :func:`_gpd_h_scaled` of
     z times :func:`_gpd_factor`; a caller that already scales z affinely
     folds the factor into its coefficients and calls the second piece
-    alone. ``out`` may be z itself.
+    alone.
     """
-    return _gpd_h_scaled(np.multiply(z, _gpd_factor(xi), out=out), xi)
+    return _gpd_h_scaled(np.multiply(z, _gpd_factor(xi)), xi)
 
 
 def _gpd_quantile(w, xi, sigma):
@@ -465,10 +461,21 @@ class SkewSurgeModel:
     params: TailParams
     thresholds: object  # MonthlyThresholds
 
-    def _records(self, d, d_j, j, x, year_std=None, gmt=None):
-        """(u_j, lambda, sigma, :func:`cell_cdf` body) of fixed records in
-        their broadcast shape, from one seasonal basis: all that
-        :meth:`conditional` and :meth:`_level_log_cdf` need but y."""
+    def _evaluator(self, d, d_j, j, x, year_std, gmt, level):
+        """The conditional CDF of fixed records, F(t) or log F(t), behind
+        :meth:`conditional` and :meth:`_level_log_cdf`.
+
+        Built once: lambda, sigma, u_j, the :func:`cell_cdf` body, each
+        record's edge (u_j for a surge t, x + u_j when ``level`` makes t a
+        sea level) and w = a t + c with a = factor/sigma and c = -factor
+        edge/sigma (:func:`_gpd_factor`). Each call: sigma <= 0 is an error
+        exactly where t is above the edge; one pass h = :func:`_gpd_h_scaled`
+        of w, S = exp(log lambda - h), exactly 0 beyond a negative shape's
+        endpoint; then F = 1 - S in a new array or, with ``level``, log F =
+        log1p(-S) in one kept array. The body overwrites the records with
+        t <= edge, searched only when min(t) <= max(edge), the function's
+        ``top_edge``; the log path then takes their log.
+        """
         d, d_j, j, x = np.broadcast_arrays(
             np.asarray(d), np.asarray(d_j), np.asarray(j),
             np.asarray(x, dtype=float))
@@ -480,84 +487,60 @@ class SkewSurgeModel:
         sigma = linear_predictor(
             scale_terms(scale.family, basis, d, x, year_std, gmt),
             scale_values(scale))
-        return self.thresholds.for_month(j), lam, sigma, cell_cdf(self.body, j, x)
-
-    def _level_log_cdf(self, d, d_j, j, x, year_std=None, gmt=None):
-        """z -> log F(z - x) of fixed records, x their peak tides, at one
-        sea level z, in one kept array: h = :func:`_gpd_h_scaled` of the
-        affine w = a z + c, whose a = factor/sigma and c = -factor (x +
-        u_j)/sigma fold the kernel's :func:`_gpd_factor` into the scaled
-        excess, log F = log1p(-exp(log lambda - h)), never 1 - S, and the
-        body's log F where z <= x + u_j. sigma <= 0 is an error only where
-        z is above x + u_j. The function's ``top_edge`` is max(x + u_j),
-        above which every record is in the tail."""
-        u, lam, sigma, body = self._records(d, d_j, j, x, year_std, gmt)
-        x = np.broadcast_to(np.asarray(x, dtype=float), u.shape)
-        edge = x + u
+        del basis  # two record-sized arrays fewer at the build's peak
+        body = cell_cdf(self.body, j, x)
+        edge = self.thresholds.for_month(j)
+        if level:
+            edge = x + edge
         xi = self.params.xi
         factor = _gpd_factor(xi)
         with np.errstate(divide="ignore", invalid="ignore"):
             a, c, log_lam = factor / sigma, -factor * edge / sigma, np.log(lam)
-        top_edge, bad_edge = edge.max(), edge[sigma <= 0.0].min(initial=np.inf)
-        out = np.empty(u.shape)
+        bad = sigma <= 0.0
+        bad = bad if bad.any() else None
+        top_edge = edge.max()
+        kept = np.empty(edge.shape) if level else None
 
-        def log_cdf(z):
-            if z > bad_edge:
+        def evaluate(t):
+            if bad is not None and np.any(
+                    np.broadcast_to(t, edge.shape)[bad] > edge[bad]):
                 raise ValueError("sigma must be positive")
+            out = kept if level else np.empty(edge.shape)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                np.multiply(a, z, out=out)
+                np.multiply(a, t, out=out)
                 np.add(out, c, out=out)  # inf - inf where sigma = 0: body
                 _gpd_h_scaled(out, xi)
                 np.subtract(log_lam, out, out=out)
-                np.exp(out, out=out)
-                np.negative(out, out=out)
-                np.log1p(out, out=out)
-                if z <= top_edge:
-                    below = z <= edge
-                    body(z - x, out, below)
-                    np.log(out, out=out, where=below)
+                np.exp(out, out=out)  # S
+                if level:
+                    np.negative(out, out=out)
+                    np.log1p(out, out=out)
+                else:
+                    np.subtract(1.0, out, out=out)
+                if np.min(t) <= top_edge:
+                    below = t <= edge
+                    body(np.broadcast_to(t - x if level else t, edge.shape),
+                         out, below)
+                    if level:
+                        np.log(out, out=out, where=below)
             return out
 
-        log_cdf.top_edge = float(top_edge)
-        return log_cdf
+        evaluate.top_edge = float(top_edge)
+        return evaluate
+
+    def _level_log_cdf(self, d, d_j, j, x, year_std=None, gmt=None):
+        """z -> log F(z - x) of fixed records at one sea level z, x their
+        peak tides, in one kept array; ``top_edge`` is max(x + u_j)."""
+        return self._evaluator(d, d_j, j, x, year_std, gmt, level=True)
 
     def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
         """The conditional CDF of fixed records as a function of the surge.
 
-        Returns F with F(y)[i] = P(Y <= y[i] | record i); y must broadcast
-        to the records' shape. The record arguments are those of
-        :func:`rate_terms` and broadcast together. Everything that does not
-        depend on y is built here once (:meth:`_records`, then 1/sigma and
-        the records with sigma <= 0). Each call then fills one new array
-        in place for every record: z = (y - u_j)/sigma, the tail survival
-        S = exp(log lambda - h(z; xi)), exactly 0 beyond the endpoint, then
-        F = 1 - S. The empirical body overwrites the records at or
-        below their threshold, searched for those records alone. A
-        record with sigma <= 0 is an error only where y is above u_j.
+        Returns F with F(y)[i] = P(Y <= y[i] | record i), a new array per
+        call; y must broadcast to the records' shape, and the record
+        arguments (those of :func:`rate_terms`) to one another.
         """
-        u, lam, sigma, body = self._records(d, d_j, j, x, year_std, gmt)
-        with np.errstate(divide="ignore"):
-            log_lam, inv_sigma = np.log(lam), 1.0 / sigma
-        bad_sigma = sigma <= 0.0
-        any_bad_sigma = bool(np.any(bad_sigma))
-
-        def cdf(y):
-            y = np.broadcast_to(np.asarray(y, dtype=float), u.shape)
-            above = y > u
-            if any_bad_sigma and np.any(bad_sigma & above):
-                raise ValueError("sigma must be positive")
-            out = np.subtract(y, u, out=np.empty(u.shape))
-            with np.errstate(invalid="ignore", over="ignore"):
-                out *= inv_sigma  # 0 * inf where sigma = 0 at y = u: body
-                _gpd_h(out, self.params.xi, out=out)
-                np.subtract(log_lam, out, out=out)
-                np.exp(out, out=out)  # S
-            np.subtract(1.0, out, out=out)
-            if not above.all():
-                body(y, out, ~above)
-            return out
-
-        return cdf
+        return self._evaluator(d, d_j, j, x, year_std, gmt, level=False)
 
 
 def eval_cdf(y, d, d_j, j, x, *, body, params, thresholds, year_std=None, gmt=None):

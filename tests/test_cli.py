@@ -474,6 +474,29 @@ class TestReturnLevels:
         err = capsys.readouterr().err
         assert err == f"error: return_levels.scenario {message}\n"
 
+    def test_fit_options_and_hash_are_read_once_per_run(
+            self, tmp_path, base_doc, monkeypatch):
+        # two sites, each fitted and each writing two artifacts
+        calls = {"fit_config": 0, "config_hash": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "_fit_config",
+                            counted("fit_config", cli._fit_config))
+        monkeypatch.setattr(RunConfig, "config_hash",
+                            counted("config_hash", RunConfig.config_hash))
+        base_doc["sites"] = ["SIM", "SIM2"]
+        base_doc["return_levels"] = {"p_grid": [0.01]}
+        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
+        out = tmp_path / "out"
+        assert main(["rl", "--config", cfg, "--out", str(out)]) == 0
+        assert len(list(out.iterdir())) == 4
+        assert calls == {"fit_config": 1, "config_hash": 1}
+
     def test_a_failed_run_leaves_no_output_directory(self, tmp_path):
         cfg = _write_yaml(tmp_path / "c.yaml", {
             "inputs": {"gauge_csv": "no/such.csv"}, "rate_family": "R1"})
@@ -606,6 +629,20 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config {key}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("subcommand,section,key", [
+        *[(subcommand, {"fit": {"frozen": [1]}}, "fit.frozen")
+          for subcommand in ("fit", "select", "rl", "dep", "pool")],
+        ("dep", {"dependence": {"lags": ["x"]}}, "dependence.lags"),
+    ])
+    def test_malformed_section_key_is_reported_before_loading(
+            self, tmp_path, capsys, subcommand, section, key):
+        # the gauge file is missing too: the config key is named first
+        cfg = _write_yaml(tmp_path / "c.yaml",
+                          {"inputs": {"gauge_csv": "no.csv"}, **section})
+        assert main([subcommand, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config {key}: ")
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
 from skewsurge import dependence
-from skewsurge.body import build_empirical
+from skewsurge.body import build_empirical, eval_body_cdf
 from skewsurge.data import SiteSeries, calendar_columns
 from skewsurge.dependence import (
     PairedDailySeries,
@@ -21,7 +21,13 @@ from skewsurge.dependence import (
     pairwise_reports,
     pit_transform,
 )
-from skewsurge.tail import SkewSurgeModel
+from skewsurge.tail import (
+    ScaleParams,
+    SkewSurgeModel,
+    TailParams,
+    rate_at,
+    scale_at,
+)
 
 
 def _daily_series(values, site_id="A", start="2001-03-01", per_day=1):
@@ -496,6 +502,53 @@ class TestPitTransform:
         py = out.skew_surge[sel][same_cell]
         order = np.argsort(y)
         assert np.all(np.diff(py[order]) >= 0.0)
+
+    @pytest.mark.parametrize("xi", [-0.2, 0.0, 0.1])
+    @pytest.mark.parametrize("families,covariate,delta_rate,delta_sigma", [
+        (("R2", "S2"), "year_std", [0.4, -0.3, 0.2, 0.6],
+         [0.02, -0.01, 0.015, 0.01]),
+        (("R3", "S3"), "gmt", 0.5, 0.02),
+    ])
+    def test_per_record_trend_covariates_match_the_closed_form(
+            self, fitted, xi, families, covariate, delta_rate, delta_sigma):
+        series, model = fitted
+        # one covariate value per record, spread wide enough that the
+        # trend terms move lambda and sigma from record to record
+        trend = np.linspace(-1.0, 1.5, series.skew_surge.size)
+        series = replace(series, **{"year_std": None, "gmt": None,
+                                    covariate: trend})
+        rate, scale = model.params.rate, model.params.scale
+        params = TailParams(
+            rate=replace(rate, family=families[0], alpha_tide=0.3,
+                         delta=delta_rate),
+            scale=ScaleParams(family=families[1], alpha=scale.alpha,
+                              beta=scale.beta, phi=scale.phi,
+                              gamma=scale.gamma, delta=delta_sigma),
+            xi=xi)
+        trended = replace(model, params=params)
+        got = pit_transform(series, trended).skew_surge
+
+        y, records = series.skew_surge, (
+            series.day_of_year, series.day_of_month, series.month,
+            series.peak_tide)
+        covariates = {covariate: trend}
+        lam = rate_at(params.rate, *records, **covariates)
+        sigma = scale_at(params.scale, series.day_of_year, series.peak_tide,
+                         **covariates)
+        u = model.thresholds.for_month(series.month)
+        above = y > u
+        assert 100 < above.sum() < y.size  # the records cross u_j
+        assert np.ptp(lam) > 0.02 and np.ptp(sigma) > 0.02
+        z = np.maximum((y - u) / sigma, 0.0)
+        if xi == 0.0:
+            survival = lam * np.exp(-z)
+        else:
+            survival = lam * np.maximum(1.0 + xi * z, 0.0) ** (-1.0 / xi)
+        expected = np.where(above, 1.0 - survival, 0.0)
+        expected[~above] = eval_body_cdf(model.body, y[~above],
+                                         series.month[~above],
+                                         series.peak_tide[~above])
+        npt.assert_allclose(got, expected, rtol=1e-12)
 
 
 class TestPairwiseReports:

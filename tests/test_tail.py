@@ -313,13 +313,6 @@ class TestGpdKernel:
         npt.assert_allclose(_gpd_quantile(w, xi, 0.12),
                             0.12 * _gpd_quantile(w, xi, 1.0), rtol=1e-15)
 
-    @pytest.mark.parametrize("xi", [0.0, 0.2])
-    def test_in_place(self, xi):
-        z = np.array([0.0, 0.3, 2.0])
-        expect = _gpd_h(z, xi)
-        assert _gpd_h(z, xi, out=z) is z
-        assert z.tobytes() == expect.tobytes()
-
 
 class TestMeanExcess:
     def test_formula(self):
@@ -385,6 +378,31 @@ class TestEvalCdf:
         got = m.conditional(*records)(y)
         full = cell_cdf(m.body, series.month, series.peak_tide)(y)
         assert got.tobytes() == np.where(below, full, got).tobytes()
+
+    def test_nonpositive_scale_is_an_error_only_above_the_threshold(
+            self, model):
+        m, series = model
+        records = (series.day_of_year, series.day_of_month, series.month,
+                   series.peak_tide)
+        # sigma = 0.1 - 0.04 tide is nonpositive from a 2.5 m tide up
+        steep = TailParams(rate=m.params.rate,
+                           scale=ScaleParams(alpha=0.1, beta=0.0,
+                                             gamma=-0.04),
+                           xi=m.params.xi)
+        cdf = SkewSurgeModel(body=m.body, params=steep,
+                             thresholds=m.thresholds).conditional(*records)
+        positive = scale_at(steep.scale, series.day_of_year,
+                            series.peak_tide) > 0.0
+        assert 0 < positive.sum() < positive.size
+        u = m.thresholds.for_month(series.month)
+        y = np.where(positive, u + 0.05, u)
+        got = cdf(y)
+        full = cell_cdf(m.body, series.month, series.peak_tide)(y)
+        assert got[~positive].tobytes() == full[~positive].tobytes()
+        assert np.all((got[positive] > 0.9) & (got[positive] <= 1.0))
+        y[np.flatnonzero(~positive)[0]] += 1e-9
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            cdf(y)
 
     def test_limit_at_infinity(self, model):
         m, _ = model
