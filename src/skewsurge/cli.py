@@ -104,7 +104,6 @@ from .fitting import (
     fit_grid,
     fit_pooled,
     fit_tail,
-    param_names,
 )
 from .returns import Scenario, TideSampleCalendar, return_curve
 from .simulate import SimSpec, simulate_series
@@ -117,6 +116,7 @@ from .tail import (
     SkewSurgeModel,
     TailParams,
     YEAR_FAMILIES,
+    _trend_names,
     params_to_values,
     values_to_params,
 )
@@ -557,9 +557,9 @@ def _sim_params(doc):
     values = {"rate_family": "R0", "scale_family": "S0", **_SIM_DEFAULTS,
               **_section(doc, "simulate.params")}
     rf, sf = values.pop("rate_family"), values.pop("scale_family")
-    for name in ("delta_rate", "delta_sigma"):
+    for name, family in (("delta_rate", rf), ("delta_sigma", sf)):
         deltas = values.pop(name, [])
-        slots = [n for n in param_names(rf, sf) if n.startswith(name)]
+        slots = _trend_names(family, name)
         if slots and len(deltas) != len(slots):
             raise ValueError(f"config simulate.params.{name}: families "
                              f"{rf}/{sf} take {len(slots)} value(s), "

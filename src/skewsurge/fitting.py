@@ -45,16 +45,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import SEASONS, Standardizers, monthly_thresholds, standardizers
+from .data import Standardizers, monthly_thresholds, standardizers
 from .tail import (
     RATE_FAMILIES,
     SCALE_FAMILIES,
-    SEASONAL_FAMILIES,
     TailParams,
+    _PHASE_OF,
     _gpd_h,
     _term_jacobian,
     _term_values,
     linear_predictor,
+    param_names,
     params_to_values,
     rate_terms,
     scale_terms,
@@ -62,45 +63,13 @@ from .tail import (
     values_to_params,
 )
 
-RATE_BASE_NAMES = ("lam", "beta_day", "phi_day", "alpha_tide", "beta_tide", "phi_tide")
-SCALE_BASE_NAMES = ("alpha_sigma", "beta_sigma", "phi_sigma", "gamma_sigma")
-
 _XI_BOX = (-0.49, 0.999)
-# Amplitude -> phase of each harmonic; a pair is fitted through (b1, b2).
-_PHASE_OF = {"beta_day": "phi_day", "beta_tide": "phi_tide",
-             "beta_sigma": "phi_sigma"}
 _MAX_NEWTON = 100
 # A fitted logit beyond this puts a cycle's exceedance probability within
 # 2e-9 of 0 or 1. No rate covariate supports that on a real record; Newton
 # gets there only when the covariates separate exceedances from the other
 # cycles, and the logistic likelihood then has no finite maximum.
 _SEPARATION_LOGIT = 20.0
-
-
-def _family_names(family, base, trend):
-    """Base names, then the trend slope (one per season where seasonal)."""
-    if family in ("R0", "S0"):
-        return list(base)
-    if family in SEASONAL_FAMILIES:
-        return [*base, *(f"{trend}_{s}" for s in SEASONS)]
-    return [*base, trend]
-
-
-def rate_param_names(family):
-    if family not in RATE_FAMILIES:
-        raise ValueError(f"unknown rate family {family!r}")
-    return _family_names(family, RATE_BASE_NAMES, "delta_rate")
-
-
-def scale_param_names(family):
-    if family not in SCALE_FAMILIES:
-        raise ValueError(f"unknown scale family {family!r}")
-    return _family_names(family, SCALE_BASE_NAMES, "delta_sigma")
-
-
-def param_names(rate_family, scale_family):
-    """Full ordered parameter-name list for a family pair."""
-    return rate_param_names(rate_family) + scale_param_names(scale_family) + ["xi"]
 
 
 @dataclass

@@ -34,7 +34,7 @@ into its affine excess and calls the second piece alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,8 +74,76 @@ def inv_logit(t):
     return out if out.ndim else float(out)
 
 
+def _trend_names(family, prefix):
+    """A family's trend slope names: none (R0/S0), ``prefix`` (R1/R3/S1/S3)
+    or ``<prefix>_<season>``, winter first (R2/R4/S2/S4)."""
+    if family in SEASONAL_FAMILIES:
+        return [f"{prefix}_{s}" for s in SEASONS]
+    return [prefix] if family in YEAR_FAMILIES | GMT_FAMILIES else []
+
+
+# Amplitude -> phase of each harmonic; a pair is fitted through (b1, b2).
+_PHASE_OF = {"beta_day": "phi_day", "beta_tide": "phi_tide",
+             "beta_sigma": "phi_sigma"}
+
+
+class _HalfParams:
+    """What RateParams and ScaleParams share. Each declares its half of the
+    model once: ``_BASE`` maps its base parameter names, in param_names
+    order, to the fields that hold them, and its trend slopes are
+    :func:`_trend_names` of ``_TREND``."""
+
+    def __post_init__(self):
+        n = len(self._names(self.family)) - len(self._BASE)  # checks family
+        if self.delta is None:
+            return
+        if not n or np.shape(self.delta) != ((n,) if n > 1 else ()):
+            got = ("a scalar" if np.ndim(self.delta) == 0
+                   else f"a list of {np.size(self.delta)}")
+            raise ValueError(
+                f"family {self.family} takes {n} trend delta value(s)"
+                f"{' as a scalar' if n == 1 else ''}, not {got}")
+        if n > 1:
+            self.delta = np.asarray(self.delta, dtype=float)
+
+    @classmethod
+    def _names(cls, family):
+        if family not in cls._FAMILIES:
+            raise ValueError(f"unknown {cls._KIND} family {family!r}")
+        return [*cls._BASE, *_trend_names(family, cls._TREND)]
+
+    def values(self):
+        """The parameters as a flat name -> value dict (see param_names)."""
+        values = {name: getattr(self, f) for name, f in self._BASE.items()}
+        trend = _trend_names(self.family, self._TREND)
+        if trend:
+            if self.delta is None:
+                raise ValueError(f"family {self.family} has no trend delta set")
+            delta = self.delta if len(trend) > 1 else [self.delta]
+            values.update(zip(trend, map(float, delta)))
+        return values
+
+    @classmethod
+    def _from_values(cls, family, values, **extra):
+        trend = [values[n] for n in _trend_names(family, cls._TREND)]
+        delta = trend[0] if len(trend) == 1 else trend or None
+        return cls(family=family, delta=delta, **extra,
+                   **{f: values[n] for n, f in cls._BASE.items()})
+
+    def to_dict(self):
+        """The fields for JSON: arrays as lists, an unset delta left out."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name != "delta" or self.delta is not None}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in d.items()}
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(**d)
+
+
 @dataclass
-class RateParams:
+class RateParams(_HalfParams):
     """Exceedance-rate model parameters plus the data standardizers.
 
     ``month_mean_day`` holds the observed mean day-of-month per month
@@ -97,43 +165,17 @@ class RateParams:
     month_mean_day: np.ndarray = field(default_factory=lambda: np.full(12, 15.5))
     delta: float | np.ndarray | None = None
 
+    _KIND, _FAMILIES, _TREND = "rate", RATE_FAMILIES, "delta_rate"
+    _BASE = {n: n for n in ("lam", "beta_day", "phi_day", "alpha_tide",
+                            "beta_tide", "phi_tide")}
+
     def __post_init__(self):
-        if self.family not in RATE_FAMILIES:
-            raise ValueError(f"unknown rate family {self.family!r}")
+        super().__post_init__()
         self.month_mean_day = np.asarray(self.month_mean_day, dtype=float)
-        if self.family in SEASONAL_FAMILIES and self.delta is not None:
-            self.delta = np.asarray(self.delta, dtype=float)
-
-    def to_dict(self):
-        d = {
-            "family": self.family,
-            "lam": self.lam,
-            "beta_day": self.beta_day,
-            "phi_day": self.phi_day,
-            "alpha_tide": self.alpha_tide,
-            "beta_tide": self.beta_tide,
-            "phi_tide": self.phi_tide,
-            "tide_mean": self.tide_mean,
-            "tide_sd": self.tide_sd,
-            "month_mean_day": self.month_mean_day.tolist(),
-        }
-        if self.delta is not None:
-            d["delta"] = (
-                self.delta.tolist() if isinstance(self.delta, np.ndarray)
-                else self.delta
-            )
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if "month_mean_day" in d:
-            d["month_mean_day"] = np.asarray(d["month_mean_day"], dtype=float)
-        return cls(**d)
 
 
 @dataclass
-class ScaleParams:
+class ScaleParams(_HalfParams):
     """GPD scale model parameters (metres). ``delta`` as in RateParams."""
 
     family: str = "S0"
@@ -143,30 +185,9 @@ class ScaleParams:
     gamma: float = 0.0
     delta: float | np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.family not in SCALE_FAMILIES:
-            raise ValueError(f"unknown scale family {self.family!r}")
-        if self.family in SEASONAL_FAMILIES and self.delta is not None:
-            self.delta = np.asarray(self.delta, dtype=float)
-
-    def to_dict(self):
-        d = {
-            "family": self.family,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "phi": self.phi,
-            "gamma": self.gamma,
-        }
-        if self.delta is not None:
-            d["delta"] = (
-                self.delta.tolist() if isinstance(self.delta, np.ndarray)
-                else self.delta
-            )
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+    _KIND, _FAMILIES, _TREND = "scale", SCALE_FAMILIES, "delta_sigma"
+    _BASE = {"alpha_sigma": "alpha", "beta_sigma": "beta", "phi_sigma": "phi",
+             "gamma_sigma": "gamma"}
 
 
 @dataclass
@@ -190,68 +211,24 @@ class TailParams:
         )
 
 
-def _trend_values(family, prefix, delta):
-    if family in ("R0", "S0"):
-        return {}
-    if delta is None:
-        raise ValueError(f"family {family} has no trend delta set")
-    if family in SEASONAL_FAMILIES:
-        return {f"{prefix}_{s}": float(v) for s, v in zip(SEASONS, delta)}
-    return {prefix: float(delta)}
-
-
-def rate_values(rp):
-    """The rate parameters as a flat name -> value dict (see param_names)."""
-    return {"lam": rp.lam, "beta_day": rp.beta_day, "phi_day": rp.phi_day,
-            "alpha_tide": rp.alpha_tide, "beta_tide": rp.beta_tide,
-            "phi_tide": rp.phi_tide,
-            **_trend_values(rp.family, "delta_rate", rp.delta)}
-
-
-def scale_values(sp):
-    """The scale parameters as a flat name -> value dict."""
-    return {"alpha_sigma": sp.alpha, "beta_sigma": sp.beta,
-            "phi_sigma": sp.phi, "gamma_sigma": sp.gamma,
-            **_trend_values(sp.family, "delta_sigma", sp.delta)}
+def param_names(rate_family, scale_family):
+    """Full ordered parameter-name list for a family pair."""
+    return [*RateParams._names(rate_family), *ScaleParams._names(scale_family),
+            "xi"]
 
 
 def params_to_values(tp):
     """Flatten TailParams into one name -> value dict."""
-    return {**rate_values(tp.rate), **scale_values(tp.scale), "xi": tp.xi}
-
-
-def _trend_delta(values, family, prefix):
-    if family in ("R0", "S0"):
-        return None
-    if family in SEASONAL_FAMILIES:
-        return np.array([values[f"{prefix}_{s}"] for s in SEASONS])
-    return values[prefix]
+    return {**tp.rate.values(), **tp.scale.values(), "xi": tp.xi}
 
 
 def values_to_params(values, rate_family, scale_family, std):
     """Assemble TailParams from a flat dict plus the rate standardizers
     ``std`` (anything with tide_mean, tide_sd and month_mean_day)."""
-    rate = RateParams(
-        family=rate_family,
-        lam=values["lam"],
-        beta_day=values["beta_day"],
-        phi_day=values["phi_day"],
-        alpha_tide=values["alpha_tide"],
-        beta_tide=values["beta_tide"],
-        phi_tide=values["phi_tide"],
-        tide_mean=std.tide_mean,
-        tide_sd=std.tide_sd,
-        month_mean_day=np.array(std.month_mean_day, dtype=float),
-        delta=_trend_delta(values, rate_family, "delta_rate"),
-    )
-    scale = ScaleParams(
-        family=scale_family,
-        alpha=values["alpha_sigma"],
-        beta=values["beta_sigma"],
-        phi=values["phi_sigma"],
-        gamma=values["gamma_sigma"],
-        delta=_trend_delta(values, scale_family, "delta_sigma"),
-    )
+    rate = RateParams._from_values(
+        rate_family, values, tide_mean=std.tide_mean, tide_sd=std.tide_sd,
+        month_mean_day=np.array(std.month_mean_day, dtype=float))
+    scale = ScaleParams._from_values(scale_family, values)
     return TailParams(rate=rate, scale=scale, xi=values["xi"])
 
 
@@ -276,7 +253,8 @@ def seasonal_basis(d):
 def _trend_terms(family, prefix, d, year_std, gmt):
     """One slope on the trend covariate, or one per season (the season of
     day-of-year d)."""
-    if family in ("R0", "S0"):
+    names = _trend_names(family, prefix)
+    if not names:
         return []
     if family in YEAR_FAMILIES:
         cov, cov_name = year_std, "year_std (standardized year)"
@@ -285,11 +263,10 @@ def _trend_terms(family, prefix, d, year_std, gmt):
     if cov is None:
         raise ValueError(f"family {family} needs the {cov_name} covariate")
     cov = np.asarray(cov, dtype=float)
-    if family in SEASONAL_FAMILIES:
-        season = season_of_day(d)
-        return [((f"{prefix}_{s}",), cov, [season == k])
-                for k, s in enumerate(SEASONS)]
-    return [((prefix,), cov, [1.0])]
+    if len(names) == 1:
+        return [((prefix,), cov, [1.0])]
+    season = season_of_day(d)
+    return [((name,), cov, [season == k]) for k, name in enumerate(names)]
 
 
 def rate_terms(family, basis, d, d_j, j, x, std, year_std=None, gmt=None):
@@ -382,7 +359,7 @@ def rate_logit(rp, d, d_j, j, x, year_std=None, gmt=None):
     """
     terms = rate_terms(rp.family, seasonal_basis(d), d, d_j, j, x, rp,
                        year_std, gmt)
-    g = linear_predictor(terms, rate_values(rp))
+    g = linear_predictor(terms, rp.values())
     return g if np.ndim(g) else float(g)
 
 
@@ -399,7 +376,7 @@ def scale_at(sp, d, x, year_std=None, gmt=None):
     parameters that push sigma negative somewhere.
     """
     terms = scale_terms(sp.family, seasonal_basis(d), d, x, year_std, gmt)
-    sigma = linear_predictor(terms, scale_values(sp))
+    sigma = linear_predictor(terms, sp.values())
     return sigma if np.ndim(sigma) else float(sigma)
 
 
@@ -483,10 +460,10 @@ class SkewSurgeModel:
         basis = seasonal_basis(d)
         lam = inv_logit(linear_predictor(
             rate_terms(rate.family, basis, d, d_j, j, x, rate, year_std, gmt),
-            rate_values(rate)))
+            rate.values()))
         sigma = linear_predictor(
             scale_terms(scale.family, basis, d, x, year_std, gmt),
-            scale_values(scale))
+            scale.values())
         del basis  # two record-sized arrays fewer at the build's peak
         body = cell_cdf(self.body, j, x)
         edge = self.thresholds.for_month(j)
@@ -569,16 +546,11 @@ def delta_lambda(rp, d, d_j, j, x, covariate, a, b):
     ``covariate`` is "year_std" (families R1/R2) or "gmt" (R3/R4); the
     result broadcasts over the record arguments.
     """
-    if covariate == "year_std":
-        if rp.family not in ("R1", "R2"):
-            raise ValueError(f"family {rp.family} has no year trend")
-        hi = rate_at(rp, d, d_j, j, x, year_std=b)
-        lo = rate_at(rp, d, d_j, j, x, year_std=a)
-    elif covariate == "gmt":
-        if rp.family not in ("R3", "R4"):
-            raise ValueError(f"family {rp.family} has no GMT trend")
-        hi = rate_at(rp, d, d_j, j, x, gmt=b)
-        lo = rate_at(rp, d, d_j, j, x, gmt=a)
-    else:
+    trends = {"year_std": (YEAR_FAMILIES, "year"), "gmt": (GMT_FAMILIES, "GMT")}
+    if covariate not in trends:
         raise ValueError(f"unknown covariate {covariate!r}")
-    return hi - lo
+    families, what = trends[covariate]
+    if rp.family not in families:
+        raise ValueError(f"family {rp.family} has no {what} trend")
+    return (rate_at(rp, d, d_j, j, x, **{covariate: b})
+            - rate_at(rp, d, d_j, j, x, **{covariate: a}))

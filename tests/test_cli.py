@@ -19,7 +19,14 @@ from skewsurge import SimSpec, __version__, simulate_series
 from skewsurge import cli
 from skewsurge.cli import RunConfig, main
 from skewsurge.data import write_series_csv
-from skewsurge.tail import RateParams, ScaleParams, TailParams
+from skewsurge.tail import (
+    RATE_FAMILIES,
+    SCALE_FAMILIES,
+    RateParams,
+    ScaleParams,
+    TailParams,
+    param_names,
+)
 
 FIT_SECTION = {
     "multi_start": 1,
@@ -234,6 +241,24 @@ class TestRunConfig:
                    for key in known})
         sections = {path.rpartition(".")[0] for path in keys if "." in path}
         assert documented == keys | sections
+
+    def test_readme_lists_every_parameter_name(self):
+        # Each bullet of "Model parameters" adds its names to the families
+        # it heads (a range like R0–R4, a list like R1, R3, or every pair).
+        block = README.read_text().split("### Model parameters")[1]
+        names = {}
+        for head, text in re.findall(r"^- \*\*(.+?):\*\*(.*?)(?=^\S|^$)",
+                                     block.split("\n### ")[0], re.M | re.S):
+            lo, _, hi = head.partition("–")
+            families = ([f"{lo[0]}{k}" for k in range(int(lo[1]), int(hi[1]) + 1)]
+                        if hi else head.split(", "))
+            for family in families:
+                names.setdefault(family, []).extend(re.findall(r"`(\w+)`", text))
+        xi = names.pop("Every pair")
+        assert len(names) == 10
+        for rf in RATE_FAMILIES:
+            for sf in SCALE_FAMILIES:
+                assert names[rf] + names[sf] + xi == param_names(rf, sf)
 
 
 class TestSimulate:

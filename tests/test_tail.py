@@ -1,5 +1,7 @@
 """Rate model, scale model, GPD tail pieces and the combined CDF."""
 
+import itertools
+import json
 import math
 from datetime import date, timedelta
 
@@ -10,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from skewsurge.body import build_empirical, cell_cdf, eval_body_cdf
 from skewsurge.tail import (
+    RATE_FAMILIES,
+    SCALE_FAMILIES,
+    SEASONAL_FAMILIES,
     RateParams,
     ScaleParams,
     SkewSurgeModel,
@@ -21,9 +26,15 @@ from skewsurge.tail import (
     inv_logit,
     logit,
     mean_excess,
+    param_names,
+    params_to_values,
     rate_at,
     rate_logit,
+    rate_terms,
     scale_at,
+    scale_terms,
+    seasonal_basis,
+    values_to_params,
 )
 
 from conftest import flat_thresholds
@@ -501,23 +512,65 @@ class TestDeltaLambda:
             delta_lambda(r1, 1.0, 1.0, 1, 0.0, "nao", 0.0, 1.0)
 
 
-def test_params_serialization_round_trip():
-    tp = TailParams(
-        rate=RateParams(family="R2", lam=0.04, beta_day=0.02, phi_day=12.0,
+def _params_of(rf, sf):
+    """TailParams of a family pair with every value distinct and nonzero."""
+    def delta(family, values):
+        if family in SEASONAL_FAMILIES:
+            return values
+        return None if family in ("R0", "S0") else values[1]
+    return TailParams(
+        rate=RateParams(family=rf, lam=0.04, beta_day=0.02, phi_day=12.0,
                         alpha_tide=0.3, beta_tide=0.1, phi_tide=300.0,
                         tide_mean=3.2, tide_sd=0.6,
                         month_mean_day=np.linspace(15, 16, 12),
-                        delta=[0.1, 0.2, -0.1, 0.0]),
-        scale=ScaleParams(family="S3", alpha=0.11, beta=0.03, phi=77.0,
-                          gamma=0.015, delta=0.004),
+                        delta=delta(rf, [0.15, 0.25, -0.1, 0.05])),
+        scale=ScaleParams(family=sf, alpha=0.11, beta=0.03, phi=77.0,
+                          gamma=0.015, delta=delta(sf, [0.004, -0.002,
+                                                        0.003, 0.001])),
         xi=0.07,
     )
-    back = TailParams.from_dict(tp.to_dict())
-    assert back.rate.family == "R2" and back.scale.family == "S3"
-    npt.assert_array_equal(back.rate.delta, tp.rate.delta)
-    npt.assert_array_equal(back.rate.month_mean_day, tp.rate.month_mean_day)
-    assert back.scale.delta == tp.scale.delta
+
+
+@pytest.mark.parametrize("rf,sf", list(itertools.product(RATE_FAMILIES,
+                                                         SCALE_FAMILIES)))
+def test_params_serialization_round_trip(rf, sf):
+    tp = _params_of(rf, sf)
+    # the name table and the predictor kernel agree, in order
+    terms = (rate_terms(rf, seasonal_basis(40.0), 40.0, 9, 2, 3.5, tp.rate,
+                        0.5, 0.2)
+             + scale_terms(sf, seasonal_basis(40.0), 40.0, 3.5, 0.5, 0.2))
+    names = param_names(rf, sf)
+    assert [n for term in terms for n in term[0]] + ["xi"] == names
+    values = params_to_values(tp)
+    assert list(values) == names and len(set(values.values())) == len(names)
+    flat = values_to_params(values, rf, sf, tp.rate)
+    back = TailParams.from_dict(json.loads(json.dumps(tp.to_dict())))
+    for got in (flat, back):
+        assert got.rate.family == rf and got.scale.family == sf
+        assert params_to_values(got) == values
+        assert got.to_dict() == tp.to_dict()
+        npt.assert_array_equal(got.rate.month_mean_day,
+                               tp.rate.month_mean_day)
+        for half, want in ((got.rate, tp.rate), (got.scale, tp.scale)):
+            if want.delta is None:
+                assert half.delta is None
+            else:  # a seasonal delta keeps its winter-first order
+                npt.assert_array_equal(half.delta, want.delta)
     assert back.xi == tp.xi
+
+
+@pytest.mark.parametrize("family,delta,count", [
+    *[(family, delta, 4) for family in ("R2", "S2")
+      for delta in ([0.1] * 5, [0.1, 0.2], 0.2)],
+    ("R1", [0.1, 0.2], 1), ("S1", [0.1, 0.2], 1)])
+def test_trend_delta_of_the_wrong_shape_is_rejected(family, delta, count):
+    cls = RateParams if family in RATE_FAMILIES else ScaleParams
+    with pytest.raises(ValueError,
+                       match=f"family {family} takes {count} trend delta"):
+        cls(family=family, delta=delta)
+    unset = cls(family=family)  # allowed, and refused only where it is used
+    with pytest.raises(ValueError, match="has no trend delta set"):
+        unset.values()
 
 
 def test_unknown_family_rejected():
