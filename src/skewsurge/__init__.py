@@ -10,7 +10,7 @@ diagnostics, all reachable from the ``skewsurge`` command line.
 
 __version__ = "0.1.0"
 
-from .body import TideBandedEmpirical, build_empirical, eval_body_cdf
+from .body import TideBandedEmpirical, build_empirical
 from .data import (
     GmtSeries,
     MonthlyThresholds,
@@ -26,7 +26,6 @@ from .data import (
 from .dependence import (
     PairedDailySeries,
     chi_chibar,
-    daily_max_pairs,
     kendall_tau,
     pairwise_reports,
     pit_transform,
@@ -40,7 +39,6 @@ from .fitting import (
     ShapePrior,
     fit_pooled,
     fit_tail,
-    neg_loglik,
     param_names,
 )
 from .returns import (
@@ -58,7 +56,6 @@ from .tail import (
     SkewSurgeModel,
     TailParams,
     delta_lambda,
-    eval_cdf,
     mean_excess,
     rate_at,
     scale_at,
@@ -66,18 +63,18 @@ from .tail import (
 
 __all__ = [
     "__version__",
-    "TideBandedEmpirical", "build_empirical", "eval_body_cdf",
+    "TideBandedEmpirical", "build_empirical",
     "GmtSeries", "MonthlyThresholds", "SiteSeries", "attach_covariates",
     "detrend_msl", "load_gmt", "load_series", "monthly_thresholds",
     "standardize_year", "write_series_csv",
-    "PairedDailySeries", "chi_chibar", "daily_max_pairs", "kendall_tau",
-    "pairwise_reports", "pit_transform",
+    "PairedDailySeries", "chi_chibar", "kendall_tau", "pairwise_reports",
+    "pit_transform",
     "ExiModel", "eval_exi", "fit_exi_curve", "runs_estimate",
     "FitConfig", "FitResult", "PooledFitResult", "PooledSpec", "ShapePrior",
-    "fit_pooled", "fit_tail", "neg_loglik", "param_names",
+    "fit_pooled", "fit_tail", "param_names",
     "ReturnCurve", "Scenario", "TideSampleCalendar", "annual_max_cdf",
     "return_curve", "return_level",
     "SimSpec", "simulate_series",
     "RateParams", "ScaleParams", "SkewSurgeModel", "TailParams",
-    "delta_lambda", "eval_cdf", "mean_excess", "rate_at", "scale_at",
+    "delta_lambda", "mean_excess", "rate_at", "scale_at",
 ]

@@ -33,24 +33,6 @@ class TideBandedEmpirical:
         breaks = self.tide_breaks[month - 1]
         return (tide > breaks[..., 0]).astype(int) + (tide > breaks[..., 1])
 
-    def to_dict(self):
-        return {
-            "band_quantiles": list(BAND_QUANTILES),
-            "tide_breaks": self.tide_breaks.tolist(),
-            "samples": [[band.tolist() for band in m] for m in self.samples],
-            "totals": self.totals.tolist(),
-            "thresholds": self.thresholds.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            tide_breaks=np.asarray(d["tide_breaks"], dtype=float),
-            samples=[[np.asarray(b, dtype=float) for b in m] for m in d["samples"]],
-            totals=np.asarray(d["totals"], dtype=int),
-            thresholds=np.asarray(d["thresholds"], dtype=float),
-        )
-
 
 def build_empirical(series, thresholds):
     """Build the tide-banded empirical body from a series and its thresholds.
@@ -59,23 +41,24 @@ def build_empirical(series, thresholds):
     a cell whose records are all exceedances would leave the body with no
     support there and is also rejected.
     """
-    tide_breaks = np.empty((12, 2))
-    samples = []
-    totals = np.zeros((12, 3), dtype=int)
+    model = TideBandedEmpirical(  # filled in month by month
+        tide_breaks=np.empty((12, 2)), samples=[],
+        totals=np.zeros((12, 3), dtype=int),
+        thresholds=np.asarray(thresholds.values, dtype=float).copy())
     for j in range(1, 13):
         sel = series.month == j
         if not sel.any():
             raise ValueError(f"site {series.site_id}: no records in month {j}")
         tide = series.peak_tide[sel]
         ss = series.skew_surge[sel]
-        tide_breaks[j - 1] = np.quantile(tide, BAND_QUANTILES)
-        band = (tide > tide_breaks[j - 1, 0]).astype(int) + (tide > tide_breaks[j - 1, 1])
+        model.tide_breaks[j - 1] = np.quantile(tide, BAND_QUANTILES)
+        band = model.band_index(j, tide)
         u = thresholds.values[j - 1]
         month_samples = []
         for b in range(3):
             in_band = band == b
-            totals[j - 1, b] = int(in_band.sum())
-            if totals[j - 1, b] == 0:
+            model.totals[j - 1, b] = int(in_band.sum())
+            if model.totals[j - 1, b] == 0:
                 raise ValueError(
                     f"site {series.site_id}: month {j} tide band {b} is empty"
                 )
@@ -86,13 +69,8 @@ def build_empirical(series, thresholds):
                     "below-threshold records"
                 )
             month_samples.append(kept)
-        samples.append(month_samples)
-    return TideBandedEmpirical(
-        tide_breaks=tide_breaks,
-        samples=samples,
-        totals=totals,
-        thresholds=np.asarray(thresholds.values, dtype=float).copy(),
-    )
+        model.samples.append(month_samples)
+    return model
 
 
 def cell_cdf(model, month, tide):

@@ -325,6 +325,10 @@ def _load_sites(cfg):
     if not cfg.gauge_csv:
         raise ValueError("config is missing inputs.gauge_csv")
     all_series = load_series(cfg.gauge_csv)
+    for site in cfg.detrend_rates:
+        if site not in all_series:
+            raise ValueError(f"config detrend.rates_mm_per_year.{site}: site "
+                             f"{site!r} not present in {cfg.gauge_csv}")
     gmt = load_gmt(cfg.gmt_csv) if cfg.gmt_csv else None
     wanted = cfg.sites or sorted(all_series)
     out = {}
@@ -338,7 +342,7 @@ def _load_sites(cfg):
                 series, _read(f"detrend.rates_mm_per_year.{site}", float, rate),
                 cfg.detrend_reference_year)
         out[site] = attach_covariates(series, gmt=gmt)
-    return out, gmt
+    return out
 
 
 def _stamp(meta):
@@ -405,7 +409,7 @@ def _fit_model(series, cfg, fit_cfg):
 
 
 def _cmd_ingest(cfg, out, meta):
-    series_map, _ = _load_sites(cfg)
+    series_map = _load_sites(cfg)
     summary = {"sites": {}}
     for site, series in series_map.items():
         thresholds = monthly_thresholds(series, cfg.threshold_percentile)
@@ -421,7 +425,7 @@ def _cmd_ingest(cfg, out, meta):
 
 def _cmd_fit(cfg, out, meta):
     fit_cfg = _fit_config(cfg)
-    series_map, _ = _load_sites(cfg)
+    series_map = _load_sites(cfg)
     for site, series in series_map.items():
         fit, thresholds = _fit_one(series, cfg, fit_cfg)
         doc = fit.to_dict()
@@ -437,7 +441,7 @@ def _cmd_fit(cfg, out, meta):
 def _cmd_select(cfg, out, meta):
     rfs, sfs = cfg.select_families()
     fit_cfg = _fit_config(cfg, rate_family=rfs[0], scale_family=sfs[0])
-    series_map, _ = _load_sites(cfg)
+    series_map = _load_sites(cfg)
     for site, series in series_map.items():
         thresholds = monthly_thresholds(series, cfg.threshold_percentile)
         fits = fit_grid(series, fit_cfg, rfs, sfs, thresholds=thresholds)
@@ -478,7 +482,7 @@ def _exi_model(series, cfg):
 
 
 def _cmd_exi(cfg, out, meta):
-    series_map, _ = _load_sites(cfg)
+    series_map = _load_sites(cfg)
     for site, series in series_map.items():
         model = _exi_model(series, cfg)
         _write_json(out / f"exi_{site}.json", {"site_id": site,
@@ -496,7 +500,7 @@ def _cmd_exi(cfg, out, meta):
 
 def _cmd_rl(cfg, out, meta):
     scenario, fit_cfg = _scenario(cfg), _fit_config(cfg)
-    series_map, _ = _load_sites(cfg)
+    series_map = _load_sites(cfg)
     for site, series in series_map.items():
         fit, model = _fit_model(series, cfg, fit_cfg)
         exi_model = _exi_model(series, cfg)
@@ -520,7 +524,7 @@ def _cmd_rl(cfg, out, meta):
 
 def _cmd_dep(cfg, out, meta):
     dep, fit_cfg = _section(cfg.dependence, "dependence"), _fit_config(cfg)
-    series_map, _ = _load_sites(cfg)
+    series_map = _load_sites(cfg)
     if len(series_map) < 2:
         raise ValueError("dependence needs at least two sites")
     models = None
@@ -540,7 +544,7 @@ def _cmd_dep(cfg, out, meta):
 
 def _cmd_pool(cfg, out, meta):
     fit_cfg = _fit_config(cfg)
-    series_map, _ = _load_sites(cfg)
+    series_map = _load_sites(cfg)
     if len(series_map) < 2:
         raise ValueError("pooling needs at least two sites")
     if not cfg.pooling_shared:

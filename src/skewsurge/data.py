@@ -59,11 +59,9 @@ def season_of_day(d):
     return SEASON_INDEX_OF_MONTH[month_of_day(d)]
 
 
-def standardize_year(year, mid_year=1968, half_range=53):
-    """Map calendar year onto a dimensionless index (year - mid) / half_range."""
-    if half_range <= 0:
-        raise ValueError("half_range must be positive")
-    return (np.asarray(year, dtype=float) - mid_year) / half_range
+def standardize_year(year):
+    """Map calendar year onto the fixed index (year - 1968) / 53."""
+    return (np.asarray(year, dtype=float) - 1968) / 53
 
 
 def _march_tables():
@@ -188,13 +186,6 @@ class MonthlyThresholds:
     def for_month(self, month):
         """Threshold for month (1..12); accepts arrays."""
         return self.values[np.asarray(month) - 1]
-
-    def to_dict(self):
-        return {"percentile": self.percentile, "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(values=np.asarray(d["values"]), percentile=d["percentile"])
 
 
 def _utc_stamps(text):
@@ -703,7 +694,7 @@ def standardizers(peak_tide, month, day_of_month):
     return Standardizers(float(peak_tide.mean()), tide_sd, month_mean_day)
 
 
-def attach_covariates(series, gmt=None, mid_year=1968, half_range=53):
+def attach_covariates(series, gmt=None):
     """Fill in covariate columns on a copy of the series.
 
     Adds the standardized year index and (when a GMT series is given) the
@@ -714,6 +705,6 @@ def attach_covariates(series, gmt=None, mid_year=1968, half_range=53):
     _tide_sd(series.peak_tide)
     return replace(
         series,
-        year_std=standardize_year(series.year, mid_year, half_range),
+        year_std=standardize_year(series.year),
         gmt=None if gmt is None else np.atleast_1d(gmt.anomaly_for(series.year)),
     )

@@ -198,15 +198,11 @@ def exi_at_level(model, tide):
     return theta
 
 
-def eval_exi(model, y, run_length=None):
-    """theta(y, r): empirical interpolation below v, fitted curve above.
+def eval_exi(model, y):
+    """theta(y): empirical interpolation below v, fitted curve above.
 
     The two branches agree at v by construction. Output clipped to [0, 1];
     broadcasts over y.
     """
-    if run_length is not None and run_length != model.run_length:
-        raise ValueError(
-            f"model was fitted for run length {model.run_length}, got {run_length}"
-        )
     out = exi_curve(model)(y)
     return out if out.ndim else float(out)

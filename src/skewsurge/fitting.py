@@ -341,26 +341,25 @@ def _size(slots):
 def _layout(terms, shared, n_sites):
     """Global coefficient layout of a block design over sites.
 
-    A shared term (every term when ``shared`` is None) takes one slot,
-    labelled with its parameter names; any other term takes one slot per
-    site, labelled "<name>@<site index>". Returns the slots as (start,
-    names, labels) and, per site, the global index of each local
-    coefficient.
+    A shared term (every term when ``shared`` is None) takes one slot;
+    any other term takes one slot per site. Returns the slots as (start,
+    names, site index, or None for a shared slot) and, per site, the
+    global index of each local coefficient.
     """
     slots, where = [], [[] for _ in range(n_sites)]
 
-    def add(names, labels):
+    def add(names, site):
         start = _size(slots)
-        slots.append((start, names, labels))
+        slots.append((start, names, site))
         return start
 
-    starts = {names: add(names, list(names)) for names in terms
+    starts = {names: add(names, None) for names in terms
               if shared is None or names[0] in shared}
     for i in range(n_sites):
         for names in terms:
             start = starts.get(names)
             if start is None:
-                start = add(names, [f"{n}@{i}" for n in names])
+                start = add(names, i)
             where[i].extend(range(start, start + len(names)))
     return slots, [np.array(w, dtype=int) for w in where]
 
@@ -562,12 +561,11 @@ def _start(half):
     scale at the mean excess.
     """
     x = np.zeros(_size(half.slots))
-    for start, names, labels in half.slots:
+    for start, names, site in half.slots:
         if names not in (("lam",), ("alpha_sigma",)):
             continue
-        _, _, site = labels[0].partition("@")
-        datas = [b.data for b in ([half.blocks[int(site)]] if site
-                                  else half.blocks)]
+        datas = [b.data for b in (half.blocks if site is None
+                                  else [half.blocks[site]])]
         if half.gpd:
             x[start] = np.concatenate([d.excess for d in datas]).mean()
         else:
@@ -597,16 +595,19 @@ class _HalfFit:
 
     Per site, ``values`` holds the half's parameter values (frozen ones
     included) and ``nll`` its negative log-likelihood without the shape
-    penalty, which ``penalty`` sums. In slot-label order, ``grad`` is the
-    objective's gradient in the parameter values and ``se`` and ``ci``
-    the Wald standard errors and intervals, None when the half's
-    information block is not positive definite.
+    penalty, which ``penalty`` sums. ``names`` are the free parameters in
+    a site's local order, and ``at`` holds, per site, the global index of
+    each. In global order, ``grad`` is the objective's gradient in the
+    parameter values and ``se`` and ``ci`` the Wald standard errors and
+    intervals, None when the half's information block is not positive
+    definite.
     """
 
     values: list
     nll: list
     penalty: float
-    labels: list
+    names: list
+    at: list
     grad: np.ndarray
     se: np.ndarray | None
     ci: np.ndarray | None
@@ -637,13 +638,12 @@ def _fit_half(half):
     if not half.gpd:
         _check_separation(half, x)
     jac = np.zeros((n, n))
-    labels, values = [], []
-    for start, names, slot_labels in half.slots:
+    values = []
+    for start, names, _ in half.slots:
         vals = _term_values(names, x[start:start + len(names)])
         jac[start:start + len(names), start:start + len(names)] = \
             _term_jacobian(names, vals)
         values += [vals[name] for name in names]
-        labels += slot_labels
     se, ci, _ = wald_intervals(jac.T @ hess @ jac, values)
     site_values = [_block_values(half, x[b.at]) for b in half.blocks]
     return _HalfFit(
@@ -652,7 +652,8 @@ def _fit_half(half):
         penalty=sum(b.prior.neg_log_density(v["xi"])
                     for b, v in zip(half.blocks, site_values)
                     if b.prior is not None),
-        labels=labels,
+        names=[name for names in half.terms for name in names],
+        at=[b.at for b in half.blocks],
         grad=np.abs(jac.T @ grad),
         se=se,
         ci=ci,
@@ -661,24 +662,23 @@ def _fit_half(half):
     )
 
 
-def _site_result(data, rate, gpd, i, config, labels, penalty=0.0):
+def _site_result(data, rate, gpd, i, config, penalty=0.0):
     """FitResult of site i from its rate half and its GPD half.
 
-    ``labels`` maps each free parameter to its slot label. The
-    log-likelihood is the two halves' at site i, less ``penalty``. The
-    information matrix is block diagonal, so it is usable when both
+    The log-likelihood is the two halves' at site i, less ``penalty``.
+    The information matrix is block diagonal, so it is usable when both
     blocks are; the gradient is then measured in se units.
     """
     rf, sf = config.rate_family, config.scale_family
     values = {**rate.values[i], **gpd.values[i]}
+    names = rate.names + gpd.names
     loglik = -(rate.nll[i] + gpd.nll[i] + penalty)
     ok = rate.se is not None and gpd.se is not None
     grad = np.concatenate([rate.grad, gpd.grad])
     if ok:
-        se = np.concatenate([rate.se, gpd.se])
-        ci = np.concatenate([rate.ci, gpd.ci])
-        at = {s: j for j, s in enumerate(rate.labels + gpd.labels)}
-        grad = grad * se
+        grad = grad * np.concatenate([rate.se, gpd.se])
+        se = np.concatenate([rate.se[rate.at[i]], gpd.se[gpd.at[i]]])
+        ci = np.concatenate([rate.ci[rate.at[i]], gpd.ci[gpd.at[i]]])
     max_grad = float(grad.max(initial=0.0))
     converged = max_grad < 1e-3 and gpd.edge is None
     if gpd.edge is not None:
@@ -687,12 +687,12 @@ def _site_result(data, rate, gpd, i, config, labels, penalty=0.0):
         message = f"max scaled gradient {max_grad:.2e} above 1e-3"
     else:
         message = "ok"
-    k = len(labels)
+    k = len(names)
     return FitResult(
         site_id=data.series.site_id,
         rate_family=rf,
         scale_family=sf,
-        estimates={n: float(values[n]) for n in labels},
+        estimates={n: float(values[n]) for n in names},
         params=values_to_params(values, rf, sf, data.std),
         loglik=loglik,
         n_obs=data.n,
@@ -700,10 +700,9 @@ def _site_result(data, rate, gpd, i, config, labels, penalty=0.0):
         n_params=k,
         aic=2.0 * k - 2.0 * loglik,
         bic=k * math.log(data.n) - 2.0 * loglik,
-        std_errors={n: float(se[at[s]]) for n, s in labels.items()}
-        if ok else None,
-        conf_intervals={n: (float(ci[at[s], 0]), float(ci[at[s], 1]))
-                        for n, s in labels.items()} if ok else None,
+        std_errors={n: float(e) for n, e in zip(names, se)} if ok else None,
+        conf_intervals={n: (float(lo), float(hi))
+                        for n, (lo, hi) in zip(names, ci)} if ok else None,
         converged=converged,
         hessian_ok=ok,
         n_iter=rate.n_iter + gpd.n_iter,
@@ -726,23 +725,23 @@ def fit_grid(series, config, rate_families, scale_families, thresholds=None):
     """
     if thresholds is None:
         thresholds = monthly_thresholds(series)
+    return _grid(_site_data(series, thresholds), config, rate_families,
+                 scale_families)
+
+
+def _grid(data, config, rate_families, scale_families):
+    """:func:`fit_grid` on a site prepared by :func:`_site_data`."""
     configs = {(rf, sf): replace(config, rate_family=rf, scale_family=sf)
                for rf in rate_families for sf in scale_families}
-    free = {pair: [n for n in param_names(*pair) if n not in config.frozen]
-            for pair in configs}
-    if not all(free.values()):
+    if any(set(param_names(*pair)) <= set(config.frozen) for pair in configs):
         raise ValueError("every parameter is frozen; nothing to fit")
-    data = _site_data(series, thresholds)
     rates = {rf: _fit_half(_half([data], rf, config))
              for rf in dict.fromkeys(rate_families)}
     gpds = {sf: _fit_half(_half([data], sf, config))
             for sf in dict.fromkeys(scale_families)}
-    return {
-        (rf, sf): _site_result(data, rates[rf], gpds[sf], 0, cfg,
-                               {n: n for n in free[rf, sf]},
-                               gpds[sf].penalty)
-        for (rf, sf), cfg in configs.items()
-    }
+    return {(rf, sf): _site_result(data, rates[rf], gpds[sf], 0, cfg,
+                                   gpds[sf].penalty)
+            for (rf, sf), cfg in configs.items()}
 
 
 def fit_tail(series, config, thresholds=None):
@@ -825,22 +824,19 @@ def fit_pooled(spec, config):
     if missing:
         raise ValueError(f"shared names not free in family {rf}/{sf}: {missing}")
     _check_pairs(spec.shared, "shared")
-    pairs = [(series, thr if thr is not None else monthly_thresholds(series))
+    datas = [_site_data(series, thr if thr is not None
+                        else monthly_thresholds(series))
              for series, thr in datasets]
-    singles = [fit_tail(series, config, thresholds=thr) for series, thr in pairs]
-    datas = [_site_data(series, thr) for series, thr in pairs]
+    singles = [_grid(data, config, [rf], [sf])[rf, sf] for data in datas]
     rate = _fit_half(_half(datas, rf, config, set(spec.shared)))
     gpd = _fit_half(_half(datas, sf, config, set(spec.shared)))
-    site_results = [
-        _site_result(data, rate, gpd, i, config,
-                     {n: n if n in spec.shared else f"{n}@{i}" for n in names})
-        for i, data in enumerate(datas)
-    ]
+    site_results = [_site_result(data, rate, gpd, i, config)
+                    for i, data in enumerate(datas)]
     shared = [n for n in names if n in spec.shared]
     first = site_results[0]
     loglik = sum(r.loglik for r in site_results) - gpd.penalty
     n_total = sum(data.n for data in datas)
-    k_global = len(rate.labels) + len(gpd.labels)
+    k_global = rate.grad.size + gpd.grad.size
     return PooledFitResult(
         shared_names=shared,
         shared_estimates={n: first.estimates[n] for n in shared},

@@ -121,9 +121,6 @@ class TideSampleCalendar:
     def n_years(self):
         return len(self.years)
 
-    def cycles_per_year(self):
-        return np.bincount(self.year_index, minlength=self.n_years)
-
 
 def _annual_max(model, calendar, exi_model, scenario):
     """z -> P(annual maximum > z), with everything that does not depend on

@@ -44,21 +44,15 @@ class SimSpec:
     site_id: str = "SIM"
     tide_mean: float = 3.0
     tide_amp: float = 1.0
-    tide_period_days: float = SPRING_NEAP_DAYS
-    cycle_minutes: float = CYCLE_MINUTES
     body_mean: float = 0.0
     body_sd: float = 0.1
-    mid_year: int = 1968
-    half_range: float = 53.0
     gmt: GmtSeries | None = None
 
     def __post_init__(self):
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
-        if self.tide_amp < 0 or self.tide_period_days <= 0:
-            raise ValueError("bad tide settings")
-        if self.cycle_minutes <= 0:
-            raise ValueError("cycle_minutes must be positive")
+        if self.tide_amp < 0:
+            raise ValueError("tide_amp must be nonnegative")
         if self.body_sd <= 0:
             raise ValueError("body_sd must be positive")
         if isinstance(self.thresholds, (int, float)):
@@ -78,12 +72,12 @@ def simulate_series(spec, seed):
     from scipy.special import ndtr, ndtri  # here: scipy is slow to import
 
     n = spec.n_cycles
-    step = np.timedelta64(int(round(spec.cycle_minutes * 60)), "s")
+    step = np.timedelta64(int(round(CYCLE_MINUTES * 60)), "s")
     t0 = np.datetime64(spec.start, "s")
     timestamps = t0 + step * np.arange(n)
-    t_days = (spec.cycle_minutes / (60.0 * 24.0)) * np.arange(n)
+    t_days = (CYCLE_MINUTES / (60.0 * 24.0)) * np.arange(n)
     tide = spec.tide_mean + spec.tide_amp * np.cos(
-        2.0 * np.pi * t_days / spec.tide_period_days
+        2.0 * np.pi * t_days / SPRING_NEAP_DAYS
     )
 
     year, month, day_of_month, day_of_year = calendar_columns(timestamps)
@@ -107,8 +101,6 @@ def simulate_series(spec, seed):
             day_of_year=day_of_year,
         ),
         gmt=spec.gmt if needs_gmt else None,
-        mid_year=spec.mid_year,
-        half_range=spec.half_range,
     )
     rate_eff = replace(spec.params.rate,
                        **standardizers(tide, month, day_of_month)._asdict())

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from skewsurge.body import TideBandedEmpirical, build_empirical, eval_body_cdf
+from skewsurge.body import build_empirical, eval_body_cdf
 from skewsurge.data import monthly_thresholds
 
 from conftest import columns_series, flat_thresholds
@@ -142,16 +142,3 @@ class TestEval:
             emp.band_index(1, [q33, q33 + 1e-12, q67, q67 + 1e-12]),
             [0, 1, 1, 2],
         )
-
-
-def test_serialization_round_trip(sim_r0):
-    series, _, thresholds = sim_r0
-    emp = build_empirical(series, thresholds)
-    back = TideBandedEmpirical.from_dict(emp.to_dict())
-    npt.assert_array_equal(back.tide_breaks, emp.tide_breaks)
-    npt.assert_array_equal(back.totals, emp.totals)
-    npt.assert_array_equal(back.thresholds, emp.thresholds)
-    y = np.linspace(-0.2, 0.25, 50)
-    npt.assert_array_equal(
-        eval_body_cdf(back, y, 6, 3.0), eval_body_cdf(emp, y, 6, 3.0)
-    )

@@ -334,6 +334,28 @@ class TestIngest:
         assert "NOPE" in capsys.readouterr().err
 
 
+    def test_detrend_rate_for_a_site_not_in_the_file_fails(
+            self, tmp_path, base_doc, capsys):
+        base_doc["detrend"] = {"rates_mm_per_year": {"SIM": 1.5, "SMI": 1.5}}
+        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
+        out = tmp_path / "o"
+        assert main(["ingest", "--config", cfg, "--out", str(out)]) == 1
+        assert "detrend.rates_mm_per_year.SMI" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_detrend_rate_for_a_site_left_out_is_allowed(self, tmp_path,
+                                                          base_doc):
+        base_doc.pop("sites")
+        base_doc["detrend"] = {"rates_mm_per_year": {"SIM": 1.5, "SIM2": 2.0}}
+        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
+        out = tmp_path / "o"
+        assert main(["ingest", "--config", cfg, "--site", "SIM",
+                     "--out", str(out)]) == 0
+        sites = json.loads((out / "ingest.json").read_text())["sites"]
+        assert list(sites) == ["SIM"]
+        assert sites["SIM"]["detrend_mm_per_year"] == 1.5
+
+
 class TestFit:
     def test_fit_artifact(self, tmp_path, base_doc):
         cfg = _write_yaml(tmp_path / "c.yaml", base_doc)

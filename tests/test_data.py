@@ -864,10 +864,6 @@ class TestStandardizeYear:
         out = standardize_year(years)
         assert (np.diff(out) > 0).all()
 
-    def test_bad_half_range(self):
-        with pytest.raises(ValueError):
-            standardize_year(2000, half_range=0)
-
 
 class TestCalendar:
     def test_feb29_maps_to_day_59(self):

@@ -192,10 +192,6 @@ class TestEvalExi:
         assert got == eval_exi(model, np.array([y, 2.0]))[0]
         assert got == eval_exi(model, np.array(y))
 
-    def test_run_length_mismatch_errors(self, model):
-        with pytest.raises(ValueError, match="run length"):
-            eval_exi(model, 1.5, run_length=2)
-
 
 def test_exi_serialization_round_trip():
     levels = np.linspace(1.0, 2.0, 8)

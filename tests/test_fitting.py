@@ -554,6 +554,18 @@ class TestPooling:
             pooled.loglik,
             sum(r.loglik for r in pooled.site_results) - penalty, rtol=1e-12)
 
+    def test_each_site_is_prepared_once(self, sim_r1_pool, monkeypatch):
+        # the untied single-site fits reuse the joint fit's prepared sites
+        series, thr = sim_r1_pool
+        calls = []
+        prepare = fitting._prepare
+        monkeypatch.setattr(fitting, "_prepare",
+                            lambda *args: calls.append(1) or prepare(*args))
+        fit_pooled(PooledSpec(datasets=[(series, thr), (series, thr)],
+                              shared=["delta_rate"]),
+                   FitConfig(**self.CFG))
+        assert len(calls) == 2
+
     def test_shared_name_must_exist_in_family(self, sim_r1_pool):
         series, thr = sim_r1_pool
         cfg = FitConfig(rate_family="R0", scale_family="S0",

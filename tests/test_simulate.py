@@ -14,7 +14,8 @@ from scipy.stats import genpareto, kstest
 
 import skewsurge
 from skewsurge.data import GmtSeries, load_series, write_series_csv
-from skewsurge.simulate import SimSpec, simulate_series
+from skewsurge.simulate import (CYCLE_MINUTES, SPRING_NEAP_DAYS, SimSpec,
+                                simulate_series)
 from skewsurge.tail import RateParams, ScaleParams, TailParams
 
 from conftest import R0_TRUTH
@@ -83,8 +84,8 @@ def test_excess_distribution_matches_gpd():
 def test_tide_follows_spring_neap_cosine():
     spec = _spec(tide_mean=3.0, tide_amp=0.8)
     series, _ = simulate_series(spec, seed=1)
-    t_days = (spec.cycle_minutes / 1440.0) * np.arange(spec.n_cycles)
-    expect = 3.0 + 0.8 * np.cos(2 * np.pi * t_days / spec.tide_period_days)
+    t_days = (CYCLE_MINUTES / 1440.0) * np.arange(spec.n_cycles)
+    expect = 3.0 + 0.8 * np.cos(2 * np.pi * t_days / SPRING_NEAP_DAYS)
     npt.assert_allclose(series.peak_tide, expect)
 
 
@@ -138,10 +139,6 @@ def test_invalid_spec_rejected():
         _spec(n_cycles=0)
     with pytest.raises(ValueError):
         _spec(body_sd=0.0)
-    with pytest.raises(ValueError):
-        _spec(cycle_minutes=-1.0)
-    with pytest.raises(ValueError):
-        _spec(tide_period_days=0.0)
 
 
 def test_scalar_threshold_coerced_to_monthly():
