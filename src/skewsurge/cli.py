@@ -26,7 +26,7 @@ Config schema (all sections optional unless a subcommand needs them)::
     detrend:
       reference_year: 2017
       rates_mm_per_year: {newlyn: 1.52}
-    threshold_percentile: 0.95       # in (0.5, 1)
+    threshold_percentile: 0.95       # in (0.5, 1): u_j of ingest and every fit
     rate_family: R1                  # fit/rl/dep/pool
     scale_family: S0
     select:                          # default: every family, less
@@ -35,7 +35,7 @@ Config schema (all sections optional unless a subcommand needs them)::
     fit:
       shape_prior: {mean: 0.0119, variance: 0.0343}  # or true; default off
       frozen: {beta_day: 0.0, phi_day: 0.0}   # amplitude and phase together
-    run_length: 4
+    run_length: 4                    # only the extremal index of exi/rl
     exi:
       v_quantile: 0.99
       n_levels: 30    # equally spaced in probability from 0.95 to 0.999
@@ -47,7 +47,7 @@ Config schema (all sections optional unless a subcommand needs them)::
       p: 0.05
       lags: [-1, 0, 1]
       uniform: true
-    pooling:
+    pooling:                         # fitted at threshold_percentile
       shared: [delta_rate]
     simulate:         # params unset: 0, but lam 0.05 and alpha_sigma 0.1
       site_id: SIM
@@ -174,7 +174,7 @@ _KEYS = {
                  "tide_mean": float, "tide_amp": float, "body_mean": float,
                  "body_sd": float, "params": _mapping,
                  "threshold": lambda v: MonthlyThresholds(  # one, or 12
-                     np.full(12, np.asarray(v, float)), percentile=None)},
+                     np.full(12, np.asarray(v, float)))},
     "simulate.params": {
         "rate_family": _RATE, "scale_family": _SCALE,
         **dict.fromkeys(_SIM_DEFAULTS, float),
@@ -316,8 +316,7 @@ def _fit_config(cfg, **overrides):
         opts["shape_prior"] = ShapePrior(**_section(
             {} if prior is True else prior, "fit.shape_prior"))
     return FitConfig(**{"rate_family": cfg.rate_family,
-                        "scale_family": cfg.scale_family,
-                        "run_length": cfg.run_length, **opts, **overrides})
+                        "scale_family": cfg.scale_family, **opts, **overrides})
 
 
 def _load_sites(cfg):
@@ -549,8 +548,10 @@ def _cmd_pool(cfg, out, meta):
         raise ValueError("pooling needs at least two sites")
     if not cfg.pooling_shared:
         raise ValueError("config is missing pooling.shared")
-    spec = PooledSpec(datasets=[series_map[s] for s in sorted(series_map)],
-                      shared=list(cfg.pooling_shared))
+    spec = PooledSpec(
+        datasets=[(s, monthly_thresholds(s, cfg.threshold_percentile))
+                  for _, s in sorted(series_map.items())],
+        shared=list(cfg.pooling_shared))
     result = fit_pooled(spec, fit_cfg)
     _write_json(out / "pool.json", result.to_dict(), meta)
     return 0

@@ -118,8 +118,6 @@ class SiteSeries:
     month: np.ndarray
     day_of_month: np.ndarray
     day_of_year: np.ndarray
-    msl_trend_rate: float | None = None  # mm/year already removed
-    reference_year: int | None = None
     year_std: np.ndarray | None = None
     gmt: np.ndarray | None = None
 
@@ -176,7 +174,6 @@ class MonthlyThresholds:
     """Per-month skew-surge thresholds u_j (metres), j = 1..12."""
 
     values: np.ndarray  # shape (12,)
-    percentile: float = 0.95
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -612,8 +609,6 @@ def detrend_msl(series, rate_mm_per_year, reference_year):
         series,
         max_sea_level=series.max_sea_level - adj,
         skew_surge=series.skew_surge - adj,
-        msl_trend_rate=(series.msl_trend_rate or 0.0) + rate_mm_per_year,
-        reference_year=reference_year,
         year_std=None,
         gmt=None,
     )
@@ -658,7 +653,7 @@ def monthly_thresholds(series, percentile=0.95):
                 "need >= 30 for a threshold"
             )
         values[j - 1] = _quantile(ss, percentile)
-    return MonthlyThresholds(values=values, percentile=percentile)
+    return MonthlyThresholds(values=values)
 
 
 class Standardizers(NamedTuple):

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Standardizers, monthly_thresholds, standardizers
+from .data import Standardizers, standardizers
 from .tail import (
     RATE_FAMILIES,
     SCALE_FAMILIES,
@@ -102,17 +102,15 @@ def _check_pairs(names, what):
 
 @dataclass
 class FitConfig:
-    """Fitting options: families, shape prior, frozen values, run length.
+    """Fitting options: families, shape prior, frozen values.
 
     ``frozen`` maps parameter names to fixed values that enter the fit as
     offsets; a harmonic's amplitude and phase are frozen together.
-    ``run_length`` is carried along for reporting only.
     """
 
     rate_family: str = "R0"
     scale_family: str = "S0"
     shape_prior: ShapePrior | None = None
-    run_length: int = 4
     frozen: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -154,7 +152,6 @@ class FitResult:
     n_iter: int
     max_scaled_gradient: float
     frozen: dict
-    run_length: int
     message: str
 
     def to_dict(self):
@@ -708,23 +705,20 @@ def _site_result(data, rate, gpd, i, config, penalty=0.0):
         n_iter=rate.n_iter + gpd.n_iter,
         max_scaled_gradient=max_grad,
         frozen=dict(config.frozen),
-        run_length=config.run_length,
         message=message,
     )
 
 
-def fit_grid(series, config, rate_families, scale_families, thresholds=None):
+def fit_grid(series, config, rate_families, scale_families, thresholds):
     """Fit every (rate family, scale family) pair of a grid on one site.
 
     Returns {(rate family, scale family): FitResult}. The two halves of
     the model share no parameter, so each listed family's half is solved
     once and a pair's fit joins its two halves: |R| + |S| Newton solves
-    for |R| x |S| fits. ``config`` gives the shape prior, the frozen
-    values and the run length; each pair is checked with it as a
-    FitConfig of that pair.
+    for |R| x |S| fits. ``config`` gives the shape prior and the frozen
+    values; each pair is checked with it as a FitConfig of that pair.
+    ``thresholds`` are the MonthlyThresholds that define the exceedances.
     """
-    if thresholds is None:
-        thresholds = monthly_thresholds(series)
     return _grid(_site_data(series, thresholds), config, rate_families,
                  scale_families)
 
@@ -744,7 +738,7 @@ def _grid(data, config, rate_families, scale_families):
             for (rf, sf), cfg in configs.items()}
 
 
-def fit_tail(series, config, thresholds=None):
+def fit_tail(series, config, thresholds):
     """Fit the tail model by (penalized) maximum likelihood.
 
     The rate coefficients come from a Newton/IRLS solve of the logistic
@@ -765,16 +759,11 @@ def fit_tail(series, config, thresholds=None):
 class PooledSpec:
     """Datasets to fit jointly and the parameter names tied across them.
 
-    ``datasets`` is a list of SiteSeries or (SiteSeries, MonthlyThresholds)
-    pairs; thresholds are computed per site when omitted.
+    ``datasets`` is a list of (SiteSeries, MonthlyThresholds) pairs.
     """
 
     datasets: list
     shared: list
-
-    def normalized(self):
-        return [item if isinstance(item, tuple) else (item, None)
-                for item in self.datasets]
 
 
 @dataclass
@@ -815,8 +804,7 @@ def fit_pooled(spec, config):
     objective. Site results carry the joint fit's iteration count and
     convergence.
     """
-    datasets = spec.normalized()
-    if not datasets:
+    if not spec.datasets:
         raise ValueError("PooledSpec has no datasets")
     rf, sf = config.rate_family, config.scale_family
     names = [n for n in param_names(rf, sf) if n not in config.frozen]
@@ -824,9 +812,7 @@ def fit_pooled(spec, config):
     if missing:
         raise ValueError(f"shared names not free in family {rf}/{sf}: {missing}")
     _check_pairs(spec.shared, "shared")
-    datas = [_site_data(series, thr if thr is not None
-                        else monthly_thresholds(series))
-             for series, thr in datasets]
+    datas = [_site_data(series, thr) for series, thr in spec.datasets]
     singles = [_grid(data, config, [rf], [sf])[rf, sf] for data in datas]
     rate = _fit_half(_half(datas, rf, config, set(spec.shared)))
     gpd = _fit_half(_half(datas, sf, config, set(spec.shared)))

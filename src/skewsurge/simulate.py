@@ -57,8 +57,7 @@ class SimSpec:
             raise ValueError("body_sd must be positive")
         if isinstance(self.thresholds, (int, float)):
             self.thresholds = MonthlyThresholds(
-                values=np.full(12, float(self.thresholds)), percentile=None
-            )
+                np.full(12, float(self.thresholds)))
 
 
 def simulate_series(spec, seed):

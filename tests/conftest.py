@@ -56,6 +56,5 @@ def columns_series(month, tide, surge, site_id="T"):
     )
 
 
-def flat_thresholds(u, percentile=0.95):
-    return MonthlyThresholds(values=np.full(12, float(u)),
-                             percentile=percentile)
+def flat_thresholds(u):
+    return MonthlyThresholds(values=np.full(12, float(u)))

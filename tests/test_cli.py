@@ -18,7 +18,9 @@ import yaml
 from skewsurge import SimSpec, __version__, simulate_series
 from skewsurge import cli
 from skewsurge.cli import RunConfig, main
-from skewsurge.data import write_series_csv
+from skewsurge.data import (attach_covariates, load_series,
+                            monthly_thresholds, write_series_csv)
+from skewsurge.fitting import FitConfig, ShapePrior, fit_tail
 from skewsurge.tail import (
     RATE_FAMILIES,
     SCALE_FAMILIES,
@@ -397,6 +399,24 @@ class TestFit:
         doc = json.loads((out / "fit_SIM_R0S0.json").read_text())
         assert doc["threshold_percentile"] == 0.94
 
+    @pytest.mark.parametrize("prior, expected", [
+        (True, ShapePrior()),
+        ({"mean": 0.1, "variance": 0.01}, ShapePrior(0.1, 0.01)),
+    ], ids=["default", "mapping"])
+    def test_shape_prior_reaches_the_fit(self, tmp_path, base_doc, gauges,
+                                         prior, expected):
+        base_doc["fit"]["shape_prior"] = prior
+        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "fit_SIM_R0S0.json").read_text())
+        series = attach_covariates(load_series(gauges)["SIM"])
+        fit = fit_tail(series, FitConfig(frozen=FIT_SECTION["frozen"],
+                                         shape_prior=expected),
+                       monthly_thresholds(series, 0.95))
+        assert (doc["loglik"], doc["estimates"]) == (fit.loglik,
+                                                     fit.estimates)
+
 
 class TestSelect:
     def test_score_table(self, tmp_path, base_doc):
@@ -612,6 +632,28 @@ class TestPool:
         assert "xi" in doc["shared_estimates"]
         total = sum(r["loglik"] for r in doc["site_results"])
         np.testing.assert_allclose(doc["loglik"], total, atol=1e-6)
+
+    def test_percentile_sets_each_site_thresholds(self, tmp_path, base_doc):
+        # pool fits each site at the thresholds fit uses for it
+        base_doc["sites"] = ["SIM", "SIM2"]
+        base_doc["pooling"] = {"shared": ["xi"]}
+        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
+
+        def n_exceed(subcommand, percentile):
+            out = tmp_path / f"{subcommand}_{percentile}"
+            assert main([subcommand, "--config", cfg, "--out", str(out),
+                         "--percentile", percentile]) == 0
+            if subcommand == "pool":
+                doc = json.loads((out / "pool.json").read_text())
+                return {r["site_id"]: r["n_exceed"]
+                        for r in doc["site_results"]}
+            return {site: json.loads((out / f"fit_{site}_R0S0.json")
+                                     .read_text())["n_exceed"]
+                    for site in base_doc["sites"]}
+
+        pooled = n_exceed("pool", "0.9")
+        assert pooled == n_exceed("fit", "0.9")
+        assert pooled != n_exceed("pool", "0.95")
 
     def test_missing_shared_list(self, tmp_path, base_doc, capsys):
         base_doc["sites"] = ["SIM", "SIM2"]

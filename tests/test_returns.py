@@ -310,6 +310,17 @@ class TestSolver:
         assert return_level(1e-3, bounded, cal) \
             < return_level(1e-3, model, cal)
 
+    def test_target_beyond_the_bracket_is_an_error(self):
+        # sigma = 0.5 and xi = 0.5: ten metres above the highest tide, a
+        # year's maximum still exceeds the level with probability 0.23,
+        # so no bracket holds p = 1e-6 and the message names it.
+        truth = TailParams(rate=RateParams(),
+                           scale=ScaleParams(alpha=0.5, beta=0.0), xi=0.5)
+        model, cal, _ = _simulated(truth, seed=0, n_cycles=17500)
+        with pytest.raises(ValueError,
+                           match=r"^no bracket for p=1e-06: exceedance "):
+            return_curve([1e-6, 0.01], model, cal)
+
     def test_curve_takes_three_and_a_half_evaluations_per_level(self,
                                                                   surge_model):
         # A bracket above the body, then from the third level a start
