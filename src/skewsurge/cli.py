@@ -340,7 +340,11 @@ def _load_sites(cfg):
             series = detrend_msl(
                 series, _read(f"detrend.rates_mm_per_year.{site}", float, rate),
                 cfg.detrend_reference_year)
-        out[site] = attach_covariates(series, gmt=gmt)
+        try:
+            out[site] = attach_covariates(series, gmt=gmt)
+        except KeyError as exc:  # a record year that the GMT file lacks
+            raise ValueError(f"site {site!r}: {exc.args[0]} in inputs.gmt_csv "
+                             f"{cfg.gmt_csv}") from None
     return out
 
 

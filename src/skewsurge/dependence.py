@@ -8,12 +8,19 @@ strictly increasing transforms of each margin.
 
 Lag convention: a positive lag means site A leads, pairing A's day t with
 B's day t + lag.
+
+:func:`pairwise_reports` computes its rows on a thread pool with one
+worker per CPU the process may run on, at most one per row; the rows and
+their order do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -325,40 +332,55 @@ def pit_transform(series, model):
     )
 
 
+def _row(daily_a, daily_b, lag, p, site_a, site_b, pair, margin):
+    """One dependence table row from two sites' daily maxima."""
+    pairs = _pair_daily(daily_a, daily_b, lag, site_a, site_b)
+    chi, chibar = chi_chibar(pairs, p)
+    return {"pair": pair, "lag": int(lag), "margin": margin,
+            "tau": kendall_tau(pairs), "chi": chi, "chibar": chibar,
+            "p": p, "n": len(pairs)}
+
+
 def pairwise_reports(series_map, lags=(-1, 0, 1), p=0.05, models=None):
     """Dependence table rows for every site pair, lag and margin type.
 
     ``models`` maps site id to a fitted SkewSurgeModel; uniform-margin
     rows are emitted only for pairs where both sites have one. Rows are
     dicts keyed pair/lag/margin/tau/chi/chibar/n, ordered by site pair,
-    margin, then lag.
+    margin (raw, then uniform), then lag.
+
+    The rows run on a thread pool with one worker per CPU the process may
+    run on (``os.sched_getaffinity``, else ``os.cpu_count``), at most one
+    per row, each in a copy of the caller's context (so an ``np.errstate``
+    around the call holds in every row). The calling thread builds the
+    uniform margins, one site at a time, while the raw rows run. The rows
+    and their order do not depend on the number of workers, and of several
+    failing rows the first in row order raises.
     """
     sites = sorted(series_map)
+    pairs = list(itertools.combinations(sites, 2))
     modelled = [site for site in sites if models and site in models]
+    modelled_pairs = list(itertools.combinations(modelled, 2))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+    def submit(pool, margin, daily, site_pairs):
+        return {(sa, sb): [
+            pool.submit(contextvars.copy_context().run, _row,
+                        daily[sa], daily[sb], lag, p, series_map[sa].site_id,
+                        series_map[sb].site_id, f"{sa}-{sb}", margin)
+            for lag in lags] for sa, sb in site_pairs}
+
     # each site's daily maxima and their ranks, computed once per margin
-    uniform = {site: _daily_max(pit_transform(series_map[site], models[site]))
-               for site in (modelled if len(modelled) > 1 else [])}
     raw = {site: _daily_max(series_map[site])
-           for site in (sites if len(sites) > 1 else [])}
-    rows = []
-    for sa, sb in itertools.combinations(sites, 2):
-        margins = [("raw", raw[sa], raw[sb])]
-        if sa in uniform and sb in uniform:
-            margins.append(("uniform", uniform[sa], uniform[sb]))
-        for margin, daily_a, daily_b in margins:
-            for lag in lags:
-                pairs = _pair_daily(daily_a, daily_b, lag,
-                                    series_map[sa].site_id,
-                                    series_map[sb].site_id)
-                chi, chibar = chi_chibar(pairs, p)
-                rows.append({
-                    "pair": f"{sa}-{sb}",
-                    "lag": int(lag),
-                    "margin": margin,
-                    "tau": kendall_tau(pairs),
-                    "chi": chi,
-                    "chibar": chibar,
-                    "p": p,
-                    "n": len(pairs),
-                })
-    return rows
+           for site in (sites if pairs else [])}
+    n_rows = len(lags) * (len(pairs) + len(modelled_pairs))
+    with ThreadPoolExecutor(max(1, min(cpus, n_rows))) as pool:
+        raw_rows = submit(pool, "raw", raw, pairs)
+        uniform = {site: _daily_max(pit_transform(series_map[site],
+                                                  models[site]))
+                   for site in (modelled if modelled_pairs else [])}
+        uniform_rows = submit(pool, "uniform", uniform, modelled_pairs)
+        return [task.result() for pair in pairs
+                for margin in (raw_rows, uniform_rows)
+                for task in margin.get(pair, ())]

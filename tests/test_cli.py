@@ -31,7 +31,6 @@ from skewsurge.tail import (
 )
 
 FIT_SECTION = {
-    "multi_start": 1,
     "frozen": {"beta_day": 0.0, "phi_day": 0.0, "beta_tide": 0.0,
                "phi_tide": 0.0},
 }
@@ -374,6 +373,29 @@ class TestFit:
             seed=None, percentile=None, run_length=None,
         )).config_hash()
 
+    def test_base_config_logs_no_warning(self, tmp_path, base_doc, caplog):
+        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
+        with caplog.at_level(logging.WARNING, logger="skewsurge"):
+            assert main(["fit", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno >= logging.WARNING] == []
+
+    def test_gmt_file_without_a_record_year_names_site_and_file(
+            self, tmp_path, base_doc, gauges, capsys):
+        years = np.unique(load_series(gauges)["SIM"].year)
+        assert years.size > 1
+        gmt = tmp_path / "gmt.csv"
+        gmt.write_text("year,anomaly_c\n" + "".join(
+            f"{y},0.1\n" for y in years[:-1]))
+        base_doc["inputs"]["gmt_csv"] = str(gmt)
+        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
+        assert main(["fit", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: site 'SIM': no GMT anomaly for year {years[-1]} "
+            f"in inputs.gmt_csv {gmt}\n")
+
     def test_empty_body_cell_fits_but_has_no_model(self, tmp_path, base_doc,
                                                    gauges, capsys):
         # One peak tide all March leaves that month's upper tide bands empty:
@@ -435,7 +457,7 @@ class TestSelect:
         assert float(rows[1]["loglik"]) >= float(rows[0]["loglik"]) - 1e-6
 
     def test_unknown_fit_option_warns_once(self, tmp_path, base_doc, caplog):
-        assert "multi_start" in base_doc["fit"]  # no longer a fit option
+        base_doc["fit"]["multi_start"] = 1  # no longer a fit option
         base_doc["select"] = {"rate_families": ["R0", "R1"],
                               "scale_families": ["S0"]}
         cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
@@ -604,11 +626,13 @@ class TestDependence:
                                     monkeypatch):
         # Raw and uniform margins at lags -1, 0 and 1: every tau, chi and
         # chibar digit the table writes, pinned to the table the int64-key
-        # merge count wrote. The gauge path is relative because it is part
-        # of the config hash in the file's comment line.
+        # merge count wrote. The gauge path is relative, and the fit section
+        # keeps the ignored multi_start key, because both are part of the
+        # config hash in the file's comment line.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "gauges.csv").write_bytes(gauges.read_bytes())
         base_doc["inputs"] = {"gauge_csv": "gauges.csv"}
+        base_doc["fit"]["multi_start"] = 1
         base_doc["sites"] = ["SIM", "SIM2"]
         base_doc["dependence"] = {"p": 0.05, "lags": [-1, 0, 1],
                                   "uniform": True}

@@ -1,6 +1,9 @@
 """Rank and tail dependence between sites on daily-maximum surges."""
 
 import math
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -578,8 +581,10 @@ class TestPairwiseReports:
         for row in both:
             assert row["tau"] == 1.0 and row["chi"] == 1.0
 
-    def test_each_modelled_site_is_transformed_once(self, fitted,
-                                                    monkeypatch):
+    @pytest.fixture(scope="class")
+    def four_sites(self, fitted):
+        """Four shifted copies of one record, three of them modelled, and
+        the table built row by row from the public functions."""
         series, model = fitted
         series_map = {
             site: replace(series, site_id=site,
@@ -606,6 +611,12 @@ class TestPairwiseReports:
                         "tau": kendall_tau(pairs), "chi": chi,
                         "chibar": chibar, "p": 0.05, "n": len(pairs),
                     })
+        return series_map, models, expected
+
+    def test_each_modelled_site_is_transformed_once(self, four_sites,
+                                                    monkeypatch):
+        series_map, models, expected = four_sites
+        model = models["A"]
         calls = []
         daily_calls = []
         daily_max = dependence._daily_max
@@ -630,3 +641,107 @@ class TestPairwiseReports:
         pairwise_reports(series_map, models={"A": model})
         assert calls == []
         assert sorted(daily_calls) == ["A", "B", "C", "D"]
+
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        """The worker counts of the pools that ``pairwise_reports`` makes."""
+        sizes = []
+
+        class Recording(dependence.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(dependence, "ThreadPoolExecutor", Recording)
+        return sizes
+
+    @pytest.mark.parametrize("cpus", [{0}, None, set(range(8))],
+                             ids=["one", "machine", "eight"])
+    def test_rows_do_not_depend_on_the_worker_count(self, four_sites,
+                                                    pool_sizes, monkeypatch,
+                                                    cpus):
+        series_map, models, expected = four_sites
+        if cpus is None:
+            cpus = os.sched_getaffinity(0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads trade the lock often
+        try:
+            rows = pairwise_reports(series_map, models=models)
+        finally:
+            sys.setswitchinterval(interval)
+        # equal to the bit, -0.0 included, and in the serial order
+        assert repr(rows) == repr(expected)
+        assert pool_sizes == [min(len(cpus), 27)]
+
+    def test_pool_is_capped_at_the_rows_and_falls_back_to_cpu_count(
+            self, pool_sizes, monkeypatch):
+        rng = np.random.default_rng(11)
+        series_map = {site: _daily_series(rng.normal(size=50), site_id=site)
+                      for site in "AB"}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert len(pairwise_reports(series_map, lags=(0, 1))) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert len(pairwise_reports(series_map, lags=range(-2, 3))) == 5
+        assert len(pairwise_reports({"A": series_map["A"]})) == 0
+        assert pool_sizes == [2, 3, 1]
+
+    def test_first_failing_row_in_row_order_raises(self, monkeypatch):
+        # every row with C fails (no shared dates); the first of them in
+        # row order, A-C at lag -1, waits until B-C's rows have failed on
+        # the other workers
+        rng = np.random.default_rng(12)
+        series_map = {
+            "A": _daily_series(rng.normal(size=60), site_id="A"),
+            "B": _daily_series(rng.normal(size=60), site_id="B"),
+            "C": _daily_series(rng.normal(size=60), site_id="C",
+                               start="2005-01-01"),
+        }
+        pair_daily = dependence._pair_daily
+        failed, b_c_failed, waited = [], threading.Event(), []
+
+        def held_back(daily_a, daily_b, lag, site_a, site_b):
+            if (site_a, site_b, lag) == ("A", "C", -1):
+                waited.append(b_c_failed.wait(timeout=30))
+            try:
+                return pair_daily(daily_a, daily_b, lag, site_a, site_b)
+            except ValueError:
+                failed.append((site_a, site_b, lag))
+                if sum(a == "B" for a, _, _ in failed) == 3:
+                    b_c_failed.set()
+                raise
+
+        monkeypatch.setattr(dependence, "_pair_daily", held_back)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        with pytest.raises(ValueError) as info:
+            pairwise_reports(series_map)
+        assert str(info.value) == (
+            "no overlapping dates between A and C at lag -1")
+        assert waited == [True]
+        assert failed[-1] == ("A", "C", -1)
+        assert sorted(failed) == [(a, "C", lag) for a in "AB"
+                                  for lag in (-1, 0, 1)]
+
+    def test_callers_error_state_holds_in_every_row(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        series_map = {site: _daily_series(rng.normal(size=80), site_id=site)
+                      for site in "ABC"}
+        seen = []
+
+        def recording(pairs, p):
+            seen.append((threading.get_ident(), np.geterr()))
+            return chi_chibar(pairs, p)
+
+        monkeypatch.setattr(dependence, "chi_chibar", recording)
+        with np.errstate(all="raise"):
+            pairwise_reports(series_map)
+        assert len(seen) == 9
+        assert all(ident != threading.get_ident() for ident, _ in seen)
+        assert all(state == dict.fromkeys(
+            ("divide", "over", "under", "invalid"), "raise")
+            for _, state in seen)
+        # without an errstate the rows see the caller's state, not "raise"
+        seen.clear()
+        pairwise_reports(series_map)
+        assert all(state == np.geterr() for _, state in seen)
