@@ -158,6 +158,13 @@ def _read(path, read, value):
         raise ValueError(f"config {path}: {exc}") from None
 
 
+def _thresholds(v):
+    """simulate.threshold as written: one value, or one a month."""
+    v = np.asarray(v, float)
+    np.broadcast_to(v, 12)  # raises for any other count
+    return v.tolist()
+
+
 _RATE, _SCALE = _one_of(RATE_FAMILIES), _one_of(SCALE_FAMILIES)
 # simulate.params' unset values: the library's, less the scale harmonic.
 _SIM_DEFAULTS = params_to_values(TailParams(RateParams(), ScaleParams(beta=0.0)))
@@ -173,8 +180,7 @@ _KEYS = {
     "simulate": {"site_id": str, "n_cycles": int, "start": str,
                  "tide_mean": float, "tide_amp": float, "body_mean": float,
                  "body_sd": float, "params": _mapping,
-                 "threshold": lambda v: MonthlyThresholds(  # one, or 12
-                     np.full(12, np.asarray(v, float)))},
+                 "threshold": _thresholds},
     "simulate.params": {
         "rate_family": _RATE, "scale_family": _SCALE,
         **dict.fromkeys(_SIM_DEFAULTS, float),
@@ -184,9 +190,12 @@ _KEYS = {
 
 
 def _section(doc, path):
-    """The set keys of the config mapping ``doc`` at ``path``, each read."""
-    return {key: _read(f"{path}.{key}", read, doc[key])
-            for key, read in _KEYS[path].items() if doc.get(key) is not None}
+    """The set keys of the config mapping ``doc`` at ``path``, each read,
+    and the sections among them read in turn."""
+    values = {key: _read(f"{path}.{key}", read, doc[key])
+              for key, read in _KEYS[path].items() if doc.get(key) is not None}
+    return {key: _section(v, f"{path}.{key}") if isinstance(v, dict)
+            and f"{path}.{key}" in _KEYS else v for key, v in values.items()}
 
 
 def _key(path, read, default=None):
@@ -274,6 +283,9 @@ class RunConfig:
 
     def config_hash(self):
         doc = asdict(self)
+        for name, path, _ in _FIELDS:  # ignored keys leave the hash alone
+            if path in _KEYS:
+                doc[name] = _section(doc[name], path)
         # An unlisted select list hashes as the full list it used to be
         # stored as, so artifacts keep their hash.
         doc["select_rate_families"] = (self.select_rate_families
@@ -313,8 +325,7 @@ def _fit_config(cfg, **overrides):
     opts = _section(cfg.fit_options, "fit")
     prior = opts.pop("shape_prior", False)
     if prior is not False:
-        opts["shape_prior"] = ShapePrior(**_section(
-            {} if prior is True else prior, "fit.shape_prior"))
+        opts["shape_prior"] = ShapePrior(**({} if prior is True else prior))
     return FitConfig(**{"rate_family": cfg.rate_family,
                         "scale_family": cfg.scale_family, **opts, **overrides})
 
@@ -562,9 +573,9 @@ def _cmd_pool(cfg, out, meta):
 
 
 def _sim_params(doc):
-    """TailParams from simulate.params, unset values from _SIM_DEFAULTS."""
+    """TailParams from the read simulate.params and _SIM_DEFAULTS."""
     values = {"rate_family": "R0", "scale_family": "S0", **_SIM_DEFAULTS,
-              **_section(doc, "simulate.params")}
+              **doc}
     rf, sf = values.pop("rate_family"), values.pop("scale_family")
     for name, family in (("delta_rate", rf), ("delta_sigma", sf)):
         deltas = values.pop(name, [])
@@ -587,8 +598,8 @@ def _cmd_simulate(cfg, out, meta):
     params = _sim_params(doc.pop("params", {}))
     needs_gmt = {params.rate.family, params.scale.family} & GMT_FAMILIES
     gmt = load_gmt(cfg.gmt_csv) if (cfg.gmt_csv and needs_gmt) else None
-    spec = SimSpec(params=params, thresholds=doc.pop("threshold", 0.3),
-                   gmt=gmt, **doc)
+    spec = SimSpec(params=params, thresholds=MonthlyThresholds(
+        np.full(12, doc.pop("threshold", 0.3))), gmt=gmt, **doc)
     series, params_eff = simulate_series(spec, cfg.seed)
     write_series_csv(out / f"sim_{spec.site_id}.csv", series,
                      comment=_stamp(meta))

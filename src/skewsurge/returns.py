@@ -22,16 +22,21 @@ the exceedance is within 1e-9 p of p. A curve solves its grid from the
 largest p down, each level the lower end of the next bracket. The first
 bracket starts just above max(tide + u_j), the engine's ``top_edge``,
 where no cycle searches the body, unless the exceedance there is below
-the largest p. From the third level on, the first probe is z extrapolated
-in log p through the last (up to three) solved levels, the second a
-Newton step on that polynomial's slope, then secant steps on the two
-newest probes, each kept while it falls inside the bracket and the
-exceedance is positive: about three evaluations per level. Otherwise, and
-from then on, regula falsi with Anderson-Bjorck scaling of an end kept
-twice (a bisection step where the exceedance is 0 makes h -inf). After
-the iteration cap the bracket's upper end is returned, for targets that
-are step functions (a degenerate surge distribution). A nan exceedance
-is an error.
+the largest p. Each probe is z interpolated at log p as a polynomial in
+log f (inverse interpolation) through the newest six of the last five
+solved levels and the level's own probes, where there are two such points
+and the value falls inside the bracket; otherwise a step of regula falsi
+with Anderson-Bjorck scaling of an end kept twice (a bisection step where
+the exceedance is 0 makes h -inf). On a 20-level curve that is three
+evaluations per level near its top and two from about its eighth level.
+Every probe is moved toward the bracket's midpoint as far as it must be
+for the bracket to stay within 2**(RETURN_LEVEL_SLACK - k) of its first
+width after k probes (the projection of ITP, Oliveira and Takahashi
+2020). So a level on a step of the empirical body (a staircase in z)
+takes at most RETURN_LEVEL_SLACK = 3 evaluations more than bisection, and
+ends once its bracket is one float wide. A bracket not that narrow within
+RETURN_LEVEL_MAX_ITER probes (a jump at z = 0, where halving runs through
+the subnormals) is an error, as is a nan exceedance.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .exi import exi_at_level
 RETURN_LEVEL_TOL = 1e-6  # |F - (1 - p)| every level meets, with room
 RETURN_LEVEL_LOG_TOL = 1e-9
 RETURN_LEVEL_MAX_ITER = 200
+RETURN_LEVEL_SLACK = 3  # probes a level may take beyond bisection's count
 
 
 @dataclass
@@ -165,31 +171,34 @@ def annual_max_cdf(z, model, calendar, exi_model=None, scenario=None):
 
 
 def _predicted(solved, log_p, probes):
-    """The next probe of a level from the (log p, z) of the levels solved
-    before it: their polynomial through the last three at log p, then a
-    Newton step on its slope, then secant steps on the two newest of the
-    ``probes`` (z, h); None where a secant has no slope."""
-    (t1, z1), (t2, z2) = solved[-2:]
-    slope, curve = (z2 - z1) / (t2 - t1), 0.0
-    if len(solved) > 2:
-        t0, z0 = solved[-3]
-        curve = (slope - (z1 - z0) / (t1 - t0)) / (t2 - t0)
-    if not probes:
-        return z2 + (log_p - t2) * (slope + curve * (log_p - t1))
-    if len(probes) == 1:
-        c, h = probes[0]
-        return c - h * (slope + curve * (2.0 * log_p - t1 - t2))
-    (c1, h1), (c2, h2) = probes[-2:]
-    return None if h2 == h1 else c2 - h2 * (c2 - c1) / (h2 - h1)
+    """The next probe of a level: z interpolated at log p, as a Lagrange
+    polynomial in log f, through the newest six of the last five levels
+    ``solved`` (log p, z) and this level's ``probes`` (z, h), each at log p
+    + h; None with fewer than two of them or where two share a log f."""
+    nodes = (solved[-5:] + [(log_p + h, c) for c, h in probes])[-6:]
+    if len(nodes) < 2:
+        return None
+    z = 0.0
+    for i, (t_i, z_i) in enumerate(nodes):
+        for k, (t_k, _) in enumerate(nodes):
+            if k != i:
+                if t_k == t_i:
+                    return None
+                z_i *= (log_p - t_k) / (t_i - t_k)
+        z += z_i
+    return z
 
 
 def _invert(p, f, lo, hi, solved):
     """(z, f(z)) with the exceedance f(z) = p, from (z, f(z)) ends with
-    f(hi) <= p; ``lo`` if f(lo) is at most p. With two or more levels in
-    ``solved``, the probes start as :func:`_predicted` and are kept while
-    each falls inside the bracket and finds a positive exceedance; after
-    that, or without them, Anderson-Bjorck on h = log f - log p. On a step
-    of f across p (the body's staircase) it stops at a one-ulp bracket."""
+    f(hi) <= p; ``lo`` if f(lo) is at most p. Each probe is the
+    :func:`_predicted` one where that lies inside the bracket, else an
+    Anderson-Bjorck step on h = log f - log p, clamped toward the midpoint
+    so that the bracket after k probes is within 2**(RETURN_LEVEL_SLACK -
+    k) times the first (ITP's projection). On a step of f across p (the
+    body's staircase) it returns the upper end of a one-ulp bracket, at
+    most RETURN_LEVEL_SLACK probes after bisection would; a bracket still
+    wider after RETURN_LEVEL_MAX_ITER probes is a ValueError."""
     log_p = math.log(p)
 
     def h(z, q):  # -inf where the exceedance is 0, without taking log(0)
@@ -202,32 +211,36 @@ def _invert(p, f, lo, hi, solved):
     h_a, h_b, side = h(a, f_a), h(b, f_b), 0  # side: +1 after a moved, -1 after b
     if h_a < RETURN_LEVEL_LOG_TOL:
         return lo
-    probes, predicting = [], len(solved) > 1
+    probes = []  # (z, h) of this level's probes with a positive exceedance
+    bound = (b - a) * 2.0 ** RETURN_LEVEL_SLACK  # halved: widest after a probe
     for _ in range(RETURN_LEVEL_MAX_ITER):
         if b <= math.nextafter(a, math.inf):  # no float left between the ends
-            break
-        if predicting:
-            c = _predicted(solved, log_p, probes)
-            predicting = c is not None and a < c < b
-        if not predicting:
+            return b, f_b
+        c = _predicted(solved, log_p, probes)
+        if c is None or not a < c < b:
             c = 0.5 * (a + b) if h_b == -math.inf else b - h_b * (b - a) / (h_b - h_a)
+        bound *= 0.5
+        mid, r = 0.5 * (a + b), max(bound - 0.5 * (b - a), 0.0)
+        c = min(max(c, mid - r), mid + r)
         f_c = f(c)
         h_c = h(c, f_c)
         if abs(h_c) < RETURN_LEVEL_LOG_TOL:
             return c, f_c
-        probes.append((c, h_c))
-        predicting = predicting and h_c > -math.inf
+        if h_c > -math.inf:
+            probes.append((c, h_c))
         # Anderson-Bjorck: an end kept twice has its h scaled by
         # m = 1 - h_c / h(end c replaces), or halved where m <= 0 or is nan.
         if h_c > 0.0:
             m = 1.0 - h_c / h_a if side > 0 else 1.0
             h_b *= m if m > 0.0 else 0.5
-            a, h_a, side = c, h_c, 1
+            a, f_a, h_a, side = c, f_c, h_c, 1
         else:
             m = 1.0 - h_c / h_b if side < 0 else 1.0
             h_a *= m if m > 0.0 else 0.5
             b, f_b, h_b, side = c, f_c, h_c, -1
-    return b, f_b
+    raise ValueError(
+        f"no return level for p={p} in {RETURN_LEVEL_MAX_ITER} probes: "
+        f"exceedance {f_a:.6g} at z = {a:.17g}, {f_b:.6g} at z = {b:.17g}")
 
 
 def return_level(p, model, calendar, exi_model=None, scenario=None):
@@ -269,7 +282,8 @@ def return_curve(p_grid, model, calendar, exi_model=None, scenario=None):
     max(tide + u_j), max tide + 10], which no body search reaches, or
     [min tide - 1, max tide + 10] where the exceedance just above
     max(tide + u_j) is below the grid's largest p; raises when a target
-    lies outside it, or where the exceedance is nan.
+    lies outside it, where the exceedance is nan, or where a level's
+    bracket is not one float wide within the cap (see :func:`_invert`).
     """
     p = np.asarray(p_grid, dtype=float)
     if p.ndim != 1 or p.size == 0:

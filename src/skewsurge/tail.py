@@ -33,6 +33,7 @@ into its affine excess and calls the second piece alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -442,10 +443,11 @@ class SkewSurgeModel:
         """The conditional CDF of fixed records, F(t) or log F(t), behind
         :meth:`conditional` and :meth:`_level_log_cdf`.
 
-        Built once: lambda, sigma, u_j, the :func:`cell_cdf` body, each
-        record's edge (u_j for a surge t, x + u_j when ``level`` makes t a
-        sea level) and w = a t + c with a = factor/sigma and c = -factor
-        edge/sigma (:func:`_gpd_factor`). Each call: sigma <= 0 is an error
+        Built once: lambda, sigma, u_j, each record's edge (u_j for a
+        surge t, x + u_j when ``level`` makes t a sea level), w = a t + c
+        with a = factor/sigma and c = -factor edge/sigma
+        (:func:`_gpd_factor`), and the :func:`cell_cdf` body at the first
+        call that searches it. Each call: sigma <= 0 is an error
         exactly where t is above the edge; one pass h = :func:`_gpd_h_scaled`
         of w, S = exp(log lambda - h), exactly 0 beyond a negative shape's
         endpoint; then F = 1 - S in a new array or, with ``level``, log F =
@@ -465,7 +467,7 @@ class SkewSurgeModel:
             scale_terms(scale.family, basis, d, x, year_std, gmt),
             scale.values())
         del basis  # two record-sized arrays fewer at the build's peak
-        body = cell_cdf(self.body, j, x)
+        body = functools.cache(lambda: cell_cdf(self.body, j, x))
         edge = self.thresholds.for_month(j)
         if level:
             edge = x + edge
@@ -496,8 +498,8 @@ class SkewSurgeModel:
                     np.subtract(1.0, out, out=out)
                 if np.min(t) <= top_edge:
                     below = t <= edge
-                    body(np.broadcast_to(t - x if level else t, edge.shape),
-                         out, below)
+                    body()(np.broadcast_to(t - x if level else t, edge.shape),
+                           out, below)
                     if level:
                         np.log(out, out=out, where=below)
             return out

@@ -126,6 +126,31 @@ class TestRunConfig:
                "return_levels": {"scenario": {"year": 2017}}}
         assert RunConfig.from_mapping(doc).config_hash() == "b70453db7aabefa2"
 
+    def test_hash_leaves_out_keys_the_schema_ignores(self):
+        doc = {"fit": {"frozen": {"beta_day": 0.0},
+                       "shape_prior": {"mean": 0.1}},
+               "simulate": {"n_cycles": 500, "params": {"lam": 0.05}}}
+        want = RunConfig.from_mapping(doc).config_hash()
+        doc["fit"]["multi_start"] = 1
+        doc["fit"]["shape_prior"]["spread"] = 2.0
+        doc["simulate"]["params"]["lamda"] = 0.1
+        assert RunConfig.from_mapping(doc).config_hash() == want
+
+    @pytest.mark.parametrize("section", [
+        {"simulate": {"n_cycles": "many"}},
+        {"return_levels": {"scenario": {"year": "late"}}},
+        {"dependence": {"p": "small"}},
+    ])
+    def test_malformed_section_fails_any_subcommand_before_loading(
+            self, tmp_path, capsys, section):
+        # the hash reads every section, so fit reports one it does not use
+        cfg = _write_yaml(tmp_path / "c.yaml",
+                          {"inputs": {"gauge_csv": "no/such.csv"}, **section})
+        assert main(["fit", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and "no/such.csv" not in err
+
     @pytest.mark.parametrize("block", range(2))
     def test_readme_configs_load_alike(self, block):
         text = README.read_text().split("```yaml\n")[1 + block].split("```")[0]
@@ -626,9 +651,9 @@ class TestDependence:
                                     monkeypatch):
         # Raw and uniform margins at lags -1, 0 and 1: every tau, chi and
         # chibar digit the table writes, pinned to the table the int64-key
-        # merge count wrote. The gauge path is relative, and the fit section
-        # keeps the ignored multi_start key, because both are part of the
-        # config hash in the file's comment line.
+        # merge count wrote. The gauge path is relative because it is part
+        # of the config hash in the file's comment line; the fit section
+        # keeps the ignored multi_start key, which the hash leaves out.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "gauges.csv").write_bytes(gauges.read_bytes())
         base_doc["inputs"] = {"gauge_csv": "gauges.csv"}
@@ -641,7 +666,7 @@ class TestDependence:
         written = (tmp_path / "out" / "dep.csv").read_bytes()
         assert written.count(b"\n") == 2 + 6
         assert hashlib.sha256(written).hexdigest() == (
-            "f25b3723ad9d03b22feddb075259b3774bcd4f3cbda11f5232849fdf5104d046")
+            "3a8b5362f15a2b208421f321be504340e11df3d218f1cdfe6e3f210d48ca32b8")
 
 
 class TestPool:

@@ -232,6 +232,35 @@ class _Counted:
         returns._annual_max = self.engine
 
 
+def _staircase(z):
+    """An exceedance that falls 3% at every 5 cm, with its step at 4.25 m
+    from 0.10039 to 0.09998."""
+    k = math.floor((z - 4.25) / 0.05)
+    return 0.10039 * 0.97 ** (k + 1) if k < 0 else 0.09998 * 0.97 ** k
+
+
+def _bisections(p, f, lo, hi):
+    """The evaluations that plain bisection on f(z) > p takes to narrow
+    [lo, hi] to one ulp."""
+    n = 0
+    while hi > np.nextafter(lo, np.inf):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) > p else (lo, mid)
+        n += 1
+    return n
+
+
+def _counted_invert(p, f, lo, hi, solved):
+    """(evaluations, (z, f(z))) of one level solved on [lo, hi]."""
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return f(z)
+    level = returns._invert(p, counted, (lo, f(lo)), (hi, f(hi)), solved)
+    return len(calls), level
+
+
 class TestSolver:
     def test_relative_accuracy_at_small_probabilities(self, surge_model):
         # An absolute stop |F - (1 - p)| < 1e-6 is 1% of p at 1e-4 and
@@ -349,7 +378,7 @@ class TestSolver:
         with _Counted() as counted:
             curve = return_curve(grid, rare, cal)
         # the first level ends once no float is left between its bracket's
-        # ends, not on the cap of 200: 84 evaluations for the curve, not 216
+        # ends, not on the cap of 200: 70 evaluations for the curve, not 216
         assert counted.evals <= 100, counted.evals
         top_edge = float(np.max(cal.tide + model.thresholds.for_month(
             cal.month)))
@@ -362,6 +391,58 @@ class TestSolver:
         assert exceedance(z) <= 0.1 < exceedance(np.nextafter(z, -np.inf))
         for p, z in zip(grid[1:], curve.z[1:]):
             assert abs(math.log(exceedance(z) / p)) < 1e-8, p
+
+    def test_curve_takes_at_most_55_evaluations(self, surge_model):
+        # Each probe interpolates z in log f through the last five levels
+        # and this level's probes: from about the eighth level on, a level
+        # ends in two evaluations (52 for the curve, 66 with a quadratic
+        # start and a Newton step), and none reaches max(tide + u_j).
+        model, cal = surge_model
+        with _Counted() as counted:
+            return_curve(np.geomspace(1e-4, 1e-1, 20), model, cal)
+        assert counted.evals <= 55, counted.evals
+        top_edge = float(np.max(cal.tide + model.thresholds.for_month(
+            cal.month)))
+        assert min(counted.levels) > top_edge
+
+    def test_staircase_level_costs_at_most_four_above_bisection(
+            self, surge_model):
+        # The rare-rate model's p = 0.1 level, on the body's staircase over
+        # the curve's bracket [min tide - 1, max tide + 10]: 56 evaluations
+        # against bisection's 54, and 68 with no bound on the probes.
+        model, cal = surge_model
+        rare = SkewSurgeModel(
+            body=model.body, thresholds=model.thresholds,
+            params=TailParams(rate=RateParams(lam=1e-4),
+                              scale=model.params.scale, xi=model.params.xi))
+        f = returns._annual_max(rare, cal, None, None)
+        lo, hi = float(cal.tide.min()) - 1.0, float(cal.tide.max()) + 10.0
+        evals, (z, q) = _counted_invert(0.1, f, lo, hi, [])
+        assert q <= 0.1 < f(np.nextafter(z, -np.inf))
+        assert evals <= _bisections(0.1, f, lo, hi) + 4, evals
+
+    @pytest.mark.parametrize("solved", [
+        [], [(math.log(0.3), 1.5), (math.log(0.2), 2.5),
+             (math.log(0.15), 3.2)]])
+    def test_narrow_jump_costs_at_most_four_above_bisection(self, solved):
+        # A step that straddles p = 0.1 as narrowly as f = 0.10039 against
+        # 0.09998, found with and without predicted probes.
+        lo, hi = 1.0, 14.0
+        evals, (z, q) = _counted_invert(0.1, _staircase, lo, hi, solved)
+        assert (q, _staircase(np.nextafter(z, -np.inf))) == (0.09998,
+                                                             0.10039)
+        assert z == 4.25
+        assert evals <= _bisections(0.1, _staircase, lo, hi) + 4, evals
+
+    def test_iteration_cap_is_an_error_naming_the_bracket(self):
+        # A jump at z = 0: halving [-1, 1] down to a one-ulp bracket takes
+        # about 1,075 probes through the subnormals, beyond the cap of 200.
+        def jump(z):
+            return 0.2 if z < 0.0 else 0.05
+        with pytest.raises(ValueError, match=(
+                r"^no return level for p=0\.1 in 200 probes: exceedance "
+                r"0\.2 at z = -[0-9.e-]+, 0\.05 at z = [0-9.e-]+$")):
+            returns._invert(0.1, jump, (-1.0, 0.2), (1.0, 0.05), [])
 
     @pytest.mark.parametrize("xi", [0.0, 5e-324])
     def test_exponential_tail_meets_its_closed_form(self, xi):
