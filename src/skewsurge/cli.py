@@ -39,7 +39,6 @@ Config schema (all sections optional unless a subcommand needs them)::
     exi:
       v_quantile: 0.99
       n_levels: 30    # equally spaced in probability from 0.95 to 0.999
-                      # (fit_exi_curve's default grid: equally spaced in level)
     return_levels:
       p_grid: [0.1, 0.01, 0.001, 0.0001]
       scenario: {year: 2017, year_std: null, gmt: null}   # year_std wins
@@ -83,7 +82,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__, exi
+from . import __version__
 from .body import build_empirical
 from .data import (
     attach_covariates,
@@ -222,9 +221,8 @@ class RunConfig:
         "select.scale_families", lambda v: _list_of(_SCALE)(v) or None)
     fit_options: dict = _key("fit", _mapping, {})
     run_length: int = _key("run_length", int, 4)
-    exi_v_quantile: float = _key("exi.v_quantile", float,
-                                 exi.DEFAULT_V_QUANTILE)
-    exi_n_levels: int = _key("exi.n_levels", int, exi.DEFAULT_GRID_SIZE)
+    exi_v_quantile: float = _key("exi.v_quantile", float, 0.99)
+    exi_n_levels: int = _key("exi.n_levels", int, 30)
     p_grid: list = _key("return_levels.p_grid", _list_of(float),
                         [0.1, 0.01, 0.001, 0.0001])
     scenario: dict = _key("return_levels.scenario", _mapping, {})
@@ -484,15 +482,13 @@ def _cmd_select(cfg, out, meta):
 
 
 def _exi_model(series, cfg):
-    """A site's extremal-index curve over the configured levels."""
+    """A site's extremal-index curve: v and the levels are quantiles, the
+    levels equally spaced in probability from 0.95 to 0.999."""
+    x = series.skew_surge
     return fit_exi_curve(
-        series,
-        v=float(np.quantile(series.skew_surge, cfg.exi_v_quantile)),
-        run_length=cfg.run_length,
-        levels=np.quantile(series.skew_surge,
-                           np.linspace(*exi.DEFAULT_GRID_QUANTILES,
-                                       cfg.exi_n_levels)),
-    )
+        series, float(np.quantile(x, cfg.exi_v_quantile)),
+        np.quantile(x, np.linspace(0.95, 0.999, cfg.exi_n_levels)),
+        run_length=cfg.run_length)
 
 
 def _cmd_exi(cfg, out, meta):

@@ -21,9 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_GRID_SIZE = 30
-DEFAULT_GRID_QUANTILES = (0.95, 0.999)
-DEFAULT_V_QUANTILE = 0.99
 LOG_PSI_RANGE = (-12.0, 8.0)  # searched around log of the level span
 LOG_PSI_TOL = 1e-10
 
@@ -121,24 +118,18 @@ def fit_exi_to_estimates(levels, estimates, v, theta_v):
     return float(profile(np.array(log_psi))[1]), math.exp(log_psi)
 
 
-def fit_exi_curve(series, v=None, run_length=4, levels=None):
+def fit_exi_curve(series, v, levels, run_length=4):
     """Fit the extremal-index model to a time-ordered skew-surge series.
 
     ``series`` is a SiteSeries or a plain value array (already in time
-    order). ``v`` defaults to the 0.99 sample quantile; the grid defaults
-    to 30 equally spaced quantile levels between the 0.95 and 0.999 sample
-    quantiles. Grid levels without exceedances are dropped; at least 3
-    usable levels above v are required.
+    order); ``v`` is the anchor level and ``levels`` the grid. Grid levels
+    without exceedances are dropped; at least 3 usable levels above v are
+    required.
     """
     values = np.asarray(getattr(series, "skew_surge", series), dtype=float)
-    if v is None:
-        v = float(np.quantile(values, DEFAULT_V_QUANTILE))
     top = values.max()
     if v >= top:
         raise ValueError("v must lie below the maximum observation")
-    if levels is None:
-        lo, hi = np.quantile(values, DEFAULT_GRID_QUANTILES)
-        levels = np.linspace(lo, hi, DEFAULT_GRID_SIZE)
     levels = np.sort(np.asarray(levels, dtype=float))
     usable = levels[levels < top]
     estimates = np.array([runs_estimate(values, lev, run_length)

@@ -9,12 +9,12 @@ extremal index at that level to discount within-cluster dependence
 The engine works in log survival. Along a curve only the level z
 changes, so each of :func:`annual_max_cdf`, :func:`return_level` and
 :func:`return_curve` builds once the cycles' log CDF at a sea level
-(``model._level_log_cdf`` of a SkewSurgeModel), the extremal index at a
-level (:func:`exi_at_level`) and the year starts. One evaluation is
-log F times theta, one ``np.add.reduceat`` slice per year (the layout
-:class:`TideSampleCalendar` checks) and the annual exceedance 1 - A as
-the years' mean of -expm1(log A_year), never 1 - F. A zero factor sends
-its year to zero, under theta = 0 too.
+(``model._evaluator`` with ``level``, of a SkewSurgeModel), the extremal
+index at a level (:func:`exi_at_level`) and the year starts. One
+evaluation is log F times theta, one ``np.add.reduceat`` slice per year
+(the layout :class:`TideSampleCalendar` checks) and the annual
+exceedance 1 - A as the years' mean of -expm1(log A_year), never 1 - F.
+A zero factor sends its year to zero, under theta = 0 too.
 
 Return levels solve h(z) = log(1 - A(z)) - log p = 0, the log of the
 engine's exceedance, near linear in z in the tail, until |h| < 1e-9, i.e.
@@ -26,17 +26,17 @@ the largest p. Each probe is z interpolated at log p as a polynomial in
 log f (inverse interpolation) through the newest six of the last five
 solved levels and the level's own probes, where there are two such points
 and the value falls inside the bracket; otherwise a step of regula falsi
-with Anderson-Bjorck scaling of an end kept twice (a bisection step where
-the exceedance is 0 makes h -inf). On a 20-level curve that is three
-evaluations per level near its top and two from about its eighth level.
-Every probe is moved toward the bracket's midpoint as far as it must be
-for the bracket to stay within 2**(RETURN_LEVEL_SLACK - k) of its first
-width after k probes (the projection of ITP, Oliveira and Takahashi
-2020). So a level on a step of the empirical body (a staircase in z)
-takes at most RETURN_LEVEL_SLACK = 3 evaluations more than bisection, and
-ends once its bracket is one float wide. A bracket not that narrow within
-RETURN_LEVEL_MAX_ITER probes (a jump at z = 0, where halving runs through
-the subnormals) is an error, as is a nan exceedance.
+on the bracket (a bisection step where the exceedance is 0 makes h
+-inf). On a 20-level curve that is three evaluations per level near its
+top and two from about its eighth level. Every probe is moved toward the
+bracket's midpoint as far as it must be for the bracket to stay within
+2**(RETURN_LEVEL_SLACK - k) of its first width after k probes (the
+projection of ITP, Oliveira and Takahashi 2020). So a level on a step of
+the empirical body (a staircase in z) takes at most RETURN_LEVEL_SLACK =
+3 evaluations more than bisection, and ends once its bracket is one
+float wide. A bracket not that narrow within RETURN_LEVEL_MAX_ITER
+probes (a jump at z = 0, where halving runs through the subnormals) is
+an error, as is a nan exceedance.
 """
 
 from __future__ import annotations
@@ -134,9 +134,9 @@ def _annual_max(model, calendar, exi_model, scenario):
     which no cycle searches the body."""
     if scenario is None:
         scenario = Scenario()
-    log_cdf = model._level_log_cdf(
+    log_cdf = model._evaluator(
         calendar.day_of_year, calendar.day_of_month, calendar.month,
-        calendar.tide, year_std=scenario.year_std, gmt=scenario.gmt)
+        calendar.tide, scenario.year_std, scenario.gmt, level=True)
     theta = None if exi_model is None else exi_at_level(exi_model,
                                                         calendar.tide)
     year_starts = np.searchsorted(calendar.year_index,
@@ -192,8 +192,8 @@ def _predicted(solved, log_p, probes):
 def _invert(p, f, lo, hi, solved):
     """(z, f(z)) with the exceedance f(z) = p, from (z, f(z)) ends with
     f(hi) <= p; ``lo`` if f(lo) is at most p. Each probe is the
-    :func:`_predicted` one where that lies inside the bracket, else an
-    Anderson-Bjorck step on h = log f - log p, clamped toward the midpoint
+    :func:`_predicted` one where that lies inside the bracket, else a
+    regula falsi step on h = log f - log p, clamped toward the midpoint
     so that the bracket after k probes is within 2**(RETURN_LEVEL_SLACK -
     k) times the first (ITP's projection). On a step of f across p (the
     body's staircase) it returns the upper end of a one-ulp bracket, at
@@ -208,7 +208,7 @@ def _invert(p, f, lo, hi, solved):
             return -math.inf
         raise ValueError(f"annual exceedance is {q} at z = {z:.6g}")
     (a, f_a), (b, f_b) = lo, hi
-    h_a, h_b, side = h(a, f_a), h(b, f_b), 0  # side: +1 after a moved, -1 after b
+    h_a, h_b = h(a, f_a), h(b, f_b)
     if h_a < RETURN_LEVEL_LOG_TOL:
         return lo
     probes = []  # (z, h) of this level's probes with a positive exceedance
@@ -228,16 +228,10 @@ def _invert(p, f, lo, hi, solved):
             return c, f_c
         if h_c > -math.inf:
             probes.append((c, h_c))
-        # Anderson-Bjorck: an end kept twice has its h scaled by
-        # m = 1 - h_c / h(end c replaces), or halved where m <= 0 or is nan.
         if h_c > 0.0:
-            m = 1.0 - h_c / h_a if side > 0 else 1.0
-            h_b *= m if m > 0.0 else 0.5
-            a, f_a, h_a, side = c, f_c, h_c, 1
+            a, f_a, h_a = c, f_c, h_c
         else:
-            m = 1.0 - h_c / h_b if side < 0 else 1.0
-            h_a *= m if m > 0.0 else 0.5
-            b, f_b, h_b, side = c, f_c, h_c, -1
+            b, f_b, h_b = c, f_c, h_c
     raise ValueError(
         f"no return level for p={p} in {RETURN_LEVEL_MAX_ITER} probes: "
         f"exceedance {f_a:.6g} at z = {a:.17g}, {f_b:.6g} at z = {b:.17g}")

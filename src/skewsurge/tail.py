@@ -17,8 +17,8 @@ simulator and the CDF share. Below u_j the distribution is the
 tide-banded empirical body. One evaluator over fixed records
 (:meth:`SkewSurgeModel._evaluator`) gives the conditional CDF of a surge,
 F = 1 - S (:meth:`SkewSurgeModel.conditional`, the PIT through
-:func:`eval_cdf`), and of a sea level, log F = log1p(-S)
-(:meth:`SkewSurgeModel._level_log_cdf`, the annual-maximum engine).
+:func:`eval_cdf`), and of a sea level, log F = log1p(-S) (with
+``level``, the annual-maximum engine).
 
 h(z; xi) = log1p(xi z)/xi is the GPD's one kernel (:func:`_gpd_h`),
 which the likelihood and, through its inverse, the simulator share. Its
@@ -441,7 +441,7 @@ class SkewSurgeModel:
 
     def _evaluator(self, d, d_j, j, x, year_std, gmt, level):
         """The conditional CDF of fixed records, F(t) or log F(t), behind
-        :meth:`conditional` and :meth:`_level_log_cdf`.
+        :meth:`conditional` and the annual-maximum engine.
 
         Built once: lambda, sigma, u_j, each record's edge (u_j for a
         surge t, x + u_j when ``level`` makes t a sea level), w = a t + c
@@ -506,11 +506,6 @@ class SkewSurgeModel:
 
         evaluate.top_edge = float(top_edge)
         return evaluate
-
-    def _level_log_cdf(self, d, d_j, j, x, year_std=None, gmt=None):
-        """z -> log F(z - x) of fixed records at one sea level z, x their
-        peak tides, in one kept array; ``top_edge`` is max(x + u_j)."""
-        return self._evaluator(d, d_j, j, x, year_std, gmt, level=True)
 
     def conditional(self, d, d_j, j, x, year_std=None, gmt=None):
         """The conditional CDF of fixed records as a function of the surge.

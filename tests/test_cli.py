@@ -340,6 +340,17 @@ class TestSimulate:
                      "--out", str(tmp_path / "o")]) == 1
         assert "simulate" in capsys.readouterr().err
 
+    def test_missing_cycle_count_fails_cleanly(self, tmp_path, capsys):
+        doc = {"simulate": {"params": SIM_PARAMS}}
+        with pytest.raises(ValueError,
+                           match="^simulate.n_cycles is required$"):
+            cli._cmd_simulate(RunConfig.from_mapping(doc), tmp_path, {})
+        cfg = _write_yaml(tmp_path / "bad.yaml", doc)
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: simulate.n_cycles is required\n")
+
 
 class TestIngest:
     def test_summary_and_csv(self, tmp_path, base_doc):
@@ -647,6 +658,29 @@ class TestDependence:
                      "--out", str(tmp_path / "o")]) == 1
         assert "two sites" in capsys.readouterr().err
 
+    def test_undefined_chibar_is_an_empty_field(self, tmp_path):
+        # A peaks on its last days and B on its first: no day has both
+        # above their 0.95 quantiles, so chi is 0 and chibar undefined.
+        days = np.datetime64("2001-03-01T06:00", "m") + np.arange(40) \
+            * np.timedelta64(1, "D")
+        lines = ["site,timestamp,peak_tide_m,max_sea_level_m"]
+        for site, surges in (("A", np.arange(40)), ("B", 39 - np.arange(40))):
+            for k, (day, surge) in enumerate(zip(days, surges)):
+                tide = 3.0 + 0.1 * (k % 5)
+                lines.append(f"{site},{day}Z,{tide:.1f},"
+                             f"{tide + surge / 100:.2f}")
+        (tmp_path / "g.csv").write_text("\n".join(lines) + "\n")
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "inputs": {"gauge_csv": str(tmp_path / "g.csv")},
+            "dependence": {"p": 0.05, "lags": [0], "uniform": False}})
+        assert main(["dep", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "dep.csv").read_text().splitlines()
+        [row] = csv.DictReader(text[1:])
+        assert row["pair"] == "A-B" and row["n"] == "40"
+        assert row["tau"] == "-1"
+        assert row["chi"] == "0" and row["chibar"] == ""
+
     def test_table_bytes_are_pinned(self, tmp_path, base_doc, gauges,
                                     monkeypatch):
         # Raw and uniform margins at lags -1, 0 and 1: every tau, chi and
@@ -703,6 +737,17 @@ class TestPool:
         pooled = n_exceed("pool", "0.9")
         assert pooled == n_exceed("fit", "0.9")
         assert pooled != n_exceed("pool", "0.95")
+
+    def test_needs_two_sites(self, tmp_path, base_doc, capsys):
+        base_doc["pooling"] = {"shared": ["xi"]}
+        with pytest.raises(ValueError,
+                           match="^pooling needs at least two sites$"):
+            cli._cmd_pool(RunConfig.from_mapping(base_doc), tmp_path, {})
+        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
+        assert main(["pool", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: pooling needs at least two sites\n")
 
     def test_missing_shared_list(self, tmp_path, base_doc, capsys):
         base_doc["sites"] = ["SIM", "SIM2"]

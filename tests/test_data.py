@@ -24,6 +24,7 @@ from skewsurge import data
 from skewsurge.data import (
     GAUGE_HEADER,
     GmtSeries,
+    MonthlyThresholds,
     SiteSeries,
     attach_covariates,
     calendar_columns,
@@ -1055,6 +1056,33 @@ class TestCovariates:
         s = columns_series([1, 2], [3.0, 3.0], [0.1, 0.2])
         with pytest.raises(ValueError, match="zero variance"):
             attach_covariates(s)
+
+    def test_empty_series_errors(self):
+        s = columns_series([], [], [])
+        with pytest.raises(ValueError, match="^empty series$"):
+            attach_covariates(s)
+
+
+class TestInputChecks:
+    def test_gmt_lengths_must_match(self):
+        with pytest.raises(ValueError,
+                           match="years and anomalies must have equal length"):
+            GmtSeries(years=[1990, 1991], anomalies=[0.2])
+
+    def test_gmt_year_repeated(self):
+        with pytest.raises(ValueError, match="duplicate years in GMT series"):
+            GmtSeries(years=[1990, 1990], anomalies=[0.2, 0.3])
+
+    @pytest.mark.parametrize("n", [11, 13])
+    def test_thresholds_need_twelve_values(self, n):
+        with pytest.raises(ValueError,
+                           match="expected 12 monthly threshold values"):
+            MonthlyThresholds(np.zeros(n))
+
+    def test_load_gmt_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError,
+                           match="GMT CSV not found: .*absent.csv"):
+            load_gmt(tmp_path / "absent.csv")
 
 
 def test_load_gmt(tmp_path):

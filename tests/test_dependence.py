@@ -308,6 +308,25 @@ def test_tau_with_int64_keys_matches_the_reference():
     assert kendall_tau((a, b)) == _reference_kendall_tau(a, b)
 
 
+class TestPairedDailySeries:
+    @pytest.mark.parametrize("n_dates,n_a,n_b", [(2, 3, 3), (3, 2, 3),
+                                                 (3, 3, 2)])
+    def test_lengths_must_match(self, n_dates, n_a, n_b):
+        with pytest.raises(ValueError,
+                           match="dates, a and b must have equal lengths"):
+            PairedDailySeries(
+                dates=np.arange(n_dates).astype("datetime64[D]"),
+                a=np.zeros(n_a), b=np.zeros(n_b), lag=0)
+
+    @pytest.mark.parametrize("side", ["rank_a", "rank_b"])
+    def test_ranks_must_match_the_values(self, side):
+        with pytest.raises(ValueError,
+                           match="ranks must have the length of the values"):
+            PairedDailySeries(
+                dates=np.arange(3).astype("datetime64[D]"), a=np.zeros(3),
+                b=np.zeros(3), lag=0, **{side: np.arange(2)})
+
+
 class TestChiChibar:
     def test_comonotone_both_one(self):
         a = np.arange(100.0)

@@ -119,14 +119,23 @@ class TestCurveFit:
         z[0] = 0.0
         for i in range(1, len(z)):
             z[i] = 0.6 * z[i - 1] + rng.standard_normal()
-        model = fit_exi_curve(z, run_length=4)
+        model = fit_exi_curve(
+            z, float(np.quantile(z, 0.99)),
+            np.linspace(*np.quantile(z, (0.95, 0.999)), 30), run_length=4)
         assert 0.0 < model.theta_v <= model.theta <= 1.0
         assert model.psi > 0
         assert model.run_length == 4
 
     def test_v_above_maximum_errors(self):
         with pytest.raises(ValueError, match="maximum"):
-            fit_exi_curve(np.linspace(0, 1, 100), v=2.0)
+            fit_exi_curve(np.linspace(0, 1, 100), 2.0, np.linspace(0, 1, 30))
+
+    def test_too_few_usable_levels_above_v(self):
+        # 1.5 has no exceedances and is dropped, leaving two above v
+        with pytest.raises(ValueError,
+                           match="fewer than 3 usable grid levels above v"):
+            fit_exi_curve(np.linspace(0, 1, 100), 0.5,
+                          [0.3, 0.4, 0.6, 0.7, 1.5])
 
 
 class TestEvalExi:

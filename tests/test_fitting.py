@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -288,6 +290,60 @@ class TestHessianIntervals:
         hess = np.array([[1.0, 0.0], [0.0, -2.0]])
         se, ci, ok = wald_intervals(hess, np.zeros(2))
         assert not ok and se is None and ci is None
+
+    def test_non_finite_matrix_reported(self):
+        for bad in (np.nan, np.inf):
+            hess = np.array([[1.0, 0.0], [0.0, bad]])
+            se, ci, ok = wald_intervals(hess, np.zeros(2))
+            assert not ok and se is None and ci is None
+
+    def test_fit_without_intervals_writes_null(self, fit_r0):
+        unusable = replace(fit_r0, std_errors=None, conf_intervals=None,
+                           hessian_ok=False)
+        doc = json.loads(json.dumps(unusable.to_dict()))
+        assert doc["conf_intervals"] is None and doc["std_errors"] is None
+
+
+class TestFitsThatStopShort:
+    """Each way a fit can stop short names itself."""
+
+    @staticmethod
+    def _gpd_half(sim_r0):
+        series, _, thr = sim_r0
+        half = fitting._half([fitting._site_data(series, thr)], "S0",
+                             FitConfig())
+        lo = np.array([-np.inf] * 4 + [fitting._XI_BOX[0]])
+        hi = np.array([np.inf] * 4 + [fitting._XI_BOX[1]])
+        return half, lo, hi
+
+    def test_scale_at_zero_is_an_edge(self, sim_r0):
+        # coefficients (alpha, beta cos, beta sin, gamma, xi): a harmonic
+        # larger than the intercept takes sigma below 0 in summer
+        half, lo, hi = self._gpd_half(sim_r0)
+        x = np.array([0.1, 0.15, 0.0, 0.0, 0.0])
+        assert fitting._edge(half, x, lo, hi) == "site SIM sigma > 0"
+
+    def test_harmonic_as_large_as_the_intercept_is_an_edge(self, sim_r0):
+        # gamma times a peak tide of at least 2 m keeps sigma above 0.1
+        half, lo, hi = self._gpd_half(sim_r0)
+        x = np.array([0.1, 0.1, 0.0, 0.05, 0.0])
+        assert (fitting._edge(half, x, lo, hi)
+                == "site SIM beta_sigma <= alpha_sigma")
+
+    def test_newton_cut_short_is_not_converged(self, sim_r0, monkeypatch):
+        series, _, thr = sim_r0
+        monkeypatch.setattr(fitting, "_MAX_NEWTON", 1)
+        fit = fit_tail(series, FitConfig(), thr)
+        assert not fit.converged and fit.n_iter == 2
+        assert re.fullmatch(r"max scaled gradient \S+ above 1e-3",
+                            fit.message), fit.message
+        assert fit.max_scaled_gradient >= 1e-3
+
+    def test_frozen_values_without_a_finite_start(self, sim_r0):
+        series, _, thr = sim_r0
+        with pytest.raises(ValueError, match="^the frozen values leave no "
+                                             "finite starting point$"):
+            fit_tail(series, FitConfig(frozen={"alpha_sigma": -1.0}), thr)
 
 
 ALL_COVARIATES_TRUTH = TailParams(

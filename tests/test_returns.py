@@ -291,8 +291,7 @@ class TestSolver:
 
     def test_curve_averages_at_most_five_evaluations_per_level(self,
                                                                surge_model):
-        # Anderson-Bjorck scaling of a kept end's h: Illinois' halving
-        # spends about one more evaluation per level on this curve.
+        # inverse interpolation through the solved levels: 52 here
         model, cal = surge_model
         grid = np.geomspace(1e-4, 1e-1, 20)
         with _Counted() as counted:
@@ -513,6 +512,16 @@ def _simulated(truth, seed, n_cycles=8000):
     return model, TideSampleCalendar.from_series(series), series
 
 
+def _pinned_exi(series):
+    """The extremal-index curve the pinned values were computed with: v
+    the 0.99 quantile, 30 levels equally spaced in level between the 0.95
+    and 0.999 quantiles."""
+    x = series.skew_surge
+    return fit_exi_curve(series, float(np.quantile(x, 0.99)),
+                         np.linspace(*np.quantile(x, (0.95, 0.999)), 30),
+                         run_length=4)
+
+
 # Return levels of the R1/S0 truth below from a plain bisection of
 # F(z) < 1 - p run until the bracket was narrower than 1e-12 m. The solver
 # must land on these roots, whatever its iteration.
@@ -546,7 +555,7 @@ def test_return_curves_are_pinned():
         xi=0.05,
     )
     model, cal, series = _simulated(truth, seed=5)
-    exi_model = fit_exi_curve(series, run_length=4)
+    exi_model = _pinned_exi(series)
     grid = np.geomspace(1e-4, 1e-1, 20)
     for year, levels in PINNED_LEVELS.items():
         scenario = Scenario(year_std=float(standardize_year(year)))
@@ -654,9 +663,9 @@ def test_engine_matches_the_per_cycle_reference(seasonal_model):
         conditional = model.conditional(
             cal.day_of_year, cal.day_of_month, cal.month, cal.tide,
             year_std=scenario.year_std)
-        log_cdf = model._level_log_cdf(
+        log_cdf = model._evaluator(
             cal.day_of_year, cal.day_of_month, cal.month, cal.tide,
-            year_std=scenario.year_std)
+            scenario.year_std, None, level=True)
         exceedance = returns._annual_max(model, cal, exi_model, scenario)
         for name, z in levels.items():
             expected, cycle_cdf, cycle_log_cdf = _reference_exceedance(
@@ -687,7 +696,7 @@ def test_annual_exceedance_meets_the_fsum_reference(seasonal_model):
     # log1p(-S) per cycle and -expm1 per year: the exceedance is never
     # formed as 1 - F, so it keeps its relative precision at p = 1e-6.
     model, cal, series = seasonal_model
-    exi_model = fit_exi_curve(series, run_length=4)
+    exi_model = _pinned_exi(series)
     scenario = Scenario(year_std=0.5)
     exceedance = returns._annual_max(model, cal, exi_model, scenario)
     for p in (1e-2, 1e-4, 1e-6):

@@ -139,6 +139,8 @@ def test_invalid_spec_rejected():
         _spec(n_cycles=0)
     with pytest.raises(ValueError):
         _spec(body_sd=0.0)
+    with pytest.raises(ValueError, match="tide_amp must be nonnegative"):
+        _spec(tide_amp=-0.1)
 
 
 def test_scalar_threshold_coerced_to_monthly():
