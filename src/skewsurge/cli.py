@@ -8,14 +8,14 @@ summarize), ``fit`` (empirical body plus tail model per site), ``select``
 
 Options come from a YAML config file; the flags ``--site``,
 ``--rate-family``, ``--scale-family``, ``--out``, ``--seed``,
-``--percentile`` and ``--run-length`` override it. A key that the schema
-below does not list is ignored with a warning naming it, a bare name
-where a list is expected is a one-item list, and a malformed value exits
-1 naming its key. Artifacts are deterministic for a given config and
-inputs: no timestamps, sorted JSON keys, and every file embeds the config
-hash and tool version (JSON keys, or a leading ``#`` line in CSVs). Set
-SKEWSURGE_LOG to control log verbosity (DEBUG/INFO/WARNING/ERROR; default
-WARNING).
+``--percentile`` and ``--run-length`` override it, read as its keys. As
+it loads, before any data, a key that the schema below lacks is ignored
+with a warning naming it, a bare name where a list is expected is a
+one-item list, and a bad or out-of-range value exits 1 naming its key.
+Artifacts are deterministic for a given config and inputs: no
+timestamps, sorted JSON keys, and every file embeds the config hash and
+tool version (JSON keys, or a leading ``#`` line in CSVs). SKEWSURGE_LOG
+sets the log level (DEBUG/INFO/WARNING/ERROR; default WARNING).
 
 Config schema (all sections optional unless a subcommand needs them)::
 
@@ -35,15 +35,15 @@ Config schema (all sections optional unless a subcommand needs them)::
     fit:
       shape_prior: {mean: 0.0119, variance: 0.0343}  # or true; default off
       frozen: {beta_day: 0.0, phi_day: 0.0}   # amplitude and phase together
-    run_length: 4                    # only the extremal index of exi/rl
+    run_length: 4                    # >= 1; only the exi/rl extremal index
     exi:
-      v_quantile: 0.99
-      n_levels: 30    # equally spaced in probability from 0.95 to 0.999
+      v_quantile: 0.99               # in (0, 1)
+      n_levels: 30    # >= 3, equally spaced in probability, 0.95 to 0.999
     return_levels:
       p_grid: [0.1, 0.01, 0.001, 0.0001]
       scenario: {year: 2017, year_std: null, gmt: null}   # year_std wins
     dependence:
-      p: 0.05
+      p: 0.05                        # in (0, 1)
       lags: [-1, 0, 1]
       uniform: true
     pooling:                         # fitted at threshold_percentile
@@ -149,6 +149,24 @@ def _one_of(choices):
     return read
 
 
+def _between(lo, hi):
+    """A reader of a number in the open interval (lo, hi)."""
+    def read(v):
+        if not lo < float(v) < hi:
+            raise ValueError(f"expected a value in ({lo}, {hi}), not {v}")
+        return float(v)
+    return read
+
+
+def _at_least(lo):
+    """A reader of a whole number no less than ``lo``."""
+    def read(v):
+        if int(v) < lo:
+            raise ValueError(f"expected at least {lo}, not {v}")
+        return int(v)
+    return read
+
+
 def _read(path, read, value):
     """``read(value)``, its error raised again naming the config key."""
     try:
@@ -175,7 +193,8 @@ _KEYS = {
             "frozen": lambda v: {k: float(x) for k, x in _mapping(v).items()}},
     "fit.shape_prior": {"mean": float, "variance": float},
     "return_levels.scenario": {"year": int, "year_std": float, "gmt": float},
-    "dependence": {"p": float, "lags": _list_of(int), "uniform": bool},
+    "dependence": {"p": _between(0, 1), "lags": _list_of(int),
+                   "uniform": bool},
     "simulate": {"site_id": str, "n_cycles": int, "start": str,
                  "tide_mean": float, "tide_amp": float, "body_mean": float,
                  "body_sd": float, "params": _mapping,
@@ -186,15 +205,6 @@ _KEYS = {
         **dict.fromkeys(("delta_rate", "delta_sigma"),  # one, or one a season
                         lambda v: np.ravel(np.asarray(v, float)).tolist())},
 }
-
-
-def _section(doc, path):
-    """The set keys of the config mapping ``doc`` at ``path``, each read,
-    and the sections among them read in turn."""
-    values = {key: _read(f"{path}.{key}", read, doc[key])
-              for key, read in _KEYS[path].items() if doc.get(key) is not None}
-    return {key: _section(v, f"{path}.{key}") if isinstance(v, dict)
-            and f"{path}.{key}" in _KEYS else v for key, v in values.items()}
 
 
 def _key(path, read, default=None):
@@ -212,7 +222,8 @@ class RunConfig:
     sites: list = _key("sites", _list_of(str), [])
     detrend_rates: dict = _key("detrend.rates_mm_per_year", _mapping, {})
     detrend_reference_year: int = _key("detrend.reference_year", int, 2017)
-    threshold_percentile: float = _key("threshold_percentile", float, 0.95)
+    threshold_percentile: float = _key("threshold_percentile",
+                                       _between(0.5, 1), 0.95)
     rate_family: str = _key("rate_family", _RATE, "R0")
     scale_family: str = _key("scale_family", _SCALE, "S0")
     select_rate_families: list | None = _key(  # None: select_families()
@@ -220,9 +231,9 @@ class RunConfig:
     select_scale_families: list | None = _key(
         "select.scale_families", lambda v: _list_of(_SCALE)(v) or None)
     fit_options: dict = _key("fit", _mapping, {})
-    run_length: int = _key("run_length", int, 4)
-    exi_v_quantile: float = _key("exi.v_quantile", float, 0.99)
-    exi_n_levels: int = _key("exi.n_levels", int, 30)
+    run_length: int = _key("run_length", _at_least(1), 4)
+    exi_v_quantile: float = _key("exi.v_quantile", _between(0, 1), 0.99)
+    exi_n_levels: int = _key("exi.n_levels", _at_least(3), 30)
     p_grid: list = _key("return_levels.p_grid", _list_of(float),
                         [0.1, 0.01, 0.001, 0.0001])
     scenario: dict = _key("return_levels.scenario", _mapping, {})
@@ -234,29 +245,21 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, doc):
-        flat = _flatten(_read("document", _mapping, doc or {}))
-        for path in flat:
-            if path not in _PATHS and path not in _PARENTS:
-                log.warning("ignoring unknown config key %s", path)
-        cfg = cls(**{name: _read(path, read, flat[path])
-                     for name, path, read in _FIELDS
-                     if flat.get(path) is not None})
+        read = {}
+        _read_section(_read("document", _mapping, doc or {}), "", read)
+        cfg = cls(**{name: read[path] for name, (path, _) in _FIELDS.items()
+                     if read.get(path) is not None})
         cfg.validate()
         return cfg
 
     def apply_flags(self, args):
+        """The flags' values, each read like the config key it overrides."""
         for flag, name in _FLAGS.items():
             if getattr(args, flag) is not None:
-                setattr(self, name, getattr(args, flag))
-        self.validate()
+                setattr(self, name, _read(*_FIELDS[name], getattr(args, flag)))
         return self
 
     def validate(self):
-        if not 0.5 < self.threshold_percentile < 1.0:
-            raise ValueError(
-                f"threshold_percentile {self.threshold_percentile} "
-                "outside (0.5, 1)"
-            )
         for kind, listed in (("rate", self.select_rate_families),
                              ("scale", self.select_scale_families)):
             gmt = [fam for fam in listed or () if fam in GMT_FAMILIES]
@@ -264,8 +267,6 @@ class RunConfig:
                 raise ValueError(
                     f"{kind} family {gmt[0]} in select list needs the GMT "
                     "anomaly: set inputs.gmt_csv")
-        if self.run_length < 1:
-            raise ValueError("run_length must be >= 1")
 
     def select_families(self):
         """(rate, scale) families for ``select``: the listed ones, by
@@ -281,9 +282,6 @@ class RunConfig:
 
     def config_hash(self):
         doc = asdict(self)
-        for name, path, _ in _FIELDS:  # ignored keys leave the hash alone
-            if path in _KEYS:
-                doc[name] = _section(doc[name], path)
         # An unlisted select list hashes as the full list it used to be
         # stored as, so artifacts keep their hash.
         doc["select_rate_families"] = (self.select_rate_families
@@ -294,33 +292,35 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_FIELDS = [(f.name, f.metadata["path"], f.metadata["read"])
-           for f in fields(RunConfig)]
+_FIELDS = {f.name: (f.metadata["path"], f.metadata["read"])
+           for f in fields(RunConfig)}
 _FLAGS = {"site": "sites", "rate_family": "rate_family",
           "scale_family": "scale_family", "out": "out_dir", "seed": "seed",
           "percentile": "threshold_percentile", "run_length": "run_length"}
-# Every config key path, and every path that holds a mapping of them.
-_PATHS = ({path for _, path, _ in _FIELDS}
-          | {f"{section}.{key}" for section, keys in _KEYS.items()
-             for key in keys})
-_PARENTS = {path.rpartition(".")[0] for path in _PATHS if "." in path}
+# Every config key path and its reader, and every path that holds keys.
+_READERS = dict(_FIELDS.values()) | {
+    f"{s}.{k}": read for s, keys in _KEYS.items() for k, read in keys.items()}
+_SECTIONS = {path.rpartition(".")[0] for path in _READERS if "." in path}
 
 
-def _flatten(doc, prefix=""):
-    """{key path: value} over a config mapping and the sections in it."""
-    flat = {}
+def _read_section(doc, prefix, read):
+    """The set keys of the config mapping ``doc`` at ``prefix``, each read
+    (sections in turn) and put in ``read`` by path; unknown keys warn once."""
+    values = {}
     for key, value in doc.items():
         path = f"{prefix}{key}"
-        flat[path] = value
-        # a section must be a mapping; a field's reader checks its value
-        if path in _PARENTS and value is not None and (
-                path not in _PATHS or isinstance(value, dict)):
-            flat.update(_flatten(_read(path, _mapping, value), path + "."))
-    return flat
+        if path not in _READERS and path not in _SECTIONS:
+            log.warning("ignoring unknown config key %s", path)
+        elif value is not None:
+            value = _read(path, _READERS.get(path, _mapping), value)
+            if isinstance(value, dict) and path in _SECTIONS:
+                value = _read_section(value, f"{path}.", read)
+            values[key] = read[path] = value
+    return values
 
 
 def _fit_config(cfg, **overrides):
-    opts = _section(cfg.fit_options, "fit")
+    opts = dict(cfg.fit_options)
     prior = opts.pop("shape_prior", False)
     if prior is not False:
         opts["shape_prior"] = ShapePrior(**({} if prior is True else prior))
@@ -390,7 +390,7 @@ def _fmt(x):
 def _scenario(cfg):
     """The return-level scenario, refused if it lacks a trend covariate
     that the configured families need."""
-    sc = _section(cfg.scenario, "return_levels.scenario")
+    sc = dict(cfg.scenario)
     if "year" in sc:
         sc.setdefault("year_std", float(standardize_year(sc.pop("year"))))
     scenario = Scenario(**sc)
@@ -533,7 +533,7 @@ def _cmd_rl(cfg, out, meta):
 
 
 def _cmd_dep(cfg, out, meta):
-    dep, fit_cfg = _section(cfg.dependence, "dependence"), _fit_config(cfg)
+    dep, fit_cfg = dict(cfg.dependence), _fit_config(cfg)
     series_map = _load_sites(cfg)
     if len(series_map) < 2:
         raise ValueError("dependence needs at least two sites")
@@ -588,7 +588,7 @@ def _sim_params(doc):
 def _cmd_simulate(cfg, out, meta):
     if not cfg.simulate:
         raise ValueError("config is missing the simulate section")
-    doc = _section(cfg.simulate, "simulate")
+    doc = dict(cfg.simulate)
     if "n_cycles" not in doc:
         raise ValueError("simulate.n_cycles is required")
     params = _sim_params(doc.pop("params", {}))

@@ -635,7 +635,7 @@ def monthly_thresholds(series, percentile=0.95):
     each ``np.quantile`` of its month to the bit (:func:`_quantile`).
 
     Every month 1..12 needs at least 30 observations for a usable
-    quantile estimate.
+    quantile estimate, and a finite skew surge on each.
     """
     if not 0.0 < percentile < 1.0:
         raise ValueError("percentile must be in (0, 1)")
@@ -652,6 +652,9 @@ def monthly_thresholds(series, percentile=0.95):
                 f"site {series.site_id}: month {j} has {ss.size} records; "
                 "need >= 30 for a threshold"
             )
+        if not np.isfinite(ss).all():
+            raise ValueError(f"site {series.site_id}: month {j} has a "
+                             "non-finite skew surge")
         values[j - 1] = _quantile(ss, percentile)
     return MonthlyThresholds(values=values)
 
@@ -681,11 +684,9 @@ def standardizers(peak_tide, month, day_of_month):
     each month (the centering constant of the rate model's day term)."""
     peak_tide = np.asarray(peak_tide, dtype=float)
     tide_sd = _tide_sd(peak_tide)
-    month_mean_day = np.full(12, np.nan)
-    for j in range(1, 13):
-        sel = month == j
-        if sel.any():
-            month_mean_day[j - 1] = day_of_month[sel].mean()
+    counts = np.bincount(month, minlength=13)  # whole-day sums are exact
+    month_mean_day = np.divide(np.bincount(month, day_of_month, 13), counts,
+                               out=np.full(13, np.nan), where=counts > 0)[1:13]
     return Standardizers(float(peak_tide.mean()), tide_sd, month_mean_day)
 
 

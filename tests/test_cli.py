@@ -1,6 +1,7 @@
 """End-to-end command-line runs against a small simulated record."""
 
 import argparse
+import copy
 import csv
 import hashlib
 import json
@@ -8,7 +9,7 @@ import logging
 import re
 import shlex
 import textwrap
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -257,16 +258,70 @@ class TestRunConfig:
                 "dependence.lag", "fit.shape_prior.meen",
                 "simulate.params.lamm")]
 
-    def test_docstring_schema_lists_every_key(self):
+    def test_docstring_schema_lists_every_key(self, caplog):
         # The schema block's key paths are the fields' config keys, the
-        # keys known inside the mapping-valued ones, and their sections.
-        block = textwrap.dedent(cli.__doc__.split("::\n")[1])
-        documented = set(cli._flatten(yaml.safe_load(block)))
+        # keys known inside the mapping-valued ones, and their sections:
+        # each one is documented, and nothing else is.
         keys = ({f.metadata["path"] for f in fields(RunConfig)}
                 | {f"{section}.{key}" for section, known in cli._KEYS.items()
                    for key in known})
         sections = {path.rpartition(".")[0] for path in keys if "." in path}
-        assert documented == keys | sections
+
+        def paths(doc, prefix=""):
+            for key, value in doc.items():
+                yield prefix + key
+                if prefix + key in sections and isinstance(value, dict):
+                    yield from paths(value, f"{prefix}{key}.")
+
+        block = yaml.safe_load(
+            textwrap.dedent(cli.__doc__.split("::\n")[1]))
+        assert set(paths(block)) == keys | sections
+        assert set(cli._READERS) == keys
+        # and the documented values are read without a warning
+        with caplog.at_level(logging.WARNING, logger="skewsurge"):
+            RunConfig.from_mapping(block)
+        assert caplog.records == []
+
+    def test_ignored_keys_leave_every_field_alone(self, caplog):
+        doc = {"seed": 1, "inputs": {"gauge_csv": "g.csv"},
+               "fit": {"frozen": {"beta_day": 0.0},
+                       "shape_prior": {"mean": 0.1}},
+               "return_levels": {"scenario": {"year": 2017}},
+               "simulate": {"n_cycles": 10, "params": {"lam": 0.1}}}
+        noisy = copy.deepcopy(doc)
+        noisy["seeed"] = 2
+        noisy["inputs"]["gauge"] = "h.csv"
+        noisy["fit"]["multi_start"] = 5
+        noisy["fit"]["shape_prior"]["spread"] = 2.0
+        noisy["return_levels"]["scenario"]["yeer"] = 2050
+        noisy["simulate"]["params"]["lamda"] = 0.2
+        with caplog.at_level(logging.WARNING, logger="skewsurge"):
+            plain, ignored = (RunConfig.from_mapping(doc),
+                              RunConfig.from_mapping(noisy))
+        assert len(caplog.records) == 6
+        for f in fields(RunConfig):
+            assert getattr(ignored, f.name) == getattr(plain, f.name), f.name
+
+    @pytest.mark.parametrize("flag,value,key,reason", [
+        ("--percentile", "0.4", "threshold_percentile",
+         "expected a value in (0.5, 1), not 0.4"),
+        ("--run-length", "0", "run_length", "expected at least 1, not 0"),
+    ])
+    def test_out_of_range_flag_fails_like_its_key(self, tmp_path, capsys,
+                                                  flag, value, key, reason):
+        # the gauge file is missing too: the value is read before any data
+        doc = {"inputs": {"gauge_csv": "no/such.csv"}}
+        out = tmp_path / "out"
+        cfg = _write_yaml(tmp_path / "c.yaml", doc)
+        assert main(["exi", "--config", cfg, "--out", str(out),
+                     flag, value]) == 1
+        by_flag = capsys.readouterr().err
+        cfg = _write_yaml(tmp_path / "c.yaml",
+                          {**doc, key: yaml.safe_load(value)})
+        assert main(["exi", "--config", cfg, "--out", str(out)]) == 1
+        assert by_flag == capsys.readouterr().err \
+            == f"error: config {key}: {reason}\n"
+        assert not out.exists()
 
     def test_readme_lists_every_parameter_name(self):
         # Each bullet of "Model parameters" adds its names to the families
@@ -448,6 +503,21 @@ class TestFit:
         assert json.loads((out / "fit_SIM_R0S0.json").read_text())["converged"]
         assert main(["rl", "--config", cfg, "--out", str(out)]) == 1
         assert "month 3 tide band 1 is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_surge_fails_naming_site_and_month(
+            self, tmp_path, base_doc, gauges, capsys, bad):
+        series = load_series(gauges)["SIM"]
+        surge = series.skew_surge.copy()
+        surge[np.flatnonzero(series.month == 1)[0]] = float(bad)
+        write_series_csv(tmp_path / "g.csv", replace(series, skew_surge=surge))
+        base_doc["inputs"]["gauge_csv"] = str(tmp_path / "g.csv")
+        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: site SIM: month 1 has a non-finite skew surge\n")
+        assert not out.exists()
 
     def test_percentile_flag_reaches_artifact(self, tmp_path, base_doc):
         cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
@@ -803,6 +873,10 @@ class TestErrorHandling:
         ("simulate", {"simulate": {"n_cycles": 10, "params": {
             "rate_family": "R2", "delta_rate": 0.2}}},
          "simulate.params.delta_rate"),
+        # out of range, refused as the config loads
+        ("exi", {"exi": {"v_quantile": 1.5}}, "exi.v_quantile"),
+        ("exi", {"exi": {"n_levels": -1}}, "exi.n_levels"),
+        ("dep", {"dependence": {"p": 1.5}}, "dependence.p"),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, capsys,
                                            subcommand, doc, key):

@@ -967,6 +967,17 @@ class TestMonthlyThresholds:
         with pytest.raises(ValueError, match="month 7"):
             monthly_thresholds(s)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_surge_names_site_and_month(self, bad):
+        # np.partition would carry a NaN into the threshold unseen
+        months = np.repeat(np.arange(1, 13), 40)
+        surges = np.zeros(480)
+        surges[np.flatnonzero(months == 3)[5]] = bad
+        s = columns_series(months, np.full(480, 3.0), surges, site_id="X")
+        with pytest.raises(ValueError, match="^site X: month 3 has a "
+                                             "non-finite skew surge$"):
+            monthly_thresholds(s)
+
     def test_first_sparse_month_is_named(self):
         months = np.repeat(np.arange(1, 13), 40)[::-1].copy()
         months[months == 9] = 1

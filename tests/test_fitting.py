@@ -339,6 +339,15 @@ class TestFitsThatStopShort:
                             fit.message), fit.message
         assert fit.max_scaled_gradient >= 1e-3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_surge_is_refused(self, sim_r0, bad):
+        series, _, thr = sim_r0
+        surge = series.skew_surge.copy()
+        surge[np.flatnonzero(series.month == 1)[0]] = bad
+        with pytest.raises(ValueError,
+                           match="^site SIM: non-finite skew surge$"):
+            fit_tail(replace(series, skew_surge=surge), FitConfig(), thr)
+
     def test_frozen_values_without_a_finite_start(self, sim_r0):
         series, _, thr = sim_r0
         with pytest.raises(ValueError, match="^the frozen values leave no "
