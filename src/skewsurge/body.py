@@ -2,10 +2,9 @@
 
 Within each calendar month, records are split into three peak-tide bands at
 the month's 0.33 and 0.67 tide quantiles. Each (month, band) cell keeps the
-sorted skew surges that did not exceed the monthly threshold, together with
-the total cell count including exceedances, so the evaluated step function
-reaches roughly the threshold percentile (not 1) at u_j and leaves the
-remaining mass to the tail model.
+sorted skew surges that did not exceed the monthly threshold. The body is
+their plain empirical CDF, 1 at u_j; ``SkewSurgeModel`` scales it by the
+tail's 1 - lambda per cycle, so F is continuous at u_j.
 """
 
 from __future__ import annotations
@@ -23,13 +22,11 @@ class TideBandedEmpirical:
 
     tide_breaks: np.ndarray  # (12, 2) per-month tide band edges
     samples: list  # 12 lists of 3 sorted arrays (surges <= u_j)
-    totals: np.ndarray  # (12, 3) total cell counts, exceedances included
     thresholds: np.ndarray  # (12,) monthly thresholds u_j (metres)
 
     def band_index(self, month, tide):
         """Band (0, 1 or 2) of each record: tide <= q33, <= q67, else upper."""
-        month = np.asarray(month)
-        tide = np.asarray(tide)
+        month, tide = np.asarray(month), np.asarray(tide)
         breaks = self.tide_breaks[month - 1]
         return (tide > breaks[..., 0]).astype(int) + (tide > breaks[..., 1])
 
@@ -42,32 +39,25 @@ def build_empirical(series, thresholds):
     support there and is also rejected.
     """
     model = TideBandedEmpirical(  # filled in month by month
-        tide_breaks=np.empty((12, 2)), samples=[],
-        totals=np.zeros((12, 3), dtype=int),
-        thresholds=np.asarray(thresholds.values, dtype=float).copy())
+        np.empty((12, 2)), [], np.array(thresholds.values, dtype=float))
     for j in range(1, 13):
         sel = series.month == j
         if not sel.any():
             raise ValueError(f"site {series.site_id}: no records in month {j}")
-        tide = series.peak_tide[sel]
-        ss = series.skew_surge[sel]
+        tide, ss = series.peak_tide[sel], series.skew_surge[sel]
         model.tide_breaks[j - 1] = np.quantile(tide, BAND_QUANTILES)
         band = model.band_index(j, tide)
         u = thresholds.values[j - 1]
         month_samples = []
         for b in range(3):
             in_band = band == b
-            model.totals[j - 1, b] = int(in_band.sum())
-            if model.totals[j - 1, b] == 0:
-                raise ValueError(
-                    f"site {series.site_id}: month {j} tide band {b} is empty"
-                )
+            if not in_band.any():
+                raise ValueError(f"site {series.site_id}: month {j} tide "
+                                 f"band {b} is empty")
             kept = np.sort(ss[in_band & (ss <= u)])
             if kept.size == 0:
-                raise ValueError(
-                    f"site {series.site_id}: month {j} tide band {b} has no "
-                    "below-threshold records"
-                )
+                raise ValueError(f"site {series.site_id}: month {j} tide "
+                                 f"band {b} has no below-threshold records")
             month_samples.append(kept)
         model.samples.append(month_samples)
     return model
@@ -75,7 +65,8 @@ def build_empirical(series, thresholds):
 
 def cell_cdf(model, month, tide):
     """The body CDF of fixed records as a function of y, with no threshold
-    check: y -> (stored samples <= y) / total, per (month, band) cell.
+    check: y -> (stored samples <= y) / (stored samples), per (month, band)
+    cell, the plain empirical CDF of the kept surges, 1 at u_j.
 
     The records are grouped once by cell with a stable sort of the cell
     numbers as int8 (numpy radix-sorts keys of 16 bits or fewer), so each
@@ -100,10 +91,9 @@ def cell_cdf(model, month, tide):
         grouped = np.asarray(y, dtype=float).ravel()[rows]
         for c in cells:
             lo, hi = at[c], at[c + 1]
-            j, b = divmod(c, 3)
-            grouped[lo:hi] = np.searchsorted(
-                model.samples[j][b], grouped[lo:hi], side="right"
-            ) / model.totals[j, b]
+            kept = model.samples[c // 3][c % 3]
+            grouped[lo:hi] = np.searchsorted(kept, grouped[lo:hi],
+                                             side="right") / kept.size
         if out is None:
             out = np.empty(month.shape)
         out.reshape(-1)[rows] = grouped
@@ -116,17 +106,15 @@ def eval_body_cdf(model, y, month, tide):
     """Evaluate the empirical body CDF at skew surge y.
 
     The value is (number of stored below-threshold samples <= y) divided by
-    the total cell count, so it reaches roughly the threshold percentile
-    (not 1) at the monthly threshold; y above the threshold is an error,
-    since that region belongs to the tail model. All arguments broadcast.
+    the number stored, so it reaches 1 at the monthly threshold; the
+    conditional CDF scales it by 1 - lambda. y above the threshold is an
+    error, since that region belongs to the tail model. All arguments
+    broadcast.
     """
     y, month, tide = np.broadcast_arrays(
-        np.asarray(y, dtype=float), np.asarray(month), np.asarray(tide)
-    )
-    if np.any(y > model.thresholds[np.asarray(month) - 1]):
-        raise ValueError(
-            "eval_body_cdf requires y <= the monthly threshold; "
-            "values above it belong to the tail branch"
-        )
+        np.asarray(y, dtype=float), np.asarray(month), np.asarray(tide))
+    if np.any(y > model.thresholds[month - 1]):
+        raise ValueError("eval_body_cdf requires y <= the monthly threshold; "
+                         "values above it belong to the tail branch")
     out = cell_cdf(model, month, tide)(y)
     return out if out.ndim else float(out)

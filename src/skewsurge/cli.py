@@ -158,13 +158,25 @@ def _between(lo, hi):
     return read
 
 
+def _whole(v, lo=-np.inf):
+    """A whole number no less than ``lo``: an int or a float with no
+    fraction, not a bool or a string."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v % 1:
+        raise TypeError(f"expected a whole number, not {v!r}")
+    if v < lo:
+        raise ValueError(f"expected at least {lo}, not {v}")
+    return int(v)
+
+
 def _at_least(lo):
     """A reader of a whole number no less than ``lo``."""
-    def read(v):
-        if int(v) < lo:
-            raise ValueError(f"expected at least {lo}, not {v}")
-        return int(v)
-    return read
+    return lambda v: _whole(v, lo)
+
+
+def _boolean(v):
+    if not isinstance(v, bool):
+        raise TypeError(f"expected true or false, not {v!r}")
+    return v
 
 
 def _read(path, read, value):
@@ -192,10 +204,10 @@ _KEYS = {
     "fit": {"shape_prior": lambda v: v if isinstance(v, bool) else _mapping(v),
             "frozen": lambda v: {k: float(x) for k, x in _mapping(v).items()}},
     "fit.shape_prior": {"mean": float, "variance": float},
-    "return_levels.scenario": {"year": int, "year_std": float, "gmt": float},
-    "dependence": {"p": _between(0, 1), "lags": _list_of(int),
-                   "uniform": bool},
-    "simulate": {"site_id": str, "n_cycles": int, "start": str,
+    "return_levels.scenario": {"year": _whole, "year_std": float, "gmt": float},
+    "dependence": {"p": _between(0, 1), "lags": _list_of(_whole),
+                   "uniform": _boolean},
+    "simulate": {"site_id": str, "n_cycles": _whole, "start": str,
                  "tide_mean": float, "tide_amp": float, "body_mean": float,
                  "body_sd": float, "params": _mapping,
                  "threshold": _thresholds},
@@ -221,7 +233,7 @@ class RunConfig:
     gmt_csv: str | None = _key("inputs.gmt_csv", str)
     sites: list = _key("sites", _list_of(str), [])
     detrend_rates: dict = _key("detrend.rates_mm_per_year", _mapping, {})
-    detrend_reference_year: int = _key("detrend.reference_year", int, 2017)
+    detrend_reference_year: int = _key("detrend.reference_year", _whole, 2017)
     threshold_percentile: float = _key("threshold_percentile",
                                        _between(0.5, 1), 0.95)
     rate_family: str = _key("rate_family", _RATE, "R0")
@@ -241,7 +253,7 @@ class RunConfig:
     pooling_shared: list = _key("pooling.shared", _list_of(str), [])
     simulate: dict = _key("simulate", _mapping, {})
     out_dir: str = _key("out_dir", str, "out")
-    seed: int = _key("seed", int, 0)
+    seed: int = _key("seed", _whole, 0)
 
     @classmethod
     def from_mapping(cls, doc):

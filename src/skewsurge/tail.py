@@ -13,8 +13,8 @@ plus a linear peak-tide term, with the analogous optional trends (S1-S4).
 
 Both predictors come from one kernel (:func:`rate_terms`,
 :func:`scale_terms` over :func:`seasonal_basis`), which fitting, the
-simulator and the CDF share. Below u_j the distribution is the
-tide-banded empirical body. One evaluator over fixed records
+simulator and the CDF share. Below u_j the distribution is 1 - lambda
+times the tide-banded empirical body. One evaluator over fixed records
 (:meth:`SkewSurgeModel._evaluator`) gives the conditional CDF of a surge,
 F = 1 - S (:meth:`SkewSurgeModel.conditional`, the PIT through
 :func:`eval_cdf`), and of a sea level, log F = log1p(-S) (with
@@ -451,9 +451,10 @@ class SkewSurgeModel:
         exactly where t is above the edge; one pass h = :func:`_gpd_h_scaled`
         of w, S = exp(log lambda - h), exactly 0 beyond a negative shape's
         endpoint; then F = 1 - S in a new array or, with ``level``, log F =
-        log1p(-S) in one kept array. The body overwrites the records with
-        t <= edge, searched only when min(t) <= max(edge), the function's
-        ``top_edge``; the log path then takes their log.
+        log1p(-S) in one kept array. The body times 1 - lambda overwrites
+        the records with t <= edge, so F(u_j) = 1 - lambda exactly; it is
+        searched only when min(t) <= max(edge), the function's
+        ``top_edge``, and the log path then takes their log.
         """
         d, d_j, j, x = np.broadcast_arrays(
             np.asarray(d), np.asarray(d_j), np.asarray(j),
@@ -475,6 +476,7 @@ class SkewSurgeModel:
         factor = _gpd_factor(xi)
         with np.errstate(divide="ignore", invalid="ignore"):
             a, c, log_lam = factor / sigma, -factor * edge / sigma, np.log(lam)
+        below_mass = 1.0 - lam
         bad = sigma <= 0.0
         bad = bad if bad.any() else None
         top_edge = edge.max()
@@ -500,6 +502,7 @@ class SkewSurgeModel:
                     below = t <= edge
                     body()(np.broadcast_to(t - x if level else t, edge.shape),
                            out, below)
+                    np.multiply(out, below_mass, out=out, where=below)
                     if level:
                         np.log(out, out=out, where=below)
             return out
@@ -518,16 +521,12 @@ class SkewSurgeModel:
 
 
 def eval_cdf(y, d, d_j, j, x, *, body, params, thresholds, year_std=None, gmt=None):
-    """Full skew-surge CDF: empirical body for y <= u_j, GPD tail above.
+    """Full skew-surge CDF: (1 - lambda) times the empirical body for
+    y <= u_j, the GPD tail 1 - lambda S above, so F(u_j) = 1 - lambda.
 
     All record arguments broadcast with y. This is
     ``SkewSurgeModel.conditional(d, d_j, j, x, year_std, gmt)(y)``, the
-    code path the return engine evaluates too. The two branches are
-    evaluated as-is and do not meet at u_j: the body's mass below u_j is
-    set per (month, tide band), the tail's 1 - lambda per cycle. So F is
-    not a CDF wherever the two differ: on a simulated 35,000-cycle R1/S0
-    site, with the true parameters, F drops as it crosses u_j in about
-    half of the cycles, by up to 0.017.
+    code path the return engine evaluates too.
     """
     y, d, d_j, j, x = np.broadcast_arrays(
         np.asarray(y, dtype=float), np.asarray(d), np.asarray(d_j),

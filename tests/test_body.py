@@ -6,6 +6,7 @@ import pytest
 
 from skewsurge.body import build_empirical, eval_body_cdf
 from skewsurge.data import monthly_thresholds
+from skewsurge.tail import SkewSurgeModel, rate_at
 
 from conftest import columns_series, flat_thresholds
 
@@ -34,7 +35,6 @@ class TestBuild:
             assert 1.0 < emp.tide_breaks[j, 0] < 2.0
             assert 2.0 < emp.tide_breaks[j, 1] < 3.0
             assert [len(b) for b in emp.samples[j]] == [3, 3, 3]
-        npt.assert_array_equal(emp.totals, 3)
 
     def test_samples_sorted_and_below_threshold(self, sim_r0):
         series, _, thresholds = sim_r0
@@ -54,7 +54,6 @@ class TestBuild:
                 (series.skew_surge[sel] <= thresholds.values[j]).sum()
             )
             assert sum(len(b) for b in emp.samples[j]) == n_below
-            assert emp.totals[j].sum() == int(sel.sum())
 
     def test_permuting_input_order_gives_identical_structure(self, sim_r0):
         series, _, thresholds = sim_r0
@@ -63,7 +62,6 @@ class TestBuild:
         a = build_empirical(series, thresholds)
         b = build_empirical(shuffled, thresholds)
         npt.assert_array_equal(a.tide_breaks, b.tide_breaks)
-        npt.assert_array_equal(a.totals, b.totals)
         for j in range(12):
             for band in range(3):
                 npt.assert_array_equal(a.samples[j][band],
@@ -77,6 +75,15 @@ class TestBuild:
         with pytest.raises(ValueError, match="month 4"):
             build_empirical(series, flat_thresholds(0.5))
 
+    def test_all_exceeding_cell_errors(self):
+        series = _nine_per_month()
+        high = series.skew_surge.copy()
+        high[(series.month == 4) & (series.peak_tide == 3.0)] = 9.0
+        series.skew_surge = high
+        with pytest.raises(ValueError, match="^site T: month 4 tide band 2 "
+                                             "has no below-threshold records$"):
+            build_empirical(series, flat_thresholds(0.5))
+
     def test_missing_month_errors(self):
         month = np.repeat(np.arange(1, 12), 9)  # no December
         s = columns_series(month, np.tile([1, 2, 3], 33),
@@ -87,8 +94,7 @@ class TestBuild:
 
 class TestEval:
     def test_fraction_of_band_samples(self):
-        # Middle band holds {0.1, 0.2, 0.3} with no exceedances, so the
-        # plain empirical CDF applies: two of three samples are <= 0.25.
+        # Middle band holds {0.1, 0.2, 0.3}: two of three samples are <= 0.25.
         emp = build_empirical(_nine_per_month(), flat_thresholds(0.5))
         npt.assert_allclose(eval_body_cdf(emp, 0.25, 5, 2.0), 2 / 3)
 
@@ -106,17 +112,22 @@ class TestEval:
             eval_body_cdf(emp, 0.51, 5, 2.0)
 
     def test_plateau_near_threshold_percentile(self, sim_r0):
-        # With exceedances counted in the denominator the body tops out
-        # around the threshold percentile, leaving tail mass above u_j.
-        series, _, _ = sim_r0
+        # The body is the plain empirical CDF of the kept surges, 1 at u_j;
+        # the conditional CDF scales it by 1 - lambda, so F(u_j) is the
+        # tail's 1 - lambda to the bit and near the threshold percentile.
+        series, params, _ = sim_r0
         thresholds = monthly_thresholds(series, 0.95)
         emp = build_empirical(series, thresholds)
-        top = eval_body_cdf(
-            emp, thresholds.for_month(series.month), series.month,
-            series.peak_tide,
-        )
-        assert 0.90 <= top.min() and top.max() <= 1.0
-        npt.assert_allclose(np.mean(top), 0.95, atol=0.01)
+        u = thresholds.for_month(series.month)
+        top = eval_body_cdf(emp, u, series.month, series.peak_tide)
+        assert (top == 1.0).all()
+        record = (series.day_of_year, series.day_of_month, series.month,
+                  series.peak_tide)
+        model = SkewSurgeModel(body=emp, params=params, thresholds=thresholds)
+        at_u = model.conditional(*record)(u)
+        assert at_u.tobytes() == (1.0 - rate_at(params.rate, *record)).tobytes()
+        assert 0.90 <= at_u.min() and at_u.max() <= 1.0
+        npt.assert_allclose(np.mean(at_u), 0.95, atol=0.01)
 
     def test_nondecreasing_in_y(self, sim_r0):
         series, _, thresholds = sim_r0

@@ -127,6 +127,19 @@ class TestRunConfig:
                "return_levels": {"scenario": {"year": 2017}}}
         assert RunConfig.from_mapping(doc).config_hash() == "b70453db7aabefa2"
 
+    def test_whole_numbers_read_from_integral_floats(self):
+        cfg = RunConfig.from_mapping({
+            "seed": 3.0, "run_length": 2, "exi": {"n_levels": 4.0},
+            "dependence": {"lags": [-1.0, 0], "uniform": False},
+            "return_levels": {"scenario": {"year": 2050.0}},
+            "simulate": {"n_cycles": 100.0}})
+        got = (cfg.seed, cfg.run_length, cfg.exi_n_levels,
+               *cfg.dependence["lags"], cfg.scenario["year"],
+               cfg.simulate["n_cycles"])
+        assert got == (3, 2, 4, -1, 0, 2050, 100)
+        assert all(type(v) is int for v in got)
+        assert cfg.dependence["uniform"] is False
+
     def test_hash_leaves_out_keys_the_schema_ignores(self):
         doc = {"fit": {"frozen": {"beta_day": 0.0},
                        "shape_prior": {"mean": 0.1}},
@@ -754,8 +767,8 @@ class TestDependence:
     def test_table_bytes_are_pinned(self, tmp_path, base_doc, gauges,
                                     monkeypatch):
         # Raw and uniform margins at lags -1, 0 and 1: every tau, chi and
-        # chibar digit the table writes, pinned to the table the int64-key
-        # merge count wrote. The gauge path is relative because it is part
+        # chibar digit the table writes, pinned to the table written once
+        # the body below u_j was scaled by 1 - lambda. The gauge path is relative because it is part
         # of the config hash in the file's comment line; the fit section
         # keeps the ignored multi_start key, which the hash leaves out.
         monkeypatch.chdir(tmp_path)
@@ -770,7 +783,7 @@ class TestDependence:
         written = (tmp_path / "out" / "dep.csv").read_bytes()
         assert written.count(b"\n") == 2 + 6
         assert hashlib.sha256(written).hexdigest() == (
-            "3a8b5362f15a2b208421f321be504340e11df3d218f1cdfe6e3f210d48ca32b8")
+            "ed2dbc9ba70e8081c4825f911e7896015833faf650bf9e5e83a3a38fd72d2a94")
 
 
 class TestPool:
@@ -877,6 +890,20 @@ class TestErrorHandling:
         ("exi", {"exi": {"v_quantile": 1.5}}, "exi.v_quantile"),
         ("exi", {"exi": {"n_levels": -1}}, "exi.n_levels"),
         ("dep", {"dependence": {"p": 1.5}}, "dependence.p"),
+        # whole numbers and booleans are checked, not converted
+        ("fit", {"run_length": 2.5}, "run_length"),
+        ("fit", {"seed": 1.7}, "seed"),
+        ("fit", {"seed": True}, "seed"),
+        ("fit", {"seed": "3"}, "seed"),
+        ("fit", {"detrend": {"reference_year": 2017.5}},
+         "detrend.reference_year"),
+        ("exi", {"exi": {"n_levels": 3.9}}, "exi.n_levels"),
+        ("dep", {"dependence": {"lags": [0.5, 1]}}, "dependence.lags"),
+        ("rl", {"return_levels": {"scenario": {"year": 2050.7}}},
+         "return_levels.scenario.year"),
+        ("simulate", {"simulate": {"n_cycles": 100.5}}, "simulate.n_cycles"),
+        ("dep", {"dependence": {"uniform": "false"}}, "dependence.uniform"),
+        ("dep", {"dependence": {"uniform": 1}}, "dependence.uniform"),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, capsys,
                                            subcommand, doc, key):

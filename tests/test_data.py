@@ -967,6 +967,18 @@ class TestMonthlyThresholds:
         with pytest.raises(ValueError, match="month 7"):
             monthly_thresholds(s)
 
+    def test_month_of_29_records_errors_and_30_does_not(self):
+        months = np.repeat(np.arange(1, 13), 40)
+        months[np.flatnonzero(months == 5)[:10]] = 4  # May keeps 30
+        s = columns_series(months, np.full(480, 3.0), np.zeros(480))
+        assert monthly_thresholds(s).values.shape == (12,)
+        months[np.flatnonzero(months == 5)[0]] = 4  # and now 29
+        s = columns_series(months, np.full(480, 3.0), np.zeros(480), "X")
+        with pytest.raises(ValueError, match="^site X: month 5 has 29 "
+                                             "records; need >= 30 for a "
+                                             "threshold$"):
+            monthly_thresholds(s)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_surge_names_site_and_month(self, bad):
         # np.partition would carry a NaN into the threshold unseen

@@ -567,9 +567,9 @@ class TestPitTransform:
         else:
             survival = lam * np.maximum(1.0 + xi * z, 0.0) ** (-1.0 / xi)
         expected = np.where(above, 1.0 - survival, 0.0)
-        expected[~above] = eval_body_cdf(model.body, y[~above],
-                                         series.month[~above],
-                                         series.peak_tide[~above])
+        expected[~above] = (1.0 - lam[~above]) * eval_body_cdf(
+            model.body, y[~above], series.month[~above],
+            series.peak_tide[~above])
         npt.assert_allclose(got, expected, rtol=1e-12)
 
 

@@ -35,25 +35,27 @@ from conftest import columns_series, flat_thresholds
 
 def _step_model(jump, below, above):
     """A model whose conditional CDF ignores every covariate: 0 for surges
-    below 0, ``below`` from 0 to ``jump`` (a body of 1000 per cell with
-    its samples at 0) and ``above`` past ``jump``: 1 - lambda under a
-    scale of 2**1000, whose h is 0 to the last digit, or 1 past the
-    endpoint of a scale of 2**-1000 with xi = -1. A power of two keeps
+    below 0, ``below`` (to 1/1000 of ``above``) from 0 to ``jump`` and
+    ``above`` past ``jump``, for below <= above. Past ``jump`` F is
+    1 - lambda, lambda = 1 - ``above``, under a scale of 2**1000, whose h
+    is 0 to the last digit; or 1 past the endpoint of a scale of 2**-1000
+    with xi = -1, lambda then 1 - ``below``. Below ``jump`` it is 1 - lambda
+    times the body, 1000 samples per cell: a fraction ``below`` / (1 -
+    lambda) of them at 0 and the rest at ``jump``. A power of two keeps
     the engine's scaled excess z/sigma - (tide + u_j)/sigma exact, so the
     jump sits at one level to the last bit."""
-    n = 1000
-    body = TideBandedEmpirical(
-        tide_breaks=np.zeros((12, 2)),
-        samples=[[np.zeros(round(below * n))] * 3 for _ in range(12)],
-        totals=np.full((12, 3), n), thresholds=np.full(12, float(jump)))
     if above == 1.0:
-        params = TailParams(rate=RateParams(lam=0.5),
-                            scale=ScaleParams(alpha=2.0 ** -1000, beta=0.0),
-                            xi=-1.0)
+        lam, sigma, xi = 1.0 - below, 2.0 ** -1000, -1.0
     else:
-        params = TailParams(rate=RateParams(lam=1.0 - above),
-                            scale=ScaleParams(alpha=2.0 ** 1000, beta=0.0),
-                            xi=0.0)
+        lam, sigma, xi = 1.0 - above, 2.0 ** 1000, 0.0
+    n = 1000
+    at_zero = round(below / (1.0 - lam) * n)
+    cell = np.repeat([0.0, float(jump)], [at_zero, n - at_zero])
+    body = TideBandedEmpirical(
+        tide_breaks=np.zeros((12, 2)), samples=[[cell] * 3] * 12,
+        thresholds=np.full(12, float(jump)))
+    params = TailParams(rate=RateParams(lam=lam),
+                        scale=ScaleParams(alpha=sigma, beta=0.0), xi=xi)
     return SkewSurgeModel(body=body, params=params,
                           thresholds=flat_thresholds(jump))
 
@@ -450,7 +452,7 @@ class TestSolver:
         # e the level's excess, so z = x + u + sigma log(lambda / q) with
         # q = -expm1(log1p(-p)/n). A subnormal shape is the exponential.
         n, tide, u, lam, sigma = 705, 3.0, 0.8, 0.05, 0.3
-        model = _step_model(u, 0.999, 0.5)
+        model = _step_model(u, 0.5, 0.5)
         model.params = TailParams(rate=RateParams(lam=lam),
                                   scale=ScaleParams(alpha=sigma, beta=0.0),
                                   xi=xi)
@@ -581,21 +583,23 @@ def _reference_exceedance(z, model, cal, exi_model, scenario):
     level z from the public body, rate, scale and extremal-index
     functions: the GPD survival S in closed form (0 past a negative
     shape's endpoint), each cycle's theta log1p(-S), or theta log F in
-    the body, summed per year with ``math.fsum`` and the years' 1 - A
-    taken as -expm1."""
+    the body, F there the body's value times 1 - lambda, summed per year
+    with ``math.fsum`` and the years' 1 - A taken as -expm1."""
     y = z - cal.tide
     u = model.thresholds.for_month(cal.month)
     below = y <= u
     cdf = np.empty(y.shape)
     log_f = np.empty(y.shape)
-    cdf[below] = eval_body_cdf(model.body, y[below], cal.month[below],
-                               cal.tide[below])
+    lam = rate_at(model.params.rate, cal.day_of_year, cal.day_of_month,
+                  cal.month, cal.tide, year_std=scenario.year_std)
+    cdf[below] = (1.0 - lam[below]) * eval_body_cdf(
+        model.body, y[below], cal.month[below], cal.tide[below])
     with np.errstate(divide="ignore"):
         log_f[below] = np.log(cdf[below])
     above = ~below
+    lam = lam[above]
     record = (cal.day_of_year[above], cal.day_of_month[above],
               cal.month[above], cal.tide[above])
-    lam = rate_at(model.params.rate, *record, year_std=scenario.year_std)
     sigma = scale_at(model.params.scale, record[0], record[3],
                      year_std=scenario.year_std)
     xi = model.params.xi

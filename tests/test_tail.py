@@ -370,7 +370,8 @@ class TestEvalCdf:
         m, series = model
         y = np.linspace(-0.2, 0.29, 40)
         got = _cdf(m, y, 50.0, 19.0, 2, 3.1)
-        expect = eval_body_cdf(m.body, y, 2, 3.1)
+        below_mass = 1.0 - rate_at(m.params.rate, 50.0, 19.0, 2, 3.1)
+        expect = below_mass * eval_body_cdf(m.body, y, 2, 3.1)
         npt.assert_array_equal(got, expect)
 
     @pytest.mark.parametrize("level", ["none", "some", "all"])
@@ -387,7 +388,8 @@ class TestEvalCdf:
         assert {"none": not below.any(), "all": below.all(),
                 "some": 0 < below.sum() < below.size}[level]
         got = m.conditional(*records)(y)
-        full = cell_cdf(m.body, series.month, series.peak_tide)(y)
+        full = (1.0 - rate_at(m.params.rate, *records)) * cell_cdf(
+            m.body, series.month, series.peak_tide)(y)
         assert got.tobytes() == np.where(below, full, got).tobytes()
 
     def test_nonpositive_scale_is_an_error_only_above_the_threshold(
@@ -408,7 +410,8 @@ class TestEvalCdf:
         u = m.thresholds.for_month(series.month)
         y = np.where(positive, u + 0.05, u)
         got = cdf(y)
-        full = cell_cdf(m.body, series.month, series.peak_tide)(y)
+        full = (1.0 - rate_at(steep.rate, *records)) * cell_cdf(
+            m.body, series.month, series.peak_tide)(y)
         assert got[~positive].tobytes() == full[~positive].tobytes()
         assert np.all((got[positive] > 0.9) & (got[positive] <= 1.0))
         y[np.flatnonzero(~positive)[0]] += 1e-9
@@ -474,6 +477,61 @@ class TestEvalCdf:
         got, lam, z = self._near_zero(model, xi)
         npt.assert_allclose(got, 1.0 - lam * np.exp(-np.log1p(xi * z) / xi),
                             rtol=1e-15)
+
+
+# The junction is probed 1e-9 m either side of u_j: there the tail's h
+# moves S by far more than the rounding of exp(log lambda), which can put
+# S one ulp above lambda at the very next double above u_j.
+_OFFSETS = (-2.0, -0.1, -1e-9, 0.0, 1e-9, 0.1, 1.0, 50.0)
+
+
+@settings(deadline=None)
+@given(rf=st.sampled_from(RATE_FAMILIES), sf=st.sampled_from(SCALE_FAMILIES),
+       lam=st.floats(0.001, 0.5),
+       rate=st.lists(_unit, min_size=3, max_size=3),
+       rate_phases=st.lists(_phase, min_size=2, max_size=2),
+       alpha=st.floats(0.02, 0.5), scale=st.lists(_unit, min_size=3, max_size=3),
+       scale_phase=_phase, deltas=st.lists(_unit, min_size=8, max_size=8),
+       xi=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))
+def test_conditional_is_a_cdf_per_cycle(model, rf, sf, lam, rate, rate_phases,
+                                        alpha, scale, scale_phase, deltas, xi):
+    # Every family on records with both trend covariates: per cycle, F is
+    # in [0, 1], non-decreasing across u_j and 1 - lambda at u_j exactly.
+    # Each scale term moves sigma by at most alpha / 4, so sigma > 0.
+    m, series = model
+    pick = slice(None, None, 40)
+    records = (series.day_of_year[pick], series.day_of_month[pick],
+               series.month[pick], series.peak_tide[pick])
+    n = records[0].size
+    covariates = {"year_std": np.linspace(-1.0, 1.0, n),
+                  "gmt": np.linspace(-0.5, 1.5, n)}
+
+    def delta(family, values):
+        return {"0": None, "1": values[0], "3": values[0]}.get(
+            family[1], np.asarray(values[:4]))
+
+    std = m.params.rate
+    rp = RateParams(family=rf, lam=lam, beta_day=rate[0],
+                    phi_day=rate_phases[0], alpha_tide=rate[1],
+                    beta_tide=rate[2], phi_tide=rate_phases[1],
+                    tide_mean=std.tide_mean, tide_sd=std.tide_sd,
+                    month_mean_day=std.month_mean_day,
+                    delta=delta(rf, deltas[:4]))
+    quarter = alpha / 4.0
+    sp = ScaleParams(family=sf, alpha=alpha, beta=quarter * abs(scale[0]),
+                     phi=scale_phase,
+                     gamma=quarter * scale[1] / np.abs(records[3]).max(),
+                     delta=delta(sf, np.multiply(deltas[4:], quarter / 1.5)))
+    cdf = SkewSurgeModel(body=m.body, params=TailParams(rp, sp, xi),
+                         thresholds=m.thresholds).conditional(
+        *records, **covariates)
+    u = m.thresholds.for_month(records[2])
+    f = np.array([cdf(u + offset) for offset in _OFFSETS])
+    assert np.all((f >= 0.0) & (f <= 1.0))
+    assert np.all(np.diff(f, axis=0) >= 0.0)
+    at_u = f[_OFFSETS.index(0.0)]
+    assert at_u.tobytes() == (1.0 - rate_at(rp, *records,
+                                            **covariates)).tobytes()
 
 
 class TestDeltaLambda:
