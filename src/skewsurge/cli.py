@@ -15,7 +15,7 @@ one-item list, and a bad or out-of-range value exits 1 naming its key.
 Artifacts are deterministic for a given config and inputs: no
 timestamps, sorted JSON keys, and every file embeds the config hash and
 tool version (JSON keys, or a leading ``#`` line in CSVs). SKEWSURGE_LOG
-sets the log level (DEBUG/INFO/WARNING/ERROR; default WARNING).
+sets the log level: DEBUG, INFO, WARNING (default) or ERROR, any case.
 
 Config schema (all sections optional unless a subcommand needs them)::
 
@@ -41,7 +41,7 @@ Config schema (all sections optional unless a subcommand needs them)::
       n_levels: 30    # >= 3, equally spaced in probability, 0.95 to 0.999
     return_levels:
       p_grid: [0.1, 0.01, 0.001, 0.0001]
-      scenario: {year: 2017, year_std: null, gmt: null}   # year_std wins
+      scenario: {year: 2017, gmt: null}
     dependence:
       p: 0.05                        # in (0, 1)
       lags: [-1, 0, 1]
@@ -149,10 +149,24 @@ def _one_of(choices):
     return read
 
 
+def _number(v):
+    """A finite number: an int, a float or text that ``float`` reads
+    (PyYAML loads ``1e-3`` as text), but not a bool."""
+    if isinstance(v, bool) or not np.isfinite(float(v)):
+        raise ValueError(f"expected a finite number, not {v!r}")
+    return float(v)
+
+
+def _text(v):
+    if not isinstance(v, str):
+        raise TypeError(f"expected text, not {v!r}: quote the value")
+    return v
+
+
 def _between(lo, hi):
     """A reader of a number in the open interval (lo, hi)."""
     def read(v):
-        if not lo < float(v) < hi:
+        if not lo < _number(v) < hi:
             raise ValueError(f"expected a value in ({lo}, {hi}), not {v}")
         return float(v)
     return read
@@ -187,11 +201,16 @@ def _read(path, read, value):
         raise ValueError(f"config {path}: {exc}") from None
 
 
+def _numbers(v):
+    """One number or a list of them, as a list."""
+    return [_number(x) for x in (v if isinstance(v, list) else [v])]
+
+
 def _thresholds(v):
     """simulate.threshold as written: one value, or one a month."""
-    v = np.asarray(v, float)
-    np.broadcast_to(v, 12)  # raises for any other count
-    return v.tolist()
+    read = _numbers(v)
+    np.broadcast_to(read, 12)  # raises for any other count
+    return read if isinstance(v, list) else read[0]
 
 
 _RATE, _SCALE = _one_of(RATE_FAMILIES), _one_of(SCALE_FAMILIES)
@@ -202,21 +221,22 @@ _SIM_DEFAULTS = params_to_values(TailParams(RateParams(), ScaleParams(beta=0.0))
 # pass on only the keys that are set, so callees keep their own defaults.
 _KEYS = {
     "fit": {"shape_prior": lambda v: v if isinstance(v, bool) else _mapping(v),
-            "frozen": lambda v: {k: float(x) for k, x in _mapping(v).items()}},
-    "fit.shape_prior": {"mean": float, "variance": float},
-    "return_levels.scenario": {"year": _whole, "year_std": float, "gmt": float},
+            "frozen": _mapping},
+    "fit.shape_prior": {"mean": _number, "variance": _number},
+    "return_levels.scenario": {"year": _whole, "gmt": _number},
     "dependence": {"p": _between(0, 1), "lags": _list_of(_whole),
                    "uniform": _boolean},
-    "simulate": {"site_id": str, "n_cycles": _whole, "start": str,
-                 "tide_mean": float, "tide_amp": float, "body_mean": float,
-                 "body_sd": float, "params": _mapping,
-                 "threshold": _thresholds},
+    "simulate": {"site_id": _text, "n_cycles": _whole, "start": _text,
+                 **dict.fromkeys(("tide_mean", "tide_amp", "body_mean",
+                                  "body_sd"), _number),
+                 "params": _mapping, "threshold": _thresholds},
     "simulate.params": {
         "rate_family": _RATE, "scale_family": _SCALE,
-        **dict.fromkeys(_SIM_DEFAULTS, float),
-        **dict.fromkeys(("delta_rate", "delta_sigma"),  # one, or one a season
-                        lambda v: np.ravel(np.asarray(v, float)).tolist())},
+        **dict.fromkeys(_SIM_DEFAULTS, _number),
+        **dict.fromkeys(("delta_rate", "delta_sigma"), _numbers)},
 }
+# Mappings of free names (parameters, sites) to numbers, read name by name.
+_NAMED = {"fit.frozen", "detrend.rates_mm_per_year"}
 
 
 def _key(path, read, default=None):
@@ -229,9 +249,9 @@ def _key(path, read, default=None):
 class RunConfig:
     """Validated, flag-merged run options; hashed canonically for artifacts."""
 
-    gauge_csv: str | None = _key("inputs.gauge_csv", str)
-    gmt_csv: str | None = _key("inputs.gmt_csv", str)
-    sites: list = _key("sites", _list_of(str), [])
+    gauge_csv: str | None = _key("inputs.gauge_csv", _text)
+    gmt_csv: str | None = _key("inputs.gmt_csv", _text)
+    sites: list = _key("sites", _list_of(_text), [])
     detrend_rates: dict = _key("detrend.rates_mm_per_year", _mapping, {})
     detrend_reference_year: int = _key("detrend.reference_year", _whole, 2017)
     threshold_percentile: float = _key("threshold_percentile",
@@ -246,13 +266,13 @@ class RunConfig:
     run_length: int = _key("run_length", _at_least(1), 4)
     exi_v_quantile: float = _key("exi.v_quantile", _between(0, 1), 0.99)
     exi_n_levels: int = _key("exi.n_levels", _at_least(3), 30)
-    p_grid: list = _key("return_levels.p_grid", _list_of(float),
+    p_grid: list = _key("return_levels.p_grid", _list_of(_number),
                         [0.1, 0.01, 0.001, 0.0001])
     scenario: dict = _key("return_levels.scenario", _mapping, {})
     dependence: dict = _key("dependence", _mapping, {})
-    pooling_shared: list = _key("pooling.shared", _list_of(str), [])
+    pooling_shared: list = _key("pooling.shared", _list_of(_text), [])
     simulate: dict = _key("simulate", _mapping, {})
-    out_dir: str = _key("out_dir", str, "out")
+    out_dir: str = _key("out_dir", _text, "out")
     seed: int = _key("seed", _whole, 0)
 
     @classmethod
@@ -313,6 +333,7 @@ _FLAGS = {"site": "sites", "rate_family": "rate_family",
 _READERS = dict(_FIELDS.values()) | {
     f"{s}.{k}": read for s, keys in _KEYS.items() for k, read in keys.items()}
 _SECTIONS = {path.rpartition(".")[0] for path in _READERS if "." in path}
+_SECTIONS |= _NAMED
 
 
 def _read_section(doc, prefix, read):
@@ -321,10 +342,11 @@ def _read_section(doc, prefix, read):
     values = {}
     for key, value in doc.items():
         path = f"{prefix}{key}"
-        if path not in _READERS and path not in _SECTIONS:
+        reader = _number if prefix[:-1] in _NAMED else _READERS.get(path)
+        if reader is None and path not in _SECTIONS:
             log.warning("ignoring unknown config key %s", path)
         elif value is not None:
-            value = _read(path, _READERS.get(path, _mapping), value)
+            value = _read(path, reader or _mapping, value)
             if isinstance(value, dict) and path in _SECTIONS:
                 value = _read_section(value, f"{path}.", read)
             values[key] = read[path] = value
@@ -356,11 +378,9 @@ def _load_sites(cfg):
         if site not in all_series:
             raise ValueError(f"site {site!r} not present in {cfg.gauge_csv}")
         series = all_series[site]
-        rate = cfg.detrend_rates.get(site)
-        if rate is not None:
-            series = detrend_msl(
-                series, _read(f"detrend.rates_mm_per_year.{site}", float, rate),
-                cfg.detrend_reference_year)
+        if site in cfg.detrend_rates:
+            series = detrend_msl(series, cfg.detrend_rates[site],
+                                 cfg.detrend_reference_year)
         try:
             out[site] = attach_covariates(series, gmt=gmt)
         except KeyError as exc:  # a record year that the GMT file lacks
@@ -402,21 +422,16 @@ def _fmt(x):
 def _scenario(cfg):
     """The return-level scenario, refused if it lacks a trend covariate
     that the configured families need."""
-    sc = dict(cfg.scenario)
-    if "year" in sc:
-        sc.setdefault("year_std", float(standardize_year(sc.pop("year"))))
-    scenario = Scenario(**sc)
     for kind, family in (("rate", cfg.rate_family),
                          ("scale", cfg.scale_family)):
-        if family in YEAR_FAMILIES and scenario.year_std is None:
-            need = "year or year_std"
-        elif family in GMT_FAMILIES and scenario.gmt is None:
-            need = "gmt"
-        else:
-            continue
-        raise ValueError(f"return_levels.scenario needs {need} for {kind} "
-                         f"family {family}")
-    return scenario
+        need = ("year" if family in YEAR_FAMILIES
+                else "gmt" if family in GMT_FAMILIES else None)
+        if need and need not in cfg.scenario:
+            raise ValueError(f"return_levels.scenario needs {need} for {kind} "
+                             f"family {family}")
+    year = cfg.scenario.get("year")
+    year_std = None if year is None else float(standardize_year(year))
+    return Scenario(year_std=year_std, gmt=cfg.scenario.get("gmt"))
 
 
 def _fit_one(series, cfg, fit_cfg):
@@ -656,17 +671,18 @@ def build_parser():
 
 def _setup_logging():
     level = os.environ.get("SKEWSURGE_LOG", "WARNING").upper()
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    try:
+        _one_of(("DEBUG", "INFO", "WARNING", "ERROR"))(level)
+    except ValueError as exc:
+        raise ValueError(f"SKEWSURGE_LOG: {exc}") from None
+    logging.basicConfig(stream=sys.stderr, level=level,
+                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def main(argv=None):
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
         doc = {}
         if args.config:
             path = Path(args.config)

@@ -82,7 +82,7 @@ def _daily_max(series):
     number = days.view(np.int64) - first
     slots = np.full(int(number[-1]) + 1, -1, dtype=np.int32)
     slots[number] = np.arange(days.size, dtype=np.int32)
-    return days, values, _dense_ranks(values)[0], first, slots
+    return days, values, np.unique(values, return_inverse=True)[1], first, slots
 
 
 def _pair_daily(daily_a, daily_b, lag, site_a, site_b):
@@ -206,32 +206,19 @@ def _count_inversions(ranks, bound=None):
     return count
 
 
-def _runs(sorted_values):
-    """Value-changed mask of a sorted array and its number of tied pairs."""
-    changed = sorted_values[1:] != sorted_values[:-1]
-    starts = np.flatnonzero(changed) + 1
+def _tied_pairs(sorted_values):
+    """The number of tied pairs in a sorted array."""
+    starts = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
     lengths = np.diff(starts, prepend=0, append=sorted_values.size)
-    return changed, int((lengths * (lengths - 1) // 2).sum())
-
-
-def _dense_ranks(values):
-    """Dense integer ranks (0 for the smallest value), their number of
-    distinct values and the tied pairs."""
-    order = np.argsort(values)
-    changed, ties = _runs(values[order])
-    ranks = np.empty(values.size, dtype=_index_dtype(values.size))
-    ranks[order[0]] = 0
-    ranks[order[1:]] = np.cumsum(changed)
-    return ranks, int(ranks[order[-1]]) + 1, ties
+    return int((lengths * (lengths - 1) // 2).sum())
 
 
 def _margin_keys(values, keys):
     """Integer keys ordered and tied as one margin's values, a bound above
-    them and the margin's tied pairs. Carried keys are used as they are,
-    with their tie counts from one bincount; without keys the values are
-    sorted into dense ranks."""
+    them and the margin's tied pairs: carried keys as they are, else the
+    values' dense ranks, with the tie counts from one bincount."""
     if keys is None:
-        return _dense_ranks(values)
+        keys = np.unique(values, return_inverse=True)[1]
     counts = np.bincount(keys)
     return keys, counts.size, int((counts * (counts - 1) // 2).sum())
 
@@ -243,7 +230,7 @@ def kendall_tau(pairs):
     arithmetic throughout), so perfectly concordant input gives 1.0
     exactly at any sample size. Each margin is replaced by integer keys
     ordered and tied as its values: the pairs' site ranks when they carry
-    them (see PairedDailySeries), dense ranks from one argsort otherwise.
+    them (see PairedDailySeries), dense ranks from np.unique otherwise.
     One sort of ka * nb + kb (nb above every b key; int32 while
     (max ka + 1) * nb allows, int64 above) then gives the a-then-b order,
     the pairs tied on both margins (runs of equal keys) and b's keys in
@@ -264,7 +251,7 @@ def kendall_tau(pairs):
     keys *= nb
     keys += rank_b
     keys.sort()
-    _, ties_both = _runs(keys)
+    ties_both = _tied_pairs(keys)
     # within equal-a runs b is sorted, so every counted inversion is a
     # strictly discordant pair; numpy divides by a scalar several times
     # faster than it takes a remainder

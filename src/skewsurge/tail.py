@@ -352,21 +352,13 @@ def linear_predictor(terms, values):
     return total
 
 
-def rate_logit(rp, d, d_j, j, x, year_std=None, gmt=None):
-    """Logit of the per-cycle exceedance probability; broadcasts over arrays.
-
-    The record arguments are those of :func:`rate_terms`; the standardizers
-    are the ones ``rp`` carries.
-    """
+def rate_at(rp, d, d_j, j, x, year_std=None, gmt=None):
+    """Per-cycle threshold exceedance probability lambda_(d,x); broadcasts
+    over arrays. The record arguments are those of :func:`rate_terms`; the
+    standardizers are the ones ``rp`` carries."""
     terms = rate_terms(rp.family, seasonal_basis(d), d, d_j, j, x, rp,
                        year_std, gmt)
-    g = linear_predictor(terms, rp.values())
-    return g if np.ndim(g) else float(g)
-
-
-def rate_at(rp, d, d_j, j, x, year_std=None, gmt=None):
-    """Per-cycle threshold exceedance probability lambda_(d,x)."""
-    return inv_logit(rate_logit(rp, d, d_j, j, x, year_std, gmt))
+    return inv_logit(linear_predictor(terms, rp.values()))
 
 
 def scale_at(sp, d, x, year_std=None, gmt=None):

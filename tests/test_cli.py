@@ -243,6 +243,23 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="mapping"):
             RunConfig.from_mapping(["not", "a", "dict"])
 
+    def test_yaml_exponent_text_reads_as_a_number(self):
+        # PyYAML loads 1e-4 and 2E-3 as text, 1.0e-3 as a float
+        doc = yaml.safe_load("return_levels: {p_grid: [1e-4, 2E-3]}")
+        assert doc["return_levels"]["p_grid"] == ["1e-4", "2E-3"]
+        cfg = RunConfig.from_mapping(doc)
+        assert cfg.p_grid == [0.0001, 0.002]
+        assert cfg.config_hash() == RunConfig.from_mapping(
+            {"return_levels": {"p_grid": [0.0001, 0.002]}}).config_hash()
+
+    def test_numbers_are_not_read_as_text(self):
+        # YAML 1.1 reads 01 as the int 1: a site id must be quoted
+        with pytest.raises(ValueError, match="config sites: expected text, "
+                                             "not 1: quote the value"):
+            RunConfig.from_mapping(yaml.safe_load("sites: [01]"))
+        assert RunConfig.from_mapping(
+            yaml.safe_load("sites: ['01']")).sites == ["01"]
+
     def test_bare_name_is_a_one_item_list(self):
         bare = RunConfig.from_mapping({
             "sites": "newlyn", "pooling": {"shared": "delta_rate"},
@@ -668,7 +685,7 @@ class TestReturnLevels:
         assert docs[1950]["curve"]["z_m"][0] > 0.0
 
     @pytest.mark.parametrize("families,scenario,message", [
-        (("R1", "S0"), {}, "needs year or year_std for rate family R1"),
+        (("R1", "S0"), {}, "needs year for rate family R1"),
         (("R0", "S3"), {"year": 2017}, "needs gmt for scale family S3"),
     ])
     def test_scenario_without_a_family_covariate_fails_before_loading(
@@ -904,6 +921,28 @@ class TestErrorHandling:
         ("simulate", {"simulate": {"n_cycles": 100.5}}, "simulate.n_cycles"),
         ("dep", {"dependence": {"uniform": "false"}}, "dependence.uniform"),
         ("dep", {"dependence": {"uniform": 1}}, "dependence.uniform"),
+        # numbers are finite and not booleans; text is only text
+        ("simulate", {"simulate": {"n_cycles": 10, "tide_mean": True}},
+         "simulate.tide_mean"),
+        ("fit", {"fit": {"frozen": {"beta_day": float("nan"),
+                                    "phi_day": 0.0}}}, "fit.frozen.beta_day"),
+        ("rl", {"return_levels": {"p_grid": [0.1, float("inf")]}},
+         "return_levels.p_grid"),
+        ("simulate", {"simulate": {"n_cycles": 10, "params": {
+            "lam": float("nan")}}}, "simulate.params.lam"),
+        ("rl", {"return_levels": {"scenario": {"gmt": float("-inf")}}},
+         "return_levels.scenario.gmt"),
+        ("fit", {"fit": {"shape_prior": {"mean": float("nan")}}},
+         "fit.shape_prior.mean"),
+        ("simulate", {"simulate": {"n_cycles": 10, "site_id": 123}},
+         "simulate.site_id"),
+        ("fit", {"inputs": {"gauge_csv": 5}}, "inputs.gauge_csv"),
+        ("fit", {"out_dir": 7}, "out_dir"),
+        ("fit", {"sites": [1, 2]}, "sites"),
+        ("pool", {"pooling": {"shared": [1]}}, "pooling.shared"),
+        *[("ingest", {"detrend": {"rates_mm_per_year": {"SIM": rate}}},
+           "detrend.rates_mm_per_year.SIM")
+          for rate in ("x", True, float("nan"))],
     ])
     def test_malformed_value_names_its_key(self, tmp_path, capsys,
                                            subcommand, doc, key):
@@ -927,6 +966,40 @@ class TestErrorHandling:
         assert main([subcommand, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"error: config {key}: ")
+
+    def test_detrend_rate_is_read_before_any_data(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def load_series(path):
+            raise AssertionError("the gauge file was read")
+
+        monkeypatch.setattr(cli, "load_series", load_series)
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "inputs": {"gauge_csv": str(tmp_path / "no.csv")},
+            "detrend": {"rates_mm_per_year": {"SIM": "x"}}})
+        assert main(["ingest", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: config detrend.rates_mm_per_year.SIM: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("level", ["verbose", "basic_format", "5"])
+    def test_unknown_log_level_fails(self, tmp_path, capsys, monkeypatch,
+                                     level):
+        monkeypatch.setenv("SKEWSURGE_LOG", level)
+        out = tmp_path / "o"
+        assert main(["ingest", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SKEWSURGE_LOG: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_log_level_in_any_case(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SKEWSURGE_LOG", "info")
+        # past the level: the run fails on the missing input, not on it
+        assert main(["ingest", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: config is missing inputs.gauge_csv\n")
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:

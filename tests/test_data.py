@@ -86,6 +86,13 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match="empty"):
             load_series(_write(tmp_path, ""))
 
+    @pytest.mark.parametrize("text", [
+        "site,timestamp,peak_tide_m,max_sea_level_m,skew_surge_m\n",
+        "# no rows yet\nsite,timestamp,peak_tide_m,max_sea_level_m\n",
+    ])
+    def test_header_without_rows_has_no_sites(self, tmp_path, text):
+        assert load_series(_write(tmp_path, text)) == {}
+
     def test_duplicate_timestamp_errors(self, tmp_path):
         path = _write(
             tmp_path,

@@ -24,7 +24,7 @@ from skewsurge.fitting import (
     values_to_params,
     wald_intervals,
 )
-from skewsurge.data import GmtSeries, attach_covariates
+from skewsurge.data import GmtSeries, attach_covariates, monthly_thresholds
 from skewsurge.simulate import SimSpec, simulate_series
 from skewsurge.tail import (
     RATE_FAMILIES,
@@ -110,6 +110,18 @@ class TestNegLoglik:
                               gamma=-0.05),
         )
         assert neg_loglik(neg_sigma, series, thr) == np.inf
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_rate_outside_the_open_interval_is_infinite(self, sim_r0, lam):
+        series, params, thr = sim_r0
+        bad = replace(params, rate=replace(params.rate, lam=lam))
+        assert neg_loglik(bad, series, thr) == np.inf
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0])
+    def test_prior_variance_must_be_positive(self, variance):
+        with pytest.raises(ValueError,
+                           match="^prior variance must be positive$"):
+            ShapePrior(variance=variance)
 
     def test_shape_prior_adds_its_log_density(self, sim_r0):
         series, params, thr = sim_r0
@@ -202,6 +214,11 @@ class TestFitTail:
         with pytest.raises(ValueError, match="phi_day"):
             FitConfig(rate_family="R0", scale_family="S0",
                       frozen={"beta_day": 0.0})
+
+    def test_lone_frozen_phase_rejected(self):
+        with pytest.raises(ValueError, match="frozen names 'phi_day' without "
+                                             "its partner 'beta_day'"):
+            FitConfig(frozen={"phi_day": 0.0})
 
     def test_separated_exceedances_rejected(self):
         # Exactly the 60 highest-tide cycles of 400 exceed the threshold,
@@ -338,6 +355,24 @@ class TestFitsThatStopShort:
         assert re.fullmatch(r"max scaled gradient \S+ above 1e-3",
                             fit.message), fit.message
         assert fit.max_scaled_gradient >= 1e-3
+
+    def test_every_free_coordinate_held_at_its_bound(self):
+        # Only xi is free in the GPD half, and a short tail (xi = -0.7)
+        # puts its maximum below the shape box: Newton has nothing to move.
+        truth = TailParams(
+            rate=RateParams(family="R0", lam=0.05),
+            scale=ScaleParams(family="S0", alpha=0.12, beta=0.0, phi=0.0,
+                              gamma=0.0),
+            xi=-0.7)
+        spec = SimSpec(params=truth, thresholds=0.3, n_cycles=20_000)
+        series, _ = simulate_series(spec, seed=3)
+        values = params_to_values(truth)
+        frozen = {name: values[name] for name in param_names("R0", "S0")
+                  if name not in ("lam", "xi")}
+        fit = fit_tail(series, FitConfig(frozen=frozen),
+                       monthly_thresholds(series, 0.95))
+        assert (fit.estimates["xi"], fit.converged) == (-0.49, False)
+        assert fit.message == "estimate held on the xi box [-0.49, 0.999] edge"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_surge_is_refused(self, sim_r0, bad):

@@ -24,12 +24,12 @@ from skewsurge.tail import (
     delta_lambda,
     eval_cdf,
     inv_logit,
+    linear_predictor,
     logit,
     mean_excess,
     param_names,
     params_to_values,
     rate_at,
-    rate_logit,
     rate_terms,
     scale_at,
     scale_terms,
@@ -223,7 +223,8 @@ def test_predictors_match_the_phase_form(rf, sf, lam, rate, rate_phases,
                      phi=scale_phase, gamma=scale[2],
                      delta=delta(sf, deltas[4:]))
     npt.assert_allclose(
-        rate_logit(rp, doy, dom, month, tide, year_std, gmt),
+        linear_predictor(rate_terms(rf, seasonal_basis(doy), doy, dom, month,
+                                    tide, rp, year_std, gmt), rp.values()),
         _phase_rate_logit(rp, doy, dom, month, tide, year_std, gmt),
         rtol=1e-12, atol=1e-12)
     npt.assert_allclose(
