@@ -8,10 +8,12 @@ summarize), ``fit`` (empirical body plus tail model per site), ``select``
 
 Options come from a YAML config file; the flags ``--site``,
 ``--rate-family``, ``--scale-family``, ``--out``, ``--seed``,
-``--percentile`` and ``--run-length`` override it, read as its keys. As
-it loads, before any data, a key that the schema below lacks is ignored
-with a warning naming it, a bare name where a list is expected is a
-one-item list, and a bad or out-of-range value exits 1 naming its key.
+``--percentile`` and ``--run-length`` override it, each read by its
+key's reader, the last three as YAML reads their text. As it loads,
+before any data, a key that the schema below lacks is ignored with a
+warning naming it, a bare name where a list is expected is a one-item
+list, and a bad value, or one outside the range the schema gives, exits
+1 naming its key.
 Artifacts are deterministic for a given config and inputs: no
 timestamps, sorted JSON keys, and every file embeds the config hash and
 tool version (JSON keys, or a leading ``#`` line in CSVs). SKEWSURGE_LOG
@@ -40,7 +42,7 @@ Config schema (all sections optional unless a subcommand needs them)::
       v_quantile: 0.99               # in (0, 1)
       n_levels: 30    # >= 3, equally spaced in probability, 0.95 to 0.999
     return_levels:
-      p_grid: [0.1, 0.01, 0.001, 0.0001]
+      p_grid: [0.1, 0.01, 0.001, 0.0001]  # each in [1e-6, 0.5]
       scenario: {year: 2017, gmt: null}
     dependence:
       p: 0.05                        # in (0, 1)
@@ -104,7 +106,7 @@ from .fitting import (
     fit_pooled,
     fit_tail,
 )
-from .returns import Scenario, TideSampleCalendar, return_curve
+from .returns import Scenario, TideSampleCalendar, _p_grid, return_curve
 from .simulate import SimSpec, simulate_series
 from .tail import (
     GMT_FAMILIES,
@@ -123,6 +125,7 @@ from .tail import (
 log = logging.getLogger("skewsurge")
 
 SUBCOMMANDS = ("ingest", "fit", "select", "exi", "rl", "dep", "pool", "simulate")
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's, if built
 
 
 def _mapping(v):
@@ -209,7 +212,8 @@ def _numbers(v):
 def _thresholds(v):
     """simulate.threshold as written: one value, or one a month."""
     read = _numbers(v)
-    np.broadcast_to(read, 12)  # raises for any other count
+    if len(read) not in (1, 12):
+        raise ValueError(f"expected one value or 12, not {len(read)}")
     return read if isinstance(v, list) else read[0]
 
 
@@ -266,7 +270,8 @@ class RunConfig:
     run_length: int = _key("run_length", _at_least(1), 4)
     exi_v_quantile: float = _key("exi.v_quantile", _between(0, 1), 0.99)
     exi_n_levels: int = _key("exi.n_levels", _at_least(3), 30)
-    p_grid: list = _key("return_levels.p_grid", _list_of(_number),
+    p_grid: list = _key("return_levels.p_grid",  # as return_curve takes it
+                        lambda v: _p_grid(_list_of(_number)(v)).tolist(),
                         [0.1, 0.01, 0.001, 0.0001])
     scenario: dict = _key("return_levels.scenario", _mapping, {})
     dependence: dict = _key("dependence", _mapping, {})
@@ -285,10 +290,15 @@ class RunConfig:
         return cfg
 
     def apply_flags(self, args):
-        """The flags' values, each read like the config key it overrides."""
+        """The flags' values, each read like the config key it overrides:
+        the number flags' text as the YAML value it is in a config file."""
         for flag, name in _FLAGS.items():
-            if getattr(args, flag) is not None:
-                setattr(self, name, _read(*_FIELDS[name], getattr(args, flag)))
+            value = getattr(args, flag)
+            if value is not None:
+                path, read = _FIELDS[name]
+                if flag in _YAML_FLAGS:
+                    value = _read(path, _yaml_value, value)
+                setattr(self, name, _read(path, read, value))
         return self
 
     def validate(self):
@@ -329,6 +339,7 @@ _FIELDS = {f.name: (f.metadata["path"], f.metadata["read"])
 _FLAGS = {"site": "sites", "rate_family": "rate_family",
           "scale_family": "scale_family", "out": "out_dir", "seed": "seed",
           "percentile": "threshold_percentile", "run_length": "run_length"}
+_YAML_FLAGS = {"seed", "percentile", "run_length"}
 # Every config key path and its reader, and every path that holds keys.
 _READERS = dict(_FIELDS.values()) | {
     f"{s}.{k}": read for s, keys in _KEYS.items() for k, read in keys.items()}
@@ -343,6 +354,8 @@ def _read_section(doc, prefix, read):
     for key, value in doc.items():
         path = f"{prefix}{key}"
         reader = _number if prefix[:-1] in _NAMED else _READERS.get(path)
+        if prefix[:-1] in _NAMED:  # a free name: a site or a parameter
+            _read(path, _text, key)
         if reader is None and path not in _SECTIONS:
             log.warning("ignoring unknown config key %s", path)
         elif value is not None:
@@ -658,15 +671,24 @@ def build_parser():
     parser.add_argument("--config", help="YAML config file")
     parser.add_argument("--site", action="append",
                         help="restrict to a site (repeatable)")
-    parser.add_argument("--rate-family", choices=RATE_FAMILIES)
-    parser.add_argument("--scale-family", choices=SCALE_FAMILIES)
+    # no type or choices: RunConfig.apply_flags reads each value as its key
+    parser.add_argument("--rate-family", help=f"one of {', '.join(RATE_FAMILIES)}")
+    parser.add_argument("--scale-family", help=f"one of {', '.join(SCALE_FAMILIES)}")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--percentile", type=float,
+    parser.add_argument("--seed")
+    parser.add_argument("--percentile",
                         help="threshold percentile in (0.5, 1)")
-    parser.add_argument("--run-length", type=int,
+    parser.add_argument("--run-length",
                         help="declustering run length (cycles)")
     return parser
+
+
+def _yaml_value(text):
+    """``text`` read as the config file's loader reads a value."""
+    try:
+        return yaml.load(text, Loader=_LOADER)
+    except yaml.YAMLError:
+        raise ValueError(f"{text!r} is not a YAML value") from None
 
 
 def _setup_logging():
@@ -688,9 +710,8 @@ def main(argv=None):
             path = Path(args.config)
             if not path.exists():
                 raise FileNotFoundError(f"config file not found: {path}")
-            with open(path) as fh:  # libyaml's loader where PyYAML has it
-                doc = yaml.load(fh, Loader=getattr(
-                    yaml, "CSafeLoader", yaml.SafeLoader)) or {}
+            with open(path) as fh:
+                doc = yaml.load(fh, Loader=_LOADER) or {}
         cfg = RunConfig.from_mapping(doc).apply_flags(args)
         meta = {"config_hash": cfg.config_hash(), "tool_version": __version__}
         out = Path(cfg.out_dir)

@@ -4,7 +4,8 @@ The unit of observation is one tidal cycle (two per day, roughly 705.5 per
 year) with its predicted peak tide and the observed maximum sea level. The
 skew surge is the difference between the two, irrespective of timing within
 the cycle. Everything downstream (empirical body, GPD tail, return curves)
-consumes the column-store :class:`SiteSeries` built here.
+consumes the column-store :class:`SiteSeries` built here, whose trend
+covariates are its years and (once attached) its GMT anomalies.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import io
 import math
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -104,9 +105,9 @@ def calendar_columns(timestamps):
 class SiteSeries:
     """Column store of tidal cycles for one site, sorted by timestamp.
 
-    Covariate columns (``year_std``, ``gmt``) are absent until
-    :func:`attach_covariates` fills them in; they describe the series they
-    were computed from, so :meth:`subset` drops them.
+    The year trends' index is :func:`standardize_year` of ``year``. The
+    GMT anomaly column ``gmt`` is absent until :func:`attach_covariates`
+    fills it in; it is a fact of each record, so copies keep it.
     """
 
     site_id: str
@@ -118,16 +119,15 @@ class SiteSeries:
     month: np.ndarray
     day_of_month: np.ndarray
     day_of_year: np.ndarray
-    year_std: np.ndarray | None = None
     gmt: np.ndarray | None = None
 
     def __len__(self):
         return len(self.timestamps)
 
     def subset(self, mask):
-        """Row subset; attached covariates are discarded."""
-        return replace(self, year_std=None, gmt=None, **{  # timestamps .. day_of_year
-            f.name: getattr(self, f.name)[mask] for f in fields(self)[1:9]})
+        """Row subset of every column that is set, ``gmt`` included."""
+        return replace(self, **{k: v[mask] for k, v in vars(self).items()
+                                if isinstance(v, np.ndarray)})
 
     def summary(self):
         """Coverage summary: record counts overall, per month and per year."""
@@ -602,15 +602,14 @@ def detrend_msl(series, rate_mm_per_year, reference_year):
     The adjustment is ``rate_mm_per_year * (year - reference_year) / 1000``
     subtracted from both columns, so records in the reference year are left
     unchanged and applying two detrends is the same as one with the summed
-    rate. Peak tide is a prediction and is not touched.
+    rate. Peak tide is a prediction and is not touched; the other columns,
+    ``gmt`` included, are kept.
     """
     adj = rate_mm_per_year * (series.year - reference_year) / 1000.0
     return replace(
         series,
         max_sea_level=series.max_sea_level - adj,
         skew_surge=series.skew_surge - adj,
-        year_std=None,
-        gmt=None,
     )
 
 
@@ -691,16 +690,15 @@ def standardizers(peak_tide, month, day_of_month):
 
 
 def attach_covariates(series, gmt=None):
-    """Fill in covariate columns on a copy of the series.
+    """A copy of the series with each record's GMT anomaly looked up in the
+    GmtSeries ``gmt``; with no ``gmt``, the series as it is.
 
-    Adds the standardized year index and (when a GMT series is given) the
-    per-record GMT anomaly. Records in years missing from the GMT series
-    raise KeyError. A series the tail model cannot standardize (empty, or
-    with a constant peak tide) raises ValueError.
+    Only the GMT families (R3, R4, S3, S4) need it; the year index is
+    computed from ``year`` where it is used. Records in years missing from
+    the GMT series raise KeyError. A series the tail model cannot
+    standardize (empty, or with a constant peak tide) raises ValueError.
     """
     _tide_sd(series.peak_tide)
-    return replace(
-        series,
-        year_std=standardize_year(series.year),
-        gmt=None if gmt is None else np.atleast_1d(gmt.anomaly_for(series.year)),
-    )
+    if gmt is None:
+        return series
+    return replace(series, gmt=np.atleast_1d(gmt.anomaly_for(series.year)))

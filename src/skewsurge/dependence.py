@@ -25,13 +25,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import _quantile
+from .data import _quantile, standardize_year
 from .tail import eval_cdf
 
 
 @dataclass
 class PairedDailySeries:
-    """Aligned daily-maximum values for two sites at a fixed day lag.
+    """Aligned daily-maximum values for two sites at a fixed day lag; the
+    values must be finite.
 
     ``rank_a`` and ``rank_b``, when set, are nonnegative integer keys
     ordered and tied exactly as ``a`` and ``b``: each site's dense ranks
@@ -51,6 +52,7 @@ class PairedDailySeries:
     def __post_init__(self):
         if not (len(self.dates) == len(self.a) == len(self.b)):
             raise ValueError("dates, a and b must have equal lengths")
+        self.a, self.b = _finite_pair(self.a, self.b)
         for ranks in (self.rank_a, self.rank_b):
             if ranks is not None and len(ranks) != len(self.a):
                 raise ValueError("ranks must have the length of the values")
@@ -119,15 +121,20 @@ def daily_max_pairs(series_a, series_b, lag=0):
                        series_a.site_id, series_b.site_id)
 
 
-def _pair_arrays(pairs):
-    if isinstance(pairs, PairedDailySeries):
-        return pairs.a, pairs.b
-    a, b = pairs
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _finite_pair(a, b):
+    """Both margins' values as float arrays, refused unless finite."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("paired values must be finite")
     return a, b
+
+
+def _pair_arrays(pairs):
+    """The paired values: a PairedDailySeries' own (checked as it is
+    made), or the checked (a, b) of a tuple."""
+    if isinstance(pairs, PairedDailySeries):
+        return pairs.a, pairs.b
+    return _finite_pair(*pairs)
 
 
 def _index_dtype(limit):
@@ -309,7 +316,7 @@ def pit_transform(series, model):
         body=model.body,
         params=model.params,
         thresholds=model.thresholds,
-        year_std=series.year_std,
+        year_std=standardize_year(series.year),
         gmt=series.gmt,
     )
     return replace(

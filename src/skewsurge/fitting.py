@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Standardizers, standardizers
+from .data import Standardizers, standardize_year, standardizers
 from .tail import (
     RATE_FAMILIES,
     SCALE_FAMILIES,
@@ -181,13 +181,13 @@ class _Prepared:
 
     def terms(self, family):
         """Predictor terms of a rate family or of a scale family."""
-        s = self.series
+        s, year_std = self.series, standardize_year(self.series.year)
         if family in RATE_FAMILIES:
             return rate_terms(family, self.basis, s.day_of_year,
                               s.day_of_month, s.month, s.peak_tide, self.std,
-                              s.year_std, s.gmt)
+                              year_std, s.gmt)
         return scale_terms(family, self.basis, s.day_of_year, s.peak_tide,
-                           s.year_std, s.gmt)
+                           year_std, s.gmt)
 
 
 def _prepare(series, thresholds, std):

@@ -268,6 +268,19 @@ class ReturnCurve:
         return {"p": self.p.tolist(), "z_m": self.z.tolist()}
 
 
+def _p_grid(p_grid):
+    """The grid as a float array, refused unless it is a nonempty 1-D array
+    of annual exceedance probabilities in [1e-6, 0.5]."""
+    p = np.asarray(p_grid, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("p grid must be a nonempty 1-D array")
+    outside = ~((p >= 1e-6) & (p <= 0.5))
+    if outside.any():
+        raise ValueError(
+            f"annual exceedance probability {p[outside][0]} outside [1e-6, 0.5]")
+    return p
+
+
 def return_curve(p_grid, model, calendar, exi_model=None, scenario=None):
     """Return levels for each probability in the grid, monotonicity checked.
 
@@ -279,13 +292,7 @@ def return_curve(p_grid, model, calendar, exi_model=None, scenario=None):
     lies outside it, where the exceedance is nan, or where a level's
     bracket is not one float wide within the cap (see :func:`_invert`).
     """
-    p = np.asarray(p_grid, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("p grid must be a nonempty 1-D array")
-    outside = ~((p >= 1e-6) & (p <= 0.5))
-    if outside.any():
-        raise ValueError(
-            f"annual exceedance probability {p[outside][0]} outside [1e-6, 0.5]")
+    p = _p_grid(p_grid)
     f = _annual_max(model, calendar, exi_model, scenario)
 
     def at(z):

@@ -25,6 +25,7 @@ from .data import (
     SiteSeries,
     attach_covariates,
     calendar_columns,
+    standardize_year,
     standardizers,
 )
 from .tail import GMT_FAMILIES, TailParams, _gpd_quantile, rate_at, scale_at
@@ -65,8 +66,8 @@ def simulate_series(spec, seed):
 
     Returns (series, params) where ``params`` is the spec's truth with the
     standardizers (tide mean/sd, monthly mean day-of-month) replaced by
-    the generated record's own values. The series comes back with its
-    covariate columns already attached.
+    the generated record's own values. The series comes back with its GMT
+    anomaly attached when the families use it.
     """
     from scipy.special import ndtr, ndtri  # here: scipy is slow to import
 
@@ -106,9 +107,9 @@ def simulate_series(spec, seed):
     params_eff = TailParams(rate=rate_eff, scale=spec.params.scale, xi=spec.params.xi)
 
     lam = rate_at(rate_eff, day_of_year, day_of_month, month, tide,
-                  year_std=series.year_std, gmt=series.gmt)
+                  year_std=standardize_year(year), gmt=series.gmt)
     sigma = scale_at(spec.params.scale, day_of_year, tide,
-                     year_std=series.year_std, gmt=series.gmt)
+                     year_std=standardize_year(year), gmt=series.gmt)
     if np.min(sigma) <= 0.0:
         k = int(np.argmin(sigma))
         raise ValueError(

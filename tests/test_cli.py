@@ -222,9 +222,10 @@ class TestRunConfig:
         assert a.config_hash() != b.config_hash()
 
     def test_flags_override_document(self):
+        # argparse gives each flag's text
         ns = argparse.Namespace(
             site=["x"], rate_family="R2", scale_family=None, out="odir",
-            seed=9, percentile=0.96, run_length=6,
+            seed="9", percentile="0.96", run_length="6",
         )
         cfg = RunConfig.from_mapping({"rate_family": "R0"}).apply_flags(ns)
         assert cfg.rate_family == "R2"
@@ -336,6 +337,12 @@ class TestRunConfig:
         ("--percentile", "0.4", "threshold_percentile",
          "expected a value in (0.5, 1), not 0.4"),
         ("--run-length", "0", "run_length", "expected at least 1, not 0"),
+        # argparse checks no type or choice: the key's reader does
+        ("--rate-family", "R9", "rate_family",
+         "'R9' is not one of R0, R1, R2, R3, R4"),
+        ("--seed", "1.5", "seed", "expected a whole number, not 1.5"),
+        ("--run-length", "0.5", "run_length",
+         "expected a whole number, not 0.5"),
     ])
     def test_out_of_range_flag_fails_like_its_key(self, tmp_path, capsys,
                                                   flag, value, key, reason):
@@ -943,6 +950,15 @@ class TestErrorHandling:
         *[("ingest", {"detrend": {"rates_mm_per_year": {"SIM": rate}}},
            "detrend.rates_mm_per_year.SIM")
           for rate in ("x", True, float("nan"))],
+        # the grid that return_curve takes, from any subcommand
+        ("fit", {"return_levels": {"p_grid": [0.9]}}, "return_levels.p_grid"),
+        ("ingest", {"return_levels": {"p_grid": []}}, "return_levels.p_grid"),
+        # a free name that YAML types as a number (01 loads as 1)
+        ("ingest", {"detrend": {"rates_mm_per_year": {1: 1.5}}},
+         "detrend.rates_mm_per_year.1"),
+        ("fit", {"fit": {"frozen": {1: 0.0}}}, "fit.frozen.1"),
+        ("simulate", {"simulate": {"n_cycles": 10, "threshold": [0.3, 0.4]}},
+         "simulate.threshold"),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, capsys,
                                            subcommand, doc, key):
@@ -983,6 +999,21 @@ class TestErrorHandling:
             "error: config detrend.rates_mm_per_year.SIM: ")
         assert err.count("\n") == 1
 
+    def test_p_grid_is_read_before_any_data(self, tmp_path, capsys,
+                                            monkeypatch):
+        def load_series(path):
+            raise AssertionError("the gauge file was read")
+
+        monkeypatch.setattr(cli, "load_series", load_series)
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "inputs": {"gauge_csv": str(tmp_path / "no.csv")},
+            "return_levels": {"p_grid": [0.1, 0.9]}})
+        assert main(["fit", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: config return_levels.p_grid: annual exceedance "
+            "probability 0.9 outside [1e-6, 0.5]\n")
+
     @pytest.mark.parametrize("level", ["verbose", "basic_format", "5"])
     def test_unknown_log_level_fails(self, tmp_path, capsys, monkeypatch,
                                      level):
@@ -1005,3 +1036,11 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    def test_help_lists_the_families(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "one of R0, R1, R2, R3, R4" in text
+        assert "one of S0, S1, S2, S3, S4" in text

@@ -1064,7 +1064,8 @@ class TestCovariates:
         gmt = GmtSeries(years=[1990, 1991], anomalies=[0.2, 0.3])
         out = attach_covariates(s, gmt=gmt)
         npt.assert_allclose(out.gmt, [0.2, 0.3])
-        npt.assert_allclose(out.year_std, standardize_year(s.year))
+        # the year index is not stored: it is computed from year where used
+        assert not hasattr(out, "year_std")
 
     def test_missing_gmt_year_named(self):
         s = columns_series([1, 2], [2.0, 2.5], [0.1, 0.2])
@@ -1143,6 +1144,17 @@ def test_attach_covariates_looks_up_each_record_year():
     s.year[:] = 1992
     with pytest.raises(KeyError, match="no GMT anomaly for year 1992"):
         attach_covariates(s, gmt=gmt)
+
+
+def test_copies_keep_the_gmt_anomaly():
+    s = columns_series([1, 2, 3], [2.0, 2.5, 3.0], [0.1, 0.2, 0.3])
+    s.year[:] = [1990, 1991, 1992]
+    s = attach_covariates(s, gmt=GmtSeries(years=[1990, 1991, 1992],
+                                           anomalies=[0.2, 0.3, 0.4]))
+    npt.assert_array_equal(s.subset(s.year > 1990).gmt, [0.3, 0.4])
+    npt.assert_array_equal(detrend_msl(s, 1.5, 2017).gmt, s.gmt)
+    # without a GMT series the record is returned as it is
+    assert attach_covariates(s) is s
 
 
 def test_load_gmt_bad_header(tmp_path):

@@ -14,7 +14,7 @@ from scipy.stats import kstest
 
 from skewsurge import dependence
 from skewsurge.body import build_empirical, eval_body_cdf
-from skewsurge.data import SiteSeries, calendar_columns
+from skewsurge.data import SiteSeries, calendar_columns, standardize_year
 from skewsurge.dependence import (
     PairedDailySeries,
     _count_inversions,
@@ -326,6 +326,16 @@ class TestPairedDailySeries:
                 dates=np.arange(3).astype("datetime64[D]"), a=np.zeros(3),
                 b=np.zeros(3), lag=0, **{side: np.arange(2)})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_values_rejected(self, side, bad):
+        # refused as the tuple form is: neither tau nor chi sees them
+        values = {"a": np.arange(1.0, 6.0), "b": np.arange(1.0, 6.0)}
+        values[side][3] = bad
+        with pytest.raises(ValueError, match="^paired values must be finite$"):
+            PairedDailySeries(dates=np.arange(5).astype("datetime64[D]"),
+                              lag=0, **values)
+
 
 class TestChiChibar:
     def test_comonotone_both_one(self):
@@ -535,10 +545,16 @@ class TestPitTransform:
             self, fitted, xi, families, covariate, delta_rate, delta_sigma):
         series, model = fitted
         # one covariate value per record, spread wide enough that the
-        # trend terms move lambda and sigma from record to record
-        trend = np.linspace(-1.0, 1.5, series.skew_surge.size)
-        series = replace(series, **{"year_std": None, "gmt": None,
-                                    covariate: trend})
+        # trend terms move lambda and sigma from record to record; the
+        # year index follows from each record's year
+        spread = np.linspace(-1.0, 1.5, series.skew_surge.size)
+        if covariate == "gmt":
+            series = replace(series, gmt=spread)
+        else:
+            series = replace(series,
+                             year=np.rint(1968 + 53 * spread).astype(int))
+        trend = {"gmt": series.gmt,
+                 "year_std": standardize_year(series.year)}[covariate]
         rate, scale = model.params.rate, model.params.scale
         params = TailParams(
             rate=replace(rate, family=families[0], alpha_tide=0.3,

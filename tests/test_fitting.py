@@ -24,7 +24,9 @@ from skewsurge.fitting import (
     values_to_params,
     wald_intervals,
 )
-from skewsurge.data import GmtSeries, attach_covariates, monthly_thresholds
+from skewsurge.data import (GmtSeries, attach_covariates, detrend_msl,
+                            load_series, monthly_thresholds, standardize_year,
+                            write_series_csv)
 from skewsurge.simulate import SimSpec, simulate_series
 from skewsurge.tail import (
     RATE_FAMILIES,
@@ -399,13 +401,15 @@ ALL_COVARIATES_TRUTH = TailParams(
 )
 
 
+GMT_1950 = GmtSeries(years=np.arange(1950, 1975),
+                     anomalies=np.linspace(-0.6, 0.9, 25))
+
+
 @pytest.fixture(scope="module")
 def sim_all_covariates():
     """A GMT-trend record with every harmonic active (17 years)."""
-    gmt = GmtSeries(years=np.arange(1950, 1975),
-                    anomalies=np.linspace(-0.6, 0.9, 25))
     spec = SimSpec(params=ALL_COVARIATES_TRUTH, thresholds=0.3,
-                   n_cycles=12000, gmt=gmt)
+                   n_cycles=12000, gmt=GMT_1950)
     series, _ = simulate_series(spec, seed=31)
     return series, spec.thresholds
 
@@ -446,7 +450,7 @@ def _public_neg_loglik(params, series, thr):
     and the GPD density's closed form, cycle by cycle."""
     u = thr.for_month(series.month)
     exceed = series.skew_surge > u
-    covariates = dict(year_std=series.year_std, gmt=series.gmt)
+    covariates = dict(year_std=standardize_year(series.year), gmt=series.gmt)
     lam = rate_at(params.rate, series.day_of_year, series.day_of_month,
                   series.month, series.peak_tide, **covariates)
     sigma = scale_at(params.scale, series.day_of_year, series.peak_tide,
@@ -481,10 +485,38 @@ def test_likelihood_of_other_records_uses_the_fitted_standardizers():
     thr = spec.thresholds
     params = fit_tail(series, FitConfig(rate_family="R3", scale_family="S3"),
                       thresholds=thr).params
-    head = attach_covariates(series.subset(np.arange(len(series)) < 6000),
-                             gmt=gmt)
+    head = series.subset(np.arange(len(series)) < 6000)  # keeps gmt
     npt.assert_allclose(neg_loglik(params, head, thr),
                         _public_neg_loglik(params, head, thr), rtol=1e-9)
+
+
+def _fits_alike(series, attached, rate_family, thr):
+    """The fit of ``series`` equals, to the bit, that of ``attached``."""
+    cfg = FitConfig(rate_family=rate_family, scale_family="S0")
+    a, b = fit_tail(series, cfg, thr), fit_tail(attached, cfg, thr)
+    assert (a.loglik, a.estimates) == (b.loglik, b.estimates)
+
+
+@pytest.mark.parametrize("rate_family", ["R1", "R3"])
+@pytest.mark.parametrize("copy", ["detrend", "subset"])
+def test_copies_keep_the_record_covariates(sim_all_covariates, rate_family,
+                                           copy):
+    # a detrended or subset record fits as if its GMT anomaly were
+    # attached after the copy; its year index follows from its years
+    series, thr = sim_all_covariates
+    copied = (detrend_msl(series, 1.5, 2017) if copy == "detrend"
+              else series.subset(series.year < 1960))
+    _fits_alike(copied, attach_covariates(replace(copied, gmt=None),
+                                          gmt=GMT_1950), rate_family, thr)
+
+
+def test_year_trend_fits_a_loaded_record_as_it_is(sim_all_covariates,
+                                                  tmp_path):
+    series, thr = sim_all_covariates
+    write_series_csv(tmp_path / "g.csv", series)
+    loaded = load_series(tmp_path / "g.csv")[series.site_id]
+    assert loaded.gmt is None
+    _fits_alike(loaded, attach_covariates(loaded), "R1", thr)
 
 
 @pytest.mark.parametrize("rf,sf", DIAGONAL_PAIRS)
