@@ -102,12 +102,13 @@ from .fitting import (
     FitConfig,
     PooledSpec,
     ShapePrior,
+    _prior_variance,
     fit_grid,
     fit_pooled,
     fit_tail,
 )
 from .returns import Scenario, TideSampleCalendar, _p_grid, return_curve
-from .simulate import SimSpec, simulate_series
+from .simulate import SimSpec, _in_range, simulate_series
 from .tail import (
     GMT_FAMILIES,
     RATE_FAMILIES,
@@ -226,13 +227,17 @@ _SIM_DEFAULTS = params_to_values(TailParams(RateParams(), ScaleParams(beta=0.0))
 _KEYS = {
     "fit": {"shape_prior": lambda v: v if isinstance(v, bool) else _mapping(v),
             "frozen": _mapping},
-    "fit.shape_prior": {"mean": _number, "variance": _number},
+    "fit.shape_prior": {"mean": _number,
+                        "variance": lambda v: _prior_variance(_number(v))},
     "return_levels.scenario": {"year": _whole, "gmt": _number},
     "dependence": {"p": _between(0, 1), "lags": _list_of(_whole),
                    "uniform": _boolean},
-    "simulate": {"site_id": _text, "n_cycles": _whole, "start": _text,
-                 **dict.fromkeys(("tide_mean", "tide_amp", "body_mean",
-                                  "body_sd"), _number),
+    # the ranges the library owns are read by its own checks
+    "simulate": {"site_id": _text, "start": _text,
+                 "n_cycles": lambda v: _in_range("n_cycles", _whole(v)),
+                 **dict.fromkeys(("tide_mean", "body_mean"), _number),
+                 "tide_amp": lambda v: _in_range("tide_amp", _number(v)),
+                 "body_sd": lambda v: _in_range("body_sd", _number(v)),
                  "params": _mapping, "threshold": _thresholds},
     "simulate.params": {
         "rate_family": _RATE, "scale_family": _SCALE,

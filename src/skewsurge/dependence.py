@@ -9,9 +9,10 @@ strictly increasing transforms of each margin.
 Lag convention: a positive lag means site A leads, pairing A's day t with
 B's day t + lag.
 
-:func:`pairwise_reports` computes its rows on a thread pool with one
-worker per CPU the process may run on, at most one per row; the rows and
-their order do not depend on the number of workers.
+:func:`pairwise_reports` computes its rows, and one task that builds the
+uniform margins, on a thread pool with one worker per CPU the process may
+run on, at most one per row; the rows and their order do not depend on
+the number of workers.
 """
 
 from __future__ import annotations
@@ -143,7 +144,6 @@ def _index_dtype(limit):
 
 
 _BASE = 16  # block length whose inversions are counted by direct comparison
-_UPPER = np.triu(np.ones((_BASE, _BASE), dtype=bool), k=1)
 
 
 def _count_inversions(ranks, bound=None):
@@ -152,13 +152,14 @@ def _count_inversions(ranks, bound=None):
     by bottom-up merge levels.
 
     The ranks are padded to whole blocks of 16 with the rank ``bound``,
-    above all others, which adds no inversion. Inside each block the count
-    is one broadcast comparison of all pairs against a strict upper
-    triangle. At width w (halves of w merged into blocks of 2w = 2**t) one
-    sort of the keys ((p >> t) * m + rank) << 1 | side, with p the
-    position, m = bound + 1 and side = (p >> (t - 1)) & 1, 1 on the right
-    half, merges every pair of halves, equal ranks putting left before
-    right. A right-half element at sorted position p, k-th among its
+    above all others, which adds no inversion. Inside the blocks the count
+    is direct: on the blocks' transposed copy (position in block by block),
+    one comparison of rows i and i + k for each offset k = 1..15, so every
+    comparison runs along the blocks, contiguous. At width w (halves of w
+    merged into blocks of 2w = 2**t) one sort of the keys
+    ((p >> t) * m + rank) << 1 | side, with p the position, m = bound + 1
+    and side = (p >> (t - 1)) & 1, 1 on the right half, merges every pair
+    of halves, equal ranks putting left before right. A right-half element at sorted position p, k-th among its
     block's right elements, then has l_b + start_b + k - p greater left
     elements, so the level's count is sum_b r_b * (l_b + start_b)
     + r_b (r_b - 1)/2 minus the sum of the right elements' sorted positions
@@ -180,8 +181,8 @@ def _count_inversions(ranks, bound=None):
     keys = np.full(size, bound, dtype=_index_dtype(largest))
     keys[:n] = ranks
     blocks = keys.reshape(-1, _BASE)
-    count = int(np.count_nonzero(
-        (blocks[:, :, None] > blocks[:, None, :]) & _UPPER))
+    cols = np.ascontiguousarray(blocks.T)
+    count = sum(np.count_nonzero(cols[:-k] > cols[k:]) for k in range(1, _BASE))
     # first merge level: block j >> 1 and side j & 1 of base block j
     row = np.arange(size // _BASE, dtype=keys.dtype)
     keys <<= 1
@@ -346,10 +347,15 @@ def pairwise_reports(series_map, lags=(-1, 0, 1), p=0.05, models=None):
     The rows run on a thread pool with one worker per CPU the process may
     run on (``os.sched_getaffinity``, else ``os.cpu_count``), at most one
     per row, each in a copy of the caller's context (so an ``np.errstate``
-    around the call holds in every row). The calling thread builds the
-    uniform margins, one site at a time, while the raw rows run. The rows
-    and their order do not depend on the number of workers, and of several
-    failing rows the first in row order raises.
+    around the call holds in every row). The uniform margins are the
+    pool's first task, built one site at a time in the same kind of copy.
+    The calling thread builds the raw daily maxima and submits the raw
+    rows; from then on it only waits, for the margins to submit the
+    uniform rows and for the rows, so no more threads are busy than the
+    pool has workers. The rows and their order do not depend on the
+    number of workers. A failing margin raises before any row, the first
+    failing site's error; of several failing rows the first in row order
+    raises.
     """
     sites = sorted(series_map)
     pairs = list(itertools.combinations(sites, 2))
@@ -358,23 +364,30 @@ def pairwise_reports(series_map, lags=(-1, 0, 1), p=0.05, models=None):
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
+    def run(pool, task, *args):
+        return pool.submit(contextvars.copy_context().run, task, *args)
+
     def submit(pool, margin, daily, site_pairs):
         return {(sa, sb): [
-            pool.submit(contextvars.copy_context().run, _row,
-                        daily[sa], daily[sb], lag, p, series_map[sa].site_id,
-                        series_map[sb].site_id, f"{sa}-{sb}", margin)
+            run(pool, _row, daily[sa], daily[sb], lag, p,
+                series_map[sa].site_id, series_map[sb].site_id,
+                f"{sa}-{sb}", margin)
             for lag in lags] for sa, sb in site_pairs}
 
-    # each site's daily maxima and their ranks, computed once per margin
-    raw = {site: _daily_max(series_map[site])
-           for site in (sites if pairs else [])}
+    def uniform_margins():
+        return {site: _daily_max(pit_transform(series_map[site],
+                                               models[site]))
+                for site in (modelled if modelled_pairs else [])}
+
     n_rows = len(lags) * (len(pairs) + len(modelled_pairs))
     with ThreadPoolExecutor(max(1, min(cpus, n_rows))) as pool:
+        uniform = run(pool, uniform_margins)
+        # each site's daily maxima and their ranks, computed once per margin
+        raw = {site: _daily_max(series_map[site])
+               for site in (sites if pairs else [])}
         raw_rows = submit(pool, "raw", raw, pairs)
-        uniform = {site: _daily_max(pit_transform(series_map[site],
-                                                  models[site]))
-                   for site in (modelled if modelled_pairs else [])}
-        uniform_rows = submit(pool, "uniform", uniform, modelled_pairs)
+        uniform_rows = submit(pool, "uniform", uniform.result(),
+                              modelled_pairs)
         return [task.result() for pair in pairs
                 for margin in (raw_rows, uniform_rows)
                 for task in margin.get(pair, ())]

@@ -72,6 +72,13 @@ _MAX_NEWTON = 100
 _SEPARATION_LOGIT = 20.0
 
 
+def _prior_variance(variance):
+    """The shape prior's variance, refused unless positive."""
+    if variance <= 0:
+        raise ValueError("prior variance must be positive")
+    return variance
+
+
 @dataclass
 class ShapePrior:
     """Normal penalty on the GPD shape, entering the objective as a log-density."""
@@ -80,8 +87,7 @@ class ShapePrior:
     variance: float = 0.0343
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("prior variance must be positive")
+        _prior_variance(self.variance)
 
     def neg_log_density(self, xi):
         return 0.5 * ((xi - self.mean) ** 2 / self.variance

@@ -34,6 +34,20 @@ CYCLE_MINUTES = 745.0  # 12 h 25 min
 SPRING_NEAP_DAYS = 14.77
 
 
+# SimSpec's ranges: each field's test of a refused value and the reason
+_REFUSED = {"n_cycles": (lambda v: v < 1, "must be >= 1"),
+            "tide_amp": (lambda v: v < 0, "must be nonnegative"),
+            "body_sd": (lambda v: v <= 0, "must be positive")}
+
+
+def _in_range(name, value):
+    """The value of SimSpec's field ``name``, refused outside its range."""
+    refused, reason = _REFUSED[name]
+    if refused(value):
+        raise ValueError(f"{name} {reason}")
+    return value
+
+
 @dataclass
 class SimSpec:
     """Everything that defines one synthetic record except the seed."""
@@ -50,12 +64,8 @@ class SimSpec:
     gmt: GmtSeries | None = None
 
     def __post_init__(self):
-        if self.n_cycles < 1:
-            raise ValueError("n_cycles must be >= 1")
-        if self.tide_amp < 0:
-            raise ValueError("tide_amp must be nonnegative")
-        if self.body_sd <= 0:
-            raise ValueError("body_sd must be positive")
+        for name in _REFUSED:
+            _in_range(name, getattr(self, name))
         if isinstance(self.thresholds, (int, float)):
             self.thresholds = MonthlyThresholds(
                 np.full(12, float(self.thresholds)))

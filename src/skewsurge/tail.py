@@ -52,6 +52,8 @@ GMT_FAMILIES = frozenset({"R3", "R4", "S3", "S4"})
 SEASONAL_FAMILIES = frozenset({"R2", "R4", "S2", "S4"})
 
 _TWO_PI_OVER_F = 2.0 * np.pi / 365.0
+_W_DAY = _TWO_PI_OVER_F * np.arange(367.0)  # seasonal_basis' days 0..366
+_DAY_SIN, _DAY_COS = np.sin(_W_DAY), np.cos(_W_DAY)
 _XI_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
@@ -246,7 +248,15 @@ def values_to_params(values, rate_family, scale_family, std):
 
 
 def seasonal_basis(d):
-    """(sin wd, cos wd) with w = 2 pi / 365: the columns of every harmonic."""
+    """(sin wd, cos wd) with w = 2 pi / 365: the columns of every harmonic.
+
+    Integer days 0..366 are gathered from tables of the same expression
+    (at most 367 distinct days, so the same bits for a small part of the
+    cost); any other input takes the formula.
+    """
+    d = np.asarray(d)
+    if d.dtype.kind in "iu" and d.size and d.min() >= 0 and d.max() < 367:
+        return _DAY_SIN[d], _DAY_COS[d]
     w = _TWO_PI_OVER_F * np.asarray(d, dtype=float)
     return np.sin(w), np.cos(w)
 

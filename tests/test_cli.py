@@ -1014,6 +1014,31 @@ class TestErrorHandling:
             "error: config return_levels.p_grid: annual exceedance "
             "probability 0.9 outside [1e-6, 0.5]\n")
 
+    @pytest.mark.parametrize("subcommand,section,key,reason", [
+        ("fit", {"fit": {"shape_prior": {"variance": -1}}},
+         "fit.shape_prior.variance", "prior variance must be positive"),
+        ("ingest", {"simulate": {"n_cycles": 0}}, "simulate.n_cycles",
+         "n_cycles must be >= 1"),
+        ("ingest", {"simulate": {"n_cycles": 10, "tide_amp": -0.5}},
+         "simulate.tide_amp", "tide_amp must be nonnegative"),
+        ("ingest", {"simulate": {"n_cycles": 10, "body_sd": 0}},
+         "simulate.body_sd", "body_sd must be positive"),
+    ], ids=["variance", "n_cycles", "tide_amp", "body_sd"])
+    def test_library_range_is_read_with_its_key_before_any_data(
+            self, tmp_path, capsys, monkeypatch, subcommand, section, key,
+            reason):
+        # the library's own check, named by the key that holds the value
+        def load_series(path):
+            raise AssertionError("the gauge file was read")
+
+        monkeypatch.setattr(cli, "load_series", load_series)
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "inputs": {"gauge_csv": str(tmp_path / "no.csv")}, **section})
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: config {key}: {reason}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("level", ["verbose", "basic_format", "5"])
     def test_unknown_log_level_fails(self, tmp_path, capsys, monkeypatch,
                                      level):

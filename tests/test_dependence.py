@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -690,8 +691,8 @@ class TestPairwiseReports:
         monkeypatch.setattr(dependence, "ThreadPoolExecutor", Recording)
         return sizes
 
-    @pytest.mark.parametrize("cpus", [{0}, None, set(range(8))],
-                             ids=["one", "machine", "eight"])
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}, None, set(range(8))],
+                             ids=["one", "two", "machine", "eight"])
     def test_rows_do_not_depend_on_the_worker_count(self, four_sites,
                                                     pool_sizes, monkeypatch,
                                                     cpus):
@@ -708,6 +709,64 @@ class TestPairwiseReports:
         # equal to the bit, -0.0 included, and in the serial order
         assert repr(rows) == repr(expected)
         assert pool_sizes == [min(len(cpus), 27)]
+
+    @pytest.fixture()
+    def pit_calls(self, monkeypatch):
+        """Each ``pit_transform`` call as (site, thread, PITs running with
+        it, numpy error state), the call held long enough that another
+        PIT started meanwhile would overlap it."""
+        calls, running, lock = [], [], threading.Lock()
+
+        def recording(site_series, site_model):
+            with lock:
+                running.append(site_series.site_id)
+                calls.append((site_series.site_id, threading.get_ident(),
+                              len(running), np.geterr()))
+            try:
+                time.sleep(0.02)
+                return pit_transform(site_series, site_model)
+            finally:
+                with lock:
+                    running.remove(site_series.site_id)
+
+        monkeypatch.setattr(dependence, "pit_transform", recording)
+        return calls
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}, set(range(8))],
+                             ids=["one", "two", "eight"])
+    def test_margins_are_one_task_off_the_calling_thread(
+            self, four_sites, pit_calls, monkeypatch, cpus):
+        series_map, models, expected = four_sites
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        with np.errstate(all="raise"):
+            rows = pairwise_reports(series_map, models=models)
+        assert repr(rows) == repr(expected)
+        # one site at a time, in order, on one pool thread
+        assert [site for site, _, _, _ in pit_calls] == ["A", "B", "C"]
+        assert all(running == 1 for _, _, running, _ in pit_calls)
+        assert len({ident for _, ident, _, _ in pit_calls}) == 1
+        assert pit_calls[0][1] != threading.get_ident()
+        # the caller's error state reaches the PITs
+        assert all(state == dict.fromkeys(
+            ("divide", "over", "under", "invalid"), "raise")
+            for _, _, _, state in pit_calls)
+
+    def test_first_failing_margin_in_site_order_raises(self, four_sites,
+                                                       monkeypatch):
+        series_map, models, _ = four_sites
+        calls = []
+
+        def failing(site_series, site_model):
+            calls.append(site_series.site_id)
+            if site_series.site_id in "BC":
+                raise ValueError(f"no PIT for {site_series.site_id}")
+            return pit_transform(site_series, site_model)
+
+        monkeypatch.setattr(dependence, "pit_transform", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ValueError, match="^no PIT for B$"):
+            pairwise_reports(series_map, models=models)
+        assert calls == ["A", "B"]
 
     def test_pool_is_capped_at_the_rows_and_falls_back_to_cpu_count(
             self, pool_sizes, monkeypatch):

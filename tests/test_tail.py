@@ -10,7 +10,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewsurge import tail
 from skewsurge.body import build_empirical, cell_cdf, eval_body_cdf
+from skewsurge.data import calendar_columns
 from skewsurge.tail import (
     RATE_FAMILIES,
     SCALE_FAMILIES,
@@ -102,6 +104,41 @@ class TestScaleAt:
         npt.assert_allclose(scale_at(s3, 1.0, 3.0, gmt=0.5), 0.1 + 0.005)
         with pytest.raises(ValueError, match="gmt"):
             scale_at(s3, 1.0, 3.0)
+
+
+def _direct_basis(d):
+    w = tail._TWO_PI_OVER_F * np.asarray(d, dtype=float)
+    return np.sin(w), np.cos(w)
+
+
+class TestSeasonalBasis:
+    """Integer days 0..366 are gathered from a table; the bits are those
+    of the formula."""
+
+    # a 35,000-record calendar, as a tables site has
+    _RECORD = calendar_columns(np.datetime64("1950-01-01T00:00")
+                               + np.timedelta64(745, "m") * np.arange(35_000))[3]
+
+    @pytest.mark.parametrize("d", [
+        np.arange(367), _RECORD, np.broadcast_to(_RECORD[:400, None], (400, 7)),
+        40, np.int32(366), np.arange(367, dtype=np.uint16)],
+        ids=["every_day", "record", "broadcast", "int", "int32", "uint16"])
+    def test_table_equals_the_formula_to_the_bit(self, d):
+        for got, want in zip(seasonal_basis(d), _direct_basis(d)):
+            assert np.array_equal(got, want)
+            assert np.shape(got) == np.shape(d)
+            assert type(got) is type(want)
+
+    @pytest.mark.parametrize("d", [
+        40.0, 40.5, np.arange(367.0), np.array([0, 367]), -1, 400,
+        np.array([], dtype=int), True])
+    def test_other_days_take_the_formula(self, d, monkeypatch):
+        # with the tables spoiled, only the formula gives these values
+        for name in ("_DAY_SIN", "_DAY_COS"):
+            monkeypatch.setattr(tail, name, np.full(367, np.nan))
+        for got, want in zip(seasonal_basis(d), _direct_basis(d)):
+            assert np.array_equal(got, want)
+        assert np.isnan(seasonal_basis(np.arange(367))).all()
 
 
 class TestRateAt:
