@@ -71,10 +71,10 @@ def cell_cdf(model, month, tide):
     The records are grouped once by cell with a stable sort of the cell
     numbers as int8 (numpy radix-sorts keys of 16 bits or fewer), so each
     call is one ``searchsorted`` per contiguous slice of the grouped values.
-    Month and tide broadcast; the returned function takes y of their
-    broadcast shape. Called as ``cdf(y, out, where)``, it searches only
-    the records where the boolean ``where`` holds and writes their values
-    into the C-contiguous ``out``, leaving its other entries as they are.
+    Month and tide broadcast; the returned function ``cdf(y, out, where)``
+    takes y of their broadcast shape, searches only the records where the
+    boolean ``where`` holds and writes their values into the C-contiguous
+    ``out``, leaving its other entries as they are.
     """
     month, tide = np.broadcast_arrays(np.asarray(month), np.asarray(tide))
     cell = (3 * (month - 1) + model.band_index(month, tide)).ravel()
@@ -82,20 +82,16 @@ def cell_cdf(model, month, tide):
     bounds = np.searchsorted(cell[order], np.arange(37))
     cells = [c for c in range(36) if bounds[c] < bounds[c + 1]]
 
-    def cdf(y, out=None, where=None):
-        rows, at = order, bounds
-        if where is not None:  # the selected records, still grouped by cell
-            keep = np.ravel(where)[order]
-            rows = order[keep]
-            at = np.concatenate(([0], np.cumsum(keep)))[bounds]
+    def cdf(y, out, where):
+        keep = np.ravel(where)[order]  # the selected records, grouped by cell
+        rows = order[keep]
+        at = np.concatenate(([0], np.cumsum(keep)))[bounds]
         grouped = np.asarray(y, dtype=float).ravel()[rows]
         for c in cells:
             lo, hi = at[c], at[c + 1]
             kept = model.samples[c // 3][c % 3]
             grouped[lo:hi] = np.searchsorted(kept, grouped[lo:hi],
                                              side="right") / kept.size
-        if out is None:
-            out = np.empty(month.shape)
         out.reshape(-1)[rows] = grouped
         return out
 
@@ -116,5 +112,6 @@ def eval_body_cdf(model, y, month, tide):
     if np.any(y > model.thresholds[month - 1]):
         raise ValueError("eval_body_cdf requires y <= the monthly threshold; "
                          "values above it belong to the tail branch")
-    out = cell_cdf(model, month, tide)(y)
+    out = cell_cdf(model, month, tide)(y, np.empty(y.shape),
+                                       np.ones(y.shape, dtype=bool))
     return out if out.ndim else float(out)

@@ -51,21 +51,21 @@ Config schema (all sections optional unless a subcommand needs them)::
     pooling:                         # fitted at threshold_percentile
       shared: [delta_rate]
     simulate:         # params unset: 0, but lam 0.05 and alpha_sigma 0.1
-      site_id: SIM
-      n_cycles: 50000
-      start: "1950-01-01T00:00"
+      site_id: SIM                   # not blank
+      n_cycles: 50000                # >= 2
+      start: "1950-01-01T00:00"      # a date and time numpy reads
       threshold: 0.3                 # scalar or 12 monthly values
       tide_mean: 3.0
-      tide_amp: 1.0
+      tide_amp: 1.0                  # > 0
       body_mean: 0.0
-      body_sd: 0.1
+      body_sd: 0.1                   # > 0
       params: {rate_family: R1, scale_family: S0, xi: 0.05,  # the fit's names
                lam: 0.05, beta_day: 0.0, phi_day: 0.0, alpha_tide: 0.0,
                beta_tide: 0.0, phi_tide: 0.0, alpha_sigma: 0.12,
                beta_sigma: 0.04, phi_sigma: 91.25, gamma_sigma: 0.01,
                delta_rate: 0.2, delta_sigma: 0.0}  # seasonal: 4, winter first
     out_dir: out
-    seed: 0
+    seed: 0                          # >= 0
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ from .fitting import (
     FitConfig,
     PooledSpec,
     ShapePrior,
+    _check_shared,
     _prior_variance,
     fit_grid,
     fit_pooled,
@@ -233,7 +234,8 @@ _KEYS = {
     "dependence": {"p": _between(0, 1), "lags": _list_of(_whole),
                    "uniform": _boolean},
     # the ranges the library owns are read by its own checks
-    "simulate": {"site_id": _text, "start": _text,
+    "simulate": {"site_id": lambda v: _in_range("site_id", _text(v)),
+                 "start": lambda v: _in_range("start", _text(v)),
                  "n_cycles": lambda v: _in_range("n_cycles", _whole(v)),
                  **dict.fromkeys(("tide_mean", "body_mean"), _number),
                  "tide_amp": lambda v: _in_range("tide_amp", _number(v)),
@@ -283,7 +285,7 @@ class RunConfig:
     pooling_shared: list = _key("pooling.shared", _list_of(_text), [])
     simulate: dict = _key("simulate", _mapping, {})
     out_dir: str = _key("out_dir", _text, "out")
-    seed: int = _key("seed", _whole, 0)
+    seed: int = _key("seed", _at_least(0), 0)
 
     @classmethod
     def from_mapping(cls, doc):
@@ -599,11 +601,13 @@ def _cmd_dep(cfg, out, meta):
 
 def _cmd_pool(cfg, out, meta):
     fit_cfg = _fit_config(cfg)
+    if not cfg.pooling_shared:
+        raise ValueError("config is missing pooling.shared")
+    _read("pooling.shared", lambda v: _check_shared(v, fit_cfg),
+          cfg.pooling_shared)
     series_map = _load_sites(cfg)
     if len(series_map) < 2:
         raise ValueError("pooling needs at least two sites")
-    if not cfg.pooling_shared:
-        raise ValueError("config is missing pooling.shared")
     spec = PooledSpec(
         datasets=[(s, monthly_thresholds(s, cfg.threshold_percentile))
                   for _, s in sorted(series_map.items())],

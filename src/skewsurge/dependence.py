@@ -33,13 +33,7 @@ from .tail import eval_cdf
 @dataclass
 class PairedDailySeries:
     """Aligned daily-maximum values for two sites at a fixed day lag; the
-    values must be finite.
-
-    ``rank_a`` and ``rank_b``, when set, are nonnegative integer keys
-    ordered and tied exactly as ``a`` and ``b``: each site's dense ranks
-    over all its days, restricted to the paired dates. :func:`kendall_tau`
-    then takes them as its keys instead of sorting the values.
-    """
+    values must be finite."""
 
     dates: np.ndarray  # datetime64[D], the A-side dates
     a: np.ndarray
@@ -47,16 +41,11 @@ class PairedDailySeries:
     lag: int
     site_a: str = ""
     site_b: str = ""
-    rank_a: np.ndarray | None = None
-    rank_b: np.ndarray | None = None
 
     def __post_init__(self):
         if not (len(self.dates) == len(self.a) == len(self.b)):
             raise ValueError("dates, a and b must have equal lengths")
         self.a, self.b = _finite_pair(self.a, self.b)
-        for ranks in (self.rank_a, self.rank_b):
-            if ranks is not None and len(ranks) != len(self.a):
-                raise ValueError("ranks must have the length of the values")
 
     def __len__(self):
         return len(self.a)
@@ -93,8 +82,9 @@ def _pair_daily(daily_a, daily_b, lag, site_a, site_b):
 
     A's day d pairs with B's day d + lag. Over the span of days that both
     slot tables cover (see ``_daily_max``), one slice of each table gives
-    the pairs: the days where both slots are set, in date order. The pairs
-    carry each site's daily ranks on those dates.
+    the pairs: the days where both slots are set, in date order. Returns
+    the pairs and each site's daily ranks on those dates, the keys that
+    :func:`_kendall_tau` takes in place of ranking the values.
     """
     da, va, ka, first_a, slots_a = daily_a
     _, vb, kb, first_b, slots_b = daily_b
@@ -110,16 +100,14 @@ def _pair_daily(daily_a, daily_b, lag, site_a, site_b):
         raise ValueError(
             f"no overlapping dates between {site_a} and {site_b} at lag {lag}"
         )
-    return PairedDailySeries(
-        dates=da[ia], a=va[ia], b=vb[ib], lag=lag,
-        site_a=site_a, site_b=site_b, rank_a=ka[ia], rank_b=kb[ib],
-    )
+    return PairedDailySeries(dates=da[ia], a=va[ia], b=vb[ib], lag=lag,
+                             site_a=site_a, site_b=site_b), (ka[ia], kb[ib])
 
 
 def daily_max_pairs(series_a, series_b, lag=0):
     """Daily maxima of both sites on overlapping dates, B shifted by lag days."""
     return _pair_daily(_daily_max(series_a), _daily_max(series_b), lag,
-                       series_a.site_id, series_b.site_id)
+                       series_a.site_id, series_b.site_id)[0]
 
 
 def _finite_pair(a, b):
@@ -221,14 +209,11 @@ def _tied_pairs(sorted_values):
     return int((lengths * (lengths - 1) // 2).sum())
 
 
-def _margin_keys(values, keys):
-    """Integer keys ordered and tied as one margin's values, a bound above
-    them and the margin's tied pairs: carried keys as they are, else the
-    values' dense ranks, with the tie counts from one bincount."""
-    if keys is None:
-        keys = np.unique(values, return_inverse=True)[1]
+def _bound_and_ties(keys):
+    """A bound above one margin's nonnegative integer keys and its tied
+    pairs, the tie counts from one bincount."""
     counts = np.bincount(keys)
-    return keys, counts.size, int((counts * (counts - 1) // 2).sum())
+    return counts.size, int((counts * (counts - 1) // 2).sum())
 
 
 def kendall_tau(pairs):
@@ -236,22 +221,29 @@ def kendall_tau(pairs):
 
     Counts concordant, discordant and tied pairs exactly (integer
     arithmetic throughout), so perfectly concordant input gives 1.0
-    exactly at any sample size. Each margin is replaced by integer keys
-    ordered and tied as its values: the pairs' site ranks when they carry
-    them (see PairedDailySeries), dense ranks from np.unique otherwise.
-    One sort of ka * nb + kb (nb above every b key; int32 while
-    (max ka + 1) * nb allows, int64 above) then gives the a-then-b order,
-    the pairs tied on both margins (runs of equal keys) and b's keys in
-    that order (key - key // nb * nb), whose inversions are the discordant
-    pairs. Raises when either margin is constant, where the coefficient is
-    undefined.
+    exactly at any sample size. Each margin is replaced by its dense
+    ranks from np.unique (see :func:`_kendall_tau`). Raises when either
+    margin is constant, where the coefficient is undefined.
     """
     a, b = _pair_arrays(pairs)
-    n = len(a)
+    return _kendall_tau(np.unique(a, return_inverse=True)[1],
+                        np.unique(b, return_inverse=True)[1])
+
+
+def _kendall_tau(rank_a, rank_b):
+    """Kendall's tau of pairs given by integer keys ordered and tied as
+    each margin's values: the values' dense ranks, or each site's daily
+    ranks on the paired dates (:func:`_pair_daily`). One sort of
+    ka * nb + kb (nb above every b key; int32 while (max ka + 1) * nb
+    allows, int64 above) gives the a-then-b order, the pairs tied on both
+    margins (runs of equal keys) and b's keys in that order
+    (key - key // nb * nb), whose inversions are the discordant pairs.
+    """
+    n = len(rank_a)
     if n < 2:
         raise ValueError("kendall_tau needs at least 2 pairs")
-    rank_a, bound_a, ties_a = _margin_keys(a, getattr(pairs, "rank_a", None))
-    rank_b, nb, ties_b = _margin_keys(b, getattr(pairs, "rank_b", None))
+    bound_a, ties_a = _bound_and_ties(rank_a)
+    nb, ties_b = _bound_and_ties(rank_b)
     total = n * (n - 1) // 2
     if ties_a == total or ties_b == total:
         raise ValueError("kendall_tau is undefined for a constant margin")
@@ -329,10 +321,10 @@ def pit_transform(series, model):
 
 def _row(daily_a, daily_b, lag, p, site_a, site_b, pair, margin):
     """One dependence table row from two sites' daily maxima."""
-    pairs = _pair_daily(daily_a, daily_b, lag, site_a, site_b)
+    pairs, keys = _pair_daily(daily_a, daily_b, lag, site_a, site_b)
     chi, chibar = chi_chibar(pairs, p)
     return {"pair": pair, "lag": int(lag), "margin": margin,
-            "tau": kendall_tau(pairs), "chi": chi, "chibar": chibar,
+            "tau": _kendall_tau(*keys), "chi": chi, "chibar": chibar,
             "p": p, "n": len(pairs)}
 
 

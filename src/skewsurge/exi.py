@@ -55,6 +55,22 @@ class ExiModel:
     levels: np.ndarray  # grid levels, ascending
     runs_theta: np.ndarray  # runs estimates at the grid levels
 
+    def __post_init__(self):
+        self.levels = np.asarray(self.levels, dtype=float)
+        self.runs_theta = np.asarray(self.runs_theta, dtype=float)
+        for name in ("theta", "theta_v"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], not "
+                                 f"{getattr(self, name)}")
+        if not ((self.runs_theta >= 0.0) & (self.runs_theta <= 1.0)).all():
+            raise ValueError("runs estimates must lie in [0, 1]")
+        if not 0.0 < self.psi < math.inf:
+            raise ValueError(
+                f"psi must be positive and finite, not {self.psi}")
+        if self.levels.shape != self.runs_theta.shape:
+            raise ValueError("levels and runs estimates must have equal "
+                             "lengths")
+
     def to_dict(self):
         return {
             "v": self.v,
@@ -68,12 +84,7 @@ class ExiModel:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            v=d["v"], psi=d["psi"], theta=d["theta"], theta_v=d["theta_v"],
-            run_length=d["run_length"],
-            levels=np.asarray(d["levels"], dtype=float),
-            runs_theta=np.asarray(d["runs_theta"], dtype=float),
-        )
+        return cls(**d)
 
 
 def fit_exi_to_estimates(levels, estimates, v, theta_v):
@@ -148,8 +159,8 @@ def fit_exi_curve(series, v, levels, run_length=4):
 def exi_curve(model):
     """theta(y, r) of a fitted model as a function of y: the fitted curve
     at max(y, v), so that the exponential cannot overflow, overwritten by
-    interpolation in a table built once where y <= v. Output clipped to
-    [0, 1]; broadcasts over y.
+    interpolation in a table built once where y <= v. Both lie between
+    values that ExiModel keeps in [0, 1]; broadcasts over y.
     """
     below_v = model.levels < model.v
     xp = np.append(model.levels[below_v], model.v)
@@ -162,7 +173,7 @@ def exi_curve(model):
         low = y <= model.v
         if low.any():
             out[low] = np.interp(y[low], xp, fp)
-        return np.clip(out, 0.0, 1.0, out=out)
+        return out
 
     return theta
 
@@ -171,20 +182,17 @@ def exi_at_level(model, tide):
     """z -> theta(z - tide) of fixed peak tides. Where z - v >= max tide it
     is theta - exp(-(z - max tide - v)/psi) k, k = (theta - theta_v)
     exp((tide - max tide)/psi): one scalar exp and a multiply-add into one
-    kept array, clipped only when theta or theta_v lies outside [0, 1].
-    Lower levels take :func:`exi_curve`."""
+    kept array. Lower levels take :func:`exi_curve`."""
     curve = exi_curve(model)
     top = float(np.max(tide))
     k = (model.theta - model.theta_v) * np.exp((tide - top) / model.psi)
-    clip = not (0.0 <= model.theta <= 1.0 and 0.0 <= model.theta_v <= 1.0)
     out = np.empty(k.shape)
 
     def theta(z):
         if z - model.v < top:
             return curve(z - tide)
         np.multiply(k, -math.exp(-(z - top - model.v) / model.psi), out=out)
-        np.add(out, model.theta, out=out)
-        return np.clip(out, 0.0, 1.0, out=out) if clip else out
+        return np.add(out, model.theta, out=out)
 
     return theta
 
@@ -192,7 +200,7 @@ def exi_at_level(model, tide):
 def eval_exi(model, y):
     """theta(y): empirical interpolation below v, fitted curve above.
 
-    The two branches agree at v by construction. Output clipped to [0, 1];
+    The two branches agree at v by construction. Output in [0, 1];
     broadcasts over y.
     """
     out = exi_curve(model)(y)

@@ -106,6 +106,18 @@ def _check_pairs(names, what):
             )
 
 
+def _check_shared(shared, config):
+    """Refuse names to tie across sites unless each is a free parameter
+    of the configured families and a harmonic's amplitude and phase go
+    together."""
+    rf, sf = config.rate_family, config.scale_family
+    missing = [n for n in shared
+               if n not in param_names(rf, sf) or n in config.frozen]
+    if missing:
+        raise ValueError(f"shared names not free in family {rf}/{sf}: {missing}")
+    _check_pairs(shared, "shared")
+
+
 @dataclass
 class FitConfig:
     """Fitting options: families, shape prior, frozen values.
@@ -346,10 +358,10 @@ def _size(slots):
 def _layout(terms, shared, n_sites):
     """Global coefficient layout of a block design over sites.
 
-    A shared term (every term when ``shared`` is None) takes one slot;
-    any other term takes one slot per site. Returns the slots as (start,
-    names, site index, or None for a shared slot) and, per site, the
-    global index of each local coefficient.
+    A shared term takes one slot; any other term takes one slot per
+    site. Returns the slots as (start, names, site index, or None for a
+    shared slot) and, per site, the global index of each local
+    coefficient.
     """
     slots, where = [], [[] for _ in range(n_sites)]
 
@@ -359,7 +371,7 @@ def _layout(terms, shared, n_sites):
         return start
 
     starts = {names: add(names, None) for names in terms
-              if shared is None or names[0] in shared}
+              if names[0] in shared}
     for i in range(n_sites):
         for names in terms:
             start = starts.get(names)
@@ -396,12 +408,12 @@ class _Half:
     blocks: list
 
 
-def _half(datas, family, config, shared=None):
+def _half(datas, family, config, shared=()):
     """Block design of one family's regression over prepared sites.
 
-    ``shared`` names the parameters tied across sites; None ties every
-    parameter (a single-site fit). The shape prior is charged once per
-    distinct shape parameter.
+    ``shared`` names the parameters tied across sites, none in a
+    single-site fit. The shape prior is charged once per distinct shape
+    parameter.
     """
     frozen = config.frozen
     gpd = family in SCALE_FAMILIES
@@ -410,7 +422,7 @@ def _half(datas, family, config, shared=None):
     if gpd and "xi" not in frozen:
         free.append(("xi",))
     slots, at = _layout(free, shared, len(datas))
-    xi_per_site = shared is not None and "xi" not in frozen and "xi" not in shared
+    xi_per_site = "xi" not in frozen and "xi" not in shared
     blocks = []
     for i, (data, site_terms) in enumerate(zip(datas, terms)):
         X, offset = _columns(site_terms, frozen, data.n)
@@ -816,10 +828,7 @@ def fit_pooled(spec, config):
         raise ValueError("PooledSpec has no datasets")
     rf, sf = config.rate_family, config.scale_family
     names = [n for n in param_names(rf, sf) if n not in config.frozen]
-    missing = [n for n in spec.shared if n not in names]
-    if missing:
-        raise ValueError(f"shared names not free in family {rf}/{sf}: {missing}")
-    _check_pairs(spec.shared, "shared")
+    _check_shared(spec.shared, config)
     datas = [_site_data(series, thr) for series, thr in spec.datasets]
     singles = [_grid(data, config, [rf], [sf])[rf, sf] for data in datas]
     rate = _fit_half(_half(datas, rf, config, set(spec.shared)))

@@ -137,22 +137,19 @@ def _annual_max(model, calendar, exi_model, scenario):
     log_cdf = model._evaluator(
         calendar.day_of_year, calendar.day_of_month, calendar.month,
         calendar.tide, scenario.year_std, scenario.gmt, level=True)
-    theta = None if exi_model is None else exi_at_level(exi_model,
-                                                        calendar.tide)
+    theta = ((lambda z: 1.0) if exi_model is None
+             else exi_at_level(exi_model, calendar.tide))
     year_starts = np.searchsorted(calendar.year_index,
                                   np.arange(calendar.n_years))
     weighted = np.empty(calendar.tide.shape)
 
     def exceedance(z):
         log_f = log_cdf(z)
-        if theta is None:
-            log_year = np.add.reduceat(log_f, year_starts)
-        else:
-            with np.errstate(invalid="ignore"):  # theta 0 times log F = -inf
-                np.multiply(log_f, theta(z), out=weighted)
-            log_year = np.add.reduceat(weighted, year_starts)
-            if np.isnan(log_year).any():  # a zero factor keeps its year 0
-                log_year[np.add.reduceat(log_f, year_starts) == -np.inf] = -np.inf
+        with np.errstate(invalid="ignore"):  # theta 0 times log F = -inf
+            np.multiply(log_f, theta(z), out=weighted)
+        log_year = np.add.reduceat(weighted, year_starts)
+        if np.isnan(log_year).any():  # a zero factor keeps its year 0
+            log_year[np.add.reduceat(log_f, year_starts) == -np.inf] = -np.inf
         return float(-np.expm1(log_year).mean())
 
     exceedance.top_edge = log_cdf.top_edge

@@ -34,9 +34,20 @@ CYCLE_MINUTES = 745.0  # 12 h 25 min
 SPRING_NEAP_DAYS = 14.77
 
 
-# SimSpec's ranges: each field's test of a refused value and the reason
-_REFUSED = {"n_cycles": (lambda v: v < 1, "must be >= 1"),
-            "tide_amp": (lambda v: v < 0, "must be nonnegative"),
+def _no_instant(start):
+    """Whether numpy reads no date and time from ``start``."""
+    try:
+        return bool(np.isnat(np.datetime64(start, "s")))
+    except ValueError:
+        return True
+
+
+# SimSpec's ranges: each field's test of a refused value and the reason. A
+# record needs two cycles and a tide that varies, for its standardizers.
+_REFUSED = {"n_cycles": (lambda v: v < 2, "must be >= 2"),
+            "start": (_no_instant, "must be a date and time numpy reads"),
+            "site_id": (lambda v: not v.strip(), "must not be blank"),
+            "tide_amp": (lambda v: v <= 0, "must be positive"),
             "body_sd": (lambda v: v <= 0, "must be positive")}
 
 

@@ -28,7 +28,7 @@ the exact value (about one rounding) for every normal shape. The kernel
 is two pieces: the factor of z (:func:`_gpd_factor`, xi or 1 under that
 rule) and the clamp, log1p and division by xi of the scaled
 w = factor z (:func:`_gpd_h_scaled`); the evaluator folds the factor
-into its affine excess and calls the second piece alone.
+into its 1/sigma and calls the second piece alone.
 """
 
 from __future__ import annotations
@@ -407,9 +407,8 @@ def _gpd_h(z, xi):
     """h(z; xi) = log1p(xi z)/xi over an array of scaled excesses z, or z
     where |xi| < _XI_TINY: the GPD's log survival is -h, its negative
     log-density log(sigma) + (1 + xi) h. It is :func:`_gpd_h_scaled` of
-    z times :func:`_gpd_factor`; a caller that already scales z affinely
-    folds the factor into its coefficients and calls the second piece
-    alone.
+    z times :func:`_gpd_factor`; a caller that already scales its excess
+    folds the factor into that scale and calls the second piece alone.
     """
     return _gpd_h_scaled(np.multiply(z, _gpd_factor(xi)), xi)
 
@@ -446,15 +445,16 @@ class SkewSurgeModel:
         :meth:`conditional` and the annual-maximum engine.
 
         Built once: lambda, sigma, u_j, each record's edge (u_j for a
-        surge t, x + u_j when ``level`` makes t a sea level), w = a t + c
-        with a = factor/sigma and c = -factor edge/sigma
-        (:func:`_gpd_factor`), and the :func:`cell_cdf` body at the first
-        call that searches it. Each call: sigma <= 0 is an error
-        exactly where t is above the edge; one pass h = :func:`_gpd_h_scaled`
-        of w, S = exp(log lambda - h), exactly 0 beyond a negative shape's
-        endpoint; then F = 1 - S in a new array or, with ``level``, log F =
-        log1p(-S) in one kept array. The body times 1 - lambda overwrites
-        the records with t <= edge, so F(u_j) = 1 - lambda exactly; it is
+        surge t, x + u_j when ``level`` makes t a sea level), a =
+        factor/sigma (:func:`_gpd_factor`), and the :func:`cell_cdf` body
+        at the first call that searches it. Each call: sigma <= 0 is an
+        error exactly where t is above the edge; one pass w = (t - edge) a,
+        h = :func:`_gpd_h_scaled` of w, -S = -lambda exp(-h), so S <=
+        lambda above the edge and exactly 0 beyond a negative shape's
+        endpoint; then F = 1 + (-S) in a new array or, with ``level``,
+        log F = log1p(-S) in one kept array. The body times 1 - lambda
+        overwrites the records with t <= edge, so F(u_j) = 1 - lambda
+        exactly and F does not fall below it above u_j; the body is
         searched only when min(t) <= max(edge), the function's
         ``top_edge``, and the log path then takes their log.
         """
@@ -475,10 +475,9 @@ class SkewSurgeModel:
         if level:
             edge = x + edge
         xi = self.params.xi
-        factor = _gpd_factor(xi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a, c, log_lam = factor / sigma, -factor * edge / sigma, np.log(lam)
-        below_mass = 1.0 - lam
+        with np.errstate(divide="ignore"):
+            a = _gpd_factor(xi) / sigma
+        below_mass, minus_lam = 1.0 - lam, -lam
         bad = sigma <= 0.0
         bad = bad if bad.any() else None
         top_edge = edge.max()
@@ -490,16 +489,16 @@ class SkewSurgeModel:
                 raise ValueError("sigma must be positive")
             out = kept if level else np.empty(edge.shape)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                np.multiply(a, t, out=out)
-                np.add(out, c, out=out)  # inf - inf where sigma = 0: body
+                np.subtract(t, edge, out=out)
+                np.multiply(out, a, out=out)  # 0 inf where sigma = 0: body
                 _gpd_h_scaled(out, xi)
-                np.subtract(log_lam, out, out=out)
-                np.exp(out, out=out)  # S
+                np.negative(out, out=out)
+                np.exp(out, out=out)
+                np.multiply(out, minus_lam, out=out)  # -S
                 if level:
-                    np.negative(out, out=out)
                     np.log1p(out, out=out)
                 else:
-                    np.subtract(1.0, out, out=out)
+                    np.add(out, 1.0, out=out)
                 if np.min(t) <= top_edge:
                     below = t <= edge
                     body()(np.broadcast_to(t - x if level else t, edge.shape),

@@ -1014,19 +1014,40 @@ class TestErrorHandling:
             "error: config return_levels.p_grid: annual exceedance "
             "probability 0.9 outside [1e-6, 0.5]\n")
 
-    @pytest.mark.parametrize("subcommand,section,key,reason", [
-        ("fit", {"fit": {"shape_prior": {"variance": -1}}},
+    @pytest.mark.parametrize("subcommand,section,flags,key,reason", [
+        ("fit", {"fit": {"shape_prior": {"variance": -1}}}, [],
          "fit.shape_prior.variance", "prior variance must be positive"),
-        ("ingest", {"simulate": {"n_cycles": 0}}, "simulate.n_cycles",
-         "n_cycles must be >= 1"),
-        ("ingest", {"simulate": {"n_cycles": 10, "tide_amp": -0.5}},
-         "simulate.tide_amp", "tide_amp must be nonnegative"),
-        ("ingest", {"simulate": {"n_cycles": 10, "body_sd": 0}},
+        ("ingest", {"simulate": {"n_cycles": 0}}, [], "simulate.n_cycles",
+         "n_cycles must be >= 2"),
+        ("ingest", {"simulate": {"n_cycles": 10, "tide_amp": -0.5}}, [],
+         "simulate.tide_amp", "tide_amp must be positive"),
+        ("ingest", {"simulate": {"n_cycles": 10, "body_sd": 0}}, [],
          "simulate.body_sd", "body_sd must be positive"),
-    ], ids=["variance", "n_cycles", "tide_amp", "body_sd"])
+        # values a run cannot use: a constant tide has no standardizer
+        ("simulate", {"simulate": {"n_cycles": 10, "tide_amp": 0}}, [],
+         "simulate.tide_amp", "tide_amp must be positive"),
+        ("simulate", {"simulate": {"n_cycles": 1}}, [], "simulate.n_cycles",
+         "n_cycles must be >= 2"),
+        ("simulate", {"simulate": {"n_cycles": 10, "start": "garbage"}}, [],
+         "simulate.start", "start must be a date and time numpy reads"),
+        ("simulate", {"simulate": {"n_cycles": 10, "site_id": " "}}, [],
+         "simulate.site_id", "site_id must not be blank"),
+        ("simulate", {"seed": -1, "simulate": {"n_cycles": 10}}, [], "seed",
+         "expected at least 0, not -1"),
+        ("simulate", {"simulate": {"n_cycles": 10}}, ["--seed", "-1"], "seed",
+         "expected at least 0, not -1"),
+        ("fit", {}, ["--seed", "-3"], "seed", "expected at least 0, not -3"),
+        ("pool", {"pooling": {"shared": ["foo"]}}, [], "pooling.shared",
+         "shared names not free in family R0/S0: ['foo']"),
+        ("pool", {"pooling": {"shared": ["beta_sigma"]}}, [],
+         "pooling.shared", "shared names 'beta_sigma' without its partner "
+         "'phi_sigma'; a harmonic's amplitude and phase go together"),
+    ], ids=["variance", "n_cycles", "tide_amp", "body_sd", "flat tide",
+            "one cycle", "start", "site_id", "seed", "seed flag",
+            "fit seed flag", "shared name", "shared pair"])
     def test_library_range_is_read_with_its_key_before_any_data(
-            self, tmp_path, capsys, monkeypatch, subcommand, section, key,
-            reason):
+            self, tmp_path, capsys, monkeypatch, subcommand, section, flags,
+            key, reason):
         # the library's own check, named by the key that holds the value
         def load_series(path):
             raise AssertionError("the gauge file was read")
@@ -1035,7 +1056,8 @@ class TestErrorHandling:
         cfg = _write_yaml(tmp_path / "c.yaml", {
             "inputs": {"gauge_csv": str(tmp_path / "no.csv")}, **section})
         out = tmp_path / "o"
-        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+        assert main([subcommand, "--config", cfg, "--out", str(out),
+                     *flags]) == 1
         assert capsys.readouterr().err == f"error: config {key}: {reason}\n"
         assert not out.exists()
 

@@ -297,12 +297,9 @@ def test_tau_with_int64_keys_matches_the_reference():
     ka = rng.integers(0, 1_000_000, size=n)
     kb = np.minimum(ka // 200 + rng.integers(0, 40, size=n), 5999)
     kb[-1] = 5999
-    pairs = PairedDailySeries(
-        dates=np.arange(n).astype("datetime64[D]"), a=ka.astype(float),
-        b=kb.astype(float), lag=0, rank_a=ka, rank_b=kb)
     assert (ka.max() + 1) * 6000 > 2**31
-    assert kendall_tau(pairs) == _reference_kendall_tau(
-        pairs.a, pairs.b, ka, kb)
+    assert dependence._kendall_tau(ka, kb) == _reference_kendall_tau(
+        ka.astype(float), kb.astype(float), ka, kb)
     # values ranked here: 50,000 distinct values on each margin
     a = rng.normal(size=50_000)
     b = a + rng.normal(size=50_000)
@@ -319,13 +316,17 @@ class TestPairedDailySeries:
                 dates=np.arange(n_dates).astype("datetime64[D]"),
                 a=np.zeros(n_a), b=np.zeros(n_b), lag=0)
 
-    @pytest.mark.parametrize("side", ["rank_a", "rank_b"])
-    def test_ranks_must_match_the_values(self, side):
-        with pytest.raises(ValueError,
-                           match="ranks must have the length of the values"):
-            PairedDailySeries(
-                dates=np.arange(3).astype("datetime64[D]"), a=np.zeros(3),
-                b=np.zeros(3), lag=0, **{side: np.arange(2)})
+    @pytest.mark.parametrize("b", [
+        lambda a: a,                         # identical margins: 1.0
+        lambda a: -a,                        # reversed: -1.0
+        lambda a: np.round(a, 1) + 0.05 * a ** 2,  # ties on both margins
+    ], ids=["identical", "reversed", "tied"])
+    def test_tau_of_a_hand_built_series_is_the_tau_of_its_values(self, b):
+        # the pairs carry no keys: kendall_tau ranks the values it is given
+        a = np.round(np.random.default_rng(3).normal(size=60), 1)
+        pairs = PairedDailySeries(
+            dates=np.arange(60).astype("datetime64[D]"), a=a, b=b(a), lag=0)
+        assert kendall_tau(pairs) == kendall_tau((a, b(a))) == _tau_b(a, b(a))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["a", "b"])
@@ -419,12 +420,12 @@ class TestDailyMaxPairs:
         a = _daily_series(np.round(rng.normal(size=900), 2), per_day=2)
         b = _daily_series(np.round(rng.normal(size=1400), 3), site_id="B",
                           start="2001-03-20", per_day=2)
-        pairs = daily_max_pairs(a, b, lag)
-        assert pairs.rank_a is not None and pairs.rank_b is not None
-        assert len(np.unique(pairs.rank_a)) < pairs.rank_a.max() + 1
-        assert pairs.rank_b.max() >= len(pairs)
+        pairs, (rank_a, rank_b) = dependence._pair_daily(
+            dependence._daily_max(a), dependence._daily_max(b), lag, "A", "B")
+        assert len(np.unique(rank_a)) < rank_a.max() + 1
+        assert rank_b.max() >= len(pairs)
         assert len(np.unique(pairs.a)) < len(pairs)  # tied days
-        assert kendall_tau(pairs) == kendall_tau((pairs.a, pairs.b))
+        assert dependence._kendall_tau(rank_a, rank_b) == kendall_tau(pairs)
         assert kendall_tau(pairs) == _tau_b(pairs.a, pairs.b)
 
     def test_no_overlap_is_an_error(self):
@@ -475,6 +476,10 @@ class TestDailyMaxPairs:
         a = gappy(500, 3, "A", "2001-03-10")
         b = gappy(400, 1, "B", "2001-03-01")
         pairs = daily_max_pairs(a, b, lag)
+        # the site ranks that the table rows hand to tau
+        rank_a, rank_b = dependence._pair_daily(
+            dependence._daily_max(a), dependence._daily_max(b), lag, "A",
+            "B")[1]
 
         def reference_daily(series):
             days = series.timestamps.astype("datetime64[D]")
@@ -490,8 +495,8 @@ class TestDailyMaxPairs:
         npt.assert_array_equal(pairs.dates, dates)
         npt.assert_array_equal(pairs.a, va[ia])
         npt.assert_array_equal(pairs.b, vb[ib])
-        npt.assert_array_equal(pairs.rank_a, ra[ia])
-        npt.assert_array_equal(pairs.rank_b, rb[ib])
+        npt.assert_array_equal(rank_a, ra[ia])
+        npt.assert_array_equal(rank_b, rb[ib])
         assert pairs.lag == lag
 
 

@@ -637,10 +637,11 @@ def _exi(theta, psi):
 
 def test_engine_matches_the_per_cycle_reference(seasonal_model):
     fitted, cal, series = seasonal_model
+    # theta > 1 is refused, so the engine has nothing to clip
+    with pytest.raises(ValueError, match=r"^theta must lie in \[0, 1\]"):
+        _exi(1.3, 0.1)
     exi_models = {
         "fitted-like": _exi(0.9, 0.1),
-        # theta > 1 far above v, so the clip to [0, 1] is active
-        "clipped": _exi(1.3, 0.1),
         # exp(-(z - max tide - v)/psi) overflows below max tide + v
         "tiny psi": _exi(0.9, 1e-6),
         "none": None,

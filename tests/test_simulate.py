@@ -139,8 +139,20 @@ def test_invalid_spec_rejected():
         _spec(n_cycles=0)
     with pytest.raises(ValueError):
         _spec(body_sd=0.0)
-    with pytest.raises(ValueError, match="tide_amp must be nonnegative"):
+    with pytest.raises(ValueError, match="tide_amp must be positive"):
         _spec(tide_amp=-0.1)
+
+
+@pytest.mark.parametrize("field,value,reason", [
+    ("tide_amp", 0.0, "tide_amp must be positive"),
+    ("n_cycles", 1, "n_cycles must be >= 2"),
+    ("start", "garbage", "start must be a date and time numpy reads"),
+    ("start", "NaT", "start must be a date and time numpy reads"),
+    ("site_id", "", "site_id must not be blank"),
+])
+def test_spec_a_run_cannot_use_is_refused(field, value, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        _spec(**{field: value})
 
 
 def test_scalar_threshold_coerced_to_monthly():

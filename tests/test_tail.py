@@ -393,6 +393,12 @@ def _cdf(m, y, d, d_j, j, x):
                     thresholds=m.thresholds)
 
 
+def _full_search(m, series, y):
+    """The body CDF of every record at y, searched whatever y is."""
+    return cell_cdf(m.body, series.month, series.peak_tide)(
+        y, np.empty(y.shape), np.ones(y.shape, dtype=bool))
+
+
 class TestEvalCdf:
     def test_tail_boundary(self, model):
         m, series = model
@@ -426,8 +432,8 @@ class TestEvalCdf:
         assert {"none": not below.any(), "all": below.all(),
                 "some": 0 < below.sum() < below.size}[level]
         got = m.conditional(*records)(y)
-        full = (1.0 - rate_at(m.params.rate, *records)) * cell_cdf(
-            m.body, series.month, series.peak_tide)(y)
+        full = (1.0 - rate_at(m.params.rate, *records)) * _full_search(
+            m, series, y)
         assert got.tobytes() == np.where(below, full, got).tobytes()
 
     def test_nonpositive_scale_is_an_error_only_above_the_threshold(
@@ -448,8 +454,8 @@ class TestEvalCdf:
         u = m.thresholds.for_month(series.month)
         y = np.where(positive, u + 0.05, u)
         got = cdf(y)
-        full = (1.0 - rate_at(steep.rate, *records)) * cell_cdf(
-            m.body, series.month, series.peak_tide)(y)
+        full = (1.0 - rate_at(steep.rate, *records)) * _full_search(
+            m, series, y)
         assert got[~positive].tobytes() == full[~positive].tobytes()
         assert np.all((got[positive] > 0.9) & (got[positive] <= 1.0))
         y[np.flatnonzero(~positive)[0]] += 1e-9
@@ -517,9 +523,9 @@ class TestEvalCdf:
                             rtol=1e-15)
 
 
-# The junction is probed 1e-9 m either side of u_j: there the tail's h
-# moves S by far more than the rounding of exp(log lambda), which can put
-# S one ulp above lambda at the very next double above u_j.
+# The junction is probed 1e-9 m either side of u_j; the very next double
+# above it, on every cycle, by
+# test_no_cycle_dips_below_one_minus_lambda_just_above_the_threshold.
 _OFFSETS = (-2.0, -0.1, -1e-9, 0.0, 1e-9, 0.1, 1.0, 50.0)
 
 
@@ -570,6 +576,29 @@ def test_conditional_is_a_cdf_per_cycle(model, rf, sf, lam, rate, rate_phases,
     at_u = f[_OFFSETS.index(0.0)]
     assert at_u.tobytes() == (1.0 - rate_at(rp, *records,
                                             **covariates)).tobytes()
+
+
+@pytest.mark.parametrize("rf,sf", list(itertools.product(RATE_FAMILIES,
+                                                         SCALE_FAMILIES)))
+def test_no_cycle_dips_below_one_minus_lambda_just_above_the_threshold(
+        model, rf, sf):
+    # S = lambda exp(-h) with h >= 0 cannot round above lambda, so at the
+    # very next double above u_j no cycle's F is below F(u_j) = 1 - lambda
+    m, series = model
+    records = (series.day_of_year, series.day_of_month, series.month,
+               series.peak_tide)
+    n = records[0].size
+    covariates = {"year_std": np.linspace(-1.0, 1.0, n),
+                  "gmt": np.linspace(-0.5, 1.5, n)}
+    params = _params_of(rf, sf)
+    cdf = SkewSurgeModel(body=m.body, params=params,
+                         thresholds=m.thresholds).conditional(
+        *records, **covariates)
+    u = m.thresholds.for_month(series.month)
+    at_u = cdf(u)
+    assert at_u.tobytes() == (1.0 - rate_at(params.rate, *records,
+                                            **covariates)).tobytes()
+    assert np.all(cdf(np.nextafter(u, np.inf)) >= at_u)
 
 
 class TestDeltaLambda:
