@@ -159,14 +159,14 @@ class GmtSeries:
             raise ValueError("duplicate years in GMT series")
 
     def anomaly_for(self, year):
-        """Anomaly for each requested year; missing years raise KeyError."""
+        """Each year's anomaly as a 1-D array; missing years raise KeyError."""
         year = np.atleast_1d(np.asarray(year, dtype=int))
         missing = ~np.isin(year, self.years)
         if missing.any():
             raise KeyError(f"no GMT anomaly for year {year[missing][0]}")
         order = np.argsort(self.years)
-        out = self.anomalies[order[np.searchsorted(self.years, year, sorter=order)]]
-        return out if out.size > 1 else float(out[0])
+        return self.anomalies[order[np.searchsorted(self.years, year,
+                                                    sorter=order)]]
 
 
 @dataclass
@@ -701,4 +701,4 @@ def attach_covariates(series, gmt=None):
     _tide_sd(series.peak_tide)
     if gmt is None:
         return series
-    return replace(series, gmt=np.atleast_1d(gmt.anomaly_for(series.year)))
+    return replace(series, gmt=gmt.anomaly_for(series.year))

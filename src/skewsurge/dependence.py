@@ -134,10 +134,10 @@ def _index_dtype(limit):
 _BASE = 16  # block length whose inversions are counted by direct comparison
 
 
-def _count_inversions(ranks, bound=None):
+def _count_inversions(ranks, bound):
     """Strict inversions (i < j with ranks[i] > ranks[j]) of nonnegative
-    integer ranks below ``bound`` (default: their number), counted exactly
-    by bottom-up merge levels.
+    integer ranks below ``bound``, counted exactly by bottom-up merge
+    levels.
 
     The ranks are padded to whole blocks of 16 with the rank ``bound``,
     above all others, which adds no inversion. Inside the blocks the count
@@ -161,8 +161,6 @@ def _count_inversions(ranks, bound=None):
     int.
     """
     n = len(ranks)
-    if bound is None:
-        bound = n
     m = bound + 1  # key multiplier above every rank, padding included
     size = n + -n % _BASE
     largest = 2 * m * (size // (2 * _BASE) + 1)

@@ -59,11 +59,13 @@ class ExiModel:
         self.levels = np.asarray(self.levels, dtype=float)
         self.runs_theta = np.asarray(self.runs_theta, dtype=float)
         for name in ("theta", "theta_v"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], not "
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1], not "
                                  f"{getattr(self, name)}")
-        if not ((self.runs_theta >= 0.0) & (self.runs_theta <= 1.0)).all():
-            raise ValueError("runs estimates must lie in [0, 1]")
+        if not ((self.runs_theta > 0.0) & (self.runs_theta <= 1.0)).all():
+            raise ValueError("runs estimates must lie in (0, 1]")
+        if not (np.diff(self.levels) >= 0.0).all():
+            raise ValueError("levels must be ascending")
         if not 0.0 < self.psi < math.inf:
             raise ValueError(
                 f"psi must be positive and finite, not {self.psi}")
@@ -160,7 +162,7 @@ def exi_curve(model):
     """theta(y, r) of a fitted model as a function of y: the fitted curve
     at max(y, v), so that the exponential cannot overflow, overwritten by
     interpolation in a table built once where y <= v. Both lie between
-    values that ExiModel keeps in [0, 1]; broadcasts over y.
+    values that ExiModel keeps in (0, 1]; broadcasts over y.
     """
     below_v = model.levels < model.v
     xp = np.append(model.levels[below_v], model.v)
@@ -200,7 +202,7 @@ def exi_at_level(model, tide):
 def eval_exi(model, y):
     """theta(y): empirical interpolation below v, fitted curve above.
 
-    The two branches agree at v by construction. Output in [0, 1];
+    The two branches agree at v by construction. Output in (0, 1];
     broadcasts over y.
     """
     out = exi_curve(model)(y)

@@ -14,7 +14,7 @@ index at a level (:func:`exi_at_level`) and the year starts. One
 evaluation is log F times theta, one ``np.add.reduceat`` slice per year
 (the layout :class:`TideSampleCalendar` checks) and the annual
 exceedance 1 - A as the years' mean of -expm1(log A_year), never 1 - F.
-A zero factor sends its year to zero, under theta = 0 too.
+A zero factor sends its year to zero.
 
 Return levels solve h(z) = log(1 - A(z)) - log p = 0, the log of the
 engine's exceedance, near linear in z in the tail, until |h| < 1e-9, i.e.
@@ -112,15 +112,13 @@ class TideSampleCalendar:
                 f"site {series.site_id}: no year has all twelve months"
             )
         keep = np.isin(series.year, years)
-        order = np.argsort(series.timestamps[keep], kind="stable")
-        year_kept = series.year[keep][order]
         return cls(
             years=years,
-            month=series.month[keep][order],
-            day_of_month=series.day_of_month[keep][order],
-            day_of_year=series.day_of_year[keep][order],
-            tide=series.peak_tide[keep][order],
-            year_index=np.searchsorted(years, year_kept),
+            month=series.month[keep],
+            day_of_month=series.day_of_month[keep],
+            day_of_year=series.day_of_year[keep],
+            tide=series.peak_tide[keep],
+            year_index=np.searchsorted(years, series.year[keep]),
         )
 
     @property
@@ -143,14 +141,9 @@ def _annual_max(model, calendar, exi_model, scenario):
                                   np.arange(calendar.n_years))
     weighted = np.empty(calendar.tide.shape)
 
-    def exceedance(z):
-        log_f = log_cdf(z)
-        with np.errstate(invalid="ignore"):  # theta 0 times log F = -inf
-            np.multiply(log_f, theta(z), out=weighted)
-        log_year = np.add.reduceat(weighted, year_starts)
-        if np.isnan(log_year).any():  # a zero factor keeps its year 0
-            log_year[np.add.reduceat(log_f, year_starts) == -np.inf] = -np.inf
-        return float(-np.expm1(log_year).mean())
+    def exceedance(z):  # theta > 0, so a zero factor keeps its year 0
+        np.multiply(log_cdf(z), theta(z), out=weighted)
+        return float(-np.expm1(np.add.reduceat(weighted, year_starts)).mean())
 
     exceedance.top_edge = log_cdf.top_edge
     return exceedance

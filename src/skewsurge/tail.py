@@ -67,13 +67,10 @@ def logit(p):
 
 
 def inv_logit(t):
-    """Inverse of :func:`logit`, numerically stable for large |t|."""
-    t = np.asarray(t, dtype=float)
-    # np.where evaluates both branches; the off-branch may overflow harmlessly.
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.where(
-            t >= 0, 1.0 / (1.0 + np.exp(-t)), np.exp(t) / (1.0 + np.exp(t))
-        )
+    """Inverse of :func:`logit`, 1/(1 + exp(-t)): exp(-t) overflows to inf
+    below t of about -709, which gives 0."""
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
     return out if out.ndim else float(out)
 
 
@@ -439,6 +436,12 @@ class SkewSurgeModel:
     body: object  # TideBandedEmpirical
     params: TailParams
     thresholds: object  # MonthlyThresholds
+
+    def __post_init__(self):
+        # the body stops at its own u_j and the tail starts at these
+        if not np.array_equal(self.body.thresholds, self.thresholds.values):
+            raise ValueError("the body was built at other thresholds than "
+                             "the model's")
 
     def _evaluator(self, d, d_j, j, x, year_std, gmt, level):
         """The conditional CDF of fixed records, F(t) or log F(t), behind

@@ -341,8 +341,7 @@ def test_09_pipeline_artifacts_are_byte_identical(tmp_path, report):
             "inputs": {"gauge_csv": str(sim_out / "sim_SIM.csv")},
             "rate_family": "R0",
             "scale_family": "S0",
-            "fit": {"multi_start": 1,
-                    "frozen": {k: float(v)
+            "fit": {"frozen": {k: float(v)
                                for k, v in FROZEN_HARMONICS.items()}},
             "return_levels": {"p_grid": [0.1, 0.01]},
             "seed": 0,

@@ -65,6 +65,46 @@ def _hash_alike(text):
             == RunConfig.from_mapping(yaml.safe_load(text)).config_hash())
 
 
+QUICK_START_PINS = Path(__file__).with_name("quick_start_pins.json")
+
+
+def _artifacts(root):
+    """Every file that the quick start writes under ``root``, by its path
+    there: a simulated record (``sim_*.csv``) as the SHA-256 of its bytes,
+    another CSV as its text, a JSON file as its value. ``json.dump`` of
+    this dict writes ``QUICK_START_PINS``."""
+    out = {}
+    for folder in ("simout", "simout2", "out"):
+        for path in sorted((root / folder).iterdir()):
+            name = path.relative_to(root).as_posix()
+            if path.name.startswith("sim_") and path.suffix == ".csv":
+                out[name] = {"sha256": hashlib.sha256(
+                    path.read_bytes()).hexdigest()}
+            elif path.suffix == ".csv":
+                out[name] = {"text": path.read_bytes().decode()}
+            else:
+                out[name] = {"json": json.loads(path.read_text())}
+    return out
+
+
+def _same_json(got, want, where):
+    """``got`` has ``want``'s keys, list lengths and non-float values
+    exactly, and its floats to a relative 1e-9."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _same_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _same_json(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and got == pytest.approx(
+            want, rel=1e-9, abs=0.0), (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
 def _write_yaml(path, doc):
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh)
@@ -189,7 +229,9 @@ class TestRunConfig:
 
     def test_readme_quick_start_runs(self, tmp_path, monkeypatch):
         # README's sim.yaml and run.yaml, then every `skewsurge` line of
-        # the shell block that follows them, in order.
+        # the shell block that follows them, in order; then dep and pool
+        # on that site and a second one (sim.yaml as SIM2, seed 1), as
+        # CI's quick-start step runs them
         readme = README.read_text()
         for name in ("sim.yaml", "run.yaml"):
             block = re.search(rf"```yaml\n# {re.escape(name)}\n(.*?)```",
@@ -205,10 +247,27 @@ class TestRunConfig:
         monkeypatch.chdir(tmp_path)
         for args in commands:
             assert main(args) == 0, args
-        rows = list(csv.DictReader(
-            (tmp_path / "out" / "select_SIM.csv").read_text().splitlines()[1:]))
-        assert sorted({r["rate_family"] for r in rows}) == ["R0", "R1", "R2"]
-        assert sorted({r["scale_family"] for r in rows}) == ["S0", "S1", "S2"]
+        sim2 = Path("sim.yaml").read_text().replace("site_id: SIM\n",
+                                                    "site_id: SIM2\n")
+        assert "SIM2" in sim2
+        Path("sim2.yaml").write_text(sim2)
+        assert main(["simulate", "--config", "sim2.yaml", "--seed", "1",
+                     "--out", "simout2"]) == 0
+        second = Path("simout2/sim_SIM2.csv").read_text().splitlines(True)
+        Path("both.csv").write_text(Path("simout/sim_SIM.csv").read_text()
+                                    + "".join(second[2:]))
+        run = Path("run.yaml").read_text()
+        assert "gauge_csv: simout/sim_SIM.csv" in run
+        Path("both.yaml").write_text(
+            run.replace("simout/sim_SIM.csv", "both.csv")
+            + "pooling:\n  shared: [delta_rate]\n")
+        for sub in ("dep", "pool"):
+            assert main([sub, "--config", "both.yaml"]) == 0, sub
+        found = _artifacts(tmp_path)
+        pins = json.loads(QUICK_START_PINS.read_text())
+        assert sorted(found) == sorted(pins)
+        for name, want in pins.items():
+            _same_json(found[name], want, name)
 
     def test_written_configs_hash_alike(self, tmp_path, base_doc):
         # _write_yaml compares the two loaders on every config it writes
@@ -968,6 +1027,21 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config {key}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag,text,key", [
+        ("--seed", "[1", "seed"),
+        ("--percentile", "{a", "threshold_percentile"),
+    ])
+    def test_flag_text_that_yaml_cannot_read_names_its_key(
+            self, tmp_path, capsys, flag, text, key):
+        cfg = _write_yaml(tmp_path / "c.yaml",
+                          {"inputs": {"gauge_csv": "no/such.csv"}})
+        out = tmp_path / "o"
+        assert main(["ingest", "--config", cfg, "--out", str(out),
+                     flag, text]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config {key}: {text!r} is not a YAML value\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand,section,key", [
         *[(subcommand, {"fit": {"frozen": [1]}}, "fit.frozen")

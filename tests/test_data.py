@@ -1129,7 +1129,10 @@ def test_gmt_lookup_of_unsorted_years():
     gmt = GmtSeries(years=[1991, 1989, 1990], anomalies=[0.31, 0.2, 0.25])
     npt.assert_array_equal(gmt.anomaly_for([1990, 1991, 1989, 1990]),
                            [0.25, 0.31, 0.2, 0.25])
-    assert gmt.anomaly_for(np.int64(1989)) == 0.2
+    # one year, as a scalar or a list, gives a one-value array
+    for year in (np.int64(1989), 1989, [1989]):
+        got = gmt.anomaly_for(year)
+        assert got.shape == (1,) and got[0] == 0.2
     with pytest.raises(KeyError, match="no GMT anomaly for year 1992"):
         gmt.anomaly_for([1990, 1992, 1800])
     with pytest.raises(KeyError, match="year 1990"):

@@ -211,18 +211,19 @@ def test_exi_serialization_round_trip():
     npt.assert_array_equal(eval_exi(back, y), eval_exi(model, y))
 
 
+_TINY = math.ulp(0.0)  # the least positive float, the low end of (0, 1]
 _VALID = {"v": 1.1, "psi": 0.3, "theta": 0.95, "theta_v": 0.6,
           "run_length": 4, "levels": [1.0, 1.2, 1.4],
           "runs_theta": [0.5, 0.7, 0.9]}
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("theta", 1.3, r"^theta must lie in \[0, 1\], not 1.3$"),
-    ("theta", -0.1, r"^theta must lie in \[0, 1\]"),
-    ("theta", math.nan, r"^theta must lie in \[0, 1\]"),
-    ("theta_v", 1.0 + 1e-12, r"^theta_v must lie in \[0, 1\]"),
-    ("theta_v", -1e-300, r"^theta_v must lie in \[0, 1\]"),
-    ("runs_theta", [0.5, 1.2, 0.9], r"^runs estimates must lie in \[0, 1\]$"),
+    ("theta", 1.3, r"^theta must lie in \(0, 1\], not 1.3$"),
+    ("theta", -0.1, r"^theta must lie in \(0, 1\]"),
+    ("theta", math.nan, r"^theta must lie in \(0, 1\]"),
+    ("theta_v", 1.0 + 1e-12, r"^theta_v must lie in \(0, 1\]"),
+    ("theta_v", -1e-300, r"^theta_v must lie in \(0, 1\]"),
+    ("runs_theta", [0.5, 1.2, 0.9], r"^runs estimates must lie in \(0, 1\]$"),
     ("runs_theta", [0.5, math.nan, 0.9], r"^runs estimates must lie"),
     ("runs_theta", [-0.1, 0.7, 0.9], r"^runs estimates must lie"),
     ("psi", 0.0, r"^psi must be positive and finite, not 0.0$"),
@@ -231,6 +232,12 @@ _VALID = {"v": 1.1, "psi": 0.3, "theta": 0.95, "theta_v": 0.6,
     ("psi", math.nan, r"^psi must be positive and finite"),
     ("levels", [1.0, 1.2], r"^levels and runs estimates must have equal"),
     ("runs_theta", [0.5, 0.7], r"^levels and runs estimates must have equal"),
+    # 0 is refused, and so are levels out of order
+    ("theta", 0.0, r"^theta must lie in \(0, 1\], not 0.0$"),
+    ("theta_v", 0.0, r"^theta_v must lie in \(0, 1\]"),
+    ("runs_theta", [0.0, 0.7, 0.9], r"^runs estimates must lie"),
+    ("levels", [1.4, 1.2, 1.0], r"^levels must be ascending$"),
+    ("levels", [1.0, math.nan, 1.4], r"^levels must be ascending$"),
 ])
 @pytest.mark.parametrize("build", ["init", "from_dict"])
 def test_out_of_range_model_is_refused(build, field, value, message):
@@ -239,11 +246,16 @@ def test_out_of_range_model_is_refused(build, field, value, message):
         ExiModel.from_dict(d) if build == "from_dict" else ExiModel(**d)
 
 
-@pytest.mark.parametrize("theta,theta_v", [(0.0, 0.0), (1.0, 1.0),
-                                           (0.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("theta,theta_v", [(_TINY, _TINY), (1.0, 1.0),
+                                           (_TINY, 1.0), (1.0, _TINY)])
 def test_unit_interval_ends_are_accepted(theta, theta_v):
     model = ExiModel(**{**_VALID, "theta": theta, "theta_v": theta_v,
-                        "runs_theta": [0.0, 0.5, 1.0]})
+                        "runs_theta": [_TINY, 0.5, 1.0]})
     y = np.linspace(0.9, 5.0, 60)
     vals = eval_exi(model, y)
-    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all((vals > 0.0) & (vals <= 1.0))
+
+
+def test_equal_levels_are_accepted():
+    # a quantile grid of tied surges repeats a level
+    ExiModel(**{**_VALID, "levels": [1.0, 1.2, 1.2]})

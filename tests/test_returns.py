@@ -112,20 +112,22 @@ class TestAnnualMaxCdf:
         cal = _one_dead_cycle(100)
         assert annual_max_cdf(5.0, _const_model(0.999), cal) == 0.0
 
-    def test_dead_cycle_under_a_zero_extremal_index(self):
-        # theta = 0 makes every other factor F^0 = 1, and 0^0 is taken as
-        # the dead cycle's 0, with no warning for 0 * log(0).
+    def test_dead_cycle_under_the_least_extremal_index(self):
+        # ExiModel refuses theta = 0; at the least positive theta every
+        # other factor F^theta rounds to 1 while the dead cycle's log F =
+        # -inf stays -inf, with no warning for theta * log(0).
+        tiny = math.ulp(0.0)
         cal, dead = _one_year_calendar(100), _one_dead_cycle(100)
-        zero = ExiModel(v=0.5, psi=0.3, theta=0.0, theta_v=0.0,
-                        run_length=4, levels=np.array([0.3, 0.4, 0.6]),
-                        runs_theta=np.zeros(3))
+        least = ExiModel(v=0.5, psi=0.3, theta=tiny, theta_v=tiny,
+                         run_length=4, levels=np.array([0.3, 0.4, 0.6]),
+                         runs_theta=np.full(3, tiny))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert annual_max_cdf(5.0, _const_model(0.5), cal, zero) == 1.0
-            assert annual_max_cdf(5.0, _const_model(0.5), dead, zero) == 0.0
-            # only a zero factor counts so: a nan model stays nan
+            assert annual_max_cdf(5.0, _const_model(0.5), cal, least) == 1.0
+            assert annual_max_cdf(5.0, _const_model(0.5), dead, least) == 0.0
+            # a nan model stays nan
             nan_xi = _with_xi(_const_model(0.5), math.nan)
-            assert math.isnan(annual_max_cdf(5.0, nan_xi, dead, zero))
+            assert math.isnan(annual_max_cdf(5.0, nan_xi, dead, least))
 
     def test_unit_extremal_index_curve_changes_nothing(self, surge_model):
         model, cal = surge_model
@@ -614,9 +616,7 @@ def _reference_exceedance(z, model, cal, exi_model, scenario):
     cdf[above] = 1.0 - s
     log_f[above] = np.log1p(-s)
     theta = np.ones_like(y) if exi_model is None else eval_exi(exi_model, y)
-    with np.errstate(invalid="ignore"):
-        # a zero factor stays zero, theta = 0 or not
-        weighted = np.where(log_f == -np.inf, -np.inf, theta * log_f)
+    weighted = theta * log_f  # theta > 0: a zero factor stays zero
     years = [-math.expm1(math.fsum(weighted[cal.year_index == k]))
              for k in range(cal.n_years)]
     return math.fsum(years) / cal.n_years, cdf, log_f
@@ -638,7 +638,7 @@ def _exi(theta, psi):
 def test_engine_matches_the_per_cycle_reference(seasonal_model):
     fitted, cal, series = seasonal_model
     # theta > 1 is refused, so the engine has nothing to clip
-    with pytest.raises(ValueError, match=r"^theta must lie in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"^theta must lie in \(0, 1\]"):
         _exi(1.3, 0.1)
     exi_models = {
         "fitted-like": _exi(0.9, 0.1),

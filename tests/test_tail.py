@@ -281,16 +281,17 @@ def _gpd_logpdf(excess, sigma, xi):
 
 
 @pytest.fixture(scope="module")
-def one_record(model):
+def one_record(sim_r0):
     """F(y) of one record (day 120, 10 May, tide 2.8) under a flat
-    threshold u = 1, a constant rate lam and a constant scale alpha."""
-    m, _ = model
+    threshold u = 1, with its body built there, a constant rate lam and a
+    constant scale alpha."""
+    thresholds = flat_thresholds(1.0)
+    body = build_empirical(sim_r0[0], thresholds)
 
     def cdf(y, xi, lam=0.05, alpha=0.1):
         params = TailParams(rate=RateParams(lam=lam),
                             scale=ScaleParams(alpha=alpha, beta=0.0), xi=xi)
-        near = SkewSurgeModel(body=m.body, params=params,
-                              thresholds=flat_thresholds(1.0))
+        near = SkewSurgeModel(body=body, params=params, thresholds=thresholds)
         return near.conditional(120.0, 10.0, 5, 2.8)(y)
 
     return cdf
@@ -417,6 +418,18 @@ class TestEvalCdf:
         below_mass = 1.0 - rate_at(m.params.rate, 50.0, 19.0, 2, 3.1)
         expect = below_mass * eval_body_cdf(m.body, y, 2, 3.1)
         npt.assert_array_equal(got, expect)
+
+    def test_a_body_built_at_other_thresholds_is_refused(self, model):
+        # the tail would start 0.05 m below where the body stops, so F
+        # would not read 1 - lambda at u_j
+        m, _ = model
+        lower = flat_thresholds(m.thresholds.values[0] - 0.05)
+        match = "^the body was built at other thresholds than the model's$"
+        with pytest.raises(ValueError, match=match):
+            SkewSurgeModel(body=m.body, params=m.params, thresholds=lower)
+        with pytest.raises(ValueError, match=match):
+            eval_cdf(0.1, 50.0, 19.0, 2, 3.1, body=m.body, params=m.params,
+                     thresholds=lower)
 
     @pytest.mark.parametrize("level", ["none", "some", "all"])
     def test_body_searched_below_the_threshold_as_in_a_full_search(
