@@ -46,7 +46,7 @@ Config schema (all sections optional unless a subcommand needs them)::
       scenario: {year: 2017, gmt: null}
     dependence:
       p: 0.05                        # in (0, 1)
-      lags: [-1, 0, 1]
+      lags: [-1, 0, 1]               # nonempty
       uniform: true
     pooling:                         # fitted at threshold_percentile
       shared: [delta_rate]
@@ -145,6 +145,12 @@ def _list_of(read):
     return read_list
 
 
+def _nonempty(items):
+    if not items:
+        raise ValueError("expected a nonempty list")
+    return items
+
+
 def _one_of(choices):
     """A reader of one of ``choices``."""
     def read(v):
@@ -231,7 +237,8 @@ _KEYS = {
     "fit.shape_prior": {"mean": _number,
                         "variance": lambda v: _prior_variance(_number(v))},
     "return_levels.scenario": {"year": _whole, "gmt": _number},
-    "dependence": {"p": _between(0, 1), "lags": _list_of(_whole),
+    "dependence": {"p": _between(0, 1),
+                   "lags": lambda v: _nonempty(_list_of(_whole)(v)),
                    "uniform": _boolean},
     # the ranges the library owns are read by its own checks
     "simulate": {"site_id": lambda v: _in_range("site_id", _text(v)),

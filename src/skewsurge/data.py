@@ -103,11 +103,13 @@ def calendar_columns(timestamps):
 
 @dataclass
 class SiteSeries:
-    """Column store of tidal cycles for one site, sorted by timestamp.
+    """Column store of tidal cycles for one site, in time order.
 
-    The year trends' index is :func:`standardize_year` of ``year``. The
-    GMT anomaly column ``gmt`` is absent until :func:`attach_covariates`
-    fills it in; it is a fact of each record, so copies keep it.
+    A record or copy whose stamps do not strictly increase is refused as
+    it is built. The year trends' index is :func:`standardize_year` of
+    ``year``. The GMT anomaly column ``gmt`` is absent until
+    :func:`attach_covariates` fills it in; it is a fact of each record, so
+    copies keep it.
     """
 
     site_id: str
@@ -121,11 +123,20 @@ class SiteSeries:
     day_of_year: np.ndarray
     gmt: np.ndarray | None = None
 
+    def __post_init__(self):
+        t = self.timestamps
+        bad = np.flatnonzero(t[1:] <= t[:-1])
+        if bad.size:
+            k = bad[0] + 1
+            kind = "duplicate" if t[k] == t[k - 1] else "out-of-order"
+            raise ValueError(f"site {self.site_id}: {kind} timestamp {t[k]}")
+
     def __len__(self):
         return len(self.timestamps)
 
     def subset(self, mask):
-        """Row subset of every column that is set, ``gmt`` included."""
+        """Row subset of every column that is set, ``gmt`` included; a
+        boolean mask keeps the time order, a reordering is refused."""
         return replace(self, **{k: v[mask] for k, v in vars(self).items()
                                 if isinstance(v, np.ndarray)})
 
@@ -337,14 +348,6 @@ def _row_error(path, n_fields):
                 return f"{where}: non-numeric level"
 
 
-def _steps_in_runs(stamps, heads):
-    """Seconds from each stamp to the next, 1 where the next row starts
-    one of the runs that begin at rows ``heads``."""
-    step = np.diff(stamps.view(np.int64))
-    step[heads[1:] - 1] = 1
-    return step
-
-
 def load_series(path):
     """Load a gauge CSV into one :class:`SiteSeries` per site.
 
@@ -355,7 +358,7 @@ def load_series(path):
     are skipped. Timestamps are ISO 8601, naive (read as UTC) or ending in
     ``Z`` or in a UTC offset of the form ``±HH:MM``, ``±HHMM`` or ``±HH``;
     any other offset is an error. Rows are sorted per site by timestamp;
-    duplicate timestamps within a site are an error. A file already in
+    :class:`SiteSeries` refuses a duplicate, first site first. A file in
     (site, time) order, one run of rows per site with its stamps rising,
     as :func:`write_series_csv` writes it, is not re-sorted.
 
@@ -418,7 +421,8 @@ def load_series(path):
     except UnicodeDecodeError:
         raise ValueError(_row_error(path, len(header))
                          or f"{path}: a site id is not UTF-8") from None
-    step = _steps_in_runs(stamps, heads)
+    step = np.diff(stamps.view(np.int64))
+    step[heads[1:] - 1] = 1  # no step between two runs
     if len(heads) == len(names) and not (step < 0).any():  # in (site, time) order
         levels = [np.ascontiguousarray(c) for c in (tide, msl, skew)]
     else:
@@ -427,13 +431,6 @@ def load_series(path):
         stamps, levels = stamps[order], [c[order] for c in (tide, msl, skew)]
         code = np.arange(len(names))
         heads = np.searchsorted(row_code[order], code)
-        step = _steps_in_runs(stamps, heads)
-    dup = np.flatnonzero(step == 0)
-    if dup.size:  # reported for the site that appears first
-        run = code[np.searchsorted(heads, dup, side="right") - 1]
-        k = np.argmin(first[run])
-        raise ValueError(
-            f"site {site_ids[run[k]]}: duplicate timestamp {stamps[dup[k] + 1]}")
     columns = (stamps, *levels, *calendar_columns(stamps))
     bounds = np.append(heads, len(stamps))
     out = {}

@@ -52,7 +52,8 @@ class PairedDailySeries:
 
 
 def _daily_max(series):
-    """Daily maxima of a time-ordered series (one sort per site and margin).
+    """Daily maxima of a SiteSeries, in time order by construction (one
+    sort per site and margin).
 
     Returns the sorted unique dates, each day's maximum, the maxima's dense
     ranks, the first date's day number and the site's slot table: an int32
@@ -64,8 +65,6 @@ def _daily_max(series):
     if not np.isfinite(series.skew_surge).all():
         raise ValueError(f"series {series.site_id}: values must be finite")
     days = series.timestamps.astype("datetime64[D]")
-    if np.any(days[1:] < days[:-1]):
-        raise ValueError(f"series {series.site_id} is not sorted by timestamp")
     change = np.flatnonzero(days[1:] != days[:-1]) + 1
     starts = np.concatenate([[0], change])
     values = np.maximum.reduceat(series.skew_surge, starts)

@@ -134,10 +134,11 @@ def fit_exi_to_estimates(levels, estimates, v, theta_v):
 def fit_exi_curve(series, v, levels, run_length=4):
     """Fit the extremal-index model to a time-ordered skew-surge series.
 
-    ``series`` is a SiteSeries or a plain value array (already in time
-    order); ``v`` is the anchor level and ``levels`` the grid. Grid levels
-    without exceedances are dropped; at least 3 usable levels above v are
-    required.
+    ``series`` is a SiteSeries, in time order by construction, or a plain
+    value array, whose order is the caller's: runs declustering counts
+    runs of consecutive cycles. ``v`` is the anchor level and ``levels``
+    the grid. Grid levels without exceedances are dropped; at least 3
+    usable levels above v are required.
     """
     values = np.asarray(getattr(series, "skew_surge", series), dtype=float)
     top = values.max()

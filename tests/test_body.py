@@ -55,18 +55,6 @@ class TestBuild:
             )
             assert sum(len(b) for b in emp.samples[j]) == n_below
 
-    def test_permuting_input_order_gives_identical_structure(self, sim_r0):
-        series, _, thresholds = sim_r0
-        rng = np.random.default_rng(5)
-        shuffled = series.subset(rng.permutation(len(series)))
-        a = build_empirical(series, thresholds)
-        b = build_empirical(shuffled, thresholds)
-        npt.assert_array_equal(a.tide_breaks, b.tide_breaks)
-        for j in range(12):
-            for band in range(3):
-                npt.assert_array_equal(a.samples[j][band],
-                                       b.samples[j][band])
-
     def test_all_exceeding_month_errors(self):
         series = _nine_per_month()
         high = series.skew_surge.copy()

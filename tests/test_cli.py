@@ -1018,6 +1018,8 @@ class TestErrorHandling:
         ("fit", {"fit": {"frozen": {1: 0.0}}}, "fit.frozen.1"),
         ("simulate", {"simulate": {"n_cycles": 10, "threshold": [0.3, 0.4]}},
          "simulate.threshold"),
+        # a table with no rows
+        ("dep", {"dependence": {"lags": []}}, "dependence.lags"),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, capsys,
                                            subcommand, doc, key):
@@ -1027,6 +1029,7 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config {key}: ")
         assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag,text,key", [
         ("--seed", "[1", "seed"),

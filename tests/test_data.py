@@ -360,9 +360,10 @@ class TestGaugeCsvFormat:
         series = []
         for site_id, rows in sites:
             seconds, a, b, c = (np.array(column) for column in zip(*rows))
+            seconds, first = np.unique(seconds, return_index=True)  # rising
             stamps = seconds.astype("datetime64[s]")
-            series.append(SiteSeries(site_id, stamps, a, b, c,
-                                     *calendar_columns(stamps)))
+            series.append(SiteSeries(site_id, stamps, a[first], b[first],
+                                     c[first], *calendar_columns(stamps)))
         buf = io.StringIO()
         with mock.patch.object(data, "_BLOCK_ROWS", block):
             write_series_csv(buf, series)
@@ -380,7 +381,8 @@ class TestGaugeCsvFormat:
         write_series_csv(tmp_path / "edges.csv", fine)
         back = load_series(tmp_path / "edges.csv")["A"]
         npt.assert_array_equal(back.timestamps, fine.timestamps)
-        bad = _series("Port, North", ["2000-01-01T00:00:00", stamp],
+        bad = _series("Port, North", np.sort(np.array(  # NaT sorts last
+            ["2000-01-01T00:00:00", stamp], dtype="datetime64[s]")),
                       [1.0, 1.0], [1.5, 1.5])
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match=(
@@ -402,27 +404,34 @@ class TestGaugeCsvFormat:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_round_trip_of_shuffled_sites(self, tmp_path_factory, sites, seed):
+        # the records are written in order, then the file's data lines are
+        # shuffled: the loader sorts them back into (site, time) order
         rng = np.random.default_rng(seed)
         written = []
         for site_id, seconds in sites:
-            stamps = np.array(seconds, dtype="datetime64[s]")
+            stamps = np.sort(np.array(seconds, dtype="datetime64[s]"))
             tide = rng.uniform(-5.0, 5.0, len(seconds))
             written.append(_series(site_id, stamps, tide,
                                    tide + rng.normal(0.0, 1.0, len(seconds))))
-        shuffled = [s.subset(rng.permutation(len(s))) for s in written]
         path = tmp_path_factory.mktemp("rt") / "gauges.csv"
-        write_series_csv(path, shuffled, comment="round trip")
+        write_series_csv(path, written, comment="round trip")
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        start = lines.index(GAUGE_HEADER_LINE) + 1
+        order = rng.permutation(len(lines) - start)
+        path.write_text("".join(lines[:start] + [lines[start + k] for k in order]),
+                        encoding="utf-8")
         back = load_series(path)
-        assert list(back) == [site_id for site_id, _ in sites]
+        site_of_line = np.repeat(np.arange(len(written)), list(map(len, written)))
+        assert list(back) == [written[i].site_id
+                              for i in dict.fromkeys(site_of_line[order].tolist())]
         for s in written:
-            got, order = back[s.site_id], np.argsort(s.timestamps)
-            npt.assert_array_equal(got.timestamps, s.timestamps[order])
+            got = back[s.site_id]
+            npt.assert_array_equal(got.timestamps, s.timestamps)
             for name in ("peak_tide", "max_sea_level", "skew_surge"):
-                npt.assert_allclose(getattr(got, name),
-                                    getattr(s, name)[order], atol=5e-7)
+                npt.assert_allclose(getattr(got, name), getattr(s, name),
+                                    atol=5e-7)
             for name in ("year", "month", "day_of_month", "day_of_year"):
-                npt.assert_array_equal(getattr(got, name),
-                                       getattr(s, name)[order])
+                npt.assert_array_equal(getattr(got, name), getattr(s, name))
 
 
 GAUGE_HEADER_LINE = "site,timestamp,peak_tide_m,max_sea_level_m,skew_surge_m\n"
@@ -1007,13 +1016,11 @@ class TestMonthlyThresholds:
 
     @pytest.mark.parametrize("percentile", [0.5, 0.95, 0.99])
     def test_equal_to_each_masked_month(self, sim_r0, percentile):
-        series, _, _ = sim_r0
-        shuffled = series.subset(np.random.default_rng(3).permutation(len(series)))
-        for s in (series, shuffled):
-            expected = [np.quantile(s.skew_surge[s.month == j], percentile)
-                        for j in range(1, 13)]
-            got = monthly_thresholds(s, percentile).values
-            assert got.tobytes() == np.array(expected).tobytes()
+        s, _, _ = sim_r0
+        expected = [np.quantile(s.skew_surge[s.month == j], percentile)
+                    for j in range(1, 13)]
+        got = monthly_thresholds(s, percentile).values
+        assert got.tobytes() == np.array(expected).tobytes()
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.one_of(st.just(30), st.integers(31, 90)),
@@ -1158,6 +1165,34 @@ def test_copies_keep_the_gmt_anomaly():
     npt.assert_array_equal(detrend_msl(s, 1.5, 2017).gmt, s.gmt)
     # without a GMT series the record is returned as it is
     assert attach_covariates(s) is s
+
+
+class TestTimeOrder:
+    @pytest.mark.parametrize("stamps, message", [
+        (["2000-01-01T00:00", "2000-01-01T12:00", "2000-01-01T12:00"],
+         "duplicate timestamp 2000-01-01T12:00:00"),
+        (["2000-01-01T00:00", "2000-01-01T12:00", "1999-12-31T23:00"],
+         "out-of-order timestamp 1999-12-31T23:00:00"),
+    ], ids=["repeated", "backward"])
+    def test_a_stamp_that_does_not_rise_is_refused(self, stamps, message):
+        with pytest.raises(ValueError, match=f"^site Port, North: {message}$"):
+            _series("Port, North", stamps, [1.0] * 3, [1.5] * 3)
+
+    def test_a_permuted_copy_is_refused(self, sim_r0):
+        series, _, _ = sim_r0
+        order = np.random.default_rng(3).permutation(len(series))
+        with pytest.raises(ValueError, match="^site SIM: out-of-order "):
+            series.subset(order)
+
+    def test_a_mask_or_increasing_indices_keep_the_order_and_gmt(self, sim_r0):
+        years = np.unique(sim_r0[0].year)
+        series = attach_covariates(sim_r0[0], gmt=GmtSeries(
+            years=years, anomalies=0.01 * (years - 1950)))
+        mask = series.skew_surge > 0.2
+        for keep in (mask, np.flatnonzero(mask)):
+            got = series.subset(keep)
+            npt.assert_array_equal(got.timestamps, series.timestamps[mask])
+            npt.assert_array_equal(got.gmt, series.gmt[mask])
 
 
 def test_load_gmt_bad_header(tmp_path):

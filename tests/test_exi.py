@@ -202,6 +202,17 @@ class TestEvalExi:
         assert got == eval_exi(model, np.array(y))
 
 
+def test_theta_v_of_a_simulated_record(sim_r0):
+    # 400 cycles above v in 323 runs: a fixed value, which a reordered
+    # record (now refused) would change
+    x = sim_r0[0].skew_surge
+    v = np.quantile(x, 0.95)
+    model = fit_exi_curve(sim_r0[0], v, np.quantile(x, np.linspace(0.95, 0.999, 30)))
+    assert model.theta_v == 323 / 400
+    assert model.theta == 1.0
+    npt.assert_allclose(model.psi, 0.20169307730270572, rtol=1e-12)
+
+
 def test_exi_serialization_round_trip():
     levels = np.linspace(1.0, 2.0, 8)
     model = ExiModel(v=1.1, psi=0.3, theta=0.95, theta_v=0.6, run_length=4,

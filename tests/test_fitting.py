@@ -83,16 +83,6 @@ class TestNegLoglik:
                             rtol=1e-12)
         npt.assert_allclose(diff, 1.6931, atol=5e-5)
 
-    def test_record_order_invariance(self, sim_r0):
-        series, params, thr = sim_r0
-        rng = np.random.default_rng(0)
-        shuffled = attach_covariates(
-            series.subset(rng.permutation(len(series)))
-        )
-        a = neg_loglik(params, series, thr)
-        b = neg_loglik(params, shuffled, thr)
-        npt.assert_allclose(a, b, rtol=1e-12)
-
     def test_invalid_proposals_are_infinite(self, sim_r0):
         series, params, thr = sim_r0
         from dataclasses import replace
