@@ -105,8 +105,9 @@ def calendar_columns(timestamps):
 class SiteSeries:
     """Column store of tidal cycles for one site, in time order.
 
-    A record or copy whose stamps do not strictly increase is refused as
-    it is built. The year trends' index is :func:`standardize_year` of
+    A record or copy is refused as it is built if a column's length
+    differs from the stamps', a stamp is NaT, or the stamps do not
+    strictly increase. The year trends' index is :func:`standardize_year` of
     ``year``. The GMT anomaly column ``gmt`` is absent until
     :func:`attach_covariates` fills it in; it is a fact of each record, so
     copies keep it.
@@ -125,6 +126,12 @@ class SiteSeries:
 
     def __post_init__(self):
         t = self.timestamps
+        for name, column in vars(self).items():
+            if isinstance(column, np.ndarray) and len(column) != len(t):
+                raise ValueError(f"site {self.site_id}: column {name} has "
+                                 f"{len(column)} values for {len(t)} stamps")
+        if np.isnat(t).any():  # NaT compares false, so the next check misses it
+            raise ValueError(f"site {self.site_id}: NaT timestamp")
         bad = np.flatnonzero(t[1:] <= t[:-1])
         if bad.size:
             k = bad[0] + 1
@@ -196,6 +203,9 @@ class MonthlyThresholds:
         return self.values[np.asarray(month) - 1]
 
 
+_TEST_ROWS = 1 << 12  # rows per test of the stamps' sign bytes
+
+
 def _utc_stamps(text):
     """datetime64[s] UTC stamps from ISO 8601 byte strings: naive (UTC),
     or ending in ``Z`` or in a ``±HH:MM``, ``±HHMM`` or ``±HH`` UTC offset
@@ -210,7 +220,8 @@ def _utc_stamps(text):
     stripped and measured one by one only when some stamp differs in
     length from the first or has a space around it, and searched for a
     sign after the date only when some byte is ``+`` or the ``-`` bytes
-    are more than each date's two.
+    are more than each date's two; those two bytes are tested in blocks
+    of rows, so no test builds a boolean array of the whole copy.
     """
     text = np.array(text)  # contiguous; each "Z" and offset is zeroed in it
     n, size = len(text), text.dtype.itemsize
@@ -227,10 +238,11 @@ def _utc_stamps(text):
         end, rows = np.char.str_len(text), np.arange(n)
         zulu = codes[rows, end - 1] == ord("Z")
         codes[rows[zulu], end[zulu] - 1] = 0
+    blocks = [codes[i:i + _TEST_ROWS] for i in range(0, n, _TEST_ROWS)]
     if (size > 10 and (codes[:, 4] == ord("-")).all()
             and (codes[:, 7] == ord("-")).all()
-            and np.count_nonzero(codes == ord("-")) == 2 * n
-            and not (codes == ord("+")).any()):  # no sign after any date
+            and sum(np.count_nonzero(b == ord("-")) for b in blocks) == 2 * n
+            and not any((b == ord("+")).any() for b in blocks)):  # no sign after any date
         at = np.arange(0)
     else:
         if not (np.char.find(text, b"-") == 4).all():  # also rejects "now"
@@ -348,6 +360,31 @@ def _row_error(path, n_fields):
                 return f"{where}: non-numeric level"
 
 
+def _table_columns(table):
+    """(first row of each run of equal site fields, the runs' stripped site
+    ids, stamps, peak tide, max sea level, skew surge) of the parse table.
+
+    The levels are copies, so the table can be freed once they are made.
+    """
+    raw = table["site"]  # stripped once per run of equal fields
+    heads = np.flatnonzero(np.concatenate(([True], raw[1:] != raw[:-1])))
+    site = np.char.strip(raw[heads])
+    if (site == b"").any():
+        raise ValueError("empty site id")
+    stamps = _utc_stamps(table["timestamp"])
+    tide, msl = (np.ascontiguousarray(table[name]) for name in _LEVELS)
+    if table.dtype[-1].kind == "S":  # skew surge as bytes: not all floats
+        skew = msl - tide
+        given = np.char.strip(table["skew_surge_m"])
+        filled = np.char.str_len(given) > 0
+        skew[filled] = given[filled].astype(float)
+    elif len(table.dtype) == 5:
+        skew = np.ascontiguousarray(table["skew_surge_m"])
+    else:
+        skew = msl - tide
+    return heads, site, stamps, tide, msl, skew
+
+
 def load_series(path):
     """Load a gauge CSV into one :class:`SiteSeries` per site.
 
@@ -361,6 +398,11 @@ def load_series(path):
     :class:`SiteSeries` refuses a duplicate, first site first. A file in
     (site, time) order, one run of rows per site with its stamps rising,
     as :func:`write_series_csv` writes it, is not re-sorted.
+
+    Memory: the loader holds its parse table (each data row's byte
+    strings and floats) until the stamps and levels are copied out of it,
+    then the returned columns, whose calendar columns are built once the
+    table is freed; the two are never held together in full.
 
     Returns
     -------
@@ -396,21 +438,8 @@ def load_series(path):
             return (line for line in fh if not line.startswith("#")) if commented else fh
 
         try:
-            table = _parse_rows(data_lines, header, first_line, named)
-            raw = table["site"]  # stripped once per run of equal fields
-            heads = np.flatnonzero(np.concatenate(([True], raw[1:] != raw[:-1])))
-            site = np.char.strip(raw[heads])
-            if (site == b"").any():
-                raise ValueError("empty site id")
-            stamps = _utc_stamps(table["timestamp"])
-            tide, msl = table["peak_tide_m"], table["max_sea_level_m"]
-            if table.dtype[-1].kind == "S":  # skew surge as bytes: not all floats
-                skew = msl - tide
-                given = np.char.strip(table["skew_surge_m"])
-                filled = np.char.str_len(given) > 0
-                skew[filled] = given[filled].astype(float)
-            else:
-                skew = table["skew_surge_m"] if len(header) == 5 else msl - tide
+            heads, site, stamps, *levels = _table_columns(
+                _parse_rows(data_lines, header, first_line, named))
         except (ValueError, UserWarning) as exc:
             raise ValueError(_row_error(path, len(header)) or f"{path}: {exc}") from None
 
@@ -421,14 +450,12 @@ def load_series(path):
     except UnicodeDecodeError:
         raise ValueError(_row_error(path, len(header))
                          or f"{path}: a site id is not UTF-8") from None
-    step = np.diff(stamps.view(np.int64))
-    step[heads[1:] - 1] = 1  # no step between two runs
-    if len(heads) == len(names) and not (step < 0).any():  # in (site, time) order
-        levels = [np.ascontiguousarray(c) for c in (tide, msl, skew)]
-    else:
+    fall = stamps[1:] < stamps[:-1]
+    fall[heads[1:] - 1] = False  # no step between two runs
+    if len(heads) != len(names) or fall.any():  # not in (site, time) order
         row_code = np.repeat(code, np.diff(heads, append=len(stamps)))
         order = np.lexsort((stamps.view(np.int64), row_code))
-        stamps, levels = stamps[order], [c[order] for c in (tide, msl, skew)]
+        stamps, levels = stamps[order], [c[order] for c in levels]
         code = np.arange(len(names))
         heads = np.searchsorted(row_code[order], code)
     columns = (stamps, *levels, *calendar_columns(stamps))

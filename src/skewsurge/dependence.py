@@ -23,6 +23,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,42 +52,66 @@ class PairedDailySeries:
         return len(self.a)
 
 
-def _daily_max(series):
+class _DayIndex(NamedTuple):
+    """A record's days, in time order: each day's first row (int32 while
+    the rows allow), the first day's number (days since 1970) and the slot
+    table, an int32 array over the span of days from the first to the last
+    whose entry d holds the index of day first + d, or -1 on a day without
+    a record."""
+
+    starts: np.ndarray
+    first: int
+    slots: np.ndarray
+
+
+class _Daily(NamedTuple):
+    """One margin of a site's record by day: each day's maximum, the
+    maxima's dense ranks (int32 while the days allow) and the record's day
+    index."""
+
+    values: np.ndarray
+    ranks: np.ndarray
+    index: _DayIndex
+
+
+def _daily_max(series, index=None):
     """Daily maxima of a SiteSeries, in time order by construction (one
     sort per site and margin).
 
-    Returns the sorted unique dates, each day's maximum, the maxima's dense
-    ranks, the first date's day number and the site's slot table: an int32
-    array over the span of days from the first date to the last whose entry
-    d holds the index of day first + d, or -1 on a day without a record.
+    ``index`` is the day index of the record's stamps, built here when not
+    given. Both margins of a site (its surges and their PIT values) share
+    one: the raw margin builds it, and the uniform margin reduces its own
+    values over the same runs of rows.
     """
-    if len(series) == 0:
-        raise ValueError("both series must be nonempty")
+    if index is None:
+        if len(series) == 0:
+            raise ValueError("both series must be nonempty")
+        days = series.timestamps.astype("datetime64[D]").view(np.int64)
+        starts = np.flatnonzero(np.concatenate(([True], days[1:] != days[:-1])))
+        starts = starts.astype(_index_dtype(days.size))
+        number = days[starts] - days[0]
+        slots = np.full(int(number[-1]) + 1, -1, dtype=np.int32)
+        slots[number] = np.arange(starts.size, dtype=np.int32)
+        index = _DayIndex(starts, int(days[0]), slots)
     if not np.isfinite(series.skew_surge).all():
         raise ValueError(f"series {series.site_id}: values must be finite")
-    days = series.timestamps.astype("datetime64[D]")
-    change = np.flatnonzero(days[1:] != days[:-1]) + 1
-    starts = np.concatenate([[0], change])
-    values = np.maximum.reduceat(series.skew_surge, starts)
-    days = days[starts]
-    first = int(days[0].view(np.int64))
-    number = days.view(np.int64) - first
-    slots = np.full(int(number[-1]) + 1, -1, dtype=np.int32)
-    slots[number] = np.arange(days.size, dtype=np.int32)
-    return days, values, np.unique(values, return_inverse=True)[1], first, slots
+    values = np.maximum.reduceat(series.skew_surge, index.starts)
+    ranks = np.unique(values, return_inverse=True)[1]
+    return _Daily(values, ranks.astype(_index_dtype(ranks.size)), index)
 
 
 def _pair_daily(daily_a, daily_b, lag, site_a, site_b):
     """Pair two sites' daily maxima on the dates they share, B shifted by lag.
 
     A's day d pairs with B's day d + lag. Over the span of days that both
-    slot tables cover (see ``_daily_max``), one slice of each table gives
-    the pairs: the days where both slots are set, in date order. Returns
-    the pairs and each site's daily ranks on those dates, the keys that
+    slot tables cover (see :class:`_DayIndex`), one slice of each table
+    gives the pairs: the days where both slots are set, in date order.
+    Returns each site's indices (intp) of its paired days, through which a
+    row reads the paired values and the daily ranks that
     :func:`_kendall_tau` takes in place of ranking the values.
     """
-    da, va, ka, first_a, slots_a = daily_a
-    _, vb, kb, first_b, slots_b = daily_b
+    _, first_a, slots_a = daily_a.index
+    _, first_b, slots_b = daily_b.index
     lag = int(lag)
     lo = max(first_a, first_b - lag)
     hi = max(lo, min(first_a + slots_a.size, first_b - lag + slots_b.size))
@@ -99,14 +124,19 @@ def _pair_daily(daily_a, daily_b, lag, site_a, site_b):
         raise ValueError(
             f"no overlapping dates between {site_a} and {site_b} at lag {lag}"
         )
-    return PairedDailySeries(dates=da[ia], a=va[ia], b=vb[ib], lag=lag,
-                             site_a=site_a, site_b=site_b), (ka[ia], kb[ib])
+    return ia, ib
 
 
 def daily_max_pairs(series_a, series_b, lag=0):
     """Daily maxima of both sites on overlapping dates, B shifted by lag days."""
-    return _pair_daily(_daily_max(series_a), _daily_max(series_b), lag,
-                       series_a.site_id, series_b.site_id)[0]
+    daily_a, daily_b = _daily_max(series_a), _daily_max(series_b)
+    ia, ib = _pair_daily(daily_a, daily_b, lag, series_a.site_id,
+                         series_b.site_id)
+    dates = series_a.timestamps[daily_a.index.starts[ia]]
+    return PairedDailySeries(dates=dates.astype("datetime64[D]"),
+                             a=daily_a.values[ia], b=daily_b.values[ib],
+                             lag=int(lag), site_a=series_a.site_id,
+                             site_b=series_b.site_id)
 
 
 def _finite_pair(a, b):
@@ -317,12 +347,13 @@ def pit_transform(series, model):
 
 
 def _row(daily_a, daily_b, lag, p, site_a, site_b, pair, margin):
-    """One dependence table row from two sites' daily maxima."""
-    pairs, keys = _pair_daily(daily_a, daily_b, lag, site_a, site_b)
-    chi, chibar = chi_chibar(pairs, p)
+    """One dependence table row from two sites' daily maxima, read through
+    the paired days' indices."""
+    ia, ib = _pair_daily(daily_a, daily_b, lag, site_a, site_b)
+    chi, chibar = chi_chibar((daily_a.values[ia], daily_b.values[ib]), p)
     return {"pair": pair, "lag": int(lag), "margin": margin,
-            "tau": _kendall_tau(*keys), "chi": chi, "chibar": chibar,
-            "p": p, "n": len(pairs)}
+            "tau": _kendall_tau(daily_a.ranks[ia], daily_b.ranks[ib]),
+            "chi": chi, "chibar": chibar, "p": p, "n": ia.size}
 
 
 def pairwise_reports(series_map, lags=(-1, 0, 1), p=0.05, models=None):
@@ -333,18 +364,23 @@ def pairwise_reports(series_map, lags=(-1, 0, 1), p=0.05, models=None):
     dicts keyed pair/lag/margin/tau/chi/chibar/n, ordered by site pair,
     margin (raw, then uniform), then lag.
 
+    Each site's day index (its days' first rows and slot table, see
+    :class:`_DayIndex`) is built once, with its raw daily maxima, and the
+    uniform margin's daily maxima are reduced over the same index, so a
+    site's days are found once for both margins.
+
     The rows run on a thread pool with one worker per CPU the process may
     run on (``os.sched_getaffinity``, else ``os.cpu_count``), at most one
     per row, each in a copy of the caller's context (so an ``np.errstate``
-    around the call holds in every row). The uniform margins are the
-    pool's first task, built one site at a time in the same kind of copy.
-    The calling thread builds the raw daily maxima and submits the raw
-    rows; from then on it only waits, for the margins to submit the
-    uniform rows and for the rows, so no more threads are busy than the
-    pool has workers. The rows and their order do not depend on the
-    number of workers. A failing margin raises before any row, the first
-    failing site's error; of several failing rows the first in row order
-    raises.
+    around the call holds in every row). The calling thread builds the
+    raw daily maxima, site by site; the uniform margins are then the
+    pool's first task, built one site at a time in the same kind of copy,
+    and the calling thread submits the raw rows. From then on it only
+    waits, for the margins to submit the uniform rows and for the rows, so
+    no more threads are busy than the pool has workers. The rows and their
+    order do not depend on the number of workers. A failing margin raises
+    before any row, the first failing site's error, raw margins first; of
+    several failing rows the first in row order raises.
     """
     sites = sorted(series_map)
     pairs = list(itertools.combinations(sites, 2))
@@ -363,17 +399,19 @@ def pairwise_reports(series_map, lags=(-1, 0, 1), p=0.05, models=None):
                 f"{sa}-{sb}", margin)
             for lag in lags] for sa, sb in site_pairs}
 
+    # each site's day index and raw daily maxima, before any task starts
+    raw = {site: _daily_max(series_map[site])
+           for site in (sites if pairs else [])}
+
     def uniform_margins():
         return {site: _daily_max(pit_transform(series_map[site],
-                                               models[site]))
+                                               models[site]),
+                                 raw[site].index)
                 for site in (modelled if modelled_pairs else [])}
 
     n_rows = len(lags) * (len(pairs) + len(modelled_pairs))
     with ThreadPoolExecutor(max(1, min(cpus, n_rows))) as pool:
         uniform = run(pool, uniform_margins)
-        # each site's daily maxima and their ranks, computed once per margin
-        raw = {site: _daily_max(series_map[site])
-               for site in (sites if pairs else [])}
         raw_rows = submit(pool, "raw", raw, pairs)
         uniform_rows = submit(pool, "uniform", uniform.result(),
                               modelled_pairs)

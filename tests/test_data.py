@@ -9,8 +9,9 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -158,6 +159,33 @@ class TestLoadSeries:
         path.write_bytes(text)
         with pytest.raises(ValueError, match=message):
             load_series(path)
+
+    def test_a_load_holds_its_parse_table_or_its_columns(self, tmp_path):
+        # the peak stays below the parse table and the returned columns
+        # held together: on this file the two sum to about 2x the columns
+        rng = np.random.default_rng(0)
+        stamps = (np.datetime64("1990-01-01", "s")
+                  + np.timedelta64(44700, "s") * np.arange(5000))
+        records = [_series(f"S{k}", stamps, tide, tide + rng.normal(0.2, 0.3, 5000))
+                   for k, tide in enumerate(rng.uniform(-3.0, 3.0, (4, 5000)))]
+        path = tmp_path / "gauges.csv"
+        write_series_csv(path, records)
+        load_series(path)  # the first call's imports and caches
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_series(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        held = sum(column.nbytes for series in loaded.values()
+                   for column in vars(series).values()
+                   if isinstance(column, np.ndarray))
+        assert held == 20_000 * 64
+        assert peak <= 1.7 * held
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -372,7 +400,6 @@ class TestGaugeCsvFormat:
     @pytest.mark.parametrize("stamp, shown", [
         ("10000-01-01T00:00:00", "10000-01-01T00:00:00"),
         ("-0001-12-31T23:59:59", "-001-12-31T23:59:59"),
-        ("NaT", "NaT"),
     ])
     def test_years_the_loader_cannot_read_are_refused(self, tmp_path, stamp,
                                                       shown):
@@ -381,7 +408,7 @@ class TestGaugeCsvFormat:
         write_series_csv(tmp_path / "edges.csv", fine)
         back = load_series(tmp_path / "edges.csv")["A"]
         npt.assert_array_equal(back.timestamps, fine.timestamps)
-        bad = _series("Port, North", np.sort(np.array(  # NaT sorts last
+        bad = _series("Port, North", np.sort(np.array(
             ["2000-01-01T00:00:00", stamp], dtype="datetime64[s]")),
                       [1.0, 1.0], [1.5, 1.5])
         path = tmp_path / "bad.csv"
@@ -1177,6 +1204,23 @@ class TestTimeOrder:
     def test_a_stamp_that_does_not_rise_is_refused(self, stamps, message):
         with pytest.raises(ValueError, match=f"^site Port, North: {message}$"):
             _series("Port, North", stamps, [1.0] * 3, [1.5] * 3)
+
+    def test_a_nat_stamp_is_refused(self):
+        # every comparison with NaT is false, so no step around it falls
+        with pytest.raises(ValueError, match="^site Port, North: NaT timestamp$"):
+            _series("Port, North", ["2000-01-01", "NaT", "1999-01-01"],
+                    [1.0] * 3, [1.5] * 3)
+
+    def test_a_column_of_another_length_is_refused(self, sim_r0):
+        series = _series("Port, North", np.datetime64("2000-01-01", "s")
+                         + 44700 * np.arange(1000), np.zeros(1000),
+                         np.ones(1000))
+        with pytest.raises(ValueError, match=(
+                "^site Port, North: column skew_surge has 900 values for "
+                "1000 stamps$")):
+            replace(series, skew_surge=series.skew_surge[:900])
+        with pytest.raises(ValueError, match="^site SIM: column gmt has 3 "):
+            replace(sim_r0[0], gmt=np.zeros(3))
 
     def test_a_permuted_copy_is_refused(self, sim_r0):
         series, _, _ = sim_r0

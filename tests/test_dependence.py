@@ -389,6 +389,14 @@ class TestChiChibar:
             chi_chibar((b, a), p=0.2)
 
 
+def _paired_ranks(a, b, lag):
+    """Each site's daily ranks on the paired dates, as a table row reads
+    them."""
+    daily_a, daily_b = dependence._daily_max(a), dependence._daily_max(b)
+    ia, ib = dependence._pair_daily(daily_a, daily_b, lag, "A", "B")
+    return daily_a.ranks[ia], daily_b.ranks[ib]
+
+
 class TestDailyMaxPairs:
     def test_takes_the_maximum_within_each_day(self):
         vals = np.array([0.1, 0.7, 0.3, 0.2, 0.5, 0.4])
@@ -420,8 +428,9 @@ class TestDailyMaxPairs:
         a = _daily_series(np.round(rng.normal(size=900), 2), per_day=2)
         b = _daily_series(np.round(rng.normal(size=1400), 3), site_id="B",
                           start="2001-03-20", per_day=2)
-        pairs, (rank_a, rank_b) = dependence._pair_daily(
-            dependence._daily_max(a), dependence._daily_max(b), lag, "A", "B")
+        pairs = daily_max_pairs(a, b, lag)
+        rank_a, rank_b = _paired_ranks(a, b, lag)
+        assert rank_a.dtype == rank_b.dtype == np.int32
         assert len(np.unique(rank_a)) < rank_a.max() + 1
         assert rank_b.max() >= len(pairs)
         assert len(np.unique(pairs.a)) < len(pairs)  # tied days
@@ -478,9 +487,7 @@ class TestDailyMaxPairs:
         b = gappy(400, 1, "B", "2001-03-01")
         pairs = daily_max_pairs(a, b, lag)
         # the site ranks that the table rows hand to tau
-        rank_a, rank_b = dependence._pair_daily(
-            dependence._daily_max(a), dependence._daily_max(b), lag, "A",
-            "B")[1]
+        rank_a, rank_b = _paired_ranks(a, b, lag)
 
         def reference_daily(series):
             days = series.timestamps.astype("datetime64[D]")
@@ -667,22 +674,32 @@ class TestPairwiseReports:
             calls.append(site_series.site_id)
             return pit_transform(site_series, site_model)
 
-        def counting_daily_max(site_series):
-            daily_calls.append(site_series.site_id)
-            return daily_max(site_series)
+        def counting_daily_max(site_series, index=None):
+            daily = daily_max(site_series, index)
+            daily_calls.append((site_series.site_id, index is not None))
+            if index is not None:
+                shared.append(index is raw[site_series.site_id].index)
+            else:
+                raw[site_series.site_id] = daily
+            return daily
 
         monkeypatch.setattr(dependence, "pit_transform", counting)
         monkeypatch.setattr(dependence, "_daily_max", counting_daily_max)
+        raw, shared = {}, []
         rows = pairwise_reports(series_map, models=models)
         assert sorted(calls) == ["A", "B", "C"]
-        # daily maxima once per site and margin: 4 raw + 3 uniform
-        assert sorted(daily_calls) == ["A", "A", "B", "B", "C", "C", "D"]
+        # daily maxima once per site and margin: 4 raw, each building its
+        # site's day index, and 3 uniform over the raw margin's index
+        assert sorted(daily_calls) == [
+            ("A", False), ("A", True), ("B", False), ("B", True),
+            ("C", False), ("C", True), ("D", False)]
+        assert shared == [True] * 3
         assert rows == expected
         calls.clear()
         daily_calls.clear()
         pairwise_reports(series_map, models={"A": model})
         assert calls == []
-        assert sorted(daily_calls) == ["A", "B", "C", "D"]
+        assert sorted(daily_calls) == [(site, False) for site in "ABCD"]
 
     @pytest.fixture()
     def pool_sizes(self, monkeypatch):
