@@ -106,11 +106,11 @@ class SiteSeries:
     """Column store of tidal cycles for one site, in time order.
 
     A record or copy is refused as it is built if a column's length
-    differs from the stamps', a stamp is NaT, or the stamps do not
-    strictly increase. The year trends' index is :func:`standardize_year` of
-    ``year``. The GMT anomaly column ``gmt`` is absent until
-    :func:`attach_covariates` fills it in; it is a fact of each record, so
-    copies keep it.
+    differs from the stamps', a stamp is NaT, the stamps do not strictly
+    increase, or (checked last) a level or a set ``gmt`` is NaN or ±inf.
+    The year trends' index is :func:`standardize_year` of ``year``. The
+    GMT anomaly column ``gmt`` is absent until :func:`attach_covariates`
+    fills it in; it is a fact of each record, so copies keep it.
     """
 
     site_id: str
@@ -137,6 +137,11 @@ class SiteSeries:
             k = bad[0] + 1
             kind = "duplicate" if t[k] == t[k - 1] else "out-of-order"
             raise ValueError(f"site {self.site_id}: {kind} timestamp {t[k]}")
+        for name in ("peak_tide", "max_sea_level", "skew_surge", "gmt"):
+            column = getattr(self, name)
+            if column is not None and not np.isfinite(column).all():
+                raise ValueError(f"site {self.site_id}: column {name} is not "
+                                 f"finite at {t[~np.isfinite(column)][0]}")
 
     def __len__(self):
         return len(self.timestamps)
@@ -189,7 +194,7 @@ class GmtSeries:
 
 @dataclass
 class MonthlyThresholds:
-    """Per-month skew-surge thresholds u_j (metres), j = 1..12."""
+    """Per-month skew-surge thresholds u_j (metres), j = 1..12, all finite."""
 
     values: np.ndarray  # shape (12,)
 
@@ -197,6 +202,9 @@ class MonthlyThresholds:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (12,):
             raise ValueError("expected 12 monthly threshold values")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ValueError(f"month {bad[0] + 1} threshold is not finite")
 
     def for_month(self, month):
         """Threshold for month (1..12); accepts arrays."""
@@ -498,10 +506,10 @@ def _level_fields(text, keep, at, values):
     Each field is a sign, three integer digits, ``.``, six decimals and its
     separator; ``keep`` drops the sign of a value that is not negative and
     the leading zeros. Returns the rows whose field is left out for
-    ``format`` to write: values not finite or that round to 1e3 or more,
-    and values whose ``|v| * 1e6`` lies within 1e-6 of a half-integer,
-    where rounding that product may not round the exact binary value half
-    to even.
+    ``format`` to write: values that round to 1e3 or more (a record's
+    levels are finite, see :class:`SiteSeries`), and values whose
+    ``|v| * 1e6`` lies within 1e-6 of a half-integer, where rounding that
+    product may not round the exact binary value half to even.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.abs(values) * 1e6
@@ -563,10 +571,10 @@ def write_series_csv(target, series, comment=None):
     is emitted first as a ``#``-prefixed line. Each row is the site id as
     the csv module quotes it, the stamp as ``YYYY-MM-DDTHH:MM:SSZ``, then
     the three levels as ``format(v, ".6f")`` writes them: the exact binary
-    value rounded half to even to six decimals, and ``nan``, ``inf`` or
-    ``-inf`` where not finite. A stamp outside years 0000-9999, which
-    :func:`load_series` cannot read, raises ValueError before anything is
-    written.
+    value rounded half to even to six decimals (every level is finite,
+    as :class:`SiteSeries` refuses any other). A stamp outside years
+    0000-9999, which :func:`load_series` cannot read, raises ValueError
+    before anything is written.
     """
     if isinstance(series, SiteSeries):
         series = [series]
@@ -658,7 +666,7 @@ def monthly_thresholds(series, percentile=0.95):
     each ``np.quantile`` of its month to the bit (:func:`_quantile`).
 
     Every month 1..12 needs at least 30 observations for a usable
-    quantile estimate, and a finite skew surge on each.
+    quantile estimate. The surges are finite, as every record's are.
     """
     if not 0.0 < percentile < 1.0:
         raise ValueError("percentile must be in (0, 1)")
@@ -675,9 +683,6 @@ def monthly_thresholds(series, percentile=0.95):
                 f"site {series.site_id}: month {j} has {ss.size} records; "
                 "need >= 30 for a threshold"
             )
-        if not np.isfinite(ss).all():
-            raise ValueError(f"site {series.site_id}: month {j} has a "
-                             "non-finite skew surge")
         values[j - 1] = _quantile(ss, percentile)
     return MonthlyThresholds(values=values)
 

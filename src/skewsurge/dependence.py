@@ -81,7 +81,8 @@ def _daily_max(series, index=None):
     ``index`` is the day index of the record's stamps, built here when not
     given. Both margins of a site (its surges and their PIT values) share
     one: the raw margin builds it, and the uniform margin reduces its own
-    values over the same runs of rows.
+    values over the same runs of rows. The values are finite, as every
+    record's are (a PIT copy of a record included).
     """
     if index is None:
         if len(series) == 0:
@@ -93,8 +94,6 @@ def _daily_max(series, index=None):
         slots = np.full(int(number[-1]) + 1, -1, dtype=np.int32)
         slots[number] = np.arange(starts.size, dtype=np.int32)
         index = _DayIndex(starts, int(days[0]), slots)
-    if not np.isfinite(series.skew_surge).all():
-        raise ValueError(f"series {series.site_id}: values must be finite")
     values = np.maximum.reduceat(series.skew_surge, index.starts)
     ranks = np.unique(values, return_inverse=True)[1]
     return _Daily(values, ranks.astype(_index_dtype(ranks.size)), index)

@@ -138,9 +138,12 @@ def fit_exi_curve(series, v, levels, run_length=4):
     value array, whose order is the caller's: runs declustering counts
     runs of consecutive cycles. ``v`` is the anchor level and ``levels``
     the grid. Grid levels without exceedances are dropped; at least 3
-    usable levels above v are required.
+    usable levels above v are required. A plain array with a NaN or ±inf
+    value is refused (a SiteSeries holds none).
     """
     values = np.asarray(getattr(series, "skew_surge", series), dtype=float)
+    if not hasattr(series, "skew_surge") and not np.isfinite(values).all():
+        raise ValueError("values must be finite")
     top = values.max()
     if v >= top:
         raise ValueError("v must lie below the maximum observation")

@@ -327,8 +327,6 @@ def wald_intervals(hessian, x):
 
 def _site_data(series, thresholds):
     """A site prepared for fitting, standardized by its own record."""
-    if not np.isfinite(series.skew_surge).all():
-        raise ValueError(f"site {series.site_id}: non-finite skew surge")
     data = _prepare(series, thresholds, standardizers(
         series.peak_tide, series.month, series.day_of_month))
     if data.n_exceed < 50:

@@ -543,6 +543,28 @@ class TestIngest:
         assert list(sites) == ["SIM"]
         assert sites["SIM"]["detrend_mm_per_year"] == 1.5
 
+    @pytest.mark.parametrize("field, bad", [
+        ("peak_tide", "nan"), ("skew_surge", "inf"), ("max_sea_level", "-inf"),
+    ], ids=["nan", "inf", "-inf"])
+    def test_a_level_that_is_not_finite_is_refused_by_every_run(
+            self, tmp_path, base_doc, gauges, capsys, field, bad):
+        lines = gauges.read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("SIM,"))
+        row = lines[at].rstrip("\n").split(",")
+        row[2 + ("peak_tide", "max_sea_level", "skew_surge").index(field)] = bad
+        lines[at] = ",".join(row) + "\n"
+        (tmp_path / "g.csv").write_text("".join(lines))
+        base_doc["inputs"]["gauge_csv"] = str(tmp_path / "g.csv")
+        base_doc["sites"] = ["SIM", "SIM2"]
+        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
+        out = tmp_path / "out"
+        for command in ("ingest", "fit", "exi", "dep"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: site SIM: column {field} is not finite at "
+                f"{row[1].rstrip('Z')}\n")
+            assert not out.exists()
+
 
 class TestFit:
     def test_fit_artifact(self, tmp_path, base_doc):
@@ -599,21 +621,6 @@ class TestFit:
         assert json.loads((out / "fit_SIM_R0S0.json").read_text())["converged"]
         assert main(["rl", "--config", cfg, "--out", str(out)]) == 1
         assert "month 3 tide band 1 is empty" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_non_finite_surge_fails_naming_site_and_month(
-            self, tmp_path, base_doc, gauges, capsys, bad):
-        series = load_series(gauges)["SIM"]
-        surge = series.skew_surge.copy()
-        surge[np.flatnonzero(series.month == 1)[0]] = float(bad)
-        write_series_csv(tmp_path / "g.csv", replace(series, skew_surge=surge))
-        base_doc["inputs"]["gauge_csv"] = str(tmp_path / "g.csv")
-        cfg = _write_yaml(tmp_path / "c.yaml", base_doc)
-        out = tmp_path / "out"
-        assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: site SIM: month 1 has a non-finite skew surge\n")
-        assert not out.exists()
 
     def test_percentile_flag_reaches_artifact(self, tmp_path, base_doc):
         cfg = _write_yaml(tmp_path / "c.yaml", base_doc)

@@ -104,6 +104,21 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match="duplicate"):
             load_series(path)
 
+    @pytest.mark.parametrize("field", [2, 3, 4])
+    def test_a_level_that_is_not_finite_is_refused(self, tmp_path, field):
+        rows = [["A", "2000-01-01T00:00:00Z", "3.0", "3.1", "0.1"],
+                ["A", "2000-01-01T12:25:00Z", "3.0", "3.2", "0.2"],
+                ["A", "2000-01-02T00:50:00Z", "3.0", "3.3", "0.3"]]
+        for row in rows[1:]:
+            row[field] = "nan"
+        path = _write(tmp_path, ",".join(GAUGE_HEADER) + "\n"
+                      + "".join(",".join(row) + "\n" for row in rows))
+        name = ("peak_tide", "max_sea_level", "skew_surge")[field - 2]
+        with pytest.raises(ValueError, match=(
+                f"^site A: column {name} is not finite at "
+                "2000-01-01T12:25:00$")):
+            load_series(path)
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = _write(
             tmp_path,
@@ -238,15 +253,17 @@ def _near_tie(n, step):
 STAMP_SECONDS = (  # years 0000-9999
     int(np.datetime64("0000-01-01T00:00:00").astype(np.int64)),
     int(np.datetime64("9999-12-31T23:59:59").astype(np.int64)))
+# Finite levels only: no record can hold NaN or ±inf, so the writer cannot
+# be given one.
 LEVEL = st.one_of(
     st.builds(_near_tie, st.integers(-2_000_000_000, 2_000_000_000),
               st.integers(-3, 3)),
     st.sampled_from([0.0, -0.0, -4e-7, 4e-7, -5e-7, 9.9999995, -9.9999995,
                      99.9999995, 999.9999995, -999.9999995, 999.999999,
-                     1e3, -1e3, 1e300, math.nan, math.inf, -math.inf]),
+                     1e3, -1e3, 1e300]),
     st.floats(-2e3, 2e3),
     st.floats(-1e-5, 1e-5),
-    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
@@ -1022,17 +1039,6 @@ class TestMonthlyThresholds:
                                              "threshold$"):
             monthly_thresholds(s)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_surge_names_site_and_month(self, bad):
-        # np.partition would carry a NaN into the threshold unseen
-        months = np.repeat(np.arange(1, 13), 40)
-        surges = np.zeros(480)
-        surges[np.flatnonzero(months == 3)[5]] = bad
-        s = columns_series(months, np.full(480, 3.0), surges, site_id="X")
-        with pytest.raises(ValueError, match="^site X: month 3 has a "
-                                             "non-finite skew surge$"):
-            monthly_thresholds(s)
-
     def test_first_sparse_month_is_named(self):
         months = np.repeat(np.arange(1, 13), 40)[::-1].copy()
         months[months == 9] = 1
@@ -1144,6 +1150,13 @@ class TestInputChecks:
                            match="expected 12 monthly threshold values"):
             MonthlyThresholds(np.zeros(n))
 
+    def test_thresholds_must_be_finite(self):
+        values = np.zeros(12)
+        values[[4, 11]] = [-np.inf, np.nan]
+        with pytest.raises(ValueError,
+                           match="^month 5 threshold is not finite$"):
+            MonthlyThresholds(values)
+
     def test_load_gmt_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError,
                            match="GMT CSV not found: .*absent.csv"):
@@ -1237,6 +1250,45 @@ class TestTimeOrder:
             got = series.subset(keep)
             npt.assert_array_equal(got.timestamps, series.timestamps[mask])
             npt.assert_array_equal(got.gmt, series.gmt[mask])
+
+
+class TestFiniteLevels:
+    STAMPS = np.datetime64("2000-01-01", "s") + 44700 * np.arange(10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["peak_tide", "max_sea_level",
+                                      "skew_surge"])
+    def test_a_level_that_is_not_finite_is_refused(self, name, bad):
+        series = _series("Port, North", self.STAMPS, np.zeros(10), np.ones(10))
+        column = getattr(series, name).copy()
+        column[[3, 7]] = bad
+        message = (f"^site Port, North: column {name} is not finite at "
+                   "2000-01-02T13:15:00$")  # the first one's stamp
+        with pytest.raises(ValueError, match=message):
+            SiteSeries(**{**vars(series), name: column})
+        with pytest.raises(ValueError, match=message):
+            replace(series, **{name: column})
+
+    def test_the_length_and_order_checks_come_first(self):
+        series = _series("X", self.STAMPS, np.zeros(10), np.ones(10))
+        with pytest.raises(ValueError, match="^site X: column skew_surge has 9 "):
+            replace(series, skew_surge=np.full(9, np.nan))
+        stamps = self.STAMPS.copy()
+        stamps[5] = stamps[4]
+        with pytest.raises(ValueError, match="^site X: duplicate timestamp "):
+            _series("X", stamps, np.full(10, np.nan), np.ones(10))
+
+    def test_a_gmt_anomaly_that_is_not_finite_is_refused(self):
+        s = columns_series([1, 2, 3], [2.0, 2.5, 3.0], [0.1, 0.2, 0.3], "X")
+        s.year[:] = [1990, 1991, 1992]
+        # a NaN for a year the record does not hold is never looked up
+        gmt = GmtSeries(years=[1800, 1990, 1991, 1992],
+                        anomalies=[np.nan, 0.2, np.nan, 0.4])
+        with pytest.raises(ValueError, match=("^site X: column gmt is not "
+                                              "finite at 2000-01-01T12:25:00$")):
+            attach_covariates(s, gmt=gmt)
+        gmt.anomalies[2] = 0.3
+        npt.assert_array_equal(attach_covariates(s, gmt=gmt).gmt, [0.2, 0.3, 0.4])
 
 
 def test_load_gmt_bad_header(tmp_path):

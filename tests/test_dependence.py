@@ -460,15 +460,30 @@ class TestDailyMaxPairs:
         with pytest.raises(ValueError, match="nonempty"):
             daily_max_pairs(a, empty)
 
-    def test_non_finite_values_rejected(self):
-        a = _daily_series(np.arange(6.0), per_day=2)
+    def test_non_finite_values_rejected(self, fitted, monkeypatch):
+        # neither margin can hand one on: a raw record refuses it as it is
+        # built, and a uniform margin as pit_transform's copy is built
         values = np.arange(6.0)
         values[4] = np.nan
-        b = _daily_series(values, site_id="B", per_day=2)
-        with pytest.raises(ValueError, match="B: values must be finite"):
-            daily_max_pairs(a, b)
-        with pytest.raises(ValueError, match="finite"):
-            pairwise_reports({"A": a, "B": b}, lags=(0,))
+        with pytest.raises(ValueError, match=(
+                "^site B: column max_sea_level is not finite at "
+                "2001-03-03T06:00:00$")):
+            _daily_series(values, site_id="B", per_day=2)
+        series, model = fitted
+        cdf = dependence.eval_cdf
+
+        def broken(*args, **kwargs):
+            out = cdf(*args, **kwargs)
+            out[5] = np.nan
+            return out
+
+        monkeypatch.setattr(dependence, "eval_cdf", broken)
+        with pytest.raises(ValueError, match=(
+                "^site A: column max_sea_level is not finite at "
+                f"{series.timestamps[5]}$")):
+            pairwise_reports({site: replace(series, site_id=site)
+                              for site in "AB"}, lags=(0,),
+                             models={"A": model, "B": model})
 
     @pytest.mark.parametrize("lag", [-3, -2, -1, 0, 1, 2, 3])
     def test_pairs_match_an_intersection_of_dates(self, lag):

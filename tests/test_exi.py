@@ -130,6 +130,13 @@ class TestCurveFit:
         with pytest.raises(ValueError, match="maximum"):
             fit_exi_curve(np.linspace(0, 1, 100), 2.0, np.linspace(0, 1, 30))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_that_are_not_finite_are_refused(self, bad):
+        values = np.linspace(0, 1, 100)
+        values[40] = bad
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            fit_exi_curve(values, 0.5, np.linspace(0.55, 0.95, 9))
+
     def test_too_few_usable_levels_above_v(self):
         # 1.5 has no exceedances and is dropped, leaving two above v
         with pytest.raises(ValueError,

@@ -366,15 +366,6 @@ class TestFitsThatStopShort:
         assert (fit.estimates["xi"], fit.converged) == (-0.49, False)
         assert fit.message == "estimate held on the xi box [-0.49, 0.999] edge"
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_surge_is_refused(self, sim_r0, bad):
-        series, _, thr = sim_r0
-        surge = series.skew_surge.copy()
-        surge[np.flatnonzero(series.month == 1)[0]] = bad
-        with pytest.raises(ValueError,
-                           match="^site SIM: non-finite skew surge$"):
-            fit_tail(replace(series, skew_surge=surge), FitConfig(), thr)
-
     def test_frozen_values_without_a_finite_start(self, sim_r0):
         series, _, thr = sim_r0
         with pytest.raises(ValueError, match="^the frozen values leave no "

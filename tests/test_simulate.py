@@ -149,6 +149,7 @@ def test_invalid_spec_rejected():
     ("start", "garbage", "start must be a date and time numpy reads"),
     ("start", "NaT", "start must be a date and time numpy reads"),
     ("site_id", "", "site_id must not be blank"),
+    ("thresholds", float("nan"), "month 1 threshold is not finite"),
 ])
 def test_spec_a_run_cannot_use_is_refused(field, value, reason):
     with pytest.raises(ValueError, match=f"^{reason}$"):
